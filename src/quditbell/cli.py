@@ -18,7 +18,13 @@ from typing import Optional
 
 import click
 
-from .bounds import Bipartition, BudgetExceededError, hlnhv_bound, lhv_bound
+from .bounds import (
+    DEFAULT_BUDGET,
+    Bipartition,
+    BudgetExceededError,
+    hlnhv_bound,
+    lhv_bound,
+)
 from .optimize import (
     critical_visibility,
     max_violation,
@@ -43,7 +49,6 @@ from .scenario import (
 )
 
 BUDGET_ENV_VAR = "QUDITBELL_BUDGET"
-DEFAULT_BUDGET = 10**8
 
 ANGLES_MODES = ("optimal", "zero", "optimized-symmetric", "optimized-free")
 
@@ -52,16 +57,13 @@ __all__ = ["RunConfig", "cli", "main", "run"]
 
 @dataclass
 class RunConfig:
-    """Parsed invocation: one command plus its scenario and I/O options."""
+    """Parsed invocation: the scenario and the options the commands share."""
 
-    command: str
     n: int = 0
     d: int = 0
     partition: Optional[Bipartition] = None
     angles_mode: str = "optimal"
     budget: int = DEFAULT_BUDGET
-    output_path: Optional[str] = None
-    format: str = "json"
 
 
 class InputError(ValueError):
@@ -139,15 +141,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_bound(config: RunConfig, model: str, jobs: int) -> dict:
+def cmd_bound(config: RunConfig, model: str) -> dict:
     scenario = _scenario(config.n, config.d)
     started = time.perf_counter()
     if model == "hlnhv":
         if config.partition is None:
             raise InputError("hlnhv bound needs --partition, e.g. '1,2/3'")
-        bound, witness = hlnhv_bound(
-            scenario, config.partition, budget=config.budget, jobs=jobs
-        )
+        bound, witness = hlnhv_bound(scenario, config.partition, budget=config.budget)
         part = witness.partition
         d = scenario.dimension
         enumerated = d ** (2 ** len(part.block_a)) * d ** (2 ** len(part.block_b))
@@ -270,7 +270,7 @@ def cmd_scan(n_range: tuple[int, int], d_range: tuple[int, int]) -> list[dict]:
     return rows
 
 
-def cmd_eval(config: RunConfig, table_path: str) -> dict:
+def cmd_eval(table_path: str) -> dict:
     try:
         with open(table_path) as handle:
             payload = json.load(handle)
@@ -325,17 +325,14 @@ def _add_options(options):
 @click.option("--partition", default=None,
               help="Bipartition for hlnhv, slash-separated comma lists like '1,2/3'.")
 @click.option("--budget", type=int, envvar=BUDGET_ENV_VAR, default=DEFAULT_BUDGET,
-              show_default=True, help="Maximum number of strategies to enumerate.")
-@click.option("--threads", type=int, default=None,
-              help="Worker processes for the enumeration (default: machine parallelism).")
+              show_default=True, help="Largest strategy space the search may certify.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def bound(n, d, out_path, model, partition, budget, threads, fmt):
-    """Certify the HLNHV (or LHV) bound by exhaustive enumeration."""
-    config = RunConfig("bound", n=n, d=d, budget=budget, output_path=out_path, format=fmt)
+def bound(n, d, out_path, model, partition, budget, fmt):
+    """Certify the HLNHV (or LHV) bound by an exact search of all strategies."""
+    config = RunConfig(n=n, d=d, budget=budget)
     if partition is not None:
         config.partition = Bipartition.parse(partition, n)
-    jobs = threads if threads else (os.cpu_count() or 1)
-    _emit(cmd_bound(config, model, jobs), fmt, out_path)
+    _emit(cmd_bound(config, model), fmt, out_path)
 
 
 @cli.command()
@@ -357,8 +354,7 @@ def bound(n, d, out_path, model, partition, budget, threads, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed, fmt):
     """Quantum Bell value of the GHZ state at the requested angles."""
-    config = RunConfig("violation", n=n, d=d, angles_mode=angles_mode,
-                       output_path=out_path, format=fmt)
+    config = RunConfig(n=n, d=d, angles_mode=angles_mode)
     report = cmd_violation(config, method, restarts, budget, seed, emit_table)
     _emit(report, fmt, out_path)
 
@@ -368,7 +364,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def visibility(n, d, out_path, fmt):
     """Critical visibility of the white-noise GHZ mixture."""
-    config = RunConfig("visibility", n=n, d=d, output_path=out_path, format=fmt)
+    config = RunConfig(n=n, d=d)
     _emit(cmd_visibility(config), fmt, out_path)
 
 
@@ -396,8 +392,7 @@ def scan(n_range, d_range, out_path, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def eval_table(table_file, out_path, fmt):
     """Evaluate the Bell functional on a probability-table JSON file."""
-    config = RunConfig("eval", output_path=out_path, format=fmt)
-    _emit(cmd_eval(config, table_file), fmt, out_path)
+    _emit(cmd_eval(table_file), fmt, out_path)
 
 
 def run(argv=None) -> int:

@@ -211,7 +211,7 @@ class JointProbabilityTable:
     Per-setting probabilities are dense vectors in the mixed-radix outcome
     encoding (party 1 varies fastest).  Construction normalizes away negative
     floating dust down to -1e-9 and rejects anything worse; the stored arrays
-    are read-only, so a table can be shared freely across threads.
+    are read-only, so a table can be shared freely.
     """
 
     def __init__(self, scenario: BellScenario, probs: Mapping[str, Iterable[float]]):

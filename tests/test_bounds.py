@@ -1,5 +1,6 @@
-"""Deterministic-strategy enumeration, bound certification, and the grouping."""
+"""Deterministic-strategy search, bound certification, and the grouping."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,72 @@ from quditbell.bounds import (
     strategy_delta_table,
     t_coefficient,
     verify_group_cglmp,
+    _group_value,
 )
-from quditbell.scenario import BellScenario, all_setting_strings, bell_value, t_count
+from quditbell.scenario import (
+    BellScenario,
+    all_setting_strings,
+    bell_value,
+    coefficient_exact,
+    t_count,
+)
 from conftest import random_strategy
+
+
+def odometer_hlnhv(scenario, partition):
+    """Brute-force oracle: scan every strategy in lexicographic digit order.
+
+    Digits are the xi values in block-A combination order, then the zeta
+    values; the first strict maximum is kept, so the witness is the
+    lexicographically least one.  Coefficients come straight from
+    coefficient_exact, the t-count of a setting being the sum of its blocks'.
+    """
+    partition = partition.canonical()
+    d = scenario.dimension
+    combos_a = all_setting_strings(len(partition.block_a))
+    combos_b = all_setting_strings(len(partition.block_b))
+    num = [
+        [
+            [int((d - 1) * coefficient_exact(t_count(ca) + t_count(cb), r, d)) for r in range(d)]
+            for cb in combos_b
+        ]
+        for ca in combos_a
+    ]
+    ka, kb = len(combos_a), len(combos_b)
+    best_sum, best_digits = None, None
+    for digits in itertools.product(range(d), repeat=ka + kb):
+        total = 0
+        for i in range(ka):
+            row, x = num[i], digits[i]
+            for j in range(kb):
+                total += row[j][(x + digits[ka + j]) % d]
+        if best_sum is None or total < best_sum:
+            best_sum, best_digits = total, digits
+    witness = DeterministicStrategy(
+        partition,
+        dict(zip(combos_a, best_digits[:ka])),
+        dict(zip(combos_b, best_digits[ka:])),
+    )
+    return Fraction(-best_sum, d - 1), witness
+
+
+# Every bipartition for N=2..4, d=2..5 whose strategy space the odometer
+# scans in well under a second
+ODOMETER_CASES = [
+    pytest.param(n, d, part.describe(), id=f"{n}-{d}-{part.describe()}")
+    for n in range(2, 5)
+    for d in range(2, 6)
+    for part in bipartitions(n)
+    if d ** (2 ** len(part.block_a) + 2 ** len(part.block_b)) <= 2 * 10**5
+]
+
+
+def fraction_group_max(group, dimension):
+    """Brute-force oracle: the quadruple's exact value at every point of Z_d^4."""
+    return max(
+        _group_value(group, (xa, xa2), (zb, zb2), dimension)
+        for xa, xa2, zb, zb2 in itertools.product(range(dimension), repeat=4)
+    )
 
 
 class TestBipartition:
@@ -135,21 +199,33 @@ class TestHlnhvBound:
             )
             assert strategy_bell_value(strategy, scen) < bound
 
-    def test_chunked_scan_matches_sequential(self):
-        scen = BellScenario(3, 3)
-        part = Bipartition.from_block(3, (1, 2))
-        seq = hlnhv_bound(scen, part, jobs=1)
-        for jobs in (2, 5, 16):
-            assert hlnhv_bound(scen, part, jobs=jobs) == seq
+    @pytest.mark.parametrize("n,d,partition", ODOMETER_CASES)
+    def test_matches_odometer_oracle(self, n, d, partition):
+        scen = BellScenario(n, d)
+        part = Bipartition.parse(partition, n)
+        assert hlnhv_bound(scen, part) == odometer_hlnhv(scen, part)
 
-    def test_process_pool_matches_sequential(self, monkeypatch):
-        # force the pool on a small case so worker results really combine
-        monkeypatch.setattr("quditbell.bounds._PARALLEL_THRESHOLD", 1)
-        scen = BellScenario(3, 3)
-        part = Bipartition.from_block(3, (1, 2))
-        pooled = hlnhv_bound(scen, part, jobs=2)
-        monkeypatch.undo()
-        assert pooled == hlnhv_bound(scen, part, jobs=1)
+    @pytest.mark.parametrize("slice_values", [1, 64])
+    @pytest.mark.parametrize(
+        "n,d,partition", [(3, 4, "1,2/3"), (3, 5, "1/2,3"), (4, 3, "1,2,3/4"), (4, 3, "1,2/3,4")]
+    )
+    def test_sliced_walk_matches_odometer(self, monkeypatch, slice_values, n, d, partition):
+        # a tiny slice moves block-A digits from the numpy tail to the head loop
+        monkeypatch.setattr("quditbell.bounds._SLICE_VALUES", slice_values)
+        scen = BellScenario(n, d)
+        part = Bipartition.parse(partition, n)
+        assert hlnhv_bound(scen, part) == odometer_hlnhv(scen, part)
+
+    @pytest.mark.parametrize(
+        "n,d,partition", [(5, 3, "1,2/3,4,5"), (6, 3, "1,2,3/4,5,6"), (4, 6, "1,2,3/4")]
+    )
+    def test_beyond_the_odometer(self, n, d, partition):
+        # 3^12, 3^16 and 6^10 strategies, the last the largest space the
+        # default budget accepts: far past what the odometer scans in a test
+        scen = BellScenario(n, d)
+        bound, witness = hlnhv_bound(scen, Bipartition.parse(partition, n))
+        assert bound == Fraction(2 ** (n - 1))
+        assert strategy_bell_value(witness, scen) == bound
 
     def test_noncanonical_partition_same_bound(self):
         scen = BellScenario(3, 2)
@@ -256,6 +332,14 @@ class TestGrouping:
         grouping = build_grouping(scen, part)
         for group in grouping.groups:
             assert group_deterministic_max(group, scen, part) == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_integer_group_max_matches_fraction_brute_force(self, n, d):
+        scen = BellScenario(n, d)
+        part = Bipartition.from_block(n, tuple(range(1, n // 2 + 1)))
+        for group in build_grouping(scen, part).groups:
+            assert group_deterministic_max(group, scen, part) == fraction_group_max(group, d)
 
     def test_malformed_quadruple_rejected(self, rng):
         scen = BellScenario(3, 2)

@@ -19,7 +19,7 @@ class TestBoundCommand:
     def test_hlnhv_three_qutrits(self, capsys):
         code, out, _ = invoke(
             capsys, "bound", "--n", "3", "--d", "3", "--model", "hlnhv",
-            "--partition", "1,2/3", "--threads", "1",
+            "--partition", "1,2/3",
         )
         assert code == 0
         report = json.loads(out)
@@ -42,7 +42,7 @@ class TestBoundCommand:
     def test_budget_exceeded_exit_code(self, capsys):
         code, _, err = invoke(
             capsys, "bound", "--n", "6", "--d", "5",
-            "--partition", "1,2,3,4,5/6", "--threads", "1",
+            "--partition", "1,2,3,4,5/6",
         )
         assert code == 2
         assert "strategies" in err
@@ -51,7 +51,6 @@ class TestBoundCommand:
         monkeypatch.setenv("QUDITBELL_BUDGET", "10")
         code, _, err = invoke(
             capsys, "bound", "--n", "2", "--d", "2", "--partition", "1/2",
-            "--threads", "1",
         )
         assert code == 2
         assert "budget allows 10" in err
