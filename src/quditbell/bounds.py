@@ -69,6 +69,7 @@ __all__ = [
     "lhv_bound",
     "strategy_bell_value",
     "strategy_delta_table",
+    "strategy_space_exponent",
     "t_coefficient",
     "verify_group_cglmp",
 ]
@@ -77,12 +78,30 @@ __all__ = [
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured strategy budget."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, dimension: int, exponent: int, budget: int):
+        # d^exponent stays unexpanded: written out it can run to millions of digits
         super().__init__(
-            f"enumeration needs {required} strategies, budget allows {budget}"
+            f"enumeration needs {dimension}^{exponent} strategies, budget allows {budget}"
         )
-        self.required = required
-        self.budget = budget
+        self.dimension, self.exponent, self.budget = dimension, exponent, budget
+
+    @property
+    def required(self) -> int:
+        return self.dimension**self.exponent
+
+
+def strategy_space_exponent(scenario: BellScenario, partition=None) -> int:
+    """Exponent e of the d^e strategies: 2^|A| + 2^|B| for a partition, else 2N (LHV)."""
+    if partition is None:
+        return 2 * scenario.n_parties
+    return 2 ** len(partition.block_a) + 2 ** len(partition.block_b)
+
+
+def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
+    # d^e >= 2^e exceeds every budget of fewer than e bits: refuse without forming d^e
+    d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
+    if e > budget.bit_length() or d**e > budget:
+        raise BudgetExceededError(d, e, budget)
 
 
 @dataclass(frozen=True)
@@ -302,9 +321,7 @@ def hlnhv_bound(
         )
     partition = partition.canonical()
     d = scenario.dimension
-    required = d ** (2 ** len(partition.block_a)) * d ** (2 ** len(partition.block_b))
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    _check_budget(scenario, partition, budget)
 
     combos_a = all_setting_strings(len(partition.block_a))
     combos_b = all_setting_strings(len(partition.block_b))
@@ -329,9 +346,7 @@ def lhv_bound(
     (setting-1 outcome, setting-2 outcome) pairs per party.
     """
     n, d = scenario.n_parties, scenario.dimension
-    required = d ** (2 * n)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    _check_budget(scenario, None, budget)
     settings = all_setting_strings(n)
     rows = [_numerator_row(t, d) for t in range(n + 1)]
     nums = {s: rows[t_count(s)] for s in settings}

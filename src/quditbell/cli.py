@@ -24,6 +24,7 @@ from .bounds import (
     BudgetExceededError,
     hlnhv_bound,
     lhv_bound,
+    strategy_space_exponent,
 )
 from .optimize import (
     critical_visibility,
@@ -149,18 +150,17 @@ def cmd_bound(config: RunConfig, model: str) -> dict:
             raise InputError("hlnhv bound needs --partition, e.g. '1,2/3'")
         bound, witness = hlnhv_bound(scenario, config.partition, budget=config.budget)
         part = witness.partition
-        d = scenario.dimension
-        enumerated = d ** (2 ** len(part.block_a)) * d ** (2 ** len(part.block_b))
         witness_json = {"xi": dict(witness.xi), "zeta": dict(witness.zeta)}
         partition_json = [list(part.block_a), list(part.block_b)]
     else:
+        part = None
         bound, local = lhv_bound(scenario, budget=config.budget)
-        enumerated = scenario.dimension ** (2 * scenario.n_parties)
         witness_json = {
             f"party-{p + 1}": {"1": o1, "2": o2} for p, (o1, o2) in enumerate(local)
         }
         partition_json = None
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    enumerated = scenario.dimension ** strategy_space_exponent(scenario, part)
     return {
         "n": config.n,
         "d": config.d,

@@ -2,8 +2,9 @@
 
 The maximal GHZ violation has a closed form: the two-party value scales by
 2^(N-2), the violation ratio against the 2^(N-1) bound fixes the critical
-visibility, and a linear phase ramp attains it.  A derivative-free coordinate
-search confirms the optimum numerically and probes asymmetric settings.
+visibility, and a linear phase ramp attains it.  An exact coordinate search
+(Rotosolve/NFT: the value is a trigonometric polynomial along each phase)
+confirms the optimum numerically and probes asymmetric settings.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .quantum import PhaseConfiguration, ghz_bell_value
 from .scenario import BellScenario
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
-
-GOLDEN_RATIO_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
     "SVETLICHNY_VISIBILITY",
@@ -142,45 +141,33 @@ class _CountedObjective:
         return self.func(x)
 
 
-def _golden_section_max(f, lo: float, hi: float, xtol: float = 1e-7):
-    """Golden-section maximum of f on [lo, hi]; returns (x, f(x))."""
-    x1 = hi - GOLDEN_RATIO_STEP * (hi - lo)
-    x2 = lo + GOLDEN_RATIO_STEP * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN_RATIO_STEP * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN_RATIO_STEP * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _trig_step(f, params, coord, f0, degree):
+    """Maximize f along one coordinate in place; returns the new best value.
 
-
-_LINE_SCAN_POINTS = 12  # coarse bracket over one 2*pi period before refining
-
-
-def _line_search(f, params, coord, f0):
-    """Maximize f along one coordinate in place; returns the new best value."""
-    x0 = params[coord]
-    step = 2.0 * math.pi / _LINE_SCAN_POINTS
-
-    def along(x):
-        params[coord] = x
-        return f(params)
-
-    best_x, best_f = x0, f0
-    for i in range(_LINE_SCAN_POINTS):
-        x = x0 - math.pi + (i + 0.5) * step
-        fx = along(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
-    x, fx = _golden_section_max(along, best_x - step, best_x + step)
-    if fx > best_f:
-        best_x, best_f = x, fx
-    params[coord] = best_x
+    Along the coordinate f is a trigonometric polynomial of degree m, fixed
+    by 2m+1 equispaced samples (f0 is the first).  Its stationary points are
+    the roots of e^(imt) f'(t), a degree-2m polynomial in e^(it); f is
+    evaluated once more at the best of them and the best evaluated point kept.
+    """
+    x0, size = params[coord], 2 * degree + 1
+    offsets = 2.0 * np.pi * np.arange(size) / size
+    samples = [f0]
+    for t in offsets[1:]:
+        params[coord] = x0 + t
+        samples.append(f(params))
+    # DFT of the samples: c[k + m] is the coefficient of e^(ikt), k = -m..m
+    k = np.arange(-degree, degree + 1)
+    c = np.exp(-1j * np.outer(k, offsets)) @ samples / size
+    best = int(np.argmax(samples))
+    best_t, best_f = offsets[best], samples[best]
+    roots = np.angle(np.roots((1j * k * c)[::-1]))
+    if roots.size:
+        t = roots[np.argmax((np.exp(1j * np.outer(roots, k)) @ c).real)]
+        params[coord] = x0 + t
+        ft = f(params)
+        if ft > best_f:
+            best_t, best_f = t, ft
+    params[coord] = x0 + best_t
     return best_f
 
 
@@ -191,15 +178,16 @@ def optimize_phases(
     mode: str = "free",
     tol: float = 1e-9,
 ) -> tuple[PhaseConfiguration, float]:
-    """Derivative-free search for phases maximizing the GHZ Bell value.
+    """Exact coordinate ascent for phases maximizing the GHZ Bell value.
 
     Cycles through the phase entries (all 2*N*d in "free" mode, the 2*d
-    party-shared ones in "symmetric" mode), running a golden-section line
-    search per coordinate bracketed by a coarse scan of one full period.
-    Sweeps repeat until a full cycle improves by less than tol or the
-    evaluation budget is spent.  The returned value never drops below the
-    start's; symmetric mode reads the start's party-1 vectors as the shared
-    parameters.
+    party-shared ones in "symmetric" mode), moving each to the exact maximum
+    along it: a phase multiplies one GHZ branch by e^(i phi) in one party
+    (free, degree 1, 3 evaluations) or up to N parties (symmetric, degree N,
+    2N+1 evaluations).  Sweeps repeat until a full cycle improves by less
+    than tol or the evaluation budget is spent.  The returned value never
+    drops below the start's; symmetric mode reads the start's party-1
+    vectors as the shared parameters.
     """
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
@@ -208,14 +196,14 @@ def optimize_phases(
     n, d = scenario.n_parties, scenario.dimension
 
     if mode == "free":
-        params = start.phases.copy().reshape(-1)
+        params, degree = start.phases.copy().reshape(-1), 1
 
         def build(p):
             return PhaseConfiguration(scenario, p.reshape(n, 2, d))
 
     else:
         # party 1's vectors parameterize all parties
-        params = start.phases[0].copy().reshape(-1)
+        params, degree = start.phases[0].copy().reshape(-1), n
 
         def build(p):
             return PhaseConfiguration(scenario, np.tile(p.reshape(2, d), (n, 1, 1)))
@@ -229,7 +217,7 @@ def optimize_phases(
         while improved:
             sweep_start = best
             for coord in range(params.size):
-                best = _line_search(objective, params, coord, best)
+                best = _trig_step(objective, params, coord, best, degree)
                 best_params[coord] = params[coord]
             improved = best - sweep_start > tol
     except _BudgetExhausted:

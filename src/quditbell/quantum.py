@@ -32,14 +32,8 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 # rotations stop being desk-scale; GHZ users should take ghz_table instead.
 DENSE_DIMENSION_LIMIT = 4096
 
-# The closed form was calibrated once against joint_probabilities and the
-# winning convention frozen; both values coincide anyway because conjugating
-# every branch leaves the modulus alone.
-GHZ_SIGN_CONVENTION = "plus"
-
 __all__ = [
     "DENSE_DIMENSION_LIMIT",
-    "GHZ_SIGN_CONVENTION",
     "DenseLimitError",
     "DensityMatrix",
     "PhaseConfiguration",
@@ -183,17 +177,26 @@ class PhaseConfiguration:
     def from_json_dict(cls, payload) -> "PhaseConfiguration":
         if not isinstance(payload, dict) or not {"n", "d", "phases"} <= set(payload):
             raise ValueError("phase payload must be an object with n, d, phases")
-        scenario = BellScenario(payload["n"], payload["d"])
-        arr = np.zeros((scenario.n_parties, 2, scenario.dimension))
-        for p in range(1, scenario.n_parties + 1):
-            party = payload["phases"].get(f"party-{p}")
-            if party is None:
-                raise ValueError(f"phase payload missing party-{p}")
+        n, d, phases = payload["n"], payload["d"], payload["phases"]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, d)):
+            raise ValueError("phase payload fields 'n' and 'd' must be integers")
+        if not isinstance(phases, dict):
+            raise ValueError("phase payload field 'phases' must be an object")
+        scenario = BellScenario(n, d)
+        vectors = []
+        for p in range(1, n + 1):
+            party = phases.get(f"party-{p}")
+            if not isinstance(party, dict):
+                raise ValueError(f"phase payload party-{p} must be an object")
             for i in (1, 2):
                 vec = party.get(f"setting-{i}")
-                if vec is None or len(vec) != scenario.dimension:
-                    raise ValueError(f"party-{p} setting-{i} must list {scenario.dimension} phases")
-                arr[p - 1, i - 1] = vec
+                if not isinstance(vec, list) or len(vec) != d:
+                    raise ValueError(f"party-{p} setting-{i} must list {d} phases")
+                vectors.append(vec)
+        try:
+            arr = np.array(vectors, dtype=float).reshape(n, 2, d)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("phase payload phases must be numbers") from exc
         return cls(scenario, arr)
 
 
@@ -247,16 +250,7 @@ def joint_probabilities(
     return JointProbabilityTable(rho.scenario, probs)
 
 
-def _branch_sign(sign_convention: str) -> float:
-    try:
-        return {"plus": 1.0, "minus": -1.0}[sign_convention]
-    except KeyError:
-        raise ValueError(f"sign_convention must be 'plus' or 'minus', got {sign_convention!r}")
-
-
-def _ghz_residue_probs(
-    config: PhaseConfiguration, setting: str, sign_convention: str
-) -> np.ndarray:
+def _ghz_residue_probs(config: PhaseConfiguration, setting: str) -> np.ndarray:
     """GHZ probability per outcome-sum residue class for one setting string.
 
     Every outcome tuple with the same sum mod d is equally likely, so the
@@ -264,51 +258,42 @@ def _ghz_residue_probs(
     """
     scenario = config.scenario
     d = scenario.dimension
-    sigma = _branch_sign(sign_convention)
     chosen = np.array([int(c) - 1 for c in setting])
     total_phase = config.phases[np.arange(scenario.n_parties), chosen].sum(axis=0)
     j = np.arange(d)
     angles = total_phase[None, :] + 2.0 * np.pi * np.outer(j, j) / d  # rows: residue r
-    amps = np.exp(1j * sigma * angles).sum(axis=1)
+    amps = np.exp(1j * angles).sum(axis=1)
     return np.abs(amps) ** 2 / d ** (scenario.n_parties + 1)
 
 
 def ghz_probability_closed_form(
-    config: PhaseConfiguration,
-    setting,
-    outcome: Sequence[int],
-    sign_convention: str = GHZ_SIGN_CONVENTION,
+    config: PhaseConfiguration, setting, outcome: Sequence[int]
 ) -> float:
     """GHZ outcome probability without touching the d^N density matrix.
 
     The d branches of the GHZ state interfere coherently:
 
-        P = |sum_j exp(i sigma [Phi_j + 2 pi j (sum_n x_n)/d])|^2 / d^(N+1)
+        P = |sum_j exp(i [Phi_j + 2 pi j (sum_n x_n)/d])|^2 / d^(N+1)
 
-    where Phi_j sums the chosen settings' j-th phase over the parties and
-    sigma is +-1 per sign_convention.
+    where Phi_j sums the chosen settings' j-th phase over the parties.
     """
     scenario = config.scenario
     s = as_setting_string(setting, scenario.n_parties)
-    residues = _ghz_residue_probs(config, s, sign_convention)
+    residues = _ghz_residue_probs(config, s)
     return float(residues[sum(int(x) for x in outcome) % scenario.dimension])
 
 
-def ghz_table(
-    config: PhaseConfiguration, sign_convention: str = GHZ_SIGN_CONVENTION
-) -> JointProbabilityTable:
+def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     """Full probability table for the GHZ state via the closed form."""
     scenario = config.scenario
     sums = outcome_sums_mod_d(scenario.n_parties, scenario.dimension)
     probs = {}
     for s in all_setting_strings(scenario.n_parties):
-        probs[s] = _ghz_residue_probs(config, s, sign_convention)[sums]
+        probs[s] = _ghz_residue_probs(config, s)[sums]
     return JointProbabilityTable(scenario, probs)
 
 
-def ghz_bell_value(
-    config: PhaseConfiguration, sign_convention: str = GHZ_SIGN_CONVENTION
-) -> float:
+def ghz_bell_value(config: PhaseConfiguration) -> float:
     """Bell functional on the GHZ state, collapsed over residue classes.
 
     Equals bell_value(ghz_table(config)) but costs O(4^N + 2^N d^2) instead of
@@ -320,6 +305,6 @@ def ghz_bell_value(
     value = 0.0
     for s in all_setting_strings(scenario.n_parties):
         coeffs = coefficient_by_residue(t_count(s), d)
-        residues = _ghz_residue_probs(config, s, sign_convention)
+        residues = _ghz_residue_probs(config, s)
         value -= per_residue_count * float(coeffs @ residues)
     return value

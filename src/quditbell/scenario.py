@@ -10,6 +10,7 @@ it a witness for genuine N-party entanglement.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -215,17 +216,29 @@ class JointProbabilityTable:
     """
 
     def __init__(self, scenario: BellScenario, probs: Mapping[str, Iterable[float]]):
-        expected = all_setting_strings(scenario.n_parties)
-        missing = [s for s in expected if s not in probs]
-        extra = [s for s in probs if s not in expected]
-        if missing or extra:
+        n, count = scenario.n_parties, len(probs)
+        # compare with 2^n by bit length first: a huge n must not build 2^n strings
+        if count.bit_length() != n + 1 or count != 1 << n:
+            problem = "some missing" if count.bit_length() <= n else "some unexpected"
             raise TableFormatError(
-                f"setting strings mismatch: missing {missing}, unexpected {extra}"
+                f"setting strings mismatch: {count} given, 2^{n} expected ({problem})"
+            )
+        expected = all_setting_strings(n)
+        missing = [s for s in expected if s not in probs]
+        if missing:
+            expected_set = set(expected)
+            extra = [s for s in probs if s not in expected_set]
+            raise TableFormatError(
+                f"setting strings mismatch: {len(missing)} missing {reprlib.repr(missing)}, "
+                f"{len(extra)} unexpected {reprlib.repr(extra)}"
             )
         size = scenario.n_outcome_tuples
         cleaned = {}
         for s in expected:
-            arr = np.array(probs[s], dtype=float)
+            try:
+                arr = np.array(probs[s], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise TableFormatError(f"setting {s}: probabilities must be numbers") from exc
             if arr.shape != (size,):
                 raise TableFormatError(
                     f"setting {s}: expected {size} probabilities, got shape {arr.shape}"
@@ -272,7 +285,7 @@ class JointProbabilityTable:
             if key not in payload:
                 raise TableFormatError(f"table payload missing field {key!r}")
         n, d = payload["n"], payload["d"]
-        if not isinstance(n, int) or not isinstance(d, int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, d)):
             raise TableFormatError("fields 'n' and 'd' must be integers")
         try:
             scenario = BellScenario(n, d)
@@ -281,9 +294,6 @@ class JointProbabilityTable:
         tables = payload["tables"]
         if not isinstance(tables, dict):
             raise TableFormatError("field 'tables' must be an object")
-        for key, row in tables.items():
-            if not isinstance(row, list):
-                raise TableFormatError(f"tables[{key!r}] must be an array")
         return cls(scenario, tables)
 
 

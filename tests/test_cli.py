@@ -47,6 +47,24 @@ class TestBoundCommand:
         assert code == 2
         assert "strategies" in err
 
+    @pytest.mark.parametrize("n", [15, 40])
+    def test_huge_space_refused_without_forming_it(self, capsys, n):
+        # 3^(2 + 2^(n-1)) strategies: the refusal compares exponents
+        partition = "1/" + ",".join(map(str, range(2, n + 1)))
+        code, out, err = invoke(
+            capsys, "bound", "--n", str(n), "--d", "3", "--partition", partition,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"3^{2 + 2 ** (n - 1)} strategies" in err
+        assert len(err.encode()) < 200
+
+    def test_huge_lhv_space_refused(self, capsys):
+        code, _, err = invoke(capsys, "bound", "--n", "5000", "--d", "3", "--model", "lhv")
+        assert code == 2
+        assert "3^10000 strategies" in err
+        assert len(err.encode()) < 200
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("QUDITBELL_BUDGET", "10")
         code, _, err = invoke(
@@ -198,6 +216,14 @@ class TestEvalCommand:
         code, _, err = invoke(capsys, "eval", str(path))
         assert code == 1
         assert "missing" in err
+
+    def test_many_missing_settings_stay_short(self, capsys, tmp_path):
+        path = tmp_path / "empty16.json"
+        path.write_text(json.dumps({"n": 16, "d": 2, "tables": {}}))
+        code, _, err = invoke(capsys, "eval", str(path))
+        assert code == 1
+        assert "missing" in err
+        assert len(err.encode()) < 300
 
     def test_unparseable_file(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"

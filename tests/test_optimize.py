@@ -7,6 +7,8 @@ import pytest
 
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
+    _CountedObjective,
+    _trig_step,
     cglmp_max_closed_form,
     critical_visibility,
     max_violation,
@@ -154,6 +156,14 @@ class TestPhaseSearch:
             np.testing.assert_array_equal(config.phases[p - 1], config.phases[0])
         assert value <= max_violation(scen) + 1e-6
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_symmetric_mode_reaches_the_maximum(self, rng, n):
+        scen = BellScenario(n, 3)
+        _, value = optimize_phases(
+            scen, random_config(scen, rng), budget=2000, mode="symmetric"
+        )
+        assert value == pytest.approx(max_violation(scen), abs=1e-6)
+
     def test_rejects_unknown_mode(self, rng):
         scen = BellScenario(2, 2)
         with pytest.raises(ValueError):
@@ -172,3 +182,80 @@ class TestPhaseSearch:
         b = optimize_with_restarts(scen, restarts=2, budget=1500, seed=11)
         assert a.value == b.value
         np.testing.assert_array_equal(a.config.phases, b.config.phases)
+
+
+def _objective(scen, mode):
+    """The search's objective on its flat parameter vector, with its degree."""
+    n, d = scen.n_parties, scen.dimension
+    if mode == "free":
+        return (lambda p: ghz_bell_value(PhaseConfiguration(scen, p.reshape(n, 2, d)))), 1
+    return (
+        lambda p: ghz_bell_value(
+            PhaseConfiguration(scen, np.tile(p.reshape(2, d), (n, 1, 1)))
+        )
+    ), n
+
+
+def _start_params(scen, mode, rng):
+    phases = random_config(scen, rng).phases
+    return (phases if mode == "free" else phases[0]).reshape(-1).copy()
+
+
+class TestTrigStep:
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 2), (5, 2)])
+    def test_objective_is_a_trig_polynomial_of_the_step_degree(self, rng, mode, n, d):
+        # a degree-m fit through 2m+1 points reproduces every off-grid value
+        scen = BellScenario(n, d)
+        f, m = _objective(scen, mode)
+        params = _start_params(scen, mode, rng)
+        k = np.arange(1, m + 1)
+
+        def basis(theta):
+            theta = np.atleast_1d(theta)[:, None]
+            return np.hstack([np.ones_like(theta), np.cos(k * theta), np.sin(k * theta)])
+
+        def along(theta):
+            p = params.copy()
+            p[coord] = theta
+            return f(p)
+
+        for coord in rng.choice(params.size, 3, replace=False):
+            grid = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(2 * m + 1) / (2 * m + 1)
+            fit = np.linalg.solve(basis(grid), [along(t) for t in grid])
+            for theta in rng.uniform(0.0, 2.0 * np.pi, 4):
+                assert basis(theta)[0] @ fit == pytest.approx(along(theta), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,d,mode", [(2, 5, "free"), (2, 3, "symmetric"), (3, 2, "symmetric")]
+    )
+    def test_one_step_reaches_the_scanned_maximum(self, rng, n, d, mode):
+        scen = BellScenario(n, d)
+        f, m = _objective(scen, mode)
+        params = _start_params(scen, mode, rng)
+        coord = int(rng.integers(params.size))
+        scan = []
+        for theta in np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False):
+            p = params.copy()
+            p[coord] = theta
+            scan.append(f(p))
+        value = _trig_step(f, params, coord, f(params), m)
+        assert value >= max(scan) - 1e-9
+        assert f(params) == value
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_coordinate_costs_2m_plus_1_evaluations(self, rng, mode, n):
+        scen = BellScenario(n, 3)
+        f, m = _objective(scen, mode)
+        params = _start_params(scen, mode, rng)
+        counted = _CountedObjective(f, budget=100)
+        f0 = counted(params)
+        _trig_step(counted, params, 1, f0, m)
+        assert counted.used - 1 == 2 * m + 1  # f0 is reused, not re-evaluated
+
+    def test_flat_coordinate_keeps_the_start(self):
+        params = np.array([0.3, 1.1])
+        value = _trig_step(lambda p: 2.0, params, 0, 2.0, 2)
+        assert value == 2.0
+        assert params[0] == 0.3

@@ -168,32 +168,12 @@ class TestClosedForm:
                     closed.probs_for(s), dense.probs_for(s), atol=1e-10
                 )
 
-    def test_sign_conventions_coincide(self, rng):
-        # conjugating every branch leaves the modulus unchanged
-        scen = BellScenario(2, 3)
-        config = random_config(scen, rng)
-        for s in all_setting_strings(2):
-            for idx in range(9):
-                o = outcome_from_index(idx, scen)
-                assert ghz_probability_closed_form(
-                    config, s, o, "plus"
-                ) == pytest.approx(
-                    ghz_probability_closed_form(config, s, o, "minus"), abs=1e-14
-                )
-
     def test_fast_bell_value_matches_table(self, rng):
         for n, d in ((2, 2), (2, 3), (3, 2)):
             scen = BellScenario(n, d)
             config = random_config(scen, rng)
             assert ghz_bell_value(config) == pytest.approx(
                 bell_value(ghz_table(config)), abs=1e-11
-            )
-
-    def test_rejects_unknown_convention(self, rng):
-        scen = BellScenario(2, 2)
-        with pytest.raises(ValueError):
-            ghz_probability_closed_form(
-                random_config(scen, rng), "11", (0, 0), "conjugate"
             )
 
 
@@ -284,6 +264,32 @@ class TestPhaseConfiguration:
         config = random_config(BellScenario(3, 4), rng)
         back = PhaseConfiguration.from_json_dict(config.to_json_dict())
         np.testing.assert_allclose(back.phases, config.phases)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("phases", [1.0, 2.0]),
+            ("phases", "party-1"),
+            ("party-1", [0.0, 0.0]),
+            ("party-2", None),
+            ("setting-1", 0.5),
+            ("setting-2", ["x", 0.0]),
+            ("n", True),
+            ("n", 2.5),
+            ("d", False),
+            ("d", "2"),
+        ],
+    )
+    def test_bad_payload_raises_value_error(self, field, value):
+        payload = PhaseConfiguration.zero(BellScenario(2, 2)).to_json_dict()
+        if field in ("n", "d", "phases"):
+            payload[field] = value
+        elif field.startswith("party"):
+            payload["phases"][field] = value
+        else:
+            payload["phases"]["party-1"][field] = value
+        with pytest.raises(ValueError):
+            PhaseConfiguration.from_json_dict(payload)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,41 @@ class TestTableInvariants:
         with pytest.raises(TableFormatError, match="negative"):
             JointProbabilityTable(scen, probs)
 
+    @pytest.mark.parametrize("field", ["n", "d"])
+    def test_boolean_dimensions_rejected(self, field):
+        payload = uniform_table(BellScenario(1, 2)).to_json_dict()
+        payload[field] = True
+        with pytest.raises(TableFormatError, match="integers"):
+            JointProbabilityTable.from_json_dict(payload)
+
+    def test_non_numeric_row_names_its_setting(self):
+        payload = uniform_table(BellScenario(2, 2)).to_json_dict()
+        payload["tables"]["21"] = [0.5, "x", 0.25, 0.25]
+        with pytest.raises(TableFormatError, match="setting 21"):
+            JointProbabilityTable.from_json_dict(payload)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_wrong_setting_count_is_refused_before_listing_them(self, n):
+        # 2^n setting strings are never built, so the message stays short
+        payload = {"n": n, "d": 2, "tables": {"1" * n: []}}
+        with pytest.raises(TableFormatError, match="some missing") as err:
+            JointProbabilityTable.from_json_dict(payload)
+        assert len(str(err.value)) < 200
+
+    def test_too_many_settings_counted(self):
+        probs = {s: np.full(4, 0.25) for s in ("11", "12", "21", "22", "13")}
+        with pytest.raises(TableFormatError, match="5 given, 2\\^2 expected .some unexpected"):
+            JointProbabilityTable(BellScenario(2, 2), probs)
+
+    def test_mismatch_reports_counts_and_first_items(self):
+        probs = {s: np.full(8, 0.125) for s in all_setting_strings(3)}
+        renamed = {s.replace("1", "3"): p for s, p in probs.items()}
+        with pytest.raises(TableFormatError) as err:
+            JointProbabilityTable(BellScenario(3, 2), renamed)
+        message = str(err.value)
+        assert "7 missing ['111', '112', '121', '122', '211', '212', ...]" in message
+        assert "7 unexpected ['333', '332', '323', '322', '233', '232', ...]" in message
+
     def test_rows_read_only(self):
         table = uniform_table(BellScenario(2, 3))
         with pytest.raises(ValueError):
