@@ -28,6 +28,26 @@ an optimum (x, z) shifts to (x - x_0, z + x_0), also optimal and no larger,
 so the least optimum has x_0 = 0; the rows are walked in lexicographic
 order, so the first strict row minimum is its x; and given x the z_j are
 independent, so the least z takes the first minimiser of each.
+
+lhv_bound does the same for fully local models, where party p fixes one
+outcome per setting, a_p and b_p, and a setting string's outcome sum adds
+a_p or b_p per party: d^(2N) strategies.
+
+- Gauge: shifting party p's two outcomes by c_p, with sum_p c_p = 0 mod d,
+  changes no outcome sum, so a_1 = ... = a_(N-1) = 0.
+- Decoupling: a_N enters only the strings where party N plays setting 1 and
+  b_N only those where it plays setting 2, so for a fixed row
+  (b_1, ..., b_(N-1)) each is an independent minimum over its d values.
+
+The search walks the d^(N-1) rows in lexicographic order, each through its
+2^(N-1) partial sums sigma(c) = sum of b_p over the parties p < N that
+combination c puts on setting 2, in slices of at most about _SLICE_VALUES
+int64 values: d^(N-1) * 2^N * d integer additions in all.  The witness is
+the least optimum in the order (a_1, b_1, ..., a_N, b_N): every gauge class
+has exactly one member with a_1 = ... = a_(N-1) = 0, and it is the class's
+least (fix a_1 = 0 first, then a_2, and so on, party N absorbing the shifts),
+so the least optimum is the least canonical one: the first strict row
+minimum, then the first minimiser of a_N and of b_N.
 """
 
 from __future__ import annotations
@@ -48,12 +68,13 @@ from .scenario import (
     g1_exact,
     g2_exact,
     outcome_index,
+    shift,
     t_count,
 )
 
 DEFAULT_BUDGET = 10**8
 
-# Partial sums the HLNHV search holds at once (2 MB of int64)
+# Partial sums the HLNHV and LHV searches hold at once (2 MB of int64)
 _SLICE_VALUES = 1 << 18
 
 __all__ = [
@@ -217,8 +238,13 @@ def _substring(setting: str, parties: tuple[int, ...]) -> str:
 
 
 def _numerator_row(t: int, d: int) -> tuple[int, ...]:
-    """(d-1) * coefficient of a t-count-t setting at each outcome-sum residue."""
-    return tuple(int(coefficient_exact(t, r, d) * (d - 1)) for r in range(d))
+    """(d-1) * coefficient of a t-count-t setting at each outcome-sum residue.
+
+    The integer form of coefficient_exact: even t reads the descending
+    sawtooth at r + shift(t), odd t the mirror one, i.e. at -(r + shift(t)).
+    """
+    sign = 1 if t % 2 == 0 else -1
+    return tuple(d - 1 - 2 * (sign * (r + shift(t)) % d) for r in range(d))
 
 
 def _numerators(scenario: BellScenario, partition: Bipartition):
@@ -339,34 +365,44 @@ def hlnhv_bound(
 def lhv_bound(
     scenario: BellScenario, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
-    """Exhaustive maximum over fully local deterministic assignments.
+    """Exact maximum over fully local deterministic assignments.
 
     Each party predetermines one outcome per setting: d^(2N) strategies.
     Returns the maximum and the lexicographically least witness as a tuple of
-    (setting-1 outcome, setting-2 outcome) pairs per party.
+    (setting-1 outcome, setting-2 outcome) pairs per party.  The search fixes
+    a_1 = ... = a_(N-1) = 0 and visits the d^(N-1) rows (b_1, ..., b_(N-1)),
+    minimising a_N and b_N independently per row (see the module docstring);
+    the budget still counts the d^(2N) strategies it certifies.
     """
     n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, None, budget)
-    settings = all_setting_strings(n)
-    rows = [_numerator_row(t, d) for t in range(n + 1)]
-    nums = {s: rows[t_count(s)] for s in settings}
-    # assignment digit for party p, setting i sits at 2*(p-1) + (i-1)
-    slots = {s: tuple(2 * p + (1 if s[p] == "2" else 0) for p in range(n)) for s in settings}
+    # twos[c, p]: 1 where setting combination c of parties 1..N-1 (in
+    # all_setting_strings order) puts party p on setting 2
+    twos = np.array(list(itertools.product((0, 1), repeat=n - 1)), dtype=np.int64)
+    t = twos.sum(axis=1)
+    nums = np.array([_numerator_row(k, d) for k in range(n + 1)], dtype=np.int64)
+    # by_setting[i][c, v, w]: the term of combination c with party N on
+    # setting i + 1, outcome w, when parties 1..N-1 sum to v
+    cyclic = (np.arange(d)[:, None] + np.arange(d)) % d
+    by_setting = (nums[t][:, cyclic], nums[t + 1][:, cyclic])
+    column = np.arange(len(twos))
+    powers = d ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    n_rows = d ** (n - 1)
+    per_slice = max(1, _SLICE_VALUES // (len(twos) * d))
 
-    best_sum, best_assignment = None, None
-    for assignment in itertools.product(range(d), repeat=2 * n):
-        total = 0
-        for s in settings:
-            acc = 0
-            for slot in slots[s]:
-                acc += assignment[slot]
-            total += nums[s][acc % d]
-        if best_sum is None or total < best_sum:
-            best_sum, best_assignment = total, assignment
-    witness = tuple(
-        (best_assignment[2 * p], best_assignment[2 * p + 1]) for p in range(n)
-    )
-    return Fraction(-best_sum, d - 1), witness
+    best = None
+    for start in range(0, n_rows, per_slice):
+        digits = np.arange(start, min(start + per_slice, n_rows))[:, None] // powers % d
+        sigma = digits @ twos.T % d
+        # costs[i][row, w]: the row's terms of setting i + 1 at party-N outcome w
+        costs = [table[column, sigma].sum(axis=1) for table in by_setting]
+        totals = costs[0].min(axis=1) + costs[1].min(axis=1)
+        row = int(totals.argmin())
+        if best is None or totals[row] < best[0]:
+            best = (int(totals[row]), digits[row], *(int(c[row].argmin()) for c in costs))
+    total, head, a_n, b_n = best
+    witness = tuple((0, int(b)) for b in head) + ((a_n, b_n),)
+    return Fraction(-total, d - 1), witness
 
 
 def t_coefficient(n_parties: int, k: int) -> int:

@@ -218,8 +218,9 @@ def cmd_violation(
     emit_table: Optional[str],
 ) -> dict:
     scenario = _scenario(config.n, config.d)
-    phases = _angles_for_mode(scenario, config.angles_mode, restarts, opt_budget, seed)
+    # the dense guard is checked first: a refusal must not wait for the phase search
     method = _resolve_method(scenario, method)
+    phases = _angles_for_mode(scenario, config.angles_mode, restarts, opt_budget, seed)
     if method == "closed-form" and not emit_table:
         value = ghz_bell_value(phases)
     else:

@@ -195,7 +195,7 @@ class PhaseConfiguration:
                 vectors.append(vec)
         try:
             arr = np.array(vectors, dtype=float).reshape(n, 2, d)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError("phase payload phases must be numbers") from exc
         return cls(scenario, arr)
 

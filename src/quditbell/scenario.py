@@ -237,7 +237,7 @@ class JointProbabilityTable:
         for s in expected:
             try:
                 arr = np.array(probs[s], dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise TableFormatError(f"setting {s}: probabilities must be numbers") from exc
             if arr.shape != (size,):
                 raise TableFormatError(

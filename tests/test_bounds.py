@@ -1,5 +1,6 @@
 """Deterministic-strategy search, bound certification, and the grouping."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -19,12 +20,14 @@ from quditbell.bounds import (
     t_coefficient,
     verify_group_cglmp,
     _group_value,
+    _numerator_row,
 )
 from quditbell.scenario import (
     BellScenario,
     all_setting_strings,
     bell_value,
     coefficient_exact,
+    point_mass_table,
     t_count,
 )
 from conftest import random_strategy
@@ -76,6 +79,49 @@ ODOMETER_CASES = [
     for part in bipartitions(n)
     if d ** (2 ** len(part.block_a) + 2 ** len(part.block_b)) <= 2 * 10**5
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_lhv(scenario):
+    """Brute-force oracle: scan every local assignment in lexicographic order.
+
+    The digits are (a_1, b_1, ..., a_N, b_N), party p's setting-1 and
+    setting-2 outcomes; the first strict maximum is kept, so the witness is
+    the lexicographically least one.  Coefficients come straight from
+    coefficient_exact.
+    """
+    n, d = scenario.n_parties, scenario.dimension
+    settings = all_setting_strings(n)
+    nums = {
+        s: [int((d - 1) * coefficient_exact(t_count(s), r, d)) for r in range(d)]
+        for s in settings
+    }
+    # the digit of party p at setting s[p] sits at 2p + (s[p] == "2")
+    slots = {s: [2 * p + (c == "2") for p, c in enumerate(s)] for s in settings}
+    best_sum, best_digits = None, None
+    for digits in itertools.product(range(d), repeat=2 * n):
+        total = 0
+        for s in settings:
+            total += nums[s][sum(map(digits.__getitem__, slots[s])) % d]
+        if best_sum is None or total < best_sum:
+            best_sum, best_digits = total, digits
+    witness = tuple((best_digits[2 * p], best_digits[2 * p + 1]) for p in range(n))
+    return Fraction(-best_sum, d - 1), witness
+
+
+# Every N=1..5, d=2..6 whose d^(2N) assignments the brute force scans quickly
+LHV_ORACLE_CASES = [
+    (n, d) for n in range(1, 6) for d in range(2, 7) if d ** (2 * n) <= 2 * 10**5
+]
+
+
+def local_witness_value(scenario, witness):
+    """Bell value of the point-mass table a local assignment induces."""
+    outcomes = {
+        s: tuple(witness[p][int(c) - 1] for p, c in enumerate(s))
+        for s in scenario.setting_strings()
+    }
+    return bell_value(point_mass_table(scenario, outcomes))
 
 
 def fraction_group_max(group, dimension):
@@ -261,6 +307,30 @@ class TestLhvBound:
         with pytest.raises(BudgetExceededError):
             lhv_bound(BellScenario(7, 5))
 
+    @pytest.mark.parametrize("n,d", LHV_ORACLE_CASES)
+    def test_matches_brute_force_oracle(self, n, d):
+        scen = BellScenario(n, d)
+        assert lhv_bound(scen) == brute_force_lhv(scen)
+
+    @pytest.mark.parametrize("slice_values", [1, 64])
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (5, 2), (3, 5)])
+    def test_sliced_walk_matches_brute_force(self, monkeypatch, slice_values, n, d):
+        # a tiny slice splits the rows into many slices, one row each at 1
+        monkeypatch.setattr("quditbell.bounds._SLICE_VALUES", slice_values)
+        scen = BellScenario(n, d)
+        assert lhv_bound(scen) == brute_force_lhv(scen)
+
+    @pytest.mark.parametrize("n,d,expected", [(8, 3, Fraction(128)), (6, 4, Fraction(88, 3))])
+    def test_beyond_the_brute_force(self, n, d, expected):
+        # 3^16 and 4^12 assignments, far past what the brute force scans in a
+        # test; the expected values are frozen from the search, and the
+        # witness check below is the independent part
+        scen = BellScenario(n, d)
+        bound, witness = lhv_bound(scen)
+        assert bound == expected
+        assert bound <= 2 ** (n - 1)
+        assert local_witness_value(scen, witness) == pytest.approx(float(bound), abs=1e-9)
+
     def test_witness_achieves_bound(self):
         scen = BellScenario(3, 2)
         bound, witness = lhv_bound(scen)
@@ -274,6 +344,14 @@ class TestLhvBound:
             zeta[combo] = total % scen.dimension
         strategy = DeterministicStrategy(part, xi, zeta)
         assert strategy_bell_value(strategy, scen) == bound
+
+
+class TestNumeratorRow:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_integer_row_matches_fraction_coefficients(self, d):
+        for t in range(13):
+            expected = tuple((d - 1) * coefficient_exact(t, r, d) for r in range(d))
+            assert _numerator_row(t, d) == expected
 
 
 class TestGrouping:

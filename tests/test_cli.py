@@ -140,6 +140,19 @@ class TestViolationCommand:
         assert code == 2
         assert "closed-form" in err
 
+    def test_dense_refusal_precedes_phase_search(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            pytest.fail("the phase search ran before the dense guard")
+
+        monkeypatch.setattr("quditbell.cli.optimize_with_restarts", no_search)
+        code, out, err = invoke(
+            capsys, "violation", "--n", "8", "--d", "3", "--method", "dense",
+            "--angles", "optimized-free", "--restarts", "1", "--budget", "3000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "closed-form" in err
+
     def test_large_scenario_falls_back_to_closed_form(self, capsys):
         code, out, _ = invoke(capsys, "violation", "--n", "13", "--d", "2")
         assert code == 0
