@@ -12,15 +12,29 @@ from quditbell.scenario import JointProbabilityTable, TableFormatError, all_sett
 # hypothesis its Unicode tables
 TEXT = "12ndxé-"
 # JSON integers are unbounded: some lie past the largest float
-NUMBERS = st.integers() | st.floats() | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+NUMBERS = (
+    st.integers()
+    | st.floats()
+    | st.integers(min_value=2**1024)
+    | st.integers(max_value=-(2**1024))
+)
 SCALARS = st.none() | st.booleans() | NUMBERS | st.text(TEXT, max_size=4)
 JSON = st.recursive(
     SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(TEXT, max_size=8), inner, max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(TEXT, max_size=8), inner, max_size=4)
+    ),
     max_leaves=8,
 )
 # n and d stay small or are no integer at all, so no payload describes much
-SIZES = st.integers(min_value=-1, max_value=4) | st.none() | st.booleans() | st.floats() | st.text(TEXT, max_size=2)
+SIZES = (
+    st.integers(min_value=-1, max_value=4)
+    | st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(TEXT, max_size=2)
+)
 FUZZ = settings(max_examples=100, deadline=None, database=None)
 
 
@@ -31,6 +45,11 @@ def _maybe_drop(draw, mapping):
     if draw(st.booleans()) and draw(st.booleans()):
         mapping[draw(st.text(TEXT, max_size=8))] = draw(JSON)
     return mapping
+
+
+def _sizes(draw, n, d):
+    # the sizes the payload was built for, or anything
+    return {"n": draw(st.just(n) | SIZES), "d": draw(st.just(d) | SIZES)}
 
 
 @st.composite
@@ -44,8 +63,7 @@ def table_payloads(draw):
         | JSON
     )
     tables = _maybe_drop(draw, {s: draw(row) for s in all_setting_strings(n)})
-    payload = {"n": draw(st.just(n) | SIZES), "d": draw(st.just(d) | SIZES), "tables": tables}
-    return _maybe_drop(draw, payload)
+    return _maybe_drop(draw, {**_sizes(draw, n, d), "tables": tables})
 
 
 @st.composite
@@ -56,8 +74,7 @@ def phase_payloads(draw):
         f"party-{p}": _maybe_drop(draw, {f"setting-{i}": draw(vector) for i in (1, 2)})
         for p in range(1, n + 1)
     }
-    payload = {"n": draw(st.just(n) | SIZES), "d": draw(st.just(d) | SIZES), "phases": _maybe_drop(draw, phases)}
-    return _maybe_drop(draw, payload)
+    return _maybe_drop(draw, {**_sizes(draw, n, d), "phases": _maybe_drop(draw, phases)})
 
 
 @FUZZ
