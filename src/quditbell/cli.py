@@ -13,7 +13,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import click
@@ -53,18 +52,7 @@ BUDGET_ENV_VAR = "QUDITBELL_BUDGET"
 
 ANGLES_MODES = ("optimal", "zero", "optimized-symmetric", "optimized-free")
 
-__all__ = ["RunConfig", "cli", "main", "run"]
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: the scenario and the options the commands share."""
-
-    n: int = 0
-    d: int = 0
-    partition: Optional[Bipartition] = None
-    angles_mode: str = "optimal"
-    budget: int = DEFAULT_BUDGET
+__all__ = ["cli", "main", "run"]
 
 
 class InputError(ValueError):
@@ -78,6 +66,20 @@ def _scenario(n: int, d: int) -> BellScenario:
         return BellScenario(n, d)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _ghz_scenario(n: int, d: int) -> BellScenario:
+    """Scenario for the GHZ commands, refused before any work where the
+    maximal violation (and so every report value) leaves the float range."""
+    scenario = _scenario(n, d)
+    try:
+        max_violation(scenario)
+    except OverflowError as exc:
+        raise InputError(
+            f"n={n}, d={d}: the maximal violation 2^(n-2) times the two-qudit "
+            "maximum exceeds the float range"
+        ) from exc
+    return scenario
 
 
 def _sig10(x: float) -> float:
@@ -142,19 +144,21 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_bound(config: RunConfig, model: str) -> dict:
-    scenario = _scenario(config.n, config.d)
+def cmd_bound(
+    n: int, d: int, model: str, partition: Optional[Bipartition], budget: int
+) -> dict:
+    scenario = _scenario(n, d)
     started = time.perf_counter()
     if model == "hlnhv":
-        if config.partition is None:
+        if partition is None:
             raise InputError("hlnhv bound needs --partition, e.g. '1,2/3'")
-        bound, witness = hlnhv_bound(scenario, config.partition, budget=config.budget)
+        bound, witness = hlnhv_bound(scenario, partition, budget=budget)
         part = witness.partition
         witness_json = {"xi": dict(witness.xi), "zeta": dict(witness.zeta)}
         partition_json = [list(part.block_a), list(part.block_b)]
     else:
         part = None
-        bound, local = lhv_bound(scenario, budget=config.budget)
+        bound, local = lhv_bound(scenario, budget=budget)
         witness_json = {
             f"party-{p + 1}": {"1": o1, "2": o2} for p, (o1, o2) in enumerate(local)
         }
@@ -162,8 +166,8 @@ def cmd_bound(config: RunConfig, model: str) -> dict:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     enumerated = scenario.dimension ** strategy_space_exponent(scenario, part)
     return {
-        "n": config.n,
-        "d": config.d,
+        "n": n,
+        "d": d,
         "model": model,
         "partition": partition_json,
         "bound": str(bound),
@@ -210,17 +214,19 @@ def _table_for(scenario, config_phases, method: str) -> JointProbabilityTable:
 
 
 def cmd_violation(
-    config: RunConfig,
+    n: int,
+    d: int,
+    angles_mode: str,
     method: str,
     restarts: int,
     opt_budget: int,
     seed: int,
     emit_table: Optional[str],
 ) -> dict:
-    scenario = _scenario(config.n, config.d)
+    scenario = _ghz_scenario(n, d)
     # the dense guard is checked first: a refusal must not wait for the phase search
     method = _resolve_method(scenario, method)
-    phases = _angles_for_mode(scenario, config.angles_mode, restarts, opt_budget, seed)
+    phases = _angles_for_mode(scenario, angles_mode, restarts, opt_budget, seed)
     if method == "closed-form" and not emit_table:
         value = ghz_bell_value(phases)
     else:
@@ -230,25 +236,24 @@ def cmd_violation(
             _atomic_write(emit_table, json.dumps(table.to_json_dict(), indent=2) + "\n")
     ceiling = max_violation(scenario)
     return {
-        "n": config.n,
-        "d": config.d,
-        "angles_mode": config.angles_mode,
+        "n": n,
+        "d": d,
+        "angles_mode": angles_mode,
         "bell_value": _sig10(value),
         "closed_form_max": _sig10(ceiling),
         "difference": _sig10(value - ceiling),
-        "hlnhv_bound": _sig10(2.0 ** (config.n - 1)),
-        "witness_fired": value > 2.0 ** (config.n - 1),
+        "hlnhv_bound": _sig10(2.0 ** (n - 1)),
+        "witness_fired": value > 2.0 ** (n - 1),
         "angles": phases.to_json_dict(),
     }
 
 
-def cmd_visibility(config: RunConfig) -> dict:
-    scenario = _scenario(config.n, config.d)
-    report = critical_visibility(scenario)
+def cmd_visibility(n: int, d: int) -> dict:
+    report = critical_visibility(_ghz_scenario(n, d))
     payload = report.to_json_dict()
     for key in ("max_value", "ratio", "critical_visibility", "svetlichny_visibility"):
         payload[key] = _sig10(payload[key])
-    payload["hlnhv_bound"] = _sig10(2.0 ** (config.n - 1))
+    payload["hlnhv_bound"] = _sig10(2.0 ** (n - 1))
     return payload
 
 
@@ -256,8 +261,7 @@ def cmd_scan(n_range: tuple[int, int], d_range: tuple[int, int]) -> list[dict]:
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         for d in range(d_range[0], d_range[1] + 1):
-            scenario = _scenario(n, d)
-            report = critical_visibility(scenario)
+            report = critical_visibility(_ghz_scenario(n, d))
             rows.append(
                 {
                     "n": n,
@@ -330,10 +334,8 @@ def _add_options(options):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def bound(n, d, out_path, model, partition, budget, fmt):
     """Certify the HLNHV (or LHV) bound by an exact search of all strategies."""
-    config = RunConfig(n=n, d=d, budget=budget)
-    if partition is not None:
-        config.partition = Bipartition.parse(partition, n)
-    _emit(cmd_bound(config, model), fmt, out_path)
+    parsed = None if partition is None else Bipartition.parse(partition, n)
+    _emit(cmd_bound(n, d, model, parsed, budget), fmt, out_path)
 
 
 @cli.command()
@@ -355,8 +357,7 @@ def bound(n, d, out_path, model, partition, budget, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed, fmt):
     """Quantum Bell value of the GHZ state at the requested angles."""
-    config = RunConfig(n=n, d=d, angles_mode=angles_mode)
-    report = cmd_violation(config, method, restarts, budget, seed, emit_table)
+    report = cmd_violation(n, d, angles_mode, method, restarts, budget, seed, emit_table)
     _emit(report, fmt, out_path)
 
 
@@ -365,8 +366,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def visibility(n, d, out_path, fmt):
     """Critical visibility of the white-noise GHZ mixture."""
-    config = RunConfig(n=n, d=d)
-    _emit(cmd_visibility(config), fmt, out_path)
+    _emit(cmd_visibility(n, d), fmt, out_path)
 
 
 @cli.command()

@@ -67,8 +67,11 @@ def cglmp_max_closed_form(dimension: int) -> float:
 
 
 def max_violation(scenario: BellScenario) -> float:
-    """Maximal quantum value for N qudits: 2^(N-2) times the two-qudit one."""
-    return 2.0 ** (scenario.n_parties - 2) * cglmp_max_closed_form(scenario.dimension)
+    """Maximal quantum value for N qudits: 2^(N-2) times the two-qudit one.
+
+    Raises OverflowError where that value leaves the float range (N > 1024).
+    """
+    return math.ldexp(cglmp_max_closed_form(scenario.dimension), scenario.n_parties - 2)
 
 
 @dataclass(frozen=True)

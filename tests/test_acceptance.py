@@ -30,6 +30,7 @@ from quditbell.optimize import (
 )
 from quditbell.quantum import (
     PhaseConfiguration,
+    ghz_bell_value,
     ghz_state,
     ghz_table,
     joint_probabilities,
@@ -202,3 +203,15 @@ def test_criterion_8_optimizer_reproduces_maxima():
             scen = BellScenario(2, d)
             result = optimize_with_restarts(scen, restarts=20, budget=20_000, seed=808)
             assert abs(result.value - cglmp_max_closed_form(d)) <= 1e-6, d
+
+
+def test_criterion_9_scaling_law_to_float_range():
+    with criterion(9, "GHZ value at the optimal ramps is 2^(N-2) times the two-qudit max"):
+        cases = [(n, d) for n in range(2, 201) for d in range(2, 8)]
+        cases += [(1000, 3), (1024, 2)]
+        for n, d in cases:
+            scen = BellScenario(n, d)
+            value = ghz_bell_value(optimal_angles(scen))
+            target = max_violation(scen)
+            assert math.isfinite(value), (n, d)
+            assert abs(value - target) <= 1e-9 * target, (n, d)

@@ -153,6 +153,22 @@ class TestViolationCommand:
         assert out == ""
         assert "closed-form" in err
 
+    def test_closed_form_at_thirty_parties(self, capsys):
+        code, out, _ = invoke(
+            capsys, "violation", "--n", "30", "--d", "3", "--method", "closed-form"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["bell_value"] == report["closed_form_max"]
+
+    def test_largest_float_range_scenario(self, capsys):
+        code, out, _ = invoke(capsys, "violation", "--n", "1024", "--d", "2")
+        assert code == 0
+        report = json.loads(out)
+        assert math.isfinite(report["bell_value"])
+        assert report["bell_value"] == report["closed_form_max"]
+        assert report["witness_fired"] is True
+
     def test_large_scenario_falls_back_to_closed_form(self, capsys):
         code, out, _ = invoke(capsys, "violation", "--n", "13", "--d", "2")
         assert code == 0
@@ -338,3 +354,27 @@ class TestVisibilityCommand:
         assert report["hlnhv_bound"] == 8.0
         assert report["angles_mode"] == "optimal"
         assert "angles" in report
+
+
+class TestFloatRangeRefusal:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("violation", "--n", "1025", "--d", "2", "--angles", "optimized-free"),
+            ("visibility", "--n", "1100", "--d", "3"),
+            ("scan", "--n-range", "1030:1030", "--d-range", "2:2"),
+        ],
+        ids=["violation", "visibility", "scan"],
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the float-range refusal")
+
+        for name in ("optimize_with_restarts", "critical_visibility", "ghz_bell_value"):
+            monkeypatch.setattr(f"quditbell.cli.{name}", no_work)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float range" in err
+        assert len(err.encode()) < 200

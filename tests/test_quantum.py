@@ -11,6 +11,7 @@ from quditbell.quantum import (
     DenseLimitError,
     DensityMatrix,
     PhaseConfiguration,
+    _ghz_residue_probs,
     ghz_bell_value,
     ghz_probability_closed_form,
     ghz_state,
@@ -25,9 +26,28 @@ from quditbell.scenario import (
     BellScenario,
     all_setting_strings,
     bell_value,
+    coefficient_by_residue,
     outcome_from_index,
+    t_count,
 )
 from conftest import random_config, random_density
+
+
+def loop_ghz_bell_value(config):
+    """Oracle: the Bell value summed setting string by setting string.
+
+    Each of the 2^N strings contributes its t-count's residue coefficients
+    against the closed-form residue probabilities, times the d^(N-1) outcome
+    tuples per residue class.
+    """
+    scenario = config.scenario
+    d = scenario.dimension
+    per_residue_count = d ** (scenario.n_parties - 1)
+    value = 0.0
+    for s in all_setting_strings(scenario.n_parties):
+        coeffs = coefficient_by_residue(t_count(s), d)
+        value -= per_residue_count * float(coeffs @ _ghz_residue_probs(config, s))
+    return value
 
 
 class TestGhzState:
@@ -169,12 +189,37 @@ class TestClosedForm:
                 )
 
     def test_fast_bell_value_matches_table(self, rng):
-        for n, d in ((2, 2), (2, 3), (3, 2)):
+        # 2^N d^N <= 10^5 table entries: N <= 8, and d <= 158 at N = 2
+        cases = [
+            (n, d)
+            for n in range(2, 9)
+            for d in range(2, 159)
+            if 2**n * d**n <= 10**5
+        ]
+        assert len(cases) == 194
+        for n, d in cases:
             scen = BellScenario(n, d)
             config = random_config(scen, rng)
             assert ghz_bell_value(config) == pytest.approx(
                 bell_value(ghz_table(config)), abs=1e-11
             )
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["free", "symmetric"])
+    def test_fast_bell_value_matches_setting_loop(self, symmetric, rng):
+        for n in range(2, 10):
+            for d in range(2, 8):
+                scen = BellScenario(n, d)
+                for _ in range(2):
+                    if symmetric:
+                        pair = rng.uniform(0.0, 2.0 * np.pi, (2, d))
+                        config = PhaseConfiguration.from_party_vectors(scen, *pair)
+                    else:
+                        config = random_config(scen, rng)
+                    # each of the 2^N setting terms lies in [-1, 1], and a random
+                    # value can cancel to near zero: the floor is relative to 2^N
+                    assert ghz_bell_value(config) == pytest.approx(
+                        loop_ghz_bell_value(config), rel=1e-12, abs=1e-12 * 2**n
+                    ), (n, d)
 
 
 class TestNoiseMixing:
