@@ -1,6 +1,8 @@
 """States, multiport unitaries, and the two probability paths."""
 
 import math
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from quditbell.quantum import (
 )
 from quditbell.scenario import (
     BellScenario,
+    JointProbabilityTable,
     all_setting_strings,
     bell_value,
     coefficient_by_residue,
@@ -31,6 +34,29 @@ from quditbell.scenario import (
     t_count,
 )
 from conftest import random_config, random_density
+
+
+def kron_joint_probabilities(rho, config):
+    """Oracle: rotate the whole state once per setting string.
+
+    U_s is the Kronecker product of the parties' multiport unitaries, party 1
+    in the fastest basis digit, and P(x|s) is the diagonal of U_s rho U_s^dag:
+    2^N products of d^N x d^N matrices.
+    """
+    n = rho.scenario.n_parties
+    probs = {}
+    for s in all_setting_strings(n):
+        ops = [multiport_unitary(config.vector(p, int(s[p - 1]))) for p in range(1, n + 1)]
+        u = reduce(np.kron, ops[::-1])
+        probs[s] = np.real(np.diagonal(u @ rho.matrix @ u.conj().T)).copy()
+    return JointProbabilityTable(rho.scenario, probs)
+
+
+def worst_entry_difference(table, reference):
+    return max(
+        float(np.max(np.abs(table.probs_for(s) - reference.probs_for(s))))
+        for s in all_setting_strings(table.scenario.n_parties)
+    )
 
 
 def loop_ghz_bell_value(config):
@@ -87,6 +113,22 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(BellScenario(2, 2), mat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan)])
+    def test_rejects_non_finite_entry(self, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                DensityMatrix(BellScenario(2, 2), mat)
+
+    def test_purity_is_trace_of_square(self, rng):
+        for n, d in ((1, 2), (2, 3), (3, 2), (2, 5)):
+            rho = random_density(BellScenario(n, d), rng)
+            expected = float(np.real(np.trace(rho.matrix @ rho.matrix)))
+            assert rho.purity() == pytest.approx(expected, rel=1e-12)
+        assert maximally_mixed(BellScenario(2, 3)).purity() == pytest.approx(1 / 9)
+
 
 class TestMultiportUnitary:
     def test_zero_phase_qubit_case(self):
@@ -113,6 +155,40 @@ class TestMultiportUnitary:
 
 
 class TestJointProbabilities:
+    def test_matches_kron_oracle(self, rng):
+        # d^N <= 256, where the CLI's auto method takes the dense path, and single parties
+        cases = [(n, d) for n in range(1, 9) for d in range(2, 257) if d**n <= 256]
+        assert len(cases) == 283
+        for n, d in cases:
+            scen = BellScenario(n, d)
+            rho, config = random_density(scen, rng), random_config(scen, rng)
+            worst = worst_entry_difference(
+                joint_probabilities(rho, config), kron_joint_probabilities(rho, config)
+            )
+            assert worst <= 1e-12, (n, d, worst)
+
+    def test_product_state_matches_kron_oracle(self, rng):
+        d = 3
+        rho = product_state(
+            random_density(BellScenario(1, d), rng), random_density(BellScenario(2, d), rng)
+        )
+        config = random_config(rho.scenario, rng)
+        assert len({tuple(v) for v in config.phases.reshape(-1, d)}) == 6
+        worst = worst_entry_difference(
+            joint_probabilities(rho, config), kron_joint_probabilities(rho, config)
+        )
+        assert worst <= 1e-12
+
+    def test_beyond_the_kron_oracle(self, rng):
+        # d^N = 729: the Kronecker path takes seconds here, the contraction ms
+        scen = BellScenario(6, 3)
+        config = random_config(scen, rng)
+        rho = ghz_state(scen)
+        worst = worst_entry_difference(joint_probabilities(rho, config), ghz_table(config))
+        assert worst <= 1e-12
+        noisy = joint_probabilities(mix_with_noise(rho, 0.7), config)
+        assert bell_value(noisy) == pytest.approx(0.7 * ghz_bell_value(config), abs=1e-10)
+
     def test_maximally_mixed_is_uniform(self, rng):
         scen = BellScenario(2, 3)
         table = joint_probabilities(maximally_mixed(scen), random_config(scen, rng))
