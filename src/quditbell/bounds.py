@@ -2,52 +2,56 @@
 
 A hybrid local-nonlocal model splits the parties into two blocks that may be
 arbitrarily correlated inside but only classically across.  Every coefficient
-of the Bell functional depends on the outcomes only through their sum, so a
-block's behaviour collapses to one Z_d value per block setting combination:
-x_i for block A's kA = 2^|A| combinations and z_j for block B's kB = 2^|B|.
-A strategy's value is -(1/(d-1)) * sum_ij num[i][j][(x_i + z_j) mod d] with
-integer num, so the maximum is an exact rational (a multiple of 1/S) and
-bound checks are equalities, not tolerances.
+of the Bell functional depends on the outcomes only through their sum, and
+on the setting string only through its t-count t (parties on setting 2).  So
+a block's behaviour collapses to one Z_d value per block setting combination,
+xi_i for block A's and zeta_j for block B's, and a strategy's value is
+-(1/(d-1)) * sum_ij num[t(i) + t(j)][(xi_i + zeta_j) mod d] with integer num:
+the maximum is an exact rational and bound checks are equalities.
 
-hlnhv_bound minimises that integer sum over all d^(kA+kB) strategies
-without visiting them one by one:
+hlnhv_bound minimises that sum over the d^(2^|A| + 2^|B|) strategies by a
+search over class vectors x in Z_d^(|A|+1), z in Z_d^(|B|+1), one value per
+t-count, where it reads sum_ab C(|A|,a) C(|B|,b) num[a + b][(x_a + z_b) mod d].
+For fixed x each z_b is an independent minimum over its d values, and
+(x + c, z - c) has the same value for every c, so x_0 = 0: one numpy step
+evaluates the d^|A| rows x, holding d^|A| * (|B|+1) * d partial sums.  It
+returns the lexicographically least optimal strategy (xi digits in
+all_setting_strings order, then zeta digits), the one a scan of every
+strategy keeps:
 
-- Decoupling: for fixed x the sum separates over the z_j, so each z_j is an
-  independent minimum over its d values.
-- Gauge: (x + c, z - c) has the same value for every c, so x_0 = 0.
-
-The search therefore covers d^(kA-1) rows x, at a cost of at most
-d^(kA-1) * kA * kB * d integer additions.  Its working set is one int64
-partial sum per (row, j, z_j): d^(kA-1) * kB * d values, which it walks in
-slices of at most _SLICE_VALUES.  Held whole, the largest space the default
-budget accepts (N=4, d=6, partition 1,2,3/4: 6^7 rows) would take 27 MB.
-
-The witness is the lexicographically least optimal strategy (xi digits,
-then zeta digits), the one a scan of the whole space in that order keeps:
-an optimum (x, z) shifts to (x - x_0, z + x_0), also optimal and no larger,
-so the least optimum has x_0 = 0; the rows are walked in lexicographic
-order, so the first strict row minimum is its x; and given x the z_j are
-independent, so the least z takes the first minimiser of each.
+- The least optimum is class-constant.  Given its zeta, xi_i's terms depend
+  on i only through t(i), and xi_i is their first minimiser: another value
+  either raises the sum or ties it, and the first minimiser would then give
+  a smaller optimum.  Given its xi, the same holds for zeta.
+- all_setting_strings meets the t-classes in the order 0, 1, ..., k (class a
+  first appears at 1^(k-a) 2^a), so two class-constant strategies first
+  differ in the least class where their class vectors differ: their order
+  is the lexicographic order of (x, z).
+- The least optimal (x, z) has x_0 = 0, as (x - x_0, z + x_0) is also
+  optimal.  The rows are walked in lexicographic order, so the first strict
+  row minimum is its x, and its z takes the first minimiser of each z_b.
 
 lhv_bound does the same for fully local models, where party p fixes one
-outcome per setting, a_p and b_p, and a setting string's outcome sum adds
-a_p or b_p per party: d^(2N) strategies.
+outcome per setting, a_p and b_p: d^(2N) strategies.  Shifting party p's two
+outcomes by c_p, with sum_p c_p = 0 mod d, changes no outcome sum, so
+a_1 = ... = a_(N-1) = 0.  Then a_N enters only the strings where party N
+plays setting 1 and b_N only the others, so for a row (b_1, ..., b_(N-1))
+each is an independent minimum, and the row's value depends only on how many
+subsets of parties 1..N-1 have each size t and b-sum s mod d.  The search
+counts those subsets for all C(N+d-2, d-1) sorted rows b_1 <= ... <= b_(N-1)
+at once in N-1 numpy steps, and one matrix product turns the counts into
+costs.  It returns the least optimum in the order (a_1, b_1, ..., a_N, b_N):
 
-- Gauge: shifting party p's two outcomes by c_p, with sum_p c_p = 0 mod d,
-  changes no outcome sum, so a_1 = ... = a_(N-1) = 0.
-- Decoupling: a_N enters only the strings where party N plays setting 1 and
-  b_N only those where it plays setting 2, so for a fixed row
-  (b_1, ..., b_(N-1)) each is an independent minimum over its d values.
+- Every gauge class has exactly one member with a_1 = ... = a_(N-1) = 0, and
+  it is the class's least (party N absorbing the shifts), so the least
+  optimum is the least canonical one.
+- A row's value depends only on its multiset, whose least arrangement is the
+  sorted one, so the least optimal row is sorted.  The sorted rows come in
+  lexicographic order, so it is the first strict row minimum, followed by
+  the first minimisers of a_N and b_N.
 
-The search walks the d^(N-1) rows in lexicographic order, each through its
-2^(N-1) partial sums sigma(c) = sum of b_p over the parties p < N that
-combination c puts on setting 2, in slices of at most about _SLICE_VALUES
-int64 values: d^(N-1) * 2^N * d integer additions in all.  The witness is
-the least optimum in the order (a_1, b_1, ..., a_N, b_N): every gauge class
-has exactly one member with a_1 = ... = a_(N-1) = 0, and it is the class's
-least (fix a_1 = 0 first, then a_2, and so on, party N absorbing the shifts),
-so the least optimum is the least canonical one: the first strict row
-minimum, then the first minimiser of a_N and of b_N.
+Every partial sum is at most 2^N * (d - 1) in magnitude; past int64 the
+searches run on Python integers.
 """
 
 from __future__ import annotations
@@ -73,9 +77,6 @@ from .scenario import (
 )
 
 DEFAULT_BUDGET = 10**8
-
-# Partial sums the HLNHV and LHV searches hold at once (2 MB of int64)
-_SLICE_VALUES = 1 << 18
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -292,40 +293,33 @@ def strategy_delta_table(
     return JointProbabilityTable(scenario, probs)
 
 
-def _min_numerator(num: np.ndarray) -> tuple[int, list[int], list[int]]:
-    """Least sum_ij num[i, j, (x_i + z_j) mod d] over x in Z_d^kA, z in Z_d^kB.
+def _exact_dtype(n_parties: int, d: int):
+    """int64 while every partial sum, at most 2^N * (d - 1), fits; else Python ints."""
+    return np.int64 if (d - 1) << n_parties < 1 << 63 else object
 
-    num has shape (kA, kB, d).  Returns the minimum and the lexicographically
-    least (x, z) attaining it, with x_0 = 0.  The x digits after x_0 split
-    into head digits, looped over in Python, and tail digits, whose d^tail
-    rows one numpy step evaluates; both run in lexicographic order, so the
-    first strict minimum over rows is the least optimal x.
+
+def _numerator_rows(n_parties: int, d: int, dtype) -> np.ndarray:
+    return np.array([_numerator_row(t, d) for t in range(n_parties + 1)], dtype=dtype)
+
+
+def _min_class_sum(weights: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """Least sum_ab weights[a, b, (x_a + z_b) mod d] over x with x_0 = 0 and z.
+
+    Returns the minimum and the lexicographically least (x, z) attaining it:
+    the rows x go in lexicographic order, the first strict minimum is kept,
+    and each z_b is its own first minimiser.
     """
-    ka, kb, d = num.shape
-    # shifted[i, v, j, z]: the term of block-A row i and block-B column j
-    # when x_i = v and z_j = z
-    shifted = num[:, :, (np.arange(d)[:, None] + np.arange(d)) % d].transpose(0, 2, 1, 3)
-    n_tail = 0
-    while n_tail < ka - 1 and d ** (n_tail + 1) * kb * d <= _SLICE_VALUES:
-        n_tail += 1
-    n_head = ka - 1 - n_tail
-    # tail[r, j, z]: the tail rows' terms summed, for the r-th assignment of
-    # the tail digits in lexicographic order
-    tail = np.zeros((1, kb, d), dtype=np.int64)
-    for i in range(n_head + 1, ka):
-        tail = (tail[:, None] + shifted[i][None]).reshape(-1, kb, d)
-
-    best = None
-    for head in itertools.product(range(d), repeat=n_head):
-        head_sum = shifted[0, 0] + sum(shifted[1 + k, v] for k, v in enumerate(head))
-        sums = tail + head_sum
-        costs = sums.min(axis=2).sum(axis=1)
-        row = int(costs.argmin())
-        if best is None or costs[row] < best[0]:
-            best = (int(costs[row]), head, row, sums[row].argmin(axis=1))
-    total, head, row, z = best
-    x = [0, *head, *np.unravel_index(row, (d,) * n_tail)]
-    return total, [int(v) for v in x], [int(v) for v in z]
+    _, kb, d = weights.shape
+    # shifted[a, v, b, z]: the (a, b) term when x_a = v and z_b = z
+    shifted = weights[:, :, (np.arange(d)[:, None] + np.arange(d)) % d].transpose(0, 2, 1, 3)
+    # sums[row, b, z]: the row's terms of class b summed, at z_b = z
+    sums = shifted[0, :1]
+    for block in shifted[1:]:
+        sums = (sums[:, None] + block[None]).reshape(-1, kb, d)
+    costs = sums.min(axis=2).sum(axis=1)
+    row = int(costs.argmin())
+    x = [0, *np.unravel_index(row, (d,) * (len(weights) - 1))]
+    return int(costs[row]), [int(v) for v in x], [int(v) for v in sums[row].argmin(axis=1)]
 
 
 def hlnhv_bound(
@@ -337,27 +331,34 @@ def hlnhv_bound(
 
     Returns the maximum and its lexicographically least witness (xi digits
     in block-A combination order, then zeta digits).  The search visits
-    d^(2^|A|-1) block-A rows rather than every strategy (see the module
-    docstring), but the budget still counts the strategy space it certifies,
-    d^(2^|A|) * d^(2^|B|); a larger space raises BudgetExceededError.
+    d^|A| t-count class rows rather than every strategy and keeps the same
+    witness (see the module docstring); the budget still counts the space
+    it certifies, d^(2^|A|) * d^(2^|B|), and a larger one raises
+    BudgetExceededError.
     """
     if partition.n_parties != scenario.n_parties:
         raise ValueError(
             f"partition covers {partition.n_parties} parties, scenario has {scenario.n_parties}"
         )
     partition = partition.canonical()
-    d = scenario.dimension
+    n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, partition, budget)
 
-    combos_a = all_setting_strings(len(partition.block_a))
-    combos_b = all_setting_strings(len(partition.block_b))
-    tables = _numerators(scenario, partition)
-    num = np.array(
-        [[tables[(ca, cb)] for cb in combos_b] for ca in combos_a], dtype=np.int64
+    ka, kb = len(partition.block_a), len(partition.block_b)
+    dtype = _exact_dtype(n, d)
+    # weights[a, b]: the numerator row of t-count a + b, once per pair of
+    # block combinations with t-counts a and b
+    pair_counts = np.array(
+        [[math.comb(ka, a) * math.comb(kb, b) for b in range(kb + 1)] for a in range(ka + 1)],
+        dtype=dtype,
     )
-    total, x, z = _min_numerator(num)
+    t = np.arange(ka + 1)[:, None] + np.arange(kb + 1)
+    weights = pair_counts[:, :, None] * _numerator_rows(n, d, dtype)[t]
+    total, x, z = _min_class_sum(weights)
     witness = DeterministicStrategy(
-        partition, dict(zip(combos_a, x)), dict(zip(combos_b, z))
+        partition,
+        {c: x[t_count(c)] for c in all_setting_strings(ka)},
+        {c: z[t_count(c)] for c in all_setting_strings(kb)},
     )
     return Fraction(-total, d - 1), witness
 
@@ -370,39 +371,36 @@ def lhv_bound(
     Each party predetermines one outcome per setting: d^(2N) strategies.
     Returns the maximum and the lexicographically least witness as a tuple of
     (setting-1 outcome, setting-2 outcome) pairs per party.  The search fixes
-    a_1 = ... = a_(N-1) = 0 and visits the d^(N-1) rows (b_1, ..., b_(N-1)),
-    minimising a_N and b_N independently per row (see the module docstring);
-    the budget still counts the d^(2N) strategies it certifies.
+    a_1 = ... = a_(N-1) = 0, visits the C(N+d-2, d-1) sorted rows
+    b_1 <= ... <= b_(N-1) and minimises a_N and b_N independently per row
+    (see the module docstring); the budget still counts the d^(2N)
+    strategies it certifies.
     """
     n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, None, budget)
-    # twos[c, p]: 1 where setting combination c of parties 1..N-1 (in
-    # all_setting_strings order) puts party p on setting 2
-    twos = np.array(list(itertools.product((0, 1), repeat=n - 1)), dtype=np.int64)
-    t = twos.sum(axis=1)
-    nums = np.array([_numerator_row(k, d) for k in range(n + 1)], dtype=np.int64)
-    # by_setting[i][c, v, w]: the term of combination c with party N on
-    # setting i + 1, outcome w, when parties 1..N-1 sum to v
+    dtype = _exact_dtype(n, d)
+    rows = np.array(list(itertools.combinations_with_replacement(range(d), n - 1)))
+    m = len(rows)
+    # counts[row, t, s]: subsets of parties 1..N-1 with t members whose b's
+    # sum to s mod d; party p joins each subset of t - 1 members and b-sum
+    # s - b_p
+    counts = np.zeros((m, n, d), dtype=dtype)
+    counts[:, 0, 0] = 1
+    each_row, each_size = np.arange(m)[:, None, None], np.arange(n - 1)[:, None]
+    for before in (np.arange(d) - rows.T[:, :, None, None]) % d:
+        counts[:, 1:] += counts[each_row, each_size, before]
+    # table[t, s, i * d + w]: the term of a t-subset on setting 2 with b-sum s
+    # and party N on setting i + 1 with outcome w
+    nums = _numerator_rows(n, d, dtype)
     cyclic = (np.arange(d)[:, None] + np.arange(d)) % d
-    by_setting = (nums[t][:, cyclic], nums[t + 1][:, cyclic])
-    column = np.arange(len(twos))
-    powers = d ** np.arange(n - 2, -1, -1, dtype=np.int64)
-    n_rows = d ** (n - 1)
-    per_slice = max(1, _SLICE_VALUES // (len(twos) * d))
-
-    best = None
-    for start in range(0, n_rows, per_slice):
-        digits = np.arange(start, min(start + per_slice, n_rows))[:, None] // powers % d
-        sigma = digits @ twos.T % d
-        # costs[i][row, w]: the row's terms of setting i + 1 at party-N outcome w
-        costs = [table[column, sigma].sum(axis=1) for table in by_setting]
-        totals = costs[0].min(axis=1) + costs[1].min(axis=1)
-        row = int(totals.argmin())
-        if best is None or totals[row] < best[0]:
-            best = (int(totals[row]), digits[row], *(int(c[row].argmin()) for c in costs))
-    total, head, a_n, b_n = best
-    witness = tuple((0, int(b)) for b in head) + ((a_n, b_n),)
-    return Fraction(-total, d - 1), witness
+    table = np.concatenate([nums[:-1, cyclic], nums[1:, cyclic]], axis=2)
+    costs = counts.reshape(m, n * d) @ table.reshape(n * d, 2 * d)
+    setting_1, setting_2 = costs[:, :d], costs[:, d:]
+    totals = setting_1.min(axis=1) + setting_2.min(axis=1)
+    row = int(totals.argmin())
+    a_n, b_n = int(setting_1[row].argmin()), int(setting_2[row].argmin())
+    witness = tuple((0, int(b)) for b in rows[row]) + ((a_n, b_n),)
+    return Fraction(-int(totals[row]), d - 1), witness
 
 
 def t_coefficient(n_parties: int, k: int) -> int:

@@ -412,6 +412,9 @@ def run(argv=None) -> int:
     except (BudgetExceededError, DenseLimitError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {str(exc) or 'allocation failed'}", err=True)
+        return 2
     return 0
 
 

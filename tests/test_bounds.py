@@ -4,6 +4,7 @@ import functools
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quditbell.bounds import (
@@ -20,6 +21,7 @@ from quditbell.bounds import (
     t_coefficient,
     verify_group_cglmp,
     _group_value,
+    _min_class_sum,
     _numerator_row,
 )
 from quditbell.scenario import (
@@ -115,6 +117,61 @@ LHV_ORACLE_CASES = [
 ]
 
 
+def row_search_hlnhv(scenario, partition):
+    """Mid-size oracle: one row per block-A assignment, with no t-class argument.
+
+    Fixes xi at block A's first combination to 0 (the gauge) and evaluates
+    every remaining xi in lexicographic order, d^(2^|A|-1) rows, minimising
+    each zeta independently per row; the first strict row minimum and the
+    first minimiser of each zeta give the lexicographically least witness.
+    """
+    partition = partition.canonical()
+    d = scenario.dimension
+    combos_a = all_setting_strings(len(partition.block_a))
+    combos_b = all_setting_strings(len(partition.block_b))
+    num = np.array(
+        [[_numerator_row(t_count(ca) + t_count(cb), d) for cb in combos_b] for ca in combos_a]
+    )
+    ka, kb = len(combos_a), len(combos_b)
+    x = np.array([(0, *rest) for rest in itertools.product(range(d), repeat=ka - 1)])
+    # sums[row, j, w]: sum_i num[i, j, (x_i + w) mod d], zeta_j = w
+    residues = (x[:, :, None, None] + np.arange(d)) % d
+    sums = num[np.arange(ka)[:, None, None], np.arange(kb)[:, None], residues].sum(axis=1)
+    costs = sums.min(axis=2).sum(axis=1)
+    row = int(costs.argmin())
+    witness = DeterministicStrategy(
+        partition,
+        dict(zip(combos_a, map(int, x[row]))),
+        dict(zip(combos_b, map(int, sums[row].argmin(axis=1)))),
+    )
+    return Fraction(-int(costs[row]), d - 1), witness
+
+
+def row_walk_lhv(scenario):
+    """Mid-size oracle: one row per (b_1, ..., b_(N-1)), with no symmetry argument.
+
+    Fixes a_1 = ... = a_(N-1) = 0 (the gauge), walks all d^(N-1) rows in
+    lexicographic order through every combination of parties 1..N-1, and
+    minimises a_N and b_N independently per row.
+    """
+    n, d = scenario.n_parties, scenario.dimension
+    rows = np.array(list(itertools.product(range(d), repeat=n - 1)))
+    twos = np.array(list(itertools.product((0, 1), repeat=n - 1)))
+    sigma = rows @ twos.T % d
+    nums = np.array([_numerator_row(t, d) for t in range(n + 1)])
+    column = np.arange(len(twos))[:, None]
+    # costs[i][row, w]: the row's terms with party N on setting i + 1, outcome w
+    costs = [
+        nums[twos.sum(axis=1) + i][column, (sigma[:, :, None] + np.arange(d)) % d].sum(axis=1)
+        for i in (0, 1)
+    ]
+    totals = costs[0].min(axis=1) + costs[1].min(axis=1)
+    row = int(totals.argmin())
+    last = (int(costs[0][row].argmin()), int(costs[1][row].argmin()))
+    witness = tuple((0, int(b)) for b in rows[row]) + (last,)
+    return Fraction(-int(totals[row]), d - 1), witness
+
+
 def local_witness_value(scenario, witness):
     """Bell value of the point-mass table a local assignment induces."""
     outcomes = {
@@ -122,6 +179,37 @@ def local_witness_value(scenario, witness):
         for s in scenario.setting_strings()
     }
     return bell_value(point_mass_table(scenario, outcomes))
+
+
+def fold_local_witness(scenario, witness):
+    """The local assignment as a two-block strategy: party 1 against parties 2..N.
+
+    Block B's value per setting combination is its parties' outcome sum.
+    """
+    n, d = scenario.n_parties, scenario.dimension
+    zeta = {
+        combo: sum(witness[p + 1][int(c) - 1] for p, c in enumerate(combo)) % d
+        for combo in all_setting_strings(n - 1)
+    }
+    xi = {"1": witness[0][0], "2": witness[0][1]}
+    return DeterministicStrategy(Bipartition.from_block(n, (1,)), xi, zeta)
+
+
+def local_value_by_t_count(scenario, witness):
+    """Exact value of a local assignment from its setting strings' counts.
+
+    Counts the strings per (t-count, outcome sum mod d) party by party in
+    Python integers, so it reaches N far past a loop over the 2^N strings.
+    """
+    d = scenario.dimension
+    counts = {(0, 0): 1}
+    for a, b in witness:
+        grown = {}
+        for (t, s), c in counts.items():
+            for key in ((t, (s + a) % d), (t + 1, (s + b) % d)):
+                grown[key] = grown.get(key, 0) + c
+        counts = grown
+    return -sum(c * coefficient_exact(t, s, d) for (t, s), c in counts.items())
 
 
 def fraction_group_max(group, dimension):
@@ -251,16 +339,32 @@ class TestHlnhvBound:
         part = Bipartition.parse(partition, n)
         assert hlnhv_bound(scen, part) == odometer_hlnhv(scen, part)
 
-    @pytest.mark.parametrize("slice_values", [1, 64])
     @pytest.mark.parametrize(
         "n,d,partition", [(3, 4, "1,2/3"), (3, 5, "1/2,3"), (4, 3, "1,2,3/4"), (4, 3, "1,2/3,4")]
     )
-    def test_sliced_walk_matches_odometer(self, monkeypatch, slice_values, n, d, partition):
-        # a tiny slice moves block-A digits from the numpy tail to the head loop
-        monkeypatch.setattr("quditbell.bounds._SLICE_VALUES", slice_values)
+    def test_row_search_oracle_matches_odometer(self, n, d, partition):
         scen = BellScenario(n, d)
         part = Bipartition.parse(partition, n)
-        assert hlnhv_bound(scen, part) == odometer_hlnhv(scen, part)
+        assert row_search_hlnhv(scen, part) == odometer_hlnhv(scen, part)
+
+    @pytest.mark.parametrize(
+        "n,d,partition", [(5, 3, "1,2/3,4,5"), (6, 3, "1,2,3/4,5,6"), (5, 4, "1,2/3,4,5")]
+    )
+    def test_matches_row_search_oracle(self, n, d, partition):
+        # 3^12, 3^16 and 4^12 strategies, past the odometer: the row search
+        # walks 3^3, 3^7 and 4^3 rows of every block-A combination
+        scen = BellScenario(n, d)
+        part = Bipartition.parse(partition, n)
+        assert hlnhv_bound(scen, part) == row_search_hlnhv(scen, part)
+
+    def test_beyond_the_row_search(self):
+        # 3^128 strategies, for the row search 3^63 rows; the class search
+        # walks 3^6
+        scen = BellScenario(12, 3)
+        part = Bipartition.parse("1,2,3,4,5,6/7,8,9,10,11,12", 12)
+        bound, witness = hlnhv_bound(scen, part, budget=3**130)
+        assert bound == 2048
+        assert strategy_bell_value(witness, scen) == bound
 
     @pytest.mark.parametrize(
         "n,d,partition", [(5, 3, "1,2/3,4,5"), (6, 3, "1,2,3/4,5,6"), (4, 6, "1,2,3/4")]
@@ -312,13 +416,36 @@ class TestLhvBound:
         scen = BellScenario(n, d)
         assert lhv_bound(scen) == brute_force_lhv(scen)
 
-    @pytest.mark.parametrize("slice_values", [1, 64])
     @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (5, 2), (3, 5)])
-    def test_sliced_walk_matches_brute_force(self, monkeypatch, slice_values, n, d):
-        # a tiny slice splits the rows into many slices, one row each at 1
-        monkeypatch.setattr("quditbell.bounds._SLICE_VALUES", slice_values)
+    def test_row_walk_oracle_matches_brute_force(self, n, d):
         scen = BellScenario(n, d)
-        assert lhv_bound(scen) == brute_force_lhv(scen)
+        assert row_walk_lhv(scen) == brute_force_lhv(scen)
+
+    @pytest.mark.parametrize("n,d", [(8, 3), (6, 4), (10, 2)])
+    def test_matches_row_walk_oracle(self, n, d):
+        # 3^16, 4^12 and 2^20 assignments, past the brute force: the row walk
+        # visits every one of the 3^7, 4^5 and 2^9 rows, sorted or not
+        scen = BellScenario(n, d)
+        assert lhv_bound(scen) == row_walk_lhv(scen)
+
+    def test_largest_default_budget_case(self):
+        # 2^26 assignments, the largest space the default budget accepts; a
+        # point-mass table would hold 2^26 entries, so the witness is folded
+        scen = BellScenario(13, 2)
+        bound, witness = lhv_bound(scen)
+        assert bound == 128
+        assert strategy_bell_value(fold_local_witness(scen, witness), scen) == bound
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 128])
+    def test_past_int64(self, n):
+        # at d=2 the partial sums may reach 2^N, so the search leaves int64
+        # from N=63 on; int64 row costs would wrap at N=128.  The bound
+        # 2^ceil(N/2) is frozen from the search at N <= 21 and checked
+        # against the oracles up to N=13 (above and in the row-walk cases)
+        scen = BellScenario(n, 2)
+        bound, witness = lhv_bound(scen, budget=2 ** (2 * n))
+        assert bound == 2 ** ((n + 1) // 2)
+        assert local_value_by_t_count(scen, witness) == bound
 
     @pytest.mark.parametrize("n,d,expected", [(8, 3, Fraction(128)), (6, 4, Fraction(88, 3))])
     def test_beyond_the_brute_force(self, n, d, expected):
@@ -334,16 +461,38 @@ class TestLhvBound:
     def test_witness_achieves_bound(self):
         scen = BellScenario(3, 2)
         bound, witness = lhv_bound(scen)
-        # local witnesses are one-block-per-party strategies; fold parties 2..N
-        # into block B by summing their assigned outcomes per setting combo
-        part = Bipartition.from_block(3, (1,))
-        xi = {"1": witness[0][0], "2": witness[0][1]}
-        zeta = {}
-        for combo in all_setting_strings(2):
-            total = sum(witness[p + 1][int(c) - 1] for p, c in enumerate(combo))
-            zeta[combo] = total % scen.dimension
-        strategy = DeterministicStrategy(part, xi, zeta)
-        assert strategy_bell_value(strategy, scen) == bound
+        assert strategy_bell_value(fold_local_witness(scen, witness), scen) == bound
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2)])
+    def test_value_by_t_count_matches_table(self, n, d):
+        scen = BellScenario(n, d)
+        witness = lhv_bound(scen)[1]
+        assert float(local_value_by_t_count(scen, witness)) == pytest.approx(
+            local_witness_value(scen, witness), abs=1e-9
+        )
+
+
+class TestClassSearch:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (2, 4, 3), (4, 3, 2)])
+    def test_least_optimum_of_the_whole_space(self, shape, rng):
+        # weights from {-1, 0, 1} tie often, so the tie-break decides
+        ka, kb, d = shape
+        for _ in range(5):
+            weights = rng.integers(-1, 2, size=shape)
+            best = None
+            for digits in itertools.product(range(d), repeat=ka + kb):
+                x, z = digits[:ka], digits[ka:]
+                total = sum(
+                    weights[a, b, (x[a] + z[b]) % d] for a in range(ka) for b in range(kb)
+                )
+                if best is None or total < best[0]:
+                    best = (int(total), list(x), list(z))
+            assert _min_class_sum(weights) == best
+
+    def test_python_ints_match_int64(self, rng):
+        for shape in [(2, 2, 2), (4, 3, 3), (3, 5, 4)]:
+            weights = rng.integers(-20, 21, size=shape)
+            assert _min_class_sum(weights.astype(object)) == _min_class_sum(weights)
 
 
 class TestNumeratorRow:

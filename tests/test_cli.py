@@ -73,6 +73,27 @@ class TestBoundCommand:
         assert code == 2
         assert "budget allows 10" in err
 
+    @pytest.mark.parametrize(
+        "message",
+        ["", "Unable to allocate 58.6 GiB for an array with shape (244140625, 6, 5)"],
+    )
+    def test_out_of_memory_is_resource_error(self, capsys, monkeypatch, message):
+        # a budget of thousands of digits admits N=17/d=5 with a 12+5 split,
+        # whose 5^12 class rows numpy cannot allocate; nothing is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("quditbell.cli.hlnhv_bound", out_of_memory)
+        code, out, err = invoke(
+            capsys, "bound", "--n", "17", "--d", "5",
+            "--partition", "1,2,3,4,5,6,7,8,9,10,11,12/13,14,15,16,17",
+            "--budget", str(10**2900),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     def test_invalid_partition_exit_code(self, capsys):
         code, _, err = invoke(
             capsys, "bound", "--n", "3", "--d", "2", "--partition", "1,2,3",
