@@ -37,7 +37,6 @@ from .quantum import (
     DensityMatrix,
     PhaseConfiguration,
     ghz_bell_value,
-    ghz_probability_closed_form,
     ghz_state,
     ghz_table,
     joint_probabilities,
@@ -89,7 +88,6 @@ __all__ = [
     "g1",
     "g2",
     "ghz_bell_value",
-    "ghz_probability_closed_form",
     "ghz_state",
     "ghz_table",
     "group_deterministic_max",

@@ -190,30 +190,6 @@ def _angles_for_mode(scenario, mode, restarts, opt_budget, seed):
     return result.config
 
 
-# auto takes the dense path only while the d^N x d^N state stays small: at 256
-# its validation and contraction take milliseconds.  The closed form is exact
-# for the GHZ state at any size and never forms the matrix.
-_AUTO_DENSE_LIMIT = 256
-
-
-def _resolve_method(scenario, method: str) -> str:
-    dim = scenario.n_outcome_tuples
-    if method == "auto":
-        return "dense" if dim <= _AUTO_DENSE_LIMIT else "closed-form"
-    if method == "dense" and dim > DENSE_DIMENSION_LIMIT:
-        raise DenseLimitError(
-            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, got {dim}; "
-            "use --method closed-form"
-        )
-    return method
-
-
-def _table_for(scenario, config_phases, method: str) -> JointProbabilityTable:
-    if method == "dense":
-        return joint_probabilities(ghz_state(scenario), config_phases)
-    return ghz_table(config_phases)
-
-
 def cmd_violation(
     n: int,
     d: int,
@@ -225,16 +201,27 @@ def cmd_violation(
     emit_table: Optional[str],
 ) -> dict:
     scenario = _ghz_scenario(n, d)
-    # the dense guard is checked first: a refusal must not wait for the phase search
-    method = _resolve_method(scenario, method)
+    # size refusals come first: they must not wait for the phase search
+    if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
+        raise DenseLimitError(
+            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, "
+            f"got {d}^{n}; use --method closed-form"
+        )
+    # the table holds (2d)^N entries: no more than the N=12/d=2 one the dense path emits
+    if emit_table and (2 * d) ** n > DENSE_DIMENSION_LIMIT**2:
+        raise DenseLimitError(
+            f"--emit-table needs 2^{n}*{d}^{n} table entries, more than the "
+            f"{DENSE_DIMENSION_LIMIT**2} allowed"
+        )
     phases = _angles_for_mode(scenario, angles_mode, restarts, opt_budget, seed)
-    if method == "closed-form" and not emit_table:
-        value = ghz_bell_value(phases)
-    else:
-        table = _table_for(scenario, phases, method)
+    if method == "dense":
+        table = joint_probabilities(ghz_state(scenario), phases)
         value = bell_value(table)
-        if emit_table:
-            _atomic_write(emit_table, json.dumps(table.to_json_dict(), indent=2) + "\n")
+    else:
+        table = ghz_table(phases) if emit_table else None
+        value = ghz_bell_value(phases)
+    if emit_table:
+        _atomic_write(emit_table, json.dumps(table.to_json_dict(), indent=2) + "\n")
     ceiling = max_violation(scenario)
     return {
         "n": n,
@@ -344,12 +331,13 @@ def bound(n, d, out_path, model, partition, budget, fmt):
 @click.option("--angles", "angles_mode", type=click.Choice(ANGLES_MODES),
               default="optimal", show_default=True,
               help="Measurement phases: the closed-form optimum, all zeros, or a fresh search.")
-@click.option("--method", type=click.Choice(["auto", "dense", "closed-form"]),
-              default="auto", show_default=True,
-              help="Probability path for the GHZ state; auto takes dense only "
-                   "while d^N stays small.")
+@click.option("--method", type=click.Choice(["closed-form", "dense"]),
+              default="closed-form", show_default=True,
+              help="Probability path for the GHZ state: the closed form at any "
+                   f"size, or the dense density-matrix oracle for d^N <= {DENSE_DIMENSION_LIMIT}.")
 @click.option("--emit-table", type=click.Path(), default=None,
-              help="Also write the probability table JSON to this file.")
+              help="Also write the probability table JSON to this file; refused "
+                   f"past {DENSE_DIMENSION_LIMIT**2} = 2^N d^N entries.")
 @click.option("--restarts", type=int, default=20, show_default=True,
               help="Random restarts for the optimized-* modes.")
 @click.option("--budget", type=int, default=20_000, show_default=True,

@@ -20,6 +20,9 @@ from .scenario import BellScenario
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
 
+# a coordinate sweep that gains less than this ends the phase search
+_SWEEP_TOL = 1e-9
+
 __all__ = [
     "SVETLICHNY_VISIBILITY",
     "PhaseSearchResult",
@@ -179,7 +182,6 @@ def optimize_phases(
     start: PhaseConfiguration,
     budget: int,
     mode: str = "free",
-    tol: float = 1e-9,
 ) -> tuple[PhaseConfiguration, float]:
     """Exact coordinate ascent for phases maximizing the GHZ Bell value.
 
@@ -188,7 +190,7 @@ def optimize_phases(
     along it: a phase multiplies one GHZ branch by e^(i phi) in one party
     (free, degree 1, 3 evaluations) or up to N parties (symmetric, degree N,
     2N+1 evaluations).  Sweeps repeat until a full cycle improves by less
-    than tol or the evaluation budget is spent.  The returned value never
+    than 1e-9 or the evaluation budget is spent.  The returned value never
     drops below the start's; symmetric mode reads the start's party-1
     vectors as the shared parameters.
     """
@@ -222,7 +224,7 @@ def optimize_phases(
             for coord in range(params.size):
                 best = _trig_step(objective, params, coord, best, degree)
                 best_params[coord] = params[coord]
-            improved = best - sweep_start > tol
+            improved = best - sweep_start > _SWEEP_TOL
     except _BudgetExhausted:
         # a probe value may still sit in the interrupted coordinate
         params[:] = best_params
@@ -249,12 +251,12 @@ def optimize_with_restarts(
     budget: int = 20_000,
     mode: str = "free",
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PhaseSearchResult:
     """Run optimize_phases from uniformly random starts and keep the best.
 
-    Restarts are independent; ties go to the earliest restart, so the result
-    is a deterministic function of the seed.
+    Each restart sweeps until a full cycle gains less than 1e-9 or its
+    evaluation budget is spent.  Restarts are independent; ties go to the
+    earliest restart, so the result is a deterministic function of the seed.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -264,7 +266,7 @@ def optimize_with_restarts(
     values = []
     for _ in range(restarts):
         start = PhaseConfiguration(scenario, rng.uniform(0.0, 2.0 * math.pi, (n, 2, d)))
-        config, value = optimize_phases(scenario, start, budget, mode=mode, tol=tol)
+        config, value = optimize_phases(scenario, start, budget, mode=mode)
         values.append(value)
         if value > best_value:
             best_config, best_value = config, value

@@ -1,12 +1,12 @@
 """Qudit states, multiport-beamsplitter measurements, and joint probabilities.
 
-Two evaluation paths produce the same tables: a dense one that contracts the
-density matrix with the parties' measurements one party at a time, sharing
-the work of common setting prefixes, and a closed form specific to GHZ
-states that sums the d coherent branches directly.  The dense path is the
-ground truth; the closed form is the fast path the optimizer runs on.  The
-GHZ Bell value never forms the 2^N setting strings: it is read off a
-generating function in the number of parties using setting 2.
+GHZ tables come from one closed form: the state's d coherent branches are
+summed for all 2^N setting strings at once, with no d^N density matrix.  A
+dense path contracts any density matrix with the parties' measurements one
+party at a time, sharing the work of common setting prefixes; for GHZ states
+it is the independent oracle the closed form is checked against.  The GHZ
+Bell value never forms the 2^N setting strings: it is read off a generating
+function in the number of parties using setting 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .scenario import (
     BellScenario,
     JointProbabilityTable,
     all_setting_strings,
-    as_setting_string,
     coefficient_by_residue,
     outcome_sums_mod_d,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DensityMatrix",
     "PhaseConfiguration",
     "ghz_bell_value",
-    "ghz_probability_closed_form",
     "ghz_state",
     "ghz_table",
     "joint_probabilities",
@@ -53,7 +51,7 @@ __all__ = [
 
 
 class DenseLimitError(RuntimeError):
-    """Hilbert space too large for the dense path."""
+    """Hilbert space, or probability table, too large to build densely."""
 
 
 class DensityMatrix:
@@ -207,6 +205,12 @@ class PhaseConfiguration:
         return cls(scenario, arr)
 
 
+def _fourier(d: int) -> np.ndarray:
+    """d x d discrete Fourier matrix, entry (j, k) = omega^(j k)."""
+    j = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(j, j) / d)
+
+
 def multiport_unitary(phase_vector: Sequence[float]) -> np.ndarray:
     """Unbiased symmetric multiport splitter with input phase shifters.
 
@@ -216,10 +220,7 @@ def multiport_unitary(phase_vector: Sequence[float]) -> np.ndarray:
     phi = np.asarray(phase_vector, dtype=float)
     if phi.ndim != 1 or phi.size < 2:
         raise ValueError(f"phase vector must be 1-d with at least 2 entries, got shape {phi.shape}")
-    d = phi.size
-    k = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(k, k) / d)
-    return fourier * np.exp(1j * phi)[None, :] / math.sqrt(d)
+    return _fourier(phi.size) * np.exp(1j * phi)[None, :] / math.sqrt(phi.size)
 
 
 def joint_probabilities(
@@ -274,47 +275,27 @@ def joint_probabilities(
     )
 
 
-def _ghz_residue_probs(config: PhaseConfiguration, setting: str) -> np.ndarray:
-    """GHZ probability per outcome-sum residue class for one setting string.
-
-    Every outcome tuple with the same sum mod d is equally likely, so the
-    whole table per setting collapses to d numbers.
-    """
-    scenario = config.scenario
-    d = scenario.dimension
-    chosen = np.array([int(c) - 1 for c in setting])
-    total_phase = config.phases[np.arange(scenario.n_parties), chosen].sum(axis=0)
-    j = np.arange(d)
-    angles = total_phase[None, :] + 2.0 * np.pi * np.outer(j, j) / d  # rows: residue r
-    amps = np.exp(1j * angles).sum(axis=1)
-    return np.abs(amps) ** 2 / d ** (scenario.n_parties + 1)
-
-
-def ghz_probability_closed_form(
-    config: PhaseConfiguration, setting, outcome: Sequence[int]
-) -> float:
-    """GHZ outcome probability without touching the d^N density matrix.
+def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
+    """Full probability table for the GHZ state via the closed form.
 
     The d branches of the GHZ state interfere coherently:
 
-        P = |sum_j exp(i [Phi_j + 2 pi j (sum_n x_n)/d])|^2 / d^(N+1)
+        P_s(x) = |sum_j exp(i [Phi_sj + 2 pi j (sum_n x_n)/d])|^2 / d^(N+1)
 
-    where Phi_j sums the chosen settings' j-th phase over the parties.
+    where Phi_sj sums the j-th phase of the settings in s over the parties,
+    so every outcome tuple with the same sum mod d is equally likely.  Phi is
+    summed party by party for all 2^N strings at once, party 1 varying
+    slowest as in all_setting_strings, and one product with the Fourier
+    matrix gives every string's d residue-class probabilities.
     """
     scenario = config.scenario
-    s = as_setting_string(setting, scenario.n_parties)
-    residues = _ghz_residue_probs(config, s)
-    return float(residues[sum(int(x) for x in outcome) % scenario.dimension])
-
-
-def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
-    """Full probability table for the GHZ state via the closed form."""
-    scenario = config.scenario
-    sums = outcome_sums_mod_d(scenario.n_parties, scenario.dimension)
-    probs = {}
-    for s in all_setting_strings(scenario.n_parties):
-        probs[s] = _ghz_residue_probs(config, s)[sums]
-    return JointProbabilityTable(scenario, probs)
+    n, d = scenario.n_parties, scenario.dimension
+    phi = np.zeros((1, d))
+    for pair in config.phases:  # (2, d): one party's setting-1 and setting-2 phases
+        phi = (phi[:, None, :] + pair[None, :, :]).reshape(-1, d)
+    residues = np.abs(np.exp(1j * phi) @ _fourier(d)) ** 2 / d ** (n + 1)
+    rows = residues[:, outcome_sums_mod_d(n, d)]
+    return JointProbabilityTable(scenario, dict(zip(all_setting_strings(n), rows)))
 
 
 def ghz_bell_value(config: PhaseConfiguration) -> float:
@@ -344,8 +325,7 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
     for p, (f1, f2) in enumerate(factors):
         by_t[1 : p + 2] = 0.5 * (by_t[1 : p + 2] * f1 + by_t[: p + 1] * f2)
         by_t[0] *= 0.5 * f1
-    j = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)
+    fourier = _fourier(d)
     residues = np.real(((fourier @ by_t) * fourier.conj()).sum(axis=-1))  # (N+1, d)
     coeffs = np.array([coefficient_by_residue(t, d) for t in range(n + 1)])
     scaled = -float(np.sum(coeffs * residues)) / d**2

@@ -161,6 +161,15 @@ class TestViolationCommand:
         assert code == 2
         assert "closed-form" in err
 
+    def test_dense_refusal_stays_short(self, capsys):
+        code, out, err = invoke(
+            capsys, "violation", "--n", "1000", "--d", "3", "--method", "dense"
+        )
+        assert code == 2
+        assert out == ""
+        assert "3^1000" in err
+        assert len(err.encode()) < 200
+
     def test_dense_refusal_precedes_phase_search(self, capsys, monkeypatch):
         def no_search(*args, **kwargs):
             pytest.fail("the phase search ran before the dense guard")
@@ -173,6 +182,26 @@ class TestViolationCommand:
         assert code == 2
         assert out == ""
         assert "closed-form" in err
+
+    def test_default_method_builds_no_density_matrix(self, capsys, monkeypatch):
+        from quditbell.optimize import optimal_angles
+        from quditbell.quantum import ghz_bell_value
+        from quditbell.scenario import BellScenario
+
+        def no_dense(*args, **kwargs):
+            pytest.fail("the default method took the dense path")
+
+        for name in ("ghz_state", "joint_probabilities"):
+            monkeypatch.setattr(f"quditbell.cli.{name}", no_dense)
+        code, out, _ = invoke(capsys, "violation", "--n", "2", "--d", "2")
+        assert code == 0
+        expected = ghz_bell_value(optimal_angles(BellScenario(2, 2)))
+        assert json.loads(out)["bell_value"] == float(f"{expected:.10g}")
+
+    def test_auto_method_is_gone(self, capsys):
+        code, out, _ = invoke(capsys, "violation", "--n", "2", "--d", "2", "--method", "auto")
+        assert code == 1
+        assert out == ""
 
     def test_closed_form_at_thirty_parties(self, capsys):
         code, out, _ = invoke(
@@ -227,6 +256,36 @@ class TestRoundTrip:
         assert report["bell_value"] == pytest.approx(4 * math.sqrt(2), abs=1e-6)
         assert report["witness_fired"] is True
         assert len(report["q_values"]) == 8
+
+    def test_oversized_table_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        # 2^10 * 3^10 = 6.0e7 entries, past the 2^24 of the largest dense table
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the table-size refusal")
+
+        for name in ("ghz_table", "optimize_with_restarts"):
+            monkeypatch.setattr(f"quditbell.cli.{name}", no_work)
+        table_path = tmp_path / "table.json"
+        code, out, err = invoke(
+            capsys, "violation", "--n", "10", "--d", "3", "--angles", "optimized-free",
+            "--emit-table", str(table_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+        assert os.listdir(tmp_path) == []
+
+    def test_table_size_boundary(self, capsys, monkeypatch, tmp_path):
+        # a limit of 8 admits (2d)^N <= 64 entries: N=3/d=2 and N=2/d=4 but not N=2/d=5
+        monkeypatch.setattr("quditbell.cli.DENSE_DIMENSION_LIMIT", 8)
+        for n, d, expected in ((3, 2, 0), (2, 4, 0), (2, 5, 2)):
+            table_path = tmp_path / f"table-{n}-{d}.json"
+            code, _, _ = invoke(
+                capsys, "violation", "--n", str(n), "--d", str(d),
+                "--emit-table", str(table_path),
+            )
+            assert code == expected, (n, d)
+            assert table_path.exists() == (expected == 0)
 
 
 class TestEvalCommand:

@@ -13,9 +13,7 @@ from quditbell.quantum import (
     DenseLimitError,
     DensityMatrix,
     PhaseConfiguration,
-    _ghz_residue_probs,
     ghz_bell_value,
-    ghz_probability_closed_form,
     ghz_state,
     ghz_table,
     joint_probabilities,
@@ -31,6 +29,7 @@ from quditbell.scenario import (
     bell_value,
     coefficient_by_residue,
     outcome_from_index,
+    outcome_sums_mod_d,
     t_count,
 )
 from conftest import random_config, random_density
@@ -59,11 +58,28 @@ def worst_entry_difference(table, reference):
     )
 
 
+def loop_ghz_residue_probs(config, setting):
+    """Oracle: GHZ probability per outcome-sum residue class for one setting.
+
+    The d branches interfere coherently: with Phi_j the j-th phase of the
+    chosen settings summed over the parties, residue class r has probability
+    |sum_j exp(i [Phi_j + 2 pi j r/d])|^2 / d^(N+1) per outcome tuple.
+    """
+    scenario = config.scenario
+    d = scenario.dimension
+    chosen = np.array([int(c) - 1 for c in setting])
+    total_phase = config.phases[np.arange(scenario.n_parties), chosen].sum(axis=0)
+    j = np.arange(d)
+    angles = total_phase[None, :] + 2.0 * np.pi * np.outer(j, j) / d  # rows: residue r
+    amps = np.exp(1j * angles).sum(axis=1)
+    return np.abs(amps) ** 2 / d ** (scenario.n_parties + 1)
+
+
 def loop_ghz_bell_value(config):
     """Oracle: the Bell value summed setting string by setting string.
 
     Each of the 2^N strings contributes its t-count's residue coefficients
-    against the closed-form residue probabilities, times the d^(N-1) outcome
+    against the per-setting residue probabilities, times the d^(N-1) outcome
     tuples per residue class.
     """
     scenario = config.scenario
@@ -72,7 +88,7 @@ def loop_ghz_bell_value(config):
     value = 0.0
     for s in all_setting_strings(scenario.n_parties):
         coeffs = coefficient_by_residue(t_count(s), d)
-        value -= per_residue_count * float(coeffs @ _ghz_residue_probs(config, s))
+        value -= per_residue_count * float(coeffs @ loop_ghz_residue_probs(config, s))
     return value
 
 
@@ -156,7 +172,7 @@ class TestMultiportUnitary:
 
 class TestJointProbabilities:
     def test_matches_kron_oracle(self, rng):
-        # d^N <= 256, where the CLI's auto method takes the dense path, and single parties
+        # d^N <= 256, single parties included
         cases = [(n, d) for n in range(1, 9) for d in range(2, 257) if d**n <= 256]
         assert len(cases) == 283
         for n, d in cases:
@@ -243,14 +259,29 @@ class TestJointProbabilities:
 
 class TestClosedForm:
     def test_zero_phase_coherent_sum(self):
-        scen = BellScenario(3, 3)
-        config = PhaseConfiguration.zero(scen)
-        assert ghz_probability_closed_form(config, "111", (0, 0, 0)) == pytest.approx(
-            1 / 9, abs=1e-14
-        )
-        assert ghz_probability_closed_form(config, "111", (0, 0, 1)) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        table = ghz_table(PhaseConfiguration.zero(BellScenario(3, 3)))
+        assert table.prob("111", (0, 0, 0)) == pytest.approx(1 / 9, abs=1e-14)
+        assert table.prob("111", (0, 0, 1)) == pytest.approx(0.0, abs=1e-14)
+
+    def test_table_matches_setting_loop(self, rng):
+        # every (N, d) with 2^N d^N <= 10^5 table entries and d <= 158, the
+        # largest d that N = 2 admits; N = 1 alone would admit d up to 50,000,
+        # whose d x d Fourier matrices would take 40 GB
+        cases = [
+            (n, d)
+            for n in range(1, 9)
+            for d in range(2, 159)
+            if 2**n * d**n <= 10**5
+        ]
+        assert len(cases) == 351
+        for n, d in cases:
+            scen = BellScenario(n, d)
+            config = random_config(scen, rng)
+            table, sums = ghz_table(config), outcome_sums_mod_d(n, d)
+            for s in all_setting_strings(n):
+                expected = loop_ghz_residue_probs(config, s)[sums]
+                worst = float(np.max(np.abs(table.probs_for(s) - expected)))
+                assert worst <= 1e-12, (n, d, s, worst)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_matches_dense_path(self, n, d, rng):
