@@ -1,8 +1,8 @@
 """Command-line front end: bounds, violations, visibility scans, table evaluation.
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 resource or
-budget error.  Reports go to stdout as JSON (CSV for scans on request); --out
-writes the same payload to a file atomically.
+budget error.  Reports are JSON on stdout (CSV only from `scan --format csv`);
+--out writes them atomically to a file, and --emit-table writes compact JSON.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .scenario import (
     bell_value,
     correlation_q,
 )
-
-BUDGET_ENV_VAR = "QUDITBELL_BUDGET"
 
 ANGLES_MODES = ("optimal", "zero", "optimized-symmetric", "optimized-free")
 
@@ -101,14 +99,6 @@ def _render_csv(rows: list[dict]) -> str:
     return out.getvalue()
 
 
-def _render(payload, fmt: str) -> str:
-    if fmt == "csv":
-        if not isinstance(payload, list):
-            raise InputError("csv output is only available for scan tables")
-        return _render_csv(payload)
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quditbell-")
@@ -122,8 +112,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(payload, fmt: str, out_path: Optional[str]) -> None:
-    text = _render(payload, fmt)
+def _emit(payload, out_path: Optional[str], fmt: str = "json") -> None:
+    text = _render_csv(payload) if fmt == "csv" else json.dumps(payload, indent=2) + "\n"
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -131,163 +121,14 @@ def _emit(payload, fmt: str, out_path: Optional[str]) -> None:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Inclusive integer range 'a:b' (also 'a..b' or a single value)."""
-    sep = ":" if ":" in text else ".." if ".." in text else None
+    """Inclusive integer range 'a:b' (or a single value)."""
     try:
-        if sep is None:
-            lo = hi = int(text)
-        else:
-            lo_s, hi_s = text.split(sep, 1)
-            lo, hi = int(lo_s), int(hi_s)
+        if ":" in text:
+            lo_s, hi_s = text.split(":", 1)
+            return int(lo_s), int(hi_s)
+        return int(text), int(text)
     except ValueError as exc:
         raise InputError(f"range must look like '2:4', got {text!r}") from exc
-    return lo, hi
-
-
-def cmd_bound(
-    n: int, d: int, model: str, partition: Optional[Bipartition], budget: int
-) -> dict:
-    scenario = _scenario(n, d)
-    started = time.perf_counter()
-    if model == "hlnhv":
-        if partition is None:
-            raise InputError("hlnhv bound needs --partition, e.g. '1,2/3'")
-        bound, witness = hlnhv_bound(scenario, partition, budget=budget)
-        part = witness.partition
-        witness_json = {"xi": dict(witness.xi), "zeta": dict(witness.zeta)}
-        partition_json = [list(part.block_a), list(part.block_b)]
-    else:
-        part = None
-        bound, local = lhv_bound(scenario, budget=budget)
-        witness_json = {
-            f"party-{p + 1}": {"1": o1, "2": o2} for p, (o1, o2) in enumerate(local)
-        }
-        partition_json = None
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    enumerated = scenario.dimension ** strategy_space_exponent(scenario, part)
-    return {
-        "n": n,
-        "d": d,
-        "model": model,
-        "partition": partition_json,
-        "bound": str(bound),
-        "bound_float": float(bound),
-        "witness": witness_json,
-        "strategies_enumerated": enumerated,
-        "elapsed_ms": _sig10(elapsed_ms),
-    }
-
-
-def _angles_for_mode(scenario, mode, restarts, opt_budget, seed):
-    if mode == "optimal":
-        return optimal_angles(scenario)
-    if mode == "zero":
-        return PhaseConfiguration.zero(scenario)
-    search_mode = "symmetric" if mode == "optimized-symmetric" else "free"
-    result = optimize_with_restarts(
-        scenario, restarts=restarts, budget=opt_budget, mode=search_mode, seed=seed
-    )
-    return result.config
-
-
-def cmd_violation(
-    n: int,
-    d: int,
-    angles_mode: str,
-    method: str,
-    restarts: int,
-    opt_budget: int,
-    seed: int,
-    emit_table: Optional[str],
-) -> dict:
-    scenario = _ghz_scenario(n, d)
-    # size refusals come first: they must not wait for the phase search
-    if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
-        raise DenseLimitError(
-            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, "
-            f"got {d}^{n}; use --method closed-form"
-        )
-    # the table holds (2d)^N entries: no more than the N=12/d=2 one the dense path emits
-    if emit_table and (2 * d) ** n > DENSE_DIMENSION_LIMIT**2:
-        raise DenseLimitError(
-            f"--emit-table needs 2^{n}*{d}^{n} table entries, more than the "
-            f"{DENSE_DIMENSION_LIMIT**2} allowed"
-        )
-    phases = _angles_for_mode(scenario, angles_mode, restarts, opt_budget, seed)
-    if method == "dense":
-        table = joint_probabilities(ghz_state(scenario), phases)
-        value = bell_value(table)
-    else:
-        table = ghz_table(phases) if emit_table else None
-        value = ghz_bell_value(phases)
-    if emit_table:
-        _atomic_write(emit_table, json.dumps(table.to_json_dict(), indent=2) + "\n")
-    ceiling = max_violation(scenario)
-    return {
-        "n": n,
-        "d": d,
-        "angles_mode": angles_mode,
-        "bell_value": _sig10(value),
-        "closed_form_max": _sig10(ceiling),
-        "difference": _sig10(value - ceiling),
-        "hlnhv_bound": _sig10(2.0 ** (n - 1)),
-        "witness_fired": value > 2.0 ** (n - 1),
-        "angles": phases.to_json_dict(),
-    }
-
-
-def cmd_visibility(n: int, d: int) -> dict:
-    report = critical_visibility(_ghz_scenario(n, d))
-    payload = report.to_json_dict()
-    for key in ("max_value", "ratio", "critical_visibility", "svetlichny_visibility"):
-        payload[key] = _sig10(payload[key])
-    payload["hlnhv_bound"] = _sig10(2.0 ** (n - 1))
-    return payload
-
-
-def cmd_scan(n_range: tuple[int, int], d_range: tuple[int, int]) -> list[dict]:
-    rows = []
-    for n in range(n_range[0], n_range[1] + 1):
-        for d in range(d_range[0], d_range[1] + 1):
-            report = critical_visibility(_ghz_scenario(n, d))
-            rows.append(
-                {
-                    "n": n,
-                    "d": d,
-                    "hlnhv_bound": _sig10(2.0 ** (n - 1)),
-                    "max_violation": _sig10(report.max_value),
-                    "ratio": _sig10(report.ratio),
-                    "v_cr": _sig10(report.critical_visibility),
-                }
-            )
-    return rows
-
-
-def cmd_eval(table_path: str) -> dict:
-    try:
-        with open(table_path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {table_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{table_path} is not valid JSON: {exc}") from exc
-    try:
-        table = JointProbabilityTable.from_json_dict(payload)
-    except TableFormatError as exc:
-        raise InputError(f"{table_path}: {exc}") from exc
-    value = bell_value(table)
-    bound = 2.0 ** (table.scenario.n_parties - 1)
-    return {
-        "n": table.scenario.n_parties,
-        "d": table.scenario.dimension,
-        "bell_value": _sig10(value),
-        "q_values": {
-            s: _sig10(correlation_q(s, table))
-            for s in table.scenario.setting_strings()
-        },
-        "hlnhv_bound": _sig10(bound),
-        "witness_fired": value > bound,
-    }
 
 
 @click.group()
@@ -317,13 +158,43 @@ def _add_options(options):
               show_default=True, help="Hidden-variable model to bound.")
 @click.option("--partition", default=None,
               help="Bipartition for hlnhv, slash-separated comma lists like '1,2/3'.")
-@click.option("--budget", type=int, envvar=BUDGET_ENV_VAR, default=DEFAULT_BUDGET,
+@click.option("--budget", type=int, default=DEFAULT_BUDGET,
               show_default=True, help="Largest strategy space the search may certify.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def bound(n, d, out_path, model, partition, budget, fmt):
+def bound(n, d, out_path, model, partition, budget):
     """Certify the HLNHV (or LHV) bound by an exact search of all strategies."""
     parsed = None if partition is None else Bipartition.parse(partition, n)
-    _emit(cmd_bound(n, d, model, parsed, budget), fmt, out_path)
+    scenario = _scenario(n, d)
+    started = time.perf_counter()
+    if model == "hlnhv":
+        if parsed is None:
+            raise InputError("hlnhv bound needs --partition, e.g. '1,2/3'")
+        value, witness = hlnhv_bound(scenario, parsed, budget=budget)
+        part = witness.partition
+        witness_json = {"xi": dict(witness.xi), "zeta": dict(witness.zeta)}
+        partition_json = [list(part.block_a), list(part.block_b)]
+    else:
+        part = None
+        value, local = lhv_bound(scenario, budget=budget)
+        witness_json = {
+            f"party-{p + 1}": {"1": o1, "2": o2} for p, (o1, o2) in enumerate(local)
+        }
+        partition_json = None
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    enumerated = d ** strategy_space_exponent(scenario, part)
+    _emit(
+        {
+            "n": n,
+            "d": d,
+            "model": model,
+            "partition": partition_json,
+            "bound": str(value),
+            "bound_float": float(value),
+            "witness": witness_json,
+            "strategies_enumerated": enumerated,
+            "elapsed_ms": _sig10(elapsed_ms),
+        },
+        out_path,
+    )
 
 
 @cli.command()
@@ -343,19 +214,64 @@ def bound(n, d, out_path, model, partition, budget, fmt):
 @click.option("--budget", type=int, default=20_000, show_default=True,
               help="Objective evaluations per restart for the optimized-* modes.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed, fmt):
+def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed):
     """Quantum Bell value of the GHZ state at the requested angles."""
-    report = cmd_violation(n, d, angles_mode, method, restarts, budget, seed, emit_table)
-    _emit(report, fmt, out_path)
+    scenario = _ghz_scenario(n, d)
+    # size refusals come first: they must not wait for the phase search
+    if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
+        raise DenseLimitError(
+            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, "
+            f"got {d}^{n}; use --method closed-form"
+        )
+    # the table holds (2d)^N entries: no more than the N=12/d=2 one the dense path emits
+    if emit_table and (2 * d) ** n > DENSE_DIMENSION_LIMIT**2:
+        raise DenseLimitError(
+            f"--emit-table needs 2^{n}*{d}^{n} table entries, more than the "
+            f"{DENSE_DIMENSION_LIMIT**2} allowed"
+        )
+    if angles_mode == "optimal":
+        phases = optimal_angles(scenario)
+    elif angles_mode == "zero":
+        phases = PhaseConfiguration.zero(scenario)
+    else:
+        phases = optimize_with_restarts(
+            scenario, restarts=restarts, budget=budget, seed=seed,
+            mode="symmetric" if angles_mode == "optimized-symmetric" else "free",
+        ).config
+    if method == "dense":
+        table = joint_probabilities(ghz_state(scenario), phases)
+        value = bell_value(table)
+    else:
+        table = ghz_table(phases) if emit_table else None
+        value = ghz_bell_value(phases)
+    if emit_table:
+        _atomic_write(emit_table, json.dumps(table.to_json_dict()) + "\n")
+    ceiling = max_violation(scenario)
+    _emit(
+        {
+            "n": n,
+            "d": d,
+            "angles_mode": angles_mode,
+            "bell_value": _sig10(value),
+            "closed_form_max": _sig10(ceiling),
+            "difference": _sig10(value - ceiling),
+            "hlnhv_bound": _sig10(2.0 ** (n - 1)),
+            "witness_fired": value > 2.0 ** (n - 1),
+            "angles": phases.to_json_dict(),
+        },
+        out_path,
+    )
 
 
 @cli.command()
 @_add_options(_common)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def visibility(n, d, out_path, fmt):
+def visibility(n, d, out_path):
     """Critical visibility of the white-noise GHZ mixture."""
-    _emit(cmd_visibility(n, d), fmt, out_path)
+    payload = critical_visibility(_ghz_scenario(n, d)).to_json_dict()
+    for key in ("max_value", "ratio", "critical_visibility", "svetlichny_visibility"):
+        payload[key] = _sig10(payload[key])
+    payload["hlnhv_bound"] = _sig10(2.0 ** (n - 1))
+    _emit(payload, out_path)
 
 
 @cli.command()
@@ -372,17 +288,55 @@ def scan(n_range, d_range, out_path, fmt):
     lo_d, hi_d = _parse_range(d_range)
     if (lo_n <= hi_n and lo_n < 2) or (lo_d <= hi_d and lo_d < 2):
         raise InputError("scan requires n >= 2 and d >= 2")
-    rows = cmd_scan((lo_n, hi_n), (lo_d, hi_d))
-    _emit(rows, fmt, out_path)
+    rows = []
+    for n in range(lo_n, hi_n + 1):
+        for d in range(lo_d, hi_d + 1):
+            report = critical_visibility(_ghz_scenario(n, d))
+            rows.append(
+                {
+                    "n": n,
+                    "d": d,
+                    "hlnhv_bound": _sig10(2.0 ** (n - 1)),
+                    "max_violation": _sig10(report.max_value),
+                    "ratio": _sig10(report.ratio),
+                    "v_cr": _sig10(report.critical_visibility),
+                }
+            )
+    _emit(rows, out_path, fmt)
 
 
 @cli.command("eval")
 @click.argument("table_file", type=click.Path())
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def eval_table(table_file, out_path, fmt):
+def eval_table(table_file, out_path):
     """Evaluate the Bell functional on a probability-table JSON file."""
-    _emit(cmd_eval(table_file), fmt, out_path)
+    try:
+        with open(table_file) as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {table_file}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{table_file} is not valid JSON: {exc}") from exc
+    try:
+        table = JointProbabilityTable.from_json_dict(payload)
+    except TableFormatError as exc:
+        raise InputError(f"{table_file}: {exc}") from exc
+    value = bell_value(table)
+    bound_value = 2.0 ** (table.scenario.n_parties - 1)
+    _emit(
+        {
+            "n": table.scenario.n_parties,
+            "d": table.scenario.dimension,
+            "bell_value": _sig10(value),
+            "q_values": {
+                s: _sig10(correlation_q(s, table))
+                for s in table.scenario.setting_strings()
+            },
+            "hlnhv_bound": _sig10(bound_value),
+            "witness_fired": value > bound_value,
+        },
+        out_path,
+    )
 
 
 def run(argv=None) -> int:

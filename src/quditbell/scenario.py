@@ -274,7 +274,7 @@ class JointProbabilityTable:
         return {
             "n": self.scenario.n_parties,
             "d": self.scenario.dimension,
-            "tables": {s: list(map(float, p)) for s, p in self._probs.items()},
+            "tables": {s: p.tolist() for s, p in self._probs.items()},
         }
 
     @classmethod

@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from quditbell.cli import run
@@ -66,12 +69,18 @@ class TestBoundCommand:
         assert len(err.encode()) < 200
 
     def test_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUDITBELL_BUDGET", "10")
+        # the budget is set by --budget alone; the environment plays no part
         code, _, err = invoke(
             capsys, "bound", "--n", "2", "--d", "2", "--partition", "1/2",
+            "--budget", "10",
         )
         assert code == 2
         assert "budget allows 10" in err
+        monkeypatch.setenv("QUDITBELL_BUDGET", "10")
+        code, _, _ = invoke(
+            capsys, "bound", "--n", "2", "--d", "2", "--partition", "1/2",
+        )
+        assert code == 0
 
     @pytest.mark.parametrize(
         "message",
@@ -257,6 +266,16 @@ class TestRoundTrip:
         assert report["witness_fired"] is True
         assert len(report["q_values"]) == 8
 
+        from quditbell.optimize import optimal_angles
+        from quditbell.quantum import ghz_table
+        from quditbell.scenario import BellScenario
+
+        expected = ghz_table(optimal_angles(BellScenario(3, 2)))
+        loaded = json.loads(table_path.read_text())
+        assert set(loaded["tables"]) == set(expected.scenario.setting_strings())
+        for s, row in loaded["tables"].items():
+            assert np.array_equal(np.array(row), expected.probs_for(s)), s
+
     def test_oversized_table_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
         # 2^10 * 3^10 = 6.0e7 entries, past the 2^24 of the largest dense table
         def no_work(*args, **kwargs):
@@ -392,6 +411,10 @@ class TestScanCommand:
         assert code == 1
         code, _, _ = invoke(capsys, "scan", "--n-range", "1:2")
         assert code == 1
+        code, out, err = invoke(capsys, "scan", "--n-range", "2..4")
+        assert code == 1
+        assert out == ""
+        assert "2:4" in err
 
 
 class TestOutputHandling:
@@ -407,12 +430,43 @@ class TestOutputHandling:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".quditbell-")]
         assert leftovers == []
 
-    def test_csv_rejected_outside_scan(self, capsys):
-        code, _, err = invoke(
-            capsys, "visibility", "--n", "2", "--d", "2", "--format", "csv"
-        )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--n", "2", "--d", "2", "--partition", "1/2"),
+        ("violation", "--n", "2", "--d", "2"),
+        ("visibility", "--n", "2", "--d", "2"),
+        ("eval", "table.json"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_rejected_outside_scan(self, capsys, argv, fmt):
+        # --format exists only on scan
+        code, out, err = invoke(capsys, *argv, "--format", fmt)
         assert code == 1
-        assert "scan" in err
+        assert out == ""
+        assert "--format" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--n", "3", "--d", "2", "--partition", "1,2/3"),
+        ("violation", "--n", "3", "--d", "2"),
+        ("visibility", "--n", "2", "--d", "3"),
+        ("scan", "--n-range", "2:3", "--d-range", "2:3"),
+        ("scan", "--n-range", "2:3", "--d-range", "2:3", "--format", "csv"),
+        ("eval", "table.json"),
+    ], ids=["bound", "violation", "visibility", "scan-json", "scan-csv", "eval"])
+    def test_out_matches_stdout(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert invoke(capsys, "violation", "--n", "2", "--d", "2",
+                      "--emit-table", "table.json")[0] == 0
+        code, stdout_report, _ = invoke(capsys, *argv)
+        assert code == 0
+        code, out, _ = invoke(capsys, *argv, "--out", "report.out")
+        assert code == 0
+        assert out == ""
+        written = (tmp_path / "report.out").read_text()
+        if argv[0] == "bound":
+            written, stdout_report = json.loads(written), json.loads(stdout_report)
+            del written["elapsed_ms"], stdout_report["elapsed_ms"]
+        assert written == stdout_report
+        assert [p for p in os.listdir(tmp_path) if p.startswith(".quditbell-")] == []
 
     def test_unknown_flag_is_input_error(self, capsys):
         code, _, _ = invoke(capsys, "bound", "--frobnicate")
@@ -458,3 +512,41 @@ class TestFloatRangeRefusal:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "float range" in err
         assert len(err.encode()) < 200
+
+
+class TestProcess:
+    """`python -m quditbell.cli` as a real process: main() passes run()'s code to exit."""
+
+    @staticmethod
+    def cli_process(*argv):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "quditbell.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_success_exit_code(self):
+        proc = self.cli_process("violation", "--n", "2", "--d", "2")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["bell_value"] == pytest.approx(2 * math.sqrt(2))
+
+    def test_input_error_exit_code(self):
+        proc = self.cli_process(
+            "bound", "--n", "2", "--d", "2", "--partition", "1/2", "--format", "json"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        # click prints its usage lines above the one error line
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "--format" in errors[0]
+
+    def test_resource_error_exit_code(self):
+        proc = self.cli_process(
+            "bound", "--n", "2", "--d", "2", "--partition", "1/2", "--budget", "10"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "budget allows 10" in proc.stderr
