@@ -101,9 +101,12 @@ class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured strategy budget."""
 
     def __init__(self, dimension: int, exponent: int, budget: int):
-        # d^exponent stays unexpanded: written out it can run to millions of digits
+        # d^exponent stays unexpanded and a huge budget is written as a power of
+        # two: in full either can run to millions of digits, and str() of an
+        # int past 4,300 digits raises
+        allows = budget if abs(budget) < 10**18 else f"about 2^{round(math.log2(abs(budget)))}"
         super().__init__(
-            f"enumeration needs {dimension}^{exponent} strategies, budget allows {budget}"
+            f"enumeration needs {dimension}^{exponent} strategies, budget allows {allows}"
         )
         self.dimension, self.exponent, self.budget = dimension, exponent, budget
 

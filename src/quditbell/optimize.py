@@ -3,8 +3,10 @@
 The maximal GHZ violation has a closed form: the two-party value scales by
 2^(N-2), the violation ratio against the 2^(N-1) bound fixes the critical
 visibility, and a linear phase ramp attains it.  An exact coordinate search
-(Rotosolve/NFT: the value is a trigonometric polynomial along each phase)
-confirms the optimum numerically and probes asymmetric settings.
+confirms the optimum numerically and probes asymmetric settings: along each
+phase the value is a trigonometric polynomial, whose coefficients are read off
+the branch-pair factors that ghz_bell_value multiplies, so each move costs one
+objective evaluation, the one that confirms it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import PhaseConfiguration, ghz_bell_value
+from .quantum import PhaseConfiguration, _branch_factors, _ghz_weights, ghz_bell_value
 from .scenario import BellScenario
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
@@ -147,34 +149,99 @@ class _CountedObjective:
         return self.func(x)
 
 
-def _trig_step(f, params, coord, f0, degree):
-    """Maximize f along one coordinate in place; returns the new best value.
+def _peak(a: np.ndarray):
+    """Angle maximizing Re sum_m a[m-1] e^(i m theta), or None where that is flat.
 
-    Along the coordinate f is a trigonometric polynomial of degree m, fixed
-    by 2m+1 equispaced samples (f0 is the first).  Its stationary points are
-    the roots of e^(imt) f'(t), a degree-2m polynomial in e^(it); f is
-    evaluated once more at the best of them and the best evaluated point kept.
+    Degree 1 peaks at -arg a_1.  Otherwise the stationary points are the roots
+    of e^(iM theta) times the derivative, a degree-2M polynomial in
+    e^(i theta), and the best of them is taken.
     """
-    x0, size = params[coord], 2 * degree + 1
-    offsets = 2.0 * np.pi * np.arange(size) / size
-    samples = [f0]
-    for t in offsets[1:]:
-        params[coord] = x0 + t
-        samples.append(f(params))
-    # DFT of the samples: c[k + m] is the coefficient of e^(ikt), k = -m..m
-    k = np.arange(-degree, degree + 1)
-    c = np.exp(-1j * np.outer(k, offsets)) @ samples / size
-    best = int(np.argmax(samples))
-    best_t, best_f = offsets[best], samples[best]
-    roots = np.angle(np.roots((1j * k * c)[::-1]))
-    if roots.size:
-        t = roots[np.argmax((np.exp(1j * np.outer(roots, k)) @ c).real)]
-        params[coord] = x0 + t
-        ft = f(params)
-        if ft > best_f:
-            best_t, best_f = t, ft
-    params[coord] = x0 + best_t
-    return best_f
+    if not a.any():
+        return None
+    if a.size == 1:
+        return -np.angle(a[0])
+    m = np.arange(1, a.size + 1)
+    # u^(M+m) carries i m a_m and u^(M-m) carries -i m conj(a_m); highest power first
+    roots = np.angle(np.roots(np.concatenate([(1j * m * a)[::-1], [0.0], -1j * m * a.conj()])))
+    return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
+
+
+def _trig_step(f, params, coord, f0, a):
+    """Move params[coord] to the peak of its trigonometric polynomial; returns the best value.
+
+    Along the coordinate f is const + c Re sum_m a[m-1] e^(i m theta) for some
+    c > 0.  One evaluation of f at the peak confirms the move, which stands
+    only if f does not drop below f0; a flat coordinate is left where it is,
+    unevaluated.
+    """
+    theta = _peak(a)
+    if theta is None:
+        return f0
+    x0, params[coord] = params[coord], theta
+    value = f(params)
+    if value >= f0:
+        return value
+    params[coord] = x0
+    return f0
+
+
+def _free_sweep(weights: np.ndarray, phases: np.ndarray):
+    """Yield (coordinate, a) for every phase in turn, party by party.
+
+    phases is the search's (N, 2, d) parameter view, read again as the caller
+    moves it between yields.  The value is 2^N Re sum_t <W[t], by_t>, and by_t
+    is affine in party p's halved factors: the value is
+    2^N Re sum (G_1 f_p1 + G_2 f_p2) entrywise, where G_s contracts W with the
+    leave-one-out product of the other parties.  That product is a prefix
+    (parties before p, already moved this sweep) times a suffix (the parties
+    after p), and the suffix is folded into W backwards once per sweep:
+    rest[p][a] = sum_b W[a + b] suffix[b].  G is Hermitian like every factor,
+    so along phi_psj the value is const + 2^N Re(a e^(i phi)) with
+    a = sum_{k != j} G_s[j, k] e^(-i phi_psk).  O(N d^2) per party.
+    """
+    d = phases.shape[2]
+    rest = [weights]
+    for f1, f2 in _branch_factors(phases[:0:-1]):
+        rest.append(f1 * rest[-1][:-1] + f2 * rest[-1][1:])
+    rest.reverse()
+    prefix = np.ones((1, d, d), dtype=complex)
+    off = ~np.eye(d, dtype=bool)
+    for p, r in enumerate(rest):
+        gradient = (np.sum(prefix * r[:-1], axis=0), np.sum(prefix * r[1:], axis=0))
+        for s, g in enumerate(gradient):
+            for j in range(d):
+                a = g[j, off[j]] @ np.exp(-1j * phases[p, s, off[j]])
+                yield (2 * p + s) * d + j, np.array([a])
+        f1, f2 = _branch_factors(phases[p])
+        moved = np.zeros((p + 2, d, d), dtype=complex)
+        moved[:-1] = prefix * f1
+        moved[1:] += prefix * f2
+        prefix = moved
+
+
+def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray):
+    """Yield (coordinate, a) for each of the 2d shared phases in turn.
+
+    phases is the search's (2, d) parameter view.  With every party alike the
+    product is binomial, by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so
+    phi_sj enters the pair (j, k) as e^(i e phi) with e = N - t (setting 1) or
+    t (setting 2), and the pair (k, j) as its conjugate.  So the value is
+    const + 2^N Re sum_m a_m e^(i m phi), where a_m sums
+    2 W[t, j, k] by_t[j, k] (phi_sj set to 0) over k != j and the t with
+    e = m.  O(N d) per phase.
+    """
+    n, d = weights.shape[0] - 1, phases.shape[1]
+    t = np.arange(n + 1)
+    binom = np.array([math.comb(n, k) / 2**n for k in t])
+    powers = np.stack([n - t, t], axis=1)  # (N+1, 2): exponent of each setting's factor
+    off = ~np.eye(d, dtype=bool)
+    for s in (0, 1):
+        for j in range(d):
+            row = phases[:, j, None] - phases[:, off[j]]  # phi_j - phi_k, k != j
+            row[s] = -phases[s, off[j]]
+            terms = binom[:, None] * np.exp(1j * (powers @ row))
+            by_power = 2.0 * np.sum(weights[:, j, off[j]] * terms, axis=1)
+            yield s * d + j, by_power[-2::-1] if s == 0 else by_power[1:]
 
 
 def optimize_phases(
@@ -187,12 +254,15 @@ def optimize_phases(
 
     Cycles through the phase entries (all 2*N*d in "free" mode, the 2*d
     party-shared ones in "symmetric" mode), moving each to the exact maximum
-    along it: a phase multiplies one GHZ branch by e^(i phi) in one party
-    (free, degree 1, 3 evaluations) or up to N parties (symmetric, degree N,
-    2N+1 evaluations).  Sweeps repeat until a full cycle improves by less
-    than 1e-9 or the evaluation budget is spent.  The returned value never
-    drops below the start's; symmetric mode reads the start's party-1
-    vectors as the shared parameters.
+    along it.  A phase multiplies one GHZ branch by e^(i phi) in one party
+    (free, degree 1) or in all N parties (symmetric, degree N); the
+    trigonometric polynomial along it is read off the branch-pair factors of
+    ghz_bell_value, not sampled, and one objective evaluation confirms each
+    move, which is kept only if the value does not drop.  Sweeps repeat
+    until a full cycle improves by less than 1e-9 or the evaluation budget
+    is spent.  The returned value is the objective at the returned phases
+    and never drops below the start's; symmetric mode reads the start's
+    party-1 vectors as the shared parameters.
     """
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
@@ -201,19 +271,20 @@ def optimize_phases(
     n, d = scenario.n_parties, scenario.dimension
 
     if mode == "free":
-        params, degree = start.phases.copy().reshape(-1), 1
+        params, shape, sweep = start.phases.copy().reshape(-1), (n, 2, d), _free_sweep
 
         def build(p):
-            return PhaseConfiguration(scenario, p.reshape(n, 2, d))
+            return PhaseConfiguration(scenario, p.reshape(shape))
 
     else:
         # party 1's vectors parameterize all parties
-        params, degree = start.phases[0].copy().reshape(-1), n
+        params, shape, sweep = start.phases[0].copy().reshape(-1), (2, d), _symmetric_sweep
 
         def build(p):
-            return PhaseConfiguration(scenario, np.tile(p.reshape(2, d), (n, 1, 1)))
+            return PhaseConfiguration(scenario, np.tile(p.reshape(shape), (n, 1, 1)))
 
     objective = _CountedObjective(lambda p: ghz_bell_value(build(p)), budget)
+    weights = _ghz_weights(n, d)
 
     best = objective(params)
     best_params = params.copy()
@@ -221,12 +292,12 @@ def optimize_phases(
         improved = True
         while improved:
             sweep_start = best
-            for coord in range(params.size):
-                best = _trig_step(objective, params, coord, best, degree)
+            for coord, a in sweep(weights, params.reshape(shape)):
+                best = _trig_step(objective, params, coord, best, a)
                 best_params[coord] = params[coord]
             improved = best - sweep_start > _SWEEP_TOL
     except _BudgetExhausted:
-        # a probe value may still sit in the interrupted coordinate
+        # the unconfirmed proposal still sits in the interrupted coordinate
         params[:] = best_params
 
     ceiling = max_violation(scenario)

@@ -12,6 +12,7 @@ function in the number of parties using setting 2.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +63,25 @@ class DensityMatrix:
     """
 
     def __init__(self, scenario: BellScenario, matrix: np.ndarray):
+        self._store(scenario, matrix)
+        smallest = float(np.linalg.eigvalsh(self.matrix)[0])
+        if smallest < PSD_EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
+            )
+
+    @classmethod
+    def _positive_by_construction(cls, scenario: BellScenario, matrix: np.ndarray):
+        """State the package built positive semidefinite: every check but eigvalsh.
+
+        For projectors onto unit vectors, convex mixtures and products of
+        validated states, whose diagonalization would cost more than the build.
+        """
+        rho = cls.__new__(cls)
+        rho._store(scenario, matrix)
+        return rho
+
+    def _store(self, scenario: BellScenario, matrix: np.ndarray) -> None:
         dim = scenario.n_outcome_tuples
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (dim, dim):
@@ -75,11 +95,6 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {trace}, expected 1")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < PSD_EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
-            )
         mat.flags.writeable = False
         self.scenario = scenario
         self.matrix = mat
@@ -99,7 +114,7 @@ def ghz_state(scenario: BellScenario) -> DensityMatrix:
     vec = np.zeros(scenario.n_outcome_tuples, dtype=complex)
     step = (scenario.n_outcome_tuples - 1) // (d - 1)  # index of |jj...j> is j*step
     vec[np.arange(d) * step] = 1.0 / math.sqrt(d)
-    return DensityMatrix(scenario, np.outer(vec, vec.conj()))
+    return DensityMatrix._positive_by_construction(scenario, np.outer(vec, vec.conj()))
 
 
 def maximally_mixed(scenario: BellScenario) -> DensityMatrix:
@@ -113,7 +128,7 @@ def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     dim = rho.dim
     mixed = visibility * rho.matrix + (1.0 - visibility) * np.eye(dim) / dim
-    return DensityMatrix(rho.scenario, mixed)
+    return DensityMatrix._positive_by_construction(rho.scenario, mixed)
 
 
 def product_state(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
@@ -128,7 +143,7 @@ def product_state(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
         rho_a.scenario.dimension,
     )
     # kron puts its first factor in the slow digits; block A must stay fast.
-    return DensityMatrix(scenario, np.kron(rho_b.matrix, rho_a.matrix))
+    return DensityMatrix._positive_by_construction(scenario, np.kron(rho_b.matrix, rho_a.matrix))
 
 
 class PhaseConfiguration:
@@ -298,6 +313,29 @@ def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     return JointProbabilityTable(scenario, dict(zip(all_setting_strings(n), rows)))
 
 
+def _branch_factors(phases: np.ndarray) -> np.ndarray:
+    """Halved branch-pair factors 0.5 e^{i(phi_j - phi_k)}: shape (..., d) -> (..., d, d)."""
+    branch = np.exp(1j * phases)
+    return 0.5 * branch[..., :, None] * branch[..., None, :].conj()
+
+
+@lru_cache(maxsize=None)
+def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
+    """Branch-pair weights W[t, j, k] = -d^-2 sum_r coeff(t, r) omega^(r (j - k)).
+
+    The GHZ Bell value is 2^N Re sum_{t,j,k} W[t,j,k] by_t[j,k], with by_t the
+    z^t coefficient of the halved factor product (see ghz_bell_value).  Each
+    W[t] is circulant and Hermitian, because the coefficients are real.
+    """
+    d = dimension
+    coeffs = np.array([coefficient_by_residue(t, d) for t in range(n_parties + 1)])
+    j = np.arange(d)
+    lag = (j[:, None] - j[None, :]) % d
+    weights = -(coeffs @ _fourier(d))[:, lag] / d**2
+    weights.flags.writeable = False
+    return weights
+
+
 def ghz_bell_value(config: PhaseConfiguration) -> float:
     """Bell functional on the GHZ state, summed by t-count instead of by setting.
 
@@ -306,27 +344,22 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
     phase factor e^{i(Phi_j - Phi_k)} is a product over the parties.  So for
     every branch pair (j, k) the sum over all setting strings with t twos is
     the z^t coefficient of prod_p (f_p1[j,k] + z f_p2[j,k]), with
-    f_ps[j,k] = e^{i(phi_psj - phi_psk)}.  A discrete Fourier transform turns
-    each coefficient into the residue-class weights that the t-count's
-    coefficients multiply.  Cost O(N^2 d^2 + N d^3), no 2^N loop; this is
-    the optimizer's objective.
+    f_ps[j,k] = e^{i(phi_psj - phi_psk)}.  The residue-class weights that the
+    t-count's coefficients give each branch pair are the table W of
+    _ghz_weights, built once per (N, d).  Cost O(N^2 d^2), no 2^N loop; this
+    is the optimizer's objective.
 
-    Every product step is halved and the 2^N put back by math.ldexp, so no
+    Every factor is halved and the 2^N put back by math.ldexp, so no
     intermediate overflows: the value is returned wherever it fits a float
     (at the optimum, N <= 1024 for every d), and OverflowError is raised,
     as by max_violation, where it does not.
     """
     scenario = config.scenario
     n, d = scenario.n_parties, scenario.dimension
-    branch = np.exp(1j * config.phases)
-    factors = branch[..., :, None] * branch[..., None, :].conj()  # (N, 2, d, d)
     by_t = np.zeros((n + 1, d, d), dtype=complex)
     by_t[0] = 1.0
-    for p, (f1, f2) in enumerate(factors):
-        by_t[1 : p + 2] = 0.5 * (by_t[1 : p + 2] * f1 + by_t[: p + 1] * f2)
-        by_t[0] *= 0.5 * f1
-    fourier = _fourier(d)
-    residues = np.real(((fourier @ by_t) * fourier.conj()).sum(axis=-1))  # (N+1, d)
-    coeffs = np.array([coefficient_by_residue(t, d) for t in range(n + 1)])
-    scaled = -float(np.sum(coeffs * residues)) / d**2
+    for p, (f1, f2) in enumerate(_branch_factors(config.phases)):  # (N, 2, d, d)
+        by_t[1 : p + 2] = by_t[1 : p + 2] * f1 + by_t[: p + 1] * f2
+        by_t[0] *= f1
+    scaled = float((_ghz_weights(n, d).reshape(-1) @ by_t.reshape(-1)).real)
     return math.ldexp(scaled, n)

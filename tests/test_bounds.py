@@ -314,6 +314,15 @@ class TestHlnhvBound:
         assert err.value.required == 5**32 * 5**2
         assert err.value.budget == 10**8
 
+    def test_huge_budget_refusal_stays_bounded(self):
+        # a budget past Python's 4,300-digit str() limit is written as a power of two
+        scen, part = BellScenario(30, 2), Bipartition.from_block(30, [1])
+        with pytest.raises(BudgetExceededError) as err:
+            hlnhv_bound(scen, part, budget=10**5000)
+        assert len(str(err.value)) < 100
+        assert "budget allows about 2^16610" in str(err.value)
+        assert err.value.budget == 10**5000
+
     def test_witness_is_lexicographically_least(self):
         # scanning in index order with strict improvement keeps the first argmax
         scen = BellScenario(2, 2)

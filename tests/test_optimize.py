@@ -1,13 +1,17 @@
 """Closed-form maxima, critical visibilities, and the phase search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
+    _BudgetExhausted,
     _CountedObjective,
+    _free_sweep,
+    _symmetric_sweep,
     _trig_step,
     cglmp_max_closed_form,
     critical_visibility,
@@ -16,7 +20,13 @@ from quditbell.optimize import (
     optimize_phases,
     optimize_with_restarts,
 )
-from quditbell.quantum import PhaseConfiguration, ghz_bell_value, ghz_state, joint_probabilities
+from quditbell.quantum import (
+    PhaseConfiguration,
+    _ghz_weights,
+    ghz_bell_value,
+    ghz_state,
+    joint_probabilities,
+)
 from quditbell.scenario import BellScenario, bell_value
 from conftest import random_config
 
@@ -176,6 +186,20 @@ class TestPhaseSearch:
         assert len(result.restart_values) == 5
         assert result.value == max(result.restart_values)
 
+    def test_warns_when_passing_the_closed_form(self, monkeypatch):
+        scen = BellScenario(2, 2)
+        monkeypatch.setattr("quditbell.optimize.max_violation", lambda scenario: 2.0)
+        with pytest.warns(UserWarning, match="exceeded the closed-form maximum"):
+            optimize_phases(scen, optimal_angles(scen), budget=50)
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_ordinary_search_warns_nothing(self, rng, mode):
+        scen = BellScenario(3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimize_phases(scen, random_config(scen, rng), budget=2000, mode=mode)
+            optimize_phases(scen, optimal_angles(scen), budget=2000, mode=mode)
+
     def test_restarts_deterministic_in_seed(self):
         scen = BellScenario(2, 2)
         a = optimize_with_restarts(scen, restarts=2, budget=1500, seed=11)
@@ -199,6 +223,61 @@ def _objective(scen, mode):
 def _start_params(scen, mode, rng):
     phases = random_config(scen, rng).phases
     return (phases if mode == "free" else phases[0]).reshape(-1).copy()
+
+
+def _read_coefficients(scen, mode, params):
+    """Every coordinate's polynomial as the search reads it, params held still."""
+    n, d = scen.n_parties, scen.dimension
+    sweep, shape = (_free_sweep, (n, 2, d)) if mode == "free" else (_symmetric_sweep, (2, d))
+    return dict(sweep(_ghz_weights(n, d), params.reshape(shape)))
+
+
+def sampled_trig_step(f, params, coord, f0, degree):
+    """Maximize f along one coordinate in place from 2m+1 samples; returns the new best value.
+
+    Along the coordinate f is a trigonometric polynomial of degree m, fixed
+    by 2m+1 equispaced samples (f0 is the first).  Its stationary points are
+    the roots of e^(imt) f'(t), a degree-2m polynomial in e^(it); f is
+    evaluated once more at the best of them and the best evaluated point kept.
+    """
+    x0, size = params[coord], 2 * degree + 1
+    offsets = 2.0 * np.pi * np.arange(size) / size
+    samples = [f0]
+    for t in offsets[1:]:
+        params[coord] = x0 + t
+        samples.append(f(params))
+    # DFT of the samples: c[k + m] is the coefficient of e^(ikt), k = -m..m
+    k = np.arange(-degree, degree + 1)
+    c = np.exp(-1j * np.outer(k, offsets)) @ samples / size
+    best = int(np.argmax(samples))
+    best_t, best_f = offsets[best], samples[best]
+    roots = np.angle(np.roots((1j * k * c)[::-1]))
+    if roots.size:
+        t = roots[np.argmax((np.exp(1j * np.outer(roots, k)) @ c).real)]
+        params[coord] = x0 + t
+        ft = f(params)
+        if ft > best_f:
+            best_t, best_f = t, ft
+    params[coord] = x0 + best_t
+    return best_f
+
+
+def sampled_search(scen, start, mode, budget=20_000):
+    """Coordinate ascent by sampled_trig_step, swept until a cycle gains < 1e-9."""
+    f, m = _objective(scen, mode)
+    params = (start.phases if mode == "free" else start.phases[0]).reshape(-1).copy()
+    counted = _CountedObjective(f, budget)
+    best = counted(params)
+    try:
+        improved = True
+        while improved:
+            sweep_start = best
+            for coord in range(params.size):
+                best = sampled_trig_step(counted, params, coord, best, m)
+            improved = best - sweep_start > 1e-9
+    except _BudgetExhausted:
+        pass
+    return best
 
 
 class TestTrigStep:
@@ -226,6 +305,27 @@ class TestTrigStep:
             for theta in rng.uniform(0.0, 2.0 * np.pi, 4):
                 assert basis(theta)[0] @ fit == pytest.approx(along(theta), abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_read_coefficients_match_the_sampled_dft(self, rng, mode, n, d):
+        scen = BellScenario(n, d)
+        f, m = _objective(scen, mode)
+        params = _start_params(scen, mode, rng)
+        read = _read_coefficients(scen, mode, params)
+        assert sorted(read) == list(range(params.size))
+        size, k = 2 * m + 1, np.arange(1, m + 1)
+        offsets = 2.0 * np.pi * np.arange(size) / size
+        for coord, a in read.items():
+            samples = []
+            for t in offsets:
+                p = params.copy()
+                p[coord] += t
+                samples.append(f(p))
+            # e^(ikt) of f(x0 + t) is 2^N a_k e^(ik x0) / 2 for the k > 0 terms
+            dft = np.exp(-1j * np.outer(k, offsets)) @ samples / size
+            expected = 2.0**n * a * np.exp(1j * k * params[coord]) / 2
+            np.testing.assert_allclose(expected, dft, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "n,d,mode", [(2, 5, "free"), (2, 3, "symmetric"), (3, 2, "symmetric")]
     )
@@ -239,23 +339,39 @@ class TestTrigStep:
             p = params.copy()
             p[coord] = theta
             scan.append(f(p))
-        value = _trig_step(f, params, coord, f(params), m)
+        a = _read_coefficients(scen, mode, params)[coord]
+        value = _trig_step(f, params, coord, f(params), a)
         assert value >= max(scan) - 1e-9
         assert f(params) == value
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_one_coordinate_costs_2m_plus_1_evaluations(self, rng, mode, n):
+    def test_one_coordinate_costs_one_evaluation(self, rng, mode, n):
         scen = BellScenario(n, 3)
-        f, m = _objective(scen, mode)
+        f, _ = _objective(scen, mode)
         params = _start_params(scen, mode, rng)
         counted = _CountedObjective(f, budget=100)
         f0 = counted(params)
-        _trig_step(counted, params, 1, f0, m)
-        assert counted.used - 1 == 2 * m + 1  # f0 is reused, not re-evaluated
+        _trig_step(counted, params, 1, f0, _read_coefficients(scen, mode, params)[1])
+        assert counted.used - 1 == 1  # f0 is reused, not re-evaluated
 
     def test_flat_coordinate_keeps_the_start(self):
         params = np.array([0.3, 1.1])
-        value = _trig_step(lambda p: 2.0, params, 0, 2.0, 2)
+        value = _trig_step(lambda p: 2.0, params, 0, 2.0, np.zeros(2, dtype=complex))
         assert value == 2.0
         assert params[0] == 0.3
+
+    def test_move_the_objective_rejects_is_undone(self):
+        # the read-off peak is only a proposal: a lower confirmed value keeps the start
+        params = np.array([0.3, 1.1])
+        value = _trig_step(lambda p: 1.0, params, 0, 2.0, np.array([1.0 + 1.0j]))
+        assert value == 2.0
+        assert params[0] == 0.3
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+    def test_search_ends_where_the_sampling_search_does(self, rng, mode, n, d):
+        scen = BellScenario(n, d)
+        start = random_config(scen, rng)
+        _, value = optimize_phases(scen, start, budget=20_000, mode=mode)
+        assert value == pytest.approx(sampled_search(scen, start, mode), rel=0, abs=1e-12)

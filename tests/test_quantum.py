@@ -10,6 +10,7 @@ import pytest
 from quditbell.optimize import optimal_angles
 from quditbell.quantum import (
     DENSE_DIMENSION_LIMIT,
+    PSD_EIGENVALUE_FLOOR,
     DenseLimitError,
     DensityMatrix,
     PhaseConfiguration,
@@ -137,6 +138,17 @@ class TestDensityMatrixInvariants:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 DensityMatrix(BellScenario(2, 2), mat)
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 2), (2, 5), (4, 3), (8, 2)])
+    def test_built_states_are_positive_semidefinite(self, rng, n, d):
+        # the builders skip the eigvalsh check: their states are PSD by construction
+        ghz = ghz_state(BellScenario(n, d))
+        states = [ghz] + [mix_with_noise(ghz, v) for v in (0.0, 0.3, 0.7, 1.0)]
+        if n > 1:
+            rho_a = random_density(BellScenario(1, d), rng)
+            states.append(product_state(rho_a, mix_with_noise(ghz_state(BellScenario(n - 1, d)), 0.5)))
+        for rho in states:
+            assert np.linalg.eigvalsh(rho.matrix)[0] >= PSD_EIGENVALUE_FLOOR
 
     def test_purity_is_trace_of_square(self, rng):
         for n, d in ((1, 2), (2, 3), (3, 2), (2, 5)):
