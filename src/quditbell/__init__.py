@@ -18,9 +18,6 @@ from .bounds import (
     hlnhv_bound,
     lhv_bound,
     strategy_bell_value,
-    strategy_delta_table,
-    t_coefficient,
-    verify_group_cglmp,
 )
 from .optimize import (
     PhaseSearchResult,
@@ -40,7 +37,6 @@ from .quantum import (
     ghz_state,
     ghz_table,
     joint_probabilities,
-    maximally_mixed,
     mix_with_noise,
     multiport_unitary,
     product_state,
@@ -50,16 +46,10 @@ from .scenario import (
     JointProbabilityTable,
     TableFormatError,
     bell_value,
-    cglmp_value,
     coefficient,
     correlation_q,
-    g1,
-    g2,
-    mod_d,
     point_mass_table,
-    relabel_for_cglmp,
     shift,
-    uniform_table,
 )
 
 __version__ = "0.1.0"
@@ -81,12 +71,9 @@ __all__ = [
     "bipartitions",
     "build_grouping",
     "cglmp_max_closed_form",
-    "cglmp_value",
     "coefficient",
     "correlation_q",
     "critical_visibility",
-    "g1",
-    "g2",
     "ghz_bell_value",
     "ghz_state",
     "ghz_table",
@@ -95,20 +82,13 @@ __all__ = [
     "joint_probabilities",
     "lhv_bound",
     "max_violation",
-    "maximally_mixed",
     "mix_with_noise",
-    "mod_d",
     "multiport_unitary",
     "optimal_angles",
     "optimize_phases",
     "optimize_with_restarts",
     "point_mass_table",
     "product_state",
-    "relabel_for_cglmp",
     "shift",
     "strategy_bell_value",
-    "strategy_delta_table",
-    "t_coefficient",
-    "uniform_table",
-    "verify_group_cglmp",
 ]

@@ -64,17 +64,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .scenario import (
-    BellScenario,
-    JointProbabilityTable,
-    all_setting_strings,
-    coefficient_exact,
-    g1_exact,
-    g2_exact,
-    outcome_index,
-    shift,
-    t_count,
-)
+from .scenario import BellScenario, _numerator_row, all_setting_strings, t_count
 
 DEFAULT_BUDGET = 10**8
 
@@ -90,10 +80,7 @@ __all__ = [
     "hlnhv_bound",
     "lhv_bound",
     "strategy_bell_value",
-    "strategy_delta_table",
     "strategy_space_exponent",
-    "t_coefficient",
-    "verify_group_cglmp",
 ]
 
 
@@ -109,10 +96,6 @@ class BudgetExceededError(RuntimeError):
             f"enumeration needs {dimension}^{exponent} strategies, budget allows {allows}"
         )
         self.dimension, self.exponent, self.budget = dimension, exponent, budget
-
-    @property
-    def required(self) -> int:
-        return self.dimension**self.exponent
 
 
 def strategy_space_exponent(scenario: BellScenario, partition=None) -> int:
@@ -229,36 +212,9 @@ class DeterministicStrategy:
                         f"{name}[{combo}] = {value} outside [0, {scenario.dimension - 1}]"
                     )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "partition": [list(self.partition.block_a), list(self.partition.block_b)],
-            "xi": dict(self.xi),
-            "zeta": dict(self.zeta),
-        }
-
 
 def _substring(setting: str, parties: tuple[int, ...]) -> str:
     return "".join(setting[p - 1] for p in parties)
-
-
-def _numerator_row(t: int, d: int) -> tuple[int, ...]:
-    """(d-1) * coefficient of a t-count-t setting at each outcome-sum residue.
-
-    The integer form of coefficient_exact: even t reads the descending
-    sawtooth at r + shift(t), odd t the mirror one, i.e. at -(r + shift(t)).
-    """
-    sign = 1 if t % 2 == 0 else -1
-    return tuple(d - 1 - 2 * (sign * (r + shift(t)) % d) for r in range(d))
-
-
-def _numerators(scenario: BellScenario, partition: Bipartition):
-    """num[(comboA, comboB)][r] = (d-1) * coefficient at outcome-sum residue r."""
-    rows = [_numerator_row(t, scenario.dimension) for t in range(scenario.n_parties + 1)]
-    return {
-        (_substring(s, partition.block_a), _substring(s, partition.block_b)):
-            rows[t_count(s)]
-        for s in all_setting_strings(scenario.n_parties)
-    }
 
 
 def strategy_bell_value(
@@ -266,34 +222,13 @@ def strategy_bell_value(
 ) -> Fraction:
     """Bell functional value of the delta table the strategy induces, exact."""
     strategy.validate_for(scenario)
-    tables = _numerators(scenario, strategy.partition)
-    d = scenario.dimension
+    part, d = strategy.partition, scenario.dimension
     total = 0
-    for (combo_a, combo_b), nums in tables.items():
-        total += nums[(strategy.xi[combo_a] + strategy.zeta[combo_b]) % d]
-    return Fraction(-total, d - 1)
-
-
-def strategy_delta_table(
-    strategy: DeterministicStrategy, scenario: BellScenario
-) -> JointProbabilityTable:
-    """Point-mass table realizing the strategy's block sums.
-
-    The first party of each block carries the block's sum and the rest stay
-    at 0; any other split of the sums gives the same Bell value.
-    """
-    strategy.validate_for(scenario)
-    part = strategy.partition
-    size = scenario.n_outcome_tuples
-    probs = {}
     for s in all_setting_strings(scenario.n_parties):
-        outcome = [0] * scenario.n_parties
-        outcome[part.block_a[0] - 1] = strategy.xi[_substring(s, part.block_a)]
-        outcome[part.block_b[0] - 1] = strategy.zeta[_substring(s, part.block_b)]
-        row = np.zeros(size)
-        row[outcome_index(outcome, scenario.dimension)] = 1.0
-        probs[s] = row
-    return JointProbabilityTable(scenario, probs)
+        xi = strategy.xi[_substring(s, part.block_a)]
+        zeta = strategy.zeta[_substring(s, part.block_b)]
+        total += _numerator_row(t_count(s), d)[(xi + zeta) % d]
+    return Fraction(-total, d - 1)
 
 
 def _exact_dtype(n_parties: int, d: int):
@@ -406,13 +341,6 @@ def lhv_bound(
     return Fraction(-int(totals[row]), d - 1), witness
 
 
-def t_coefficient(n_parties: int, k: int) -> int:
-    """Multiplicity of the base-t-count-k quadruple: alternating binomial sum."""
-    return sum(
-        (-1) ** (k - i) * (k + 1 - i) * math.comb(n_parties, i) for i in range(k + 1)
-    )
-
-
 @dataclass(frozen=True)
 class Grouping:
     """Partition of the 2^N setting strings into CGLMP-shaped quadruples.
@@ -486,58 +414,6 @@ def _group_blocks(group, partition):
     ):
         raise ValueError(f"malformed quadruple {group}")
     return base_a, flip_a, base_b, flip_b
-
-
-def _group_value(group, xi_pair, zeta_pair, dimension) -> Fraction:
-    """Direct four-term sum of -Q over a quadruple, exact."""
-    (xa, xa2), (zb, zb2) = xi_pair, zeta_pair
-    sums = (xa + zb, xa + zb2, xa2 + zb, xa2 + zb2)
-    return -sum(
-        coefficient_exact(t_count(s), total, dimension)
-        for s, total in zip(group, sums)
-    )
-
-
-def verify_group_cglmp(
-    group, strategy: DeterministicStrategy, scenario: BellScenario
-) -> Fraction:
-    """Value of one quadruple under a strategy, cross-checked in two-party form.
-
-    After shifting the block-A sums by a multiple of 3 fixed by the parity of
-    the base t-count, the four terms become exactly the two-party functional
-    whose deterministic maximum is 2.  Both evaluations are exact; a mismatch
-    means the quadruple is not one of build_grouping's and raises.
-    """
-    strategy.validate_for(scenario)
-    d = scenario.dimension
-    part = strategy.partition
-    base_a, flip_a, base_b, flip_b = _group_blocks(group, part)
-    xi_pair = (strategy.xi[base_a], strategy.xi[flip_a])
-    zeta_pair = (strategy.zeta[base_b], strategy.zeta[flip_b])
-    direct = _group_value(group, xi_pair, zeta_pair, d)
-
-    k = t_count(group[0])
-    if k % 2 == 0:
-        half = k // 2
-        alpha1 = xi_pair[0] - 3 * half
-        alpha2 = xi_pair[1] - 3 * half
-    else:
-        half = (k + 1) // 2
-        alpha1 = xi_pair[1] - 3 * half
-        alpha2 = xi_pair[0] - 3 * (half - 1)
-    beta1, beta2 = zeta_pair
-    reduced = -(
-        g1_exact(alpha1 + beta1 + 3, d)
-        + g2_exact(alpha1 + beta2 + 3, d)
-        + g2_exact(alpha2 + beta1 + 3, d)
-        + g1_exact(alpha2 + beta2, d)
-    )
-    if direct != reduced:
-        raise ValueError(
-            f"quadruple {group} does not reduce to the two-party form "
-            f"({direct} vs {reduced})"
-        )
-    return direct
 
 
 def group_deterministic_max(

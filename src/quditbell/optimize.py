@@ -72,10 +72,13 @@ def cglmp_max_closed_form(dimension: int) -> float:
 
 
 def max_violation(scenario: BellScenario) -> float:
-    """Maximal quantum value for N qudits: 2^(N-2) times the two-qudit one.
+    """Maximal quantum value for N >= 2 qudits: 2^(N-2) times the two-qudit one.
 
-    Raises OverflowError where that value leaves the float range (N > 1024).
+    Raises ValueError for N < 2, where that product is not the maximum, and
+    OverflowError where it leaves the float range (N > 1024).
     """
+    if scenario.n_parties < 2:
+        raise ValueError(f"need at least 2 parties, got {scenario.n_parties}")
     return math.ldexp(cglmp_max_closed_form(scenario.dimension), scenario.n_parties - 2)
 
 
@@ -89,7 +92,6 @@ class ViolationReport:
     ratio: float
     critical_visibility: float
     svetlichny_visibility: float
-    angles_mode: str = "optimal"
 
     @property
     def beats_svetlichny(self) -> bool:
@@ -105,7 +107,7 @@ class ViolationReport:
             "critical_visibility": self.critical_visibility,
             "svetlichny_visibility": self.svetlichny_visibility,
             "beats_svetlichny": self.beats_svetlichny,
-            "angles_mode": self.angles_mode,
+            "angles_mode": "optimal",
             "angles": self.angles.to_json_dict(),
         }
 
@@ -262,13 +264,15 @@ def optimize_phases(
     until a full cycle improves by less than 1e-9 or the evaluation budget
     is spent.  The returned value is the objective at the returned phases
     and never drops below the start's; symmetric mode reads the start's
-    party-1 vectors as the shared parameters.
+    party-1 vectors as the shared parameters.  Like max_violation, the
+    search's ceiling, it refuses N < 2 with ValueError before any sweep.
     """
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
     if mode not in ("free", "symmetric"):
         raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
     n, d = scenario.n_parties, scenario.dimension
+    ceiling = max_violation(scenario)
 
     if mode == "free":
         params, shape, sweep = start.phases.copy().reshape(-1), (n, 2, d), _free_sweep
@@ -300,7 +304,6 @@ def optimize_phases(
         # the unconfirmed proposal still sits in the interrupted coordinate
         params[:] = best_params
 
-    ceiling = max_violation(scenario)
     if best > ceiling + 1e-6:
         warnings.warn(
             f"phase search exceeded the closed-form maximum: {best!r} > {ceiling!r}",

@@ -44,7 +44,6 @@ __all__ = [
     "ghz_state",
     "ghz_table",
     "joint_probabilities",
-    "maximally_mixed",
     "mix_with_noise",
     "multiport_unitary",
     "product_state",
@@ -103,10 +102,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.scenario.n_outcome_tuples
 
-    def purity(self) -> float:
-        """tr(rho^2), read as the sum of |rho_ij|^2 since rho is Hermitian."""
-        return float(np.vdot(self.matrix, self.matrix).real)
-
 
 def ghz_state(scenario: BellScenario) -> DensityMatrix:
     """Rank-1 projector onto (1/sqrt(d)) sum_j |jj...j>."""
@@ -115,11 +110,6 @@ def ghz_state(scenario: BellScenario) -> DensityMatrix:
     step = (scenario.n_outcome_tuples - 1) // (d - 1)  # index of |jj...j> is j*step
     vec[np.arange(d) * step] = 1.0 / math.sqrt(d)
     return DensityMatrix._positive_by_construction(scenario, np.outer(vec, vec.conj()))
-
-
-def maximally_mixed(scenario: BellScenario) -> DensityMatrix:
-    dim = scenario.n_outcome_tuples
-    return DensityMatrix(scenario, np.eye(dim, dtype=complex) / dim)
 
 
 def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import reprlib
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -28,25 +27,15 @@ __all__ = [
     "all_setting_strings",
     "as_setting_string",
     "bell_value",
-    "cglmp_value",
     "coefficient",
     "coefficient_by_residue",
-    "coefficient_exact",
     "coefficient_vector",
     "correlation_q",
-    "g1",
-    "g1_exact",
-    "g2",
-    "g2_exact",
-    "mod_d",
-    "outcome_from_index",
     "outcome_index",
     "outcome_sums_mod_d",
     "point_mass_table",
-    "relabel_for_cglmp",
     "shift",
     "t_count",
-    "uniform_table",
 ]
 
 
@@ -71,11 +60,6 @@ class BellScenario:
             raise ValueError(f"need at least 1 party, got {self.n_parties}")
         if self.dimension < 2:
             raise ValueError(f"need outcome dimension >= 2, got {self.dimension}")
-
-    @property
-    def spin(self) -> Fraction:
-        """Spin value (d-1)/2, exact so that even d stays half-integral."""
-        return Fraction(self.dimension - 1, 2)
 
     @property
     def n_outcome_tuples(self) -> int:
@@ -107,13 +91,6 @@ def t_count(setting) -> int:
     return sum(1 for c in str(setting) if c == "2")
 
 
-def mod_d(x: int, d: int) -> int:
-    """Least non-negative representative of x modulo d."""
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
-    return x % d
-
-
 def shift(t: int) -> int:
     """Argument shift 3*(1 - floor(t/2)) attached to a setting with t twos."""
     if t < 0:
@@ -121,35 +98,17 @@ def shift(t: int) -> int:
     return 3 * (1 - t // 2)
 
 
-def g1_exact(arg: int, dimension: int) -> Fraction:
-    """Descending sawtooth (S - (arg mod d))/S as an exact rational."""
-    return Fraction(dimension - 1 - 2 * mod_d(arg, dimension), dimension - 1)
+@lru_cache(maxsize=None)
+def _numerator_row(t: int, d: int) -> tuple[int, ...]:
+    """(d-1) times the coefficient of a t-count-t setting at each outcome-sum residue r.
 
-
-def g2_exact(arg: int, dimension: int) -> Fraction:
-    """Mirror sawtooth (S - (-arg mod d))/S as an exact rational."""
-    return Fraction(dimension - 1 - 2 * mod_d(-arg, dimension), dimension - 1)
-
-
-def g1(arg: int, scenario: BellScenario) -> float:
-    return float(g1_exact(arg, scenario.dimension))
-
-
-def g2(arg: int, scenario: BellScenario) -> float:
-    return float(g2_exact(arg, scenario.dimension))
-
-
-def coefficient_exact(t: int, outcome_sum: int, dimension: int) -> Fraction:
-    """Correlation coefficient for a setting with t twos and a total outcome sum.
-
-    Even t uses the descending sawtooth, odd t its mirror; both act on the
-    shifted sum, so the value depends on the outcomes only through their sum
-    modulo d.
+    The one definition of the coefficient.  Even t reads the descending
+    sawtooth (S - (x mod d))/S, S = (d-1)/2, at x = r + shift(t); odd t reads
+    its mirror (S - (-x mod d))/S.  The value depends on the outcomes only
+    through their sum modulo d, and d-1 times it is an integer.
     """
-    arg = outcome_sum + shift(t)
-    if t % 2 == 0:
-        return g1_exact(arg, dimension)
-    return g2_exact(arg, dimension)
+    sign = 1 if t % 2 == 0 else -1
+    return tuple(d - 1 - 2 * (sign * (r + shift(t)) % d) for r in range(d))
 
 
 def coefficient(setting, outcome: Sequence[int], scenario: BellScenario) -> float:
@@ -160,17 +119,16 @@ def coefficient(setting, outcome: Sequence[int], scenario: BellScenario) -> floa
         raise ValueError(
             f"outcome length {len(outcome)} does not match {scenario.n_parties} parties"
         )
-    if any(not 0 <= x < scenario.dimension for x in outcome):
-        raise ValueError(f"outcome entries must lie in [0, {scenario.dimension - 1}]")
-    return float(coefficient_exact(t_count(s), sum(outcome), scenario.dimension))
+    d = scenario.dimension
+    if any(not 0 <= x < d for x in outcome):
+        raise ValueError(f"outcome entries must lie in [0, {d - 1}]")
+    return _numerator_row(t_count(s), d)[sum(outcome) % d] / (d - 1)
 
 
 @lru_cache(maxsize=None)
 def coefficient_by_residue(t: int, dimension: int) -> np.ndarray:
     """Coefficient value for each outcome-sum residue class, as floats."""
-    vals = np.array(
-        [float(coefficient_exact(t, r, dimension)) for r in range(dimension)]
-    )
+    vals = np.array(_numerator_row(t, dimension)) / (dimension - 1)
     vals.flags.writeable = False
     return vals
 
@@ -181,16 +139,6 @@ def outcome_index(outcome: Sequence[int], dimension: int) -> int:
     for x in reversed(outcome):
         idx = idx * dimension + int(x)
     return idx
-
-
-def outcome_from_index(index: int, scenario: BellScenario) -> tuple[int, ...]:
-    """Inverse of outcome_index for the given scenario."""
-    d = scenario.dimension
-    out = []
-    for _ in range(scenario.n_parties):
-        index, r = divmod(index, d)
-        out.append(r)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -265,11 +213,6 @@ class JointProbabilityTable:
         """Probability vector for one setting string (read-only view)."""
         return self._probs[as_setting_string(setting, self.scenario.n_parties)]
 
-    def prob(self, setting, outcome: Sequence[int]) -> float:
-        return float(
-            self.probs_for(setting)[outcome_index(outcome, self.scenario.dimension)]
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.scenario.n_parties,
@@ -295,14 +238,6 @@ class JointProbabilityTable:
         if not isinstance(tables, dict):
             raise TableFormatError("field 'tables' must be an object")
         return cls(scenario, tables)
-
-
-def uniform_table(scenario: BellScenario) -> JointProbabilityTable:
-    """The maximally mixed distribution: every outcome equally likely."""
-    p = np.full(scenario.n_outcome_tuples, 1.0 / scenario.n_outcome_tuples)
-    return JointProbabilityTable(
-        scenario, {s: p for s in scenario.setting_strings()}
-    )
 
 
 def point_mass_table(
@@ -334,45 +269,3 @@ def bell_value(table: JointProbabilityTable) -> float:
     return -sum(
         correlation_q(s, table) for s in table.scenario.setting_strings()
     )
-
-
-def cglmp_value(table: JointProbabilityTable) -> float:
-    """Two-party CGLMP functional Q11 + Q12 + Q21 - Q22 with unshifted sawtooths.
-
-    Setting 11 carries the mirror sawtooth, the other three the descending
-    one; no argument shifts.  Related to bell_value by relabel_for_cglmp.
-    """
-    scenario = table.scenario
-    if scenario.n_parties != 2:
-        raise ValueError(f"CGLMP form needs exactly 2 parties, got {scenario.n_parties}")
-    d = scenario.dimension
-    sums = outcome_sums_mod_d(2, d)
-
-    def q(setting, gfunc):
-        by_res = np.array([float(gfunc(r, d)) for r in range(d)])
-        return float(by_res[sums] @ table.probs_for(setting))
-
-    return q("11", g2_exact) + q("12", g1_exact) + q("21", g1_exact) - q("22", g1_exact)
-
-
-def relabel_for_cglmp(table: JointProbabilityTable) -> JointProbabilityTable:
-    """Shift both parties' setting-1 outcomes by +2 (mod d).
-
-    The relabeled table's cglmp_value equals the original table's bell_value,
-    which is how the two coefficient conventions are identified.
-    """
-    scenario = table.scenario
-    if scenario.n_parties != 2:
-        raise ValueError("relabeling is defined for the two-party scenario")
-    d = scenario.dimension
-    probs = {}
-    for s in scenario.setting_strings():
-        old = table.probs_for(s)
-        new = np.zeros_like(old)
-        shift1 = 2 if s[0] == "1" else 0
-        shift2 = 2 if s[1] == "1" else 0
-        for x1 in range(d):
-            for x2 in range(d):
-                new[(x1 + shift1) % d + d * ((x2 + shift2) % d)] = old[x1 + d * x2]
-        probs[s] = new
-    return JointProbabilityTable(scenario, probs)

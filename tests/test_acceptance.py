@@ -18,8 +18,6 @@ from quditbell.bounds import (
     group_deterministic_max,
     hlnhv_bound,
     strategy_bell_value,
-    strategy_delta_table,
-    t_coefficient,
 )
 from quditbell.optimize import (
     cglmp_max_closed_form,
@@ -37,17 +35,19 @@ from quditbell.quantum import (
     mix_with_noise,
     product_state,
 )
-from quditbell.scenario import (
-    BellScenario,
-    all_setting_strings,
-    bell_value,
+from quditbell.scenario import BellScenario, all_setting_strings, bell_value
+from conftest import (
     cglmp_value,
     g1_exact,
     g2_exact,
-    outcome_from_index,
+    random_config,
+    random_density,
+    random_strategy,
+    random_table,
     relabel_for_cglmp,
+    strategy_delta_table,
+    t_coefficient,
 )
-from conftest import random_config, random_density, random_strategy, random_table
 
 
 @contextmanager

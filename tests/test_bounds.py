@@ -17,22 +17,25 @@ from quditbell.bounds import (
     hlnhv_bound,
     lhv_bound,
     strategy_bell_value,
-    strategy_delta_table,
-    t_coefficient,
-    verify_group_cglmp,
-    _group_value,
+    _group_blocks,
     _min_class_sum,
-    _numerator_row,
 )
 from quditbell.scenario import (
     BellScenario,
+    _numerator_row,
     all_setting_strings,
     bell_value,
-    coefficient_exact,
     point_mass_table,
     t_count,
 )
-from conftest import random_strategy
+from conftest import (
+    coefficient_exact,
+    g1_exact,
+    g2_exact,
+    random_strategy,
+    strategy_delta_table,
+    t_coefficient,
+)
 
 
 def odometer_hlnhv(scenario, partition):
@@ -212,6 +215,56 @@ def local_value_by_t_count(scenario, witness):
     return -sum(c * coefficient_exact(t, s, d) for (t, s), c in counts.items())
 
 
+def _group_value(group, xi_pair, zeta_pair, dimension) -> Fraction:
+    """Direct four-term sum of -Q over a quadruple, exact."""
+    (xa, xa2), (zb, zb2) = xi_pair, zeta_pair
+    sums = (xa + zb, xa + zb2, xa2 + zb, xa2 + zb2)
+    return -sum(
+        coefficient_exact(t_count(s), total, dimension)
+        for s, total in zip(group, sums)
+    )
+
+
+def verify_group_cglmp(group, strategy, scenario) -> Fraction:
+    """Oracle: one quadruple's value under a strategy, cross-checked in two-party form.
+
+    After shifting the block-A sums by a multiple of 3 fixed by the parity of
+    the base t-count, the four terms become exactly the two-party functional
+    whose deterministic maximum is 2.  Both evaluations are exact; a mismatch
+    means the quadruple is not one of build_grouping's and raises.
+    """
+    strategy.validate_for(scenario)
+    d = scenario.dimension
+    part = strategy.partition
+    base_a, flip_a, base_b, flip_b = _group_blocks(group, part)
+    xi_pair = (strategy.xi[base_a], strategy.xi[flip_a])
+    zeta_pair = (strategy.zeta[base_b], strategy.zeta[flip_b])
+    direct = _group_value(group, xi_pair, zeta_pair, d)
+
+    k = t_count(group[0])
+    if k % 2 == 0:
+        half = k // 2
+        alpha1 = xi_pair[0] - 3 * half
+        alpha2 = xi_pair[1] - 3 * half
+    else:
+        half = (k + 1) // 2
+        alpha1 = xi_pair[1] - 3 * half
+        alpha2 = xi_pair[0] - 3 * (half - 1)
+    beta1, beta2 = zeta_pair
+    reduced = -(
+        g1_exact(alpha1 + beta1 + 3, d)
+        + g2_exact(alpha1 + beta2 + 3, d)
+        + g2_exact(alpha2 + beta1 + 3, d)
+        + g1_exact(alpha2 + beta2, d)
+    )
+    if direct != reduced:
+        raise ValueError(
+            f"quadruple {group} does not reduce to the two-party form "
+            f"({direct} vs {reduced})"
+        )
+    return direct
+
+
 def fraction_group_max(group, dimension):
     """Brute-force oracle: the quadruple's exact value at every point of Z_d^4."""
     return max(
@@ -311,7 +364,7 @@ class TestHlnhvBound:
         part = Bipartition.from_block(6, (1, 2, 3, 4, 5))
         with pytest.raises(BudgetExceededError) as err:
             hlnhv_bound(scen, part)
-        assert err.value.required == 5**32 * 5**2
+        assert err.value.dimension**err.value.exponent == 5**32 * 5**2
         assert err.value.budget == 10**8
 
     def test_huge_budget_refusal_stays_bounded(self):
@@ -505,9 +558,10 @@ class TestClassSearch:
 
 
 class TestNumeratorRow:
-    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("d", range(2, 13))
     def test_integer_row_matches_fraction_coefficients(self, d):
-        for t in range(13):
+        # t past 2d covers a whole period of the shift's residue and parity
+        for t in range(max(13, 3 * d + 1)):
             expected = tuple((d - 1) * coefficient_exact(t, r, d) for r in range(d))
             assert _numerator_row(t, d) == expected
 

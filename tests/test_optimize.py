@@ -192,6 +192,17 @@ class TestPhaseSearch:
         with pytest.warns(UserWarning, match="exceeded the closed-form maximum"):
             optimize_phases(scen, optimal_angles(scen), budget=50)
 
+    def test_single_party_is_refused_without_a_warning(self):
+        # 2^(N-2) times the two-qudit maximum is no ceiling at N = 1, where
+        # the search reaches 2.0 against 1.4365 at d = 3
+        scen = BellScenario(1, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 2 parties"):
+                max_violation(scen)
+            with pytest.raises(ValueError, match="at least 2 parties"):
+                optimize_phases(scen, PhaseConfiguration.zero(scen), budget=100)
+
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     def test_ordinary_search_warns_nothing(self, rng, mode):
         scen = BellScenario(3, 3)

@@ -18,7 +18,6 @@ from quditbell.quantum import (
     ghz_state,
     ghz_table,
     joint_probabilities,
-    maximally_mixed,
     mix_with_noise,
     multiport_unitary,
     product_state,
@@ -29,11 +28,16 @@ from quditbell.scenario import (
     all_setting_strings,
     bell_value,
     coefficient_by_residue,
-    outcome_from_index,
+    outcome_index,
     outcome_sums_mod_d,
     t_count,
 )
-from conftest import random_config, random_density
+from conftest import outcome_from_index, random_config, random_density
+
+
+def maximally_mixed(scenario):
+    dim = scenario.n_outcome_tuples
+    return DensityMatrix(scenario, np.eye(dim, dtype=complex) / dim)
 
 
 def kron_joint_probabilities(rho, config):
@@ -111,7 +115,8 @@ class TestGhzState:
 
     def test_purity(self):
         for n, d in ((2, 2), (3, 3), (4, 2)):
-            assert ghz_state(BellScenario(n, d)).purity() == pytest.approx(1.0)
+            rho = ghz_state(BellScenario(n, d)).matrix
+            assert np.trace(rho @ rho).real == pytest.approx(1.0)
 
 
 class TestDensityMatrixInvariants:
@@ -149,13 +154,6 @@ class TestDensityMatrixInvariants:
             states.append(product_state(rho_a, mix_with_noise(ghz_state(BellScenario(n - 1, d)), 0.5)))
         for rho in states:
             assert np.linalg.eigvalsh(rho.matrix)[0] >= PSD_EIGENVALUE_FLOOR
-
-    def test_purity_is_trace_of_square(self, rng):
-        for n, d in ((1, 2), (2, 3), (3, 2), (2, 5)):
-            rho = random_density(BellScenario(n, d), rng)
-            expected = float(np.real(np.trace(rho.matrix @ rho.matrix)))
-            assert rho.purity() == pytest.approx(expected, rel=1e-12)
-        assert maximally_mixed(BellScenario(2, 3)).purity() == pytest.approx(1 / 9)
 
 
 class TestMultiportUnitary:
@@ -272,8 +270,9 @@ class TestJointProbabilities:
 class TestClosedForm:
     def test_zero_phase_coherent_sum(self):
         table = ghz_table(PhaseConfiguration.zero(BellScenario(3, 3)))
-        assert table.prob("111", (0, 0, 0)) == pytest.approx(1 / 9, abs=1e-14)
-        assert table.prob("111", (0, 0, 1)) == pytest.approx(0.0, abs=1e-14)
+        row = table.probs_for("111")
+        assert row[outcome_index((0, 0, 0), 3)] == pytest.approx(1 / 9, abs=1e-14)
+        assert row[outcome_index((0, 0, 1), 3)] == pytest.approx(0.0, abs=1e-14)
 
     def test_table_matches_setting_loop(self, rng):
         # every (N, d) with 2^N d^N <= 10^5 table entries and d <= 158, the
@@ -398,8 +397,11 @@ class TestProductState:
         for s in all_setting_strings(n):
             for idx in range(scen.n_outcome_tuples):
                 o = outcome_from_index(idx, scen)
-                expected = table_a.prob(s[:m], o[:m]) * table_b.prob(s[m:], o[m:])
-                worst = max(worst, abs(table.prob(s, o) - expected))
+                expected = (
+                    table_a.probs_for(s[:m])[outcome_index(o[:m], d)]
+                    * table_b.probs_for(s[m:])[outcome_index(o[m:], d)]
+                )
+                worst = max(worst, abs(table.probs_for(s)[idx] - expected))
         assert worst <= 1e-10
 
     def test_ghz_times_single_qudit(self, rng):
@@ -418,8 +420,10 @@ class TestProductState:
         for s in all_setting_strings(3):
             for idx in range(scen.n_outcome_tuples):
                 o = outcome_from_index(idx, scen)
-                assert table.prob(s, o) == pytest.approx(
-                    table_a.prob(s[:2], o[:2]) * table_b.prob(s[2:], o[2:]), abs=1e-10
+                assert table.probs_for(s)[idx] == pytest.approx(
+                    table_a.probs_for(s[:2])[outcome_index(o[:2], d)]
+                    * table_b.probs_for(s[2:])[outcome_index(o[2:], d)],
+                    abs=1e-10,
                 )
 
 

@@ -13,40 +13,31 @@ from quditbell.scenario import (
     TableFormatError,
     all_setting_strings,
     bell_value,
-    cglmp_value,
     coefficient,
     coefficient_by_residue,
-    coefficient_exact,
     correlation_q,
-    g1,
-    g1_exact,
-    g2,
-    g2_exact,
-    mod_d,
-    outcome_from_index,
     outcome_index,
     point_mass_table,
-    relabel_for_cglmp,
     shift,
     t_count,
-    uniform_table,
 )
-from conftest import random_table
+from conftest import (
+    cglmp_value,
+    coefficient_exact,
+    g1_exact,
+    g2_exact,
+    outcome_from_index,
+    random_table,
+    relabel_for_cglmp,
+)
 
 
-class TestModD:
-    def test_full_period_wrap(self):
-        assert mod_d(3, 3) == 0
-
-    def test_negative_forced_nonnegative(self):
-        assert mod_d(-1, 3) == 2
-
-    def test_plain_remainder(self):
-        assert mod_d(7, 5) == 2
-
-    def test_rejects_small_modulus(self):
-        with pytest.raises(ValueError):
-            mod_d(1, 1)
+def uniform_table(scenario: BellScenario) -> JointProbabilityTable:
+    """The maximally mixed distribution: every outcome equally likely."""
+    p = np.full(scenario.n_outcome_tuples, 1.0 / scenario.n_outcome_tuples)
+    return JointProbabilityTable(
+        scenario, {s: p for s in scenario.setting_strings()}
+    )
 
 
 class TestShift:
@@ -61,13 +52,13 @@ class TestShift:
 
 class TestSawtooths:
     def test_g1_at_zero(self):
-        assert g1(0, BellScenario(2, 3)) == 1.0
+        assert g1_exact(0, 3) == 1
 
     def test_g2_mirror(self):
-        assert g2(1, BellScenario(2, 3)) == -1.0
+        assert g2_exact(1, 3) == -1
 
     def test_qubit_extreme(self):
-        assert g1(1, BellScenario(2, 2)) == -1.0
+        assert g1_exact(1, 2) == -1
 
     def test_reflection_identity_exact(self):
         # g1(x) = -g2(x+1) as exact rationals, across dimensions
@@ -162,7 +153,7 @@ class TestTableInvariants:
         row = np.array([0.5, 0.5 + 1e-10, -1e-10, 0.0])
         probs = {s: row for s in all_setting_strings(2)}
         table = JointProbabilityTable(scen, probs)
-        assert table.prob("11", (0, 1)) == 0.0
+        assert table.probs_for("11")[outcome_index((0, 1), 2)] == 0.0
 
     def test_real_negativity_rejected(self):
         scen = BellScenario(2, 2)
@@ -259,7 +250,7 @@ class TestBellValue:
                 for idx in range(scen.n_outcome_tuples):
                     o = outcome_from_index(idx, scen)
                     src_o = tuple(o[perm[i]] for i in range(3))
-                    row[idx] = table.prob(src, src_o)
+                    row[idx] = table.probs_for(src)[outcome_index(src_o, 3)]
                 permuted[s] = row
             ptable = JointProbabilityTable(scen, permuted)
             assert bell_value(ptable) == pytest.approx(bell_value(table), abs=1e-12)
@@ -294,11 +285,6 @@ class TestCglmp:
 
 
 class TestScenarioType:
-    def test_spin_is_exact(self):
-        assert BellScenario(2, 2).spin == Fraction(1, 2)
-        assert BellScenario(2, 4).spin == Fraction(3, 2)
-        assert BellScenario(5, 9).spin == 4
-
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             BellScenario(2, 1)
@@ -306,8 +292,9 @@ class TestScenarioType:
             BellScenario(0, 3)
 
     def test_coefficient_residue_table_matches_exact(self):
-        for d in (2, 3, 6):
-            for t in range(4):
-                vec = coefficient_by_residue(t, d)
-                for r in range(d):
-                    assert vec[r] == float(coefficient_exact(t, r, d))
+        # bit for bit: dividing the integer row by d - 1 rounds correctly, as
+        # float() of the exact rational does
+        for d in range(2, 13):
+            for t in range(3 * d + 1):
+                expected = np.array([float(coefficient_exact(t, r, d)) for r in range(d)])
+                assert coefficient_by_residue(t, d).tobytes() == expected.tobytes(), (t, d)
