@@ -47,7 +47,7 @@ from .scenario import (
     TableFormatError,
     bell_value,
     coefficient,
-    correlation_q,
+    correlations,
     point_mass_table,
     shift,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "build_grouping",
     "cglmp_max_closed_form",
     "coefficient",
-    "correlation_q",
+    "correlations",
     "critical_visibility",
     "ghz_bell_value",
     "ghz_state",

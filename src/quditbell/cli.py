@@ -7,7 +7,6 @@ budget error.  Reports are JSON on stdout (CSV only from `scan --format csv`);
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import sys
@@ -45,7 +44,7 @@ from .scenario import (
     JointProbabilityTable,
     TableFormatError,
     bell_value,
-    correlation_q,
+    correlations,
 )
 
 ANGLES_MODES = ("optimal", "zero", "optimized-symmetric", "optimized-free")
@@ -85,26 +84,19 @@ def _sig10(x: float) -> float:
     return float(f"{x:.10g}")
 
 
-def _render_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
+def _csv_lines(rows: list[dict]):
     if rows:
-        header = list(rows[0])
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for key in header:
-                value = row[key]
-                cells.append(f"{value:.10g}" if isinstance(value, float) else str(value))
-            out.write(",".join(cells) + "\n")
-    return out.getvalue()
+        yield ",".join(rows[0]) + "\n"
+    for row in rows:
+        yield ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quditbell-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -113,11 +105,20 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(payload, out_path: Optional[str], fmt: str = "json") -> None:
-    text = _render_csv(payload) if fmt == "csv" else json.dumps(payload, indent=2) + "\n"
+    chunks = _csv_lines(payload) if fmt == "csv" else [json.dumps(payload, indent=2) + "\n"]
     if out_path:
-        _atomic_write(out_path, text)
+        _atomic_write(out_path, chunks)
     else:
-        click.echo(text, nl=False)
+        click.echo("".join(chunks), nl=False)
+
+
+def _table_json(table: JointProbabilityTable):
+    """json.dumps(table.to_json_dict()) + newline, one row at a time."""
+    scenario = table.scenario
+    yield f'{{"n": {scenario.n_parties}, "d": {scenario.dimension}, "tables": {{'
+    for i, (s, row) in enumerate(zip(scenario.setting_strings(), table.rows)):
+        yield f'{", " if i else ""}"{s}": {json.dumps(row.tolist())}'
+    yield "}}\n"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -245,7 +246,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
         table = ghz_table(phases) if emit_table else None
         value = ghz_bell_value(phases)
     if emit_table:
-        _atomic_write(emit_table, json.dumps(table.to_json_dict()) + "\n")
+        _atomic_write(emit_table, _table_json(table))
     ceiling = max_violation(scenario)
     _emit(
         {
@@ -321,17 +322,15 @@ def eval_table(table_file, out_path):
         table = JointProbabilityTable.from_json_dict(payload)
     except TableFormatError as exc:
         raise InputError(f"{table_file}: {exc}") from exc
-    value = bell_value(table)
+    q_values = correlations(table).tolist()
+    value = -sum(q_values)
     bound_value = 2.0 ** (table.scenario.n_parties - 1)
     _emit(
         {
             "n": table.scenario.n_parties,
             "d": table.scenario.dimension,
             "bell_value": _sig10(value),
-            "q_values": {
-                s: _sig10(correlation_q(s, table))
-                for s in table.scenario.setting_strings()
-            },
+            "q_values": dict(zip(table.scenario.setting_strings(), map(_sig10, q_values))),
             "hlnhv_bound": _sig10(bound_value),
             "witness_fired": value > bound_value,
         },

@@ -84,19 +84,28 @@ def max_violation(scenario: BellScenario) -> float:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Maximal violation, its ratio against the 2^(N-1) bound, and thresholds."""
+    """Maximal violation, and what it implies against the 2^(N-1) bound.
+
+    The Bell value is affine in the visibility, so the crossover with the
+    bound sits at the reciprocal of the violation ratio; the ratio itself is
+    half the two-qudit maximum, independent of N.
+    """
 
     scenario: BellScenario
     max_value: float
-    angles: PhaseConfiguration
-    ratio: float
-    critical_visibility: float
-    svetlichny_visibility: float
+
+    @property
+    def ratio(self) -> float:
+        return self.max_value / 2.0 ** (self.scenario.n_parties - 1)
+
+    @property
+    def critical_visibility(self) -> float:
+        return 1.0 / self.ratio
 
     @property
     def beats_svetlichny(self) -> bool:
         """True when the noise threshold lies strictly below 1/sqrt(2)."""
-        return self.critical_visibility < self.svetlichny_visibility
+        return self.critical_visibility < SVETLICHNY_VISIBILITY
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,30 +114,16 @@ class ViolationReport:
             "max_value": self.max_value,
             "ratio": self.ratio,
             "critical_visibility": self.critical_visibility,
-            "svetlichny_visibility": self.svetlichny_visibility,
+            "svetlichny_visibility": SVETLICHNY_VISIBILITY,
             "beats_svetlichny": self.beats_svetlichny,
             "angles_mode": "optimal",
-            "angles": self.angles.to_json_dict(),
+            "angles": optimal_angles(self.scenario).to_json_dict(),
         }
 
 
 def critical_visibility(scenario: BellScenario) -> ViolationReport:
-    """Noise threshold above which the white-noise GHZ mixture still violates.
-
-    The Bell value is affine in the visibility, so the crossover with the
-    2^(N-1) bound sits at the reciprocal of the violation ratio; the ratio
-    itself is half the two-qudit maximum, independent of N.
-    """
-    value = max_violation(scenario)
-    ratio = value / 2.0 ** (scenario.n_parties - 1)
-    return ViolationReport(
-        scenario=scenario,
-        max_value=value,
-        angles=optimal_angles(scenario),
-        ratio=ratio,
-        critical_visibility=1.0 / ratio,
-        svetlichny_visibility=SVETLICHNY_VISIBILITY,
-    )
+    """The maximal violation's report: its ratio and noise thresholds."""
+    return ViolationReport(scenario, max_violation(scenario))
 
 
 class _BudgetExhausted(Exception):

@@ -20,7 +20,6 @@ import numpy as np
 from .scenario import (
     BellScenario,
     JointProbabilityTable,
-    all_setting_strings,
     coefficient_by_residue,
     outcome_sums_mod_d,
 )
@@ -274,10 +273,7 @@ def joint_probabilities(
             k = (u[:, :, :, None] * u[:, :, None, :].conj()).reshape(2, 1, d, d * d)
             # (settings so far, outcomes so far, pair p, pairs below) -> (setting p, ...)
             state = np.matmul(k, state.reshape(-1, d * d, d ** (2 * p)))
-    rows = np.real(state).reshape(2**n, d**n)
-    return JointProbabilityTable(
-        rho.scenario, dict(zip(all_setting_strings(n), rows))
-    )
+    return JointProbabilityTable(rho.scenario, np.real(state).reshape(2**n, d**n))
 
 
 def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
@@ -290,8 +286,8 @@ def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     where Phi_sj sums the j-th phase of the settings in s over the parties,
     so every outcome tuple with the same sum mod d is equally likely.  Phi is
     summed party by party for all 2^N strings at once, party 1 varying
-    slowest as in all_setting_strings, and one product with the Fourier
-    matrix gives every string's d residue-class probabilities.
+    slowest as in the table's rows, and one product with the Fourier matrix
+    gives every string's d residue-class probabilities.
     """
     scenario = config.scenario
     n, d = scenario.n_parties, scenario.dimension
@@ -299,8 +295,7 @@ def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     for pair in config.phases:  # (2, d): one party's setting-1 and setting-2 phases
         phi = (phi[:, None, :] + pair[None, :, :]).reshape(-1, d)
     residues = np.abs(np.exp(1j * phi) @ _fourier(d)) ** 2 / d ** (n + 1)
-    rows = residues[:, outcome_sums_mod_d(n, d)]
-    return JointProbabilityTable(scenario, dict(zip(all_setting_strings(n), rows)))
+    return JointProbabilityTable(scenario, residues[:, outcome_sums_mod_d(n, d)])
 
 
 def _branch_factors(phases: np.ndarray) -> np.ndarray:

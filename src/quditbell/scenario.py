@@ -13,7 +13,7 @@ import itertools
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
     "bell_value",
     "coefficient",
     "coefficient_by_residue",
-    "coefficient_vector",
-    "correlation_q",
+    "correlations",
     "outcome_index",
     "outcome_sums_mod_d",
     "point_mass_table",
@@ -155,69 +154,53 @@ def outcome_sums_mod_d(n_parties: int, dimension: int) -> np.ndarray:
 
 
 class JointProbabilityTable:
-    """Outcome distributions for all 2^N setting strings.
+    """Outcome distributions for all 2^N setting strings, as one (2^N, d^N) array.
 
-    Per-setting probabilities are dense vectors in the mixed-radix outcome
-    encoding (party 1 varies fastest).  Construction normalizes away negative
-    floating dust down to -1e-9 and rejects anything worse; the stored arrays
-    are read-only, so a table can be shared freely.
+    Row i of `rows` belongs to the setting string that reads i in binary, with
+    setting 1 as 0 and party 1 most significant; each row is in the mixed-radix
+    outcome encoding (party 1 fastest).  Setting-string keys exist only in the
+    JSON format.  Construction copies the rows once, normalizes away negative
+    dust down to -1e-9 and rejects anything worse; the array is read-only.
     """
 
-    def __init__(self, scenario: BellScenario, probs: Mapping[str, Iterable[float]]):
-        n, count = scenario.n_parties, len(probs)
-        # compare with 2^n by bit length first: a huge n must not build 2^n strings
-        if count.bit_length() != n + 1 or count != 1 << n:
-            problem = "some missing" if count.bit_length() <= n else "some unexpected"
+    def __init__(self, scenario: BellScenario, rows):
+        arr = np.array(rows, dtype=float)
+        n, expected = scenario.n_parties, (1 << scenario.n_parties, scenario.n_outcome_tuples)
+        if arr.shape != expected:
+            raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
+
+        def first(bad_rows):  # the first offending row, and its setting string
+            i = int(bad_rows.argmax())
+            return i, all_setting_strings(n)[i]
+
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise TableFormatError(f"setting {first(~finite)[1]}: non-finite probability")
+        lowest = arr.min(axis=1)
+        if (lowest < -PROB_TOLERANCE).any():
+            i, s = first(lowest < -PROB_TOLERANCE)
+            raise TableFormatError(f"setting {s}: negative probability {lowest[i]:.3e}")
+        np.clip(arr, 0.0, None, out=arr)
+        totals = arr.sum(axis=1)
+        if (np.abs(totals - 1.0) > PROB_TOLERANCE).any():
+            i, s = first(np.abs(totals - 1.0) > PROB_TOLERANCE)
             raise TableFormatError(
-                f"setting strings mismatch: {count} given, 2^{n} expected ({problem})"
+                f"setting {s}: probabilities sum to {float(totals[i])!r}, expected 1"
             )
-        expected = all_setting_strings(n)
-        missing = [s for s in expected if s not in probs]
-        if missing:
-            expected_set = set(expected)
-            extra = [s for s in probs if s not in expected_set]
-            raise TableFormatError(
-                f"setting strings mismatch: {len(missing)} missing {reprlib.repr(missing)}, "
-                f"{len(extra)} unexpected {reprlib.repr(extra)}"
-            )
-        size = scenario.n_outcome_tuples
-        cleaned = {}
-        for s in expected:
-            try:
-                arr = np.array(probs[s], dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise TableFormatError(f"setting {s}: probabilities must be numbers") from exc
-            if arr.shape != (size,):
-                raise TableFormatError(
-                    f"setting {s}: expected {size} probabilities, got shape {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise TableFormatError(f"setting {s}: non-finite probability")
-            lowest = float(arr.min())
-            if lowest < -PROB_TOLERANCE:
-                raise TableFormatError(
-                    f"setting {s}: negative probability {lowest:.3e}"
-                )
-            arr = np.clip(arr, 0.0, None)
-            total = float(arr.sum())
-            if abs(total - 1.0) > PROB_TOLERANCE:
-                raise TableFormatError(
-                    f"setting {s}: probabilities sum to {total!r}, expected 1"
-                )
-            arr.flags.writeable = False
-            cleaned[s] = arr
+        arr.flags.writeable = False
         self.scenario = scenario
-        self._probs = cleaned
+        self.rows = arr
 
     def probs_for(self, setting) -> np.ndarray:
         """Probability vector for one setting string (read-only view)."""
-        return self._probs[as_setting_string(setting, self.scenario.n_parties)]
+        s = as_setting_string(setting, self.scenario.n_parties)
+        return self.rows[int(s.replace("1", "0").replace("2", "1"), 2)]
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.scenario.n_parties,
             "d": self.scenario.dimension,
-            "tables": {s: p.tolist() for s, p in self._probs.items()},
+            "tables": dict(zip(self.scenario.setting_strings(), self.rows.tolist())),
         }
 
     @classmethod
@@ -237,35 +220,63 @@ class JointProbabilityTable:
         tables = payload["tables"]
         if not isinstance(tables, dict):
             raise TableFormatError("field 'tables' must be an object")
-        return cls(scenario, tables)
+        count = len(tables)
+        # compare with 2^n by bit length first: a huge n must not build 2^n strings
+        if count.bit_length() != n + 1 or count != 1 << n:
+            problem = "some missing" if count.bit_length() <= n else "some unexpected"
+            raise TableFormatError(
+                f"setting strings mismatch: {count} given, 2^{n} expected ({problem})"
+            )
+        expected = all_setting_strings(n)
+        missing = [s for s in expected if s not in tables]
+        if missing:
+            expected_set = set(expected)
+            extra = [s for s in tables if s not in expected_set]
+            raise TableFormatError(
+                f"setting strings mismatch: {len(missing)} missing {reprlib.repr(missing)}, "
+                f"{len(extra)} unexpected {reprlib.repr(extra)}"
+            )
+        size, rows = scenario.n_outcome_tuples, []
+        for s in expected:
+            try:
+                row = np.array(tables[s], dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TableFormatError(f"setting {s}: probabilities must be numbers") from exc
+            # checked row by row, so a huge declared d^n allocates nothing
+            if row.shape != (size,):
+                raise TableFormatError(
+                    f"setting {s}: expected {size} probabilities, got shape {row.shape}"
+                )
+            rows.append(row)
+        return cls(scenario, rows)
 
 
 def point_mass_table(
     scenario: BellScenario, outcome_by_setting: Mapping[str, Sequence[int]]
 ) -> JointProbabilityTable:
     """Deterministic table putting probability 1 on one outcome per setting."""
-    probs = {}
-    for s in scenario.setting_strings():
-        row = np.zeros(scenario.n_outcome_tuples)
-        row[outcome_index(outcome_by_setting[s], scenario.dimension)] = 1.0
-        probs[s] = row
-    return JointProbabilityTable(scenario, probs)
+    rows = np.zeros((1 << scenario.n_parties, scenario.n_outcome_tuples))
+    for i, s in enumerate(scenario.setting_strings()):
+        rows[i, outcome_index(outcome_by_setting[s], scenario.dimension)] = 1.0
+    return JointProbabilityTable(scenario, rows)
 
 
-def coefficient_vector(setting, scenario: BellScenario) -> np.ndarray:
-    """Coefficient for every outcome index under one setting string."""
-    t = t_count(as_setting_string(setting, scenario.n_parties))
-    by_residue = coefficient_by_residue(t, scenario.dimension)
-    return by_residue[outcome_sums_mod_d(scenario.n_parties, scenario.dimension)]
+def correlations(table: JointProbabilityTable) -> np.ndarray:
+    """Every setting's correlation value, its coefficient-weighted outcome average.
 
-
-def correlation_q(setting, table: JointProbabilityTable) -> float:
-    """Generalized correlation value: coefficient-weighted outcome average."""
-    return float(coefficient_vector(setting, table.scenario) @ table.probs_for(setting))
+    In setting order.  A coefficient depends on the outcomes only through
+    their sum mod d, so one product folds each row into its d residue-class
+    masses, which meet the coefficient row of the row's t-count: the number
+    of 1 bits in its index.
+    """
+    n, d = table.scenario.n_parties, table.scenario.dimension
+    t_counts = np.indices((2,) * n).reshape(n, -1).sum(axis=0)
+    by_t = np.array([coefficient_by_residue(t, d) for t in range(n + 1)])
+    classes = (outcome_sums_mod_d(n, d)[:, None] == np.arange(d)).astype(float)
+    masses = table.rows @ classes
+    return np.einsum("ir,ir->i", masses, by_t[t_counts])
 
 
 def bell_value(table: JointProbabilityTable) -> float:
     """The N-qudit Bell functional: negated sum of all correlation values."""
-    return -sum(
-        correlation_q(s, table) for s in table.scenario.setting_strings()
-    )
+    return -sum(correlations(table).tolist())

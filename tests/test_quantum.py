@@ -48,12 +48,12 @@ def kron_joint_probabilities(rho, config):
     2^N products of d^N x d^N matrices.
     """
     n = rho.scenario.n_parties
-    probs = {}
+    rows = []
     for s in all_setting_strings(n):
         ops = [multiport_unitary(config.vector(p, int(s[p - 1]))) for p in range(1, n + 1)]
         u = reduce(np.kron, ops[::-1])
-        probs[s] = np.real(np.diagonal(u @ rho.matrix @ u.conj().T)).copy()
-    return JointProbabilityTable(rho.scenario, probs)
+        rows.append(np.real(np.diagonal(u @ rho.matrix @ u.conj().T)))
+    return JointProbabilityTable(rho.scenario, rows)
 
 
 def worst_entry_difference(table, reference):

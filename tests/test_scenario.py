@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,9 @@ from quditbell.scenario import (
     bell_value,
     coefficient,
     coefficient_by_residue,
-    correlation_q,
+    correlations,
     outcome_index,
+    outcome_sums_mod_d,
     point_mass_table,
     shift,
     t_count,
@@ -34,10 +36,28 @@ from conftest import (
 
 def uniform_table(scenario: BellScenario) -> JointProbabilityTable:
     """The maximally mixed distribution: every outcome equally likely."""
-    p = np.full(scenario.n_outcome_tuples, 1.0 / scenario.n_outcome_tuples)
-    return JointProbabilityTable(
-        scenario, {s: p for s in scenario.setting_strings()}
-    )
+    size = scenario.n_outcome_tuples
+    return JointProbabilityTable(scenario, np.full((2**scenario.n_parties, size), 1.0 / size))
+
+
+def uniform_payload(n: int, d: int, settings=None) -> dict:
+    """A maximally mixed table file over the given setting strings (default: all)."""
+    settings = all_setting_strings(n) if settings is None else settings
+    return {"n": n, "d": d, "tables": {s: [1.0 / d**n] * d**n for s in settings}}
+
+
+def loop_correlations(table: JointProbabilityTable) -> list[float]:
+    """Oracle: one correlation value per setting string, setting by setting.
+
+    Each setting's coefficient vector, its t-count's residue coefficients
+    spread over the outcome indices, against that setting's probabilities.
+    """
+    n, d = table.scenario.n_parties, table.scenario.dimension
+    sums = outcome_sums_mod_d(n, d)
+    return [
+        float(coefficient_by_residue(t_count(s), d)[sums] @ table.probs_for(s))
+        for s in all_setting_strings(n)
+    ]
 
 
 class TestShift:
@@ -129,38 +149,53 @@ class TestOutcomeEncoding:
 
 class TestTableInvariants:
     def test_missing_setting_rejected(self):
-        scen = BellScenario(2, 2)
-        probs = {s: np.full(4, 0.25) for s in ("11", "12", "21")}
+        payload = uniform_payload(2, 2, ("11", "12", "21"))
         with pytest.raises(TableFormatError, match="missing"):
-            JointProbabilityTable(scen, probs)
+            JointProbabilityTable.from_json_dict(payload)
 
     def test_wrong_length_rejected(self):
-        scen = BellScenario(2, 2)
-        probs = {s: np.full(4, 0.25) for s in all_setting_strings(2)}
-        probs["11"] = np.full(3, 1 / 3)
+        payload = uniform_payload(2, 2)
+        payload["tables"]["11"] = [1 / 3] * 3
         with pytest.raises(TableFormatError, match="expected 4"):
-            JointProbabilityTable(scen, probs)
+            JointProbabilityTable.from_json_dict(payload)
 
     def test_bad_normalization_rejected(self):
-        scen = BellScenario(2, 2)
-        probs = {s: np.full(4, 0.25) for s in all_setting_strings(2)}
-        probs["22"] = np.full(4, 0.125)
+        rows = np.full((4, 4), 0.25)
+        rows[3] = 0.125
         with pytest.raises(TableFormatError, match="sum"):
-            JointProbabilityTable(scen, probs)
+            JointProbabilityTable(BellScenario(2, 2), rows)
+
+    def test_refusal_names_first_offending_setting_with_plain_floats(self):
+        rows = np.full((4, 4), 0.25)
+        rows[2:] = 0.125
+        with pytest.raises(TableFormatError) as err:
+            JointProbabilityTable(BellScenario(2, 2), rows)
+        assert str(err.value) == "setting 21: probabilities sum to 0.5, expected 1"
+        rows[1, 0] = np.nan
+        with pytest.raises(TableFormatError, match="^setting 12: non-finite probability$"):
+            JointProbabilityTable(BellScenario(2, 2), rows)
 
     def test_floating_dust_clipped(self):
-        scen = BellScenario(2, 2)
         row = np.array([0.5, 0.5 + 1e-10, -1e-10, 0.0])
-        probs = {s: row for s in all_setting_strings(2)}
-        table = JointProbabilityTable(scen, probs)
+        table = JointProbabilityTable(BellScenario(2, 2), np.tile(row, (4, 1)))
         assert table.probs_for("11")[outcome_index((0, 1), 2)] == 0.0
 
+    def test_callers_array_left_unclipped(self):
+        rows = np.tile([0.5, 0.5 + 1e-10, -1e-10, 0.0], (4, 1))
+        table = JointProbabilityTable(BellScenario(2, 2), rows)
+        assert table.rows[1, 2] == 0.0
+        assert rows[1, 2] == -1e-10
+        assert rows.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (4,), (2, 4, 2)])
+    def test_wrong_shape_array_rejected(self, shape):
+        with pytest.raises(TableFormatError, match=r"shape \(4, 4\)"):
+            JointProbabilityTable(BellScenario(2, 2), np.full(shape, 0.25))
+
     def test_real_negativity_rejected(self):
-        scen = BellScenario(2, 2)
         row = np.array([0.5, 0.5 + 1e-6, -1e-6, 0.0])
-        probs = {s: row for s in all_setting_strings(2)}
         with pytest.raises(TableFormatError, match="negative"):
-            JointProbabilityTable(scen, probs)
+            JointProbabilityTable(BellScenario(2, 2), np.tile(row, (4, 1)))
 
     @pytest.mark.parametrize("field", ["n", "d"])
     def test_boolean_dimensions_rejected(self, field):
@@ -175,6 +210,19 @@ class TestTableInvariants:
         with pytest.raises(TableFormatError, match="setting 21"):
             JointProbabilityTable.from_json_dict(payload)
 
+    def test_huge_declared_dimension_refused_from_row_lengths(self):
+        # d^n = 10^9 floats per row: the short first row is refused before
+        # anything of that size is allocated
+        payload = {"n": 1, "d": 10**9, "tables": {"1": [1.0], "2": [1.0]}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableFormatError, match="setting 1"):
+                JointProbabilityTable.from_json_dict(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
     @pytest.mark.parametrize("n", [16, 20])
     def test_wrong_setting_count_is_refused_before_listing_them(self, n):
         # 2^n setting strings are never built, so the message stays short
@@ -184,15 +232,14 @@ class TestTableInvariants:
         assert len(str(err.value)) < 200
 
     def test_too_many_settings_counted(self):
-        probs = {s: np.full(4, 0.25) for s in ("11", "12", "21", "22", "13")}
+        payload = uniform_payload(2, 2, ("11", "12", "21", "22", "13"))
         with pytest.raises(TableFormatError, match="5 given, 2\\^2 expected .some unexpected"):
-            JointProbabilityTable(BellScenario(2, 2), probs)
+            JointProbabilityTable.from_json_dict(payload)
 
     def test_mismatch_reports_counts_and_first_items(self):
-        probs = {s: np.full(8, 0.125) for s in all_setting_strings(3)}
-        renamed = {s.replace("1", "3"): p for s, p in probs.items()}
+        renamed = [s.replace("1", "3") for s in all_setting_strings(3)]
         with pytest.raises(TableFormatError) as err:
-            JointProbabilityTable(BellScenario(3, 2), renamed)
+            JointProbabilityTable.from_json_dict(uniform_payload(3, 2, renamed))
         message = str(err.value)
         assert "7 missing ['111', '112', '121', '122', '211', '212', ...]" in message
         assert "7 unexpected ['333', '332', '323', '322', '233', '232', ...]" in message
@@ -201,6 +248,14 @@ class TestTableInvariants:
         table = uniform_table(BellScenario(2, 3))
         with pytest.raises(ValueError):
             table.probs_for("11")[0] = 1.0
+
+    def test_rows_in_setting_string_order(self, rng):
+        # party 1 is the most significant binary digit, setting 2 the 1 bit
+        table = random_table(BellScenario(3, 2), rng)
+        for i, s in enumerate(all_setting_strings(3)):
+            np.testing.assert_array_equal(table.probs_for(s), table.rows[i])
+        np.testing.assert_array_equal(table.probs_for("211"), table.rows[4])
+        np.testing.assert_array_equal(table.probs_for((1, 1, 2)), table.rows[1])
 
     def test_json_round_trip(self, rng):
         table = random_table(BellScenario(2, 3), rng)
@@ -212,20 +267,27 @@ class TestTableInvariants:
 class TestCorrelation:
     def test_uniform_gives_zero(self):
         table = uniform_table(BellScenario(3, 3))
-        for s in all_setting_strings(3):
-            assert correlation_q(s, table) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(correlations(table), 0.0, atol=1e-12)
 
     def test_point_mass_at_minus_one_coefficient(self):
         scen = BellScenario(2, 2)
         # coefficient("11", (0,0)) = g1(3) = -1 for qubits
         assert coefficient("11", (0, 0), scen) == -1.0
         table = point_mass_table(scen, {s: (0, 0) for s in all_setting_strings(2)})
-        assert correlation_q("11", table) == -1.0
+        assert correlations(table)[0] == -1.0
 
     def test_bounded_by_one(self, rng):
         table = random_table(BellScenario(3, 3), rng)
-        for s in all_setting_strings(3):
-            assert abs(correlation_q(s, table)) <= 1.0 + 1e-12
+        assert np.all(np.abs(correlations(table)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_per_setting_loop(self, n, d, rng):
+        for _ in range(3):
+            table = random_table(BellScenario(n, d), rng)
+            expected = loop_correlations(table)
+            np.testing.assert_allclose(correlations(table), expected, rtol=0, atol=1e-12)
+            assert bell_value(table) == pytest.approx(-sum(expected), rel=0, abs=1e-12)
 
 
 class TestBellValue:
@@ -243,15 +305,13 @@ class TestBellValue:
         scen = BellScenario(3, 3)
         table = random_table(scen, rng)
         for perm in itertools.permutations(range(3)):
-            permuted = {}
-            for s in all_setting_strings(3):
+            permuted = np.zeros_like(table.rows)
+            for row, s in enumerate(all_setting_strings(3)):
                 src = "".join(s[perm[i]] for i in range(3))
-                row = np.zeros(scen.n_outcome_tuples)
                 for idx in range(scen.n_outcome_tuples):
                     o = outcome_from_index(idx, scen)
                     src_o = tuple(o[perm[i]] for i in range(3))
-                    row[idx] = table.probs_for(src)[outcome_index(src_o, 3)]
-                permuted[s] = row
+                    permuted[row, idx] = table.probs_for(src)[outcome_index(src_o, 3)]
             ptable = JointProbabilityTable(scen, permuted)
             assert bell_value(ptable) == pytest.approx(bell_value(table), abs=1e-12)
 
