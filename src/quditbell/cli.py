@@ -86,9 +86,14 @@ def _sig10(x: float) -> float:
 
 def _csv_lines(rows: list[dict]):
     if rows:
-        yield ",".join(rows[0]) + "\n"
-    for row in rows:
-        yield ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n"
+        header = list(rows[0])
+        yield ",".join(header) + "\n"
+        for row in rows:
+            cells = []
+            for key in header:
+                value = row[key]
+                cells.append(f"{value:.10g}" if isinstance(value, float) else str(value))
+            yield ",".join(cells) + "\n"
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -110,15 +115,6 @@ def _emit(payload, out_path: Optional[str], fmt: str = "json") -> None:
         _atomic_write(out_path, chunks)
     else:
         click.echo("".join(chunks), nl=False)
-
-
-def _table_json(table: JointProbabilityTable):
-    """json.dumps(table.to_json_dict()) + newline, one row at a time."""
-    scenario = table.scenario
-    yield f'{{"n": {scenario.n_parties}, "d": {scenario.dimension}, "tables": {{'
-    for i, (s, row) in enumerate(zip(scenario.setting_strings(), table.rows)):
-        yield f'{", " if i else ""}"{s}": {json.dumps(row.tolist())}'
-    yield "}}\n"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -246,7 +242,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
         table = ghz_table(phases) if emit_table else None
         value = ghz_bell_value(phases)
     if emit_table:
-        _atomic_write(emit_table, _table_json(table))
+        _atomic_write(emit_table, table.json_chunks())
     ceiling = max_violation(scenario)
     _emit(
         {

@@ -10,6 +10,7 @@ it a witness for genuine N-party entanglement.
 from __future__ import annotations
 
 import itertools
+import json
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -165,7 +166,8 @@ class JointProbabilityTable:
 
     def __init__(self, scenario: BellScenario, rows):
         arr = np.array(rows, dtype=float)
-        n, expected = scenario.n_parties, (1 << scenario.n_parties, scenario.n_outcome_tuples)
+        n = scenario.n_parties
+        expected = (1 << n, scenario.n_outcome_tuples)
         if arr.shape != expected:
             raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
 
@@ -203,6 +205,13 @@ class JointProbabilityTable:
             "tables": dict(zip(self.scenario.setting_strings(), self.rows.tolist())),
         }
 
+    def json_chunks(self):
+        """json.dumps(self.to_json_dict()) and a newline, one row at a time."""
+        yield f'{{"n": {self.scenario.n_parties}, "d": {self.scenario.dimension}, "tables": {{'
+        for i, (s, row) in enumerate(zip(self.scenario.setting_strings(), self.rows)):
+            yield f'{", " if i else ""}"{s}": {json.dumps(row.tolist())}'
+        yield "}}\n"
+
     @classmethod
     def from_json_dict(cls, payload) -> "JointProbabilityTable":
         if not isinstance(payload, dict):
@@ -236,7 +245,8 @@ class JointProbabilityTable:
                 f"setting strings mismatch: {len(missing)} missing {reprlib.repr(missing)}, "
                 f"{len(extra)} unexpected {reprlib.repr(extra)}"
             )
-        size, rows = scenario.n_outcome_tuples, []
+        size = scenario.n_outcome_tuples
+        rows = []
         for s in expected:
             try:
                 row = np.array(tables[s], dtype=float)
@@ -264,17 +274,17 @@ def point_mass_table(
 def correlations(table: JointProbabilityTable) -> np.ndarray:
     """Every setting's correlation value, its coefficient-weighted outcome average.
 
-    In setting order.  A coefficient depends on the outcomes only through
-    their sum mod d, so one product folds each row into its d residue-class
-    masses, which meet the coefficient row of the row's t-count: the number
-    of 1 bits in its index.
+    In setting order.  A coefficient depends on the setting only through its
+    t-count, the number of 1 bits in its row index, so one product meets
+    every row with each of the N+1 coefficient vectors over the outcome
+    indices, and each row keeps the one of its own t-count.  That costs
+    (N+1) d^N floats beside the table.
     """
     n, d = table.scenario.n_parties, table.scenario.dimension
     t_counts = np.indices((2,) * n).reshape(n, -1).sum(axis=0)
     by_t = np.array([coefficient_by_residue(t, d) for t in range(n + 1)])
-    classes = (outcome_sums_mod_d(n, d)[:, None] == np.arange(d)).astype(float)
-    masses = table.rows @ classes
-    return np.einsum("ir,ir->i", masses, by_t[t_counts])
+    coeffs = by_t[:, outcome_sums_mod_d(n, d)]
+    return (table.rows @ coeffs.T)[np.arange(1 << n), t_counts]
 
 
 def bell_value(table: JointProbabilityTable) -> float:

@@ -1,6 +1,7 @@
 """Coefficient machinery, table invariants, and the Bell functional."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -263,6 +264,11 @@ class TestTableInvariants:
         for s in all_setting_strings(2):
             np.testing.assert_array_equal(back.probs_for(s), table.probs_for(s))
 
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 2)])
+    def test_json_chunks_are_the_json_dump(self, n, d, rng):
+        table = random_table(BellScenario(n, d), rng)
+        assert "".join(table.json_chunks()) == json.dumps(table.to_json_dict()) + "\n"
+
 
 class TestCorrelation:
     def test_uniform_gives_zero(self):
@@ -288,6 +294,20 @@ class TestCorrelation:
             expected = loop_correlations(table)
             np.testing.assert_allclose(correlations(table), expected, rtol=0, atol=1e-12)
             assert bell_value(table) == pytest.approx(-sum(expected), rel=0, abs=1e-12)
+
+    def test_large_dimension_needs_no_more_than_the_table(self, rng):
+        # N+1 coefficient vectors over the d^N outcomes, not a d^N-by-d
+        # residue indicator: the working memory stays near the table's size
+        table = random_table(BellScenario(2, 300), rng)
+        outcome_sums_mod_d.cache_clear()
+        tracemalloc.start()
+        try:
+            values = correlations(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(values, loop_correlations(table), rtol=0, atol=1e-12)
+        assert peak < 1.5 * table.rows.nbytes
 
 
 class TestBellValue:
