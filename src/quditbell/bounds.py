@@ -359,39 +359,27 @@ class Grouping:
 def build_grouping(scenario: BellScenario, partition: Bipartition) -> Grouping:
     """Group the setting strings by flipping each block's first party.
 
-    Toggling one fixed party inside a block pairs every block combination
-    with one of t-count exactly one higher; crossing the two blocks' pairs
-    yields 2^(N-2) quadruples covering every setting string once.
+    A base string has both first parties on setting 1; its quadruple flips
+    block B's, then block A's, then both to setting 2.  Each flip raises a
+    block's t-count by one, so the 2^(N-2) quadruples, in the order of their
+    bases, cover every setting string once.
     """
     if partition.n_parties != scenario.n_parties:
         raise ValueError(
             f"partition covers {partition.n_parties} parties, scenario has {scenario.n_parties}"
         )
     n = scenario.n_parties
+    a1 = partition.block_a[0] - 1
+    b1 = partition.block_b[0] - 1
 
-    def pairs(block):
-        combos = all_setting_strings(len(block))
-        return [(c, "2" + c[1:]) for c in combos if c[0] == "1"]
+    def flip(s, i):
+        return s[:i] + "2" + s[i + 1 :]
 
-    def compose(combo_a, combo_b):
-        chars = [""] * n
-        for pos, party in enumerate(partition.block_a):
-            chars[party - 1] = combo_a[pos]
-        for pos, party in enumerate(partition.block_b):
-            chars[party - 1] = combo_b[pos]
-        return "".join(chars)
-
-    groups = []
-    for base_a, flip_a in pairs(partition.block_a):
-        for base_b, flip_b in pairs(partition.block_b):
-            groups.append(
-                (
-                    compose(base_a, base_b),
-                    compose(base_a, flip_b),
-                    compose(flip_a, base_b),
-                    compose(flip_a, flip_b),
-                )
-            )
+    groups = [
+        (s, flip(s, b1), flip(s, a1), flip(flip(s, a1), b1))
+        for s in all_setting_strings(n)
+        if s[a1] == "1" and s[b1] == "1"
+    ]
     counts = [0] * (n - 1)
     for group in groups:
         counts[t_count(group[0])] += 1

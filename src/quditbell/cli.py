@@ -97,16 +97,20 @@ def _csv_lines(rows: list[dict]):
 
 
 def _atomic_write(path: str, chunks) -> None:
+    """Write chunks to a temp file beside path and rename it; OSError names path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quditbell-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quditbell-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload, out_path: Optional[str], fmt: str = "json") -> None:
@@ -318,6 +322,7 @@ def eval_table(table_file, out_path):
         table = JointProbabilityTable.from_json_dict(payload)
     except TableFormatError as exc:
         raise InputError(f"{table_file}: {exc}") from exc
+    _scenario(table.scenario.n_parties, table.scenario.dimension)  # refuses N < 2, as elsewhere
     q_values = correlations(table).tolist()
     value = -sum(q_values)
     bound_value = 2.0 ** (table.scenario.n_parties - 1)

@@ -126,26 +126,6 @@ def critical_visibility(scenario: BellScenario) -> ViolationReport:
     return ViolationReport(scenario, max_violation(scenario))
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _CountedObjective:
-    """Objective wrapper that stops the search when evaluations run out."""
-
-    def __init__(self, func, budget: int):
-        self.func = func
-        self.remaining = budget
-        self.used = 0
-
-    def __call__(self, x):
-        if self.remaining <= 0:
-            raise _BudgetExhausted
-        self.remaining -= 1
-        self.used += 1
-        return self.func(x)
-
-
 def _peak(a: np.ndarray):
     """Angle maximizing Re sum_m a[m-1] e^(i m theta), or None where that is flat.
 
@@ -163,30 +143,11 @@ def _peak(a: np.ndarray):
     return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
 
 
-def _trig_step(f, params, coord, f0, a):
-    """Move params[coord] to the peak of its trigonometric polynomial; returns the best value.
-
-    Along the coordinate f is const + c Re sum_m a[m-1] e^(i m theta) for some
-    c > 0.  One evaluation of f at the peak confirms the move, which stands
-    only if f does not drop below f0; a flat coordinate is left where it is,
-    unevaluated.
-    """
-    theta = _peak(a)
-    if theta is None:
-        return f0
-    x0, params[coord] = params[coord], theta
-    value = f(params)
-    if value >= f0:
-        return value
-    params[coord] = x0
-    return f0
-
-
 def _free_sweep(weights: np.ndarray, phases: np.ndarray):
     """Yield (coordinate, a) for every phase in turn, party by party.
 
-    phases is the search's (N, 2, d) parameter view, read again as the caller
-    moves it between yields.  The value is 2^N Re sum_t <W[t], by_t>, and by_t
+    phases is the search's (N, 2, d) array, read again as the caller moves
+    it between yields.  The value is 2^N Re sum_t <W[t], by_t>, and by_t
     is affine in party p's halved factors: the value is
     2^N Re sum (G_1 f_p1 + G_2 f_p2) entrywise, where G_s contracts W with the
     leave-one-out product of the other parties.  That product is a prefix
@@ -219,7 +180,7 @@ def _free_sweep(weights: np.ndarray, phases: np.ndarray):
 def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray):
     """Yield (coordinate, a) for each of the 2d shared phases in turn.
 
-    phases is the search's (2, d) parameter view.  With every party alike the
+    phases is the search's (2, d) array.  With every party alike the
     product is binomial, by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so
     phi_sj enters the pair (j, k) as e^(i e phi) with e = N - t (setting 1) or
     t (setting 2), and the pair (k, j) as its conjugate.  So the value is
@@ -255,12 +216,13 @@ def optimize_phases(
     (free, degree 1) or in all N parties (symmetric, degree N); the
     trigonometric polynomial along it is read off the branch-pair factors of
     ghz_bell_value, not sampled, and one objective evaluation confirms each
-    move, which is kept only if the value does not drop.  Sweeps repeat
-    until a full cycle improves by less than 1e-9 or the evaluation budget
-    is spent.  The returned value is the objective at the returned phases
-    and never drops below the start's; symmetric mode reads the start's
-    party-1 vectors as the shared parameters.  Like max_violation, the
-    search's ceiling, it refuses N < 2 with ValueError before any sweep.
+    move, which is kept only if the value does not drop.  The budget counts
+    evaluations, the start's included, and is checked before each move.
+    Sweeps repeat until a full cycle improves by less than 1e-9 or the
+    budget is spent.  The returned value is the objective at the returned
+    phases and never drops below the start's; symmetric mode reads the
+    start's party-1 vectors as the shared parameters.  Like max_violation,
+    the search's ceiling, it refuses N < 2 with ValueError before any sweep.
     """
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
@@ -269,42 +231,43 @@ def optimize_phases(
     n, d = scenario.n_parties, scenario.dimension
     ceiling = max_violation(scenario)
 
-    if mode == "free":
-        params, shape, sweep = start.phases.copy().reshape(-1), (n, 2, d), _free_sweep
+    free = mode == "free"
+    # symmetric mode: party 1's vectors parameterize all parties
+    phases = (start.phases if free else start.phases[0]).copy()
+    flat = phases.reshape(-1)  # a view: coordinate c is flat[c]
 
-        def build(p):
-            return PhaseConfiguration(scenario, p.reshape(shape))
+    def build():
+        return PhaseConfiguration(scenario, phases if free else np.tile(phases, (n, 1, 1)))
 
-    else:
-        # party 1's vectors parameterize all parties
-        params, shape, sweep = start.phases[0].copy().reshape(-1), (2, d), _symmetric_sweep
-
-        def build(p):
-            return PhaseConfiguration(scenario, np.tile(p.reshape(shape), (n, 1, 1)))
-
-    objective = _CountedObjective(lambda p: ghz_bell_value(build(p)), budget)
+    sweep = _free_sweep if free else _symmetric_sweep
     weights = _ghz_weights(n, d)
-
-    best = objective(params)
-    best_params = params.copy()
-    try:
-        improved = True
-        while improved:
-            sweep_start = best
-            for coord, a in sweep(weights, params.reshape(shape)):
-                best = _trig_step(objective, params, coord, best, a)
-                best_params[coord] = params[coord]
-            improved = best - sweep_start > _SWEEP_TOL
-    except _BudgetExhausted:
-        # the unconfirmed proposal still sits in the interrupted coordinate
-        params[:] = best_params
+    best = ghz_bell_value(build())
+    used = 1
+    improved = True
+    while improved and used < budget:
+        sweep_start = best
+        for coord, a in sweep(weights, phases):
+            theta = _peak(a)
+            if theta is None:
+                continue
+            if used == budget:
+                break
+            x0 = flat[coord]
+            flat[coord] = theta
+            value = ghz_bell_value(build())
+            used += 1
+            if value >= best:
+                best = value
+            else:
+                flat[coord] = x0
+        improved = best - sweep_start > _SWEEP_TOL
 
     if best > ceiling + 1e-6:
         warnings.warn(
             f"phase search exceeded the closed-form maximum: {best!r} > {ceiling!r}",
             stacklevel=2,
         )
-    return build(params), best
+    return build(), best
 
 
 @dataclass(frozen=True)

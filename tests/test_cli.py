@@ -387,6 +387,15 @@ class TestEvalCommand:
         code, _, err = invoke(capsys, "eval", str(tmp_path / "nope.json"))
         assert code == 1
 
+    def test_single_party_table_is_refused(self, capsys, tmp_path):
+        # a classical point mass would otherwise "witness" one-party entanglement
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "d": 2, "tables": {"1": [1.0, 0.0], "2": [1.0, 0.0]}}))
+        code, out, err = invoke(capsys, "eval", str(path))
+        assert code == 1
+        assert out == ""
+        assert "need at least 2 parties" in err
+
 
 class TestScanCommand:
     def test_csv_rows(self, capsys):
@@ -462,6 +471,16 @@ class TestOutputHandling:
         assert report["critical_visibility"] == pytest.approx(0.696, abs=5e-4)
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".quditbell-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-table"])
+    def test_unwritable_path_is_one_line_input_error(self, capsys, tmp_path, flag):
+        target = str(tmp_path / "missing-dir" / "x.json")
+        code, out, err = invoke(capsys, "violation", "--n", "2", "--d", "2", flag, target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write ") and target in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert not (tmp_path / "missing-dir").exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [

@@ -8,11 +8,8 @@ import pytest
 
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
-    _BudgetExhausted,
-    _CountedObjective,
     _free_sweep,
     _symmetric_sweep,
-    _trig_step,
     cglmp_max_closed_form,
     critical_visibility,
     max_violation,
@@ -231,9 +228,13 @@ def _objective(scen, mode):
     ), n
 
 
+def _params_of(config, mode):
+    """The search's flat parameter vector of a configuration."""
+    return (config.phases if mode == "free" else config.phases[0]).reshape(-1).copy()
+
+
 def _start_params(scen, mode, rng):
-    phases = random_config(scen, rng).phases
-    return (phases if mode == "free" else phases[0]).reshape(-1).copy()
+    return _params_of(random_config(scen, rng), mode)
 
 
 def _read_coefficients(scen, mode, params):
@@ -274,21 +275,42 @@ def sampled_trig_step(f, params, coord, f0, degree):
 
 
 def sampled_search(scen, start, mode, budget=20_000):
-    """Coordinate ascent by sampled_trig_step, swept until a cycle gains < 1e-9."""
+    """Coordinate ascent by sampled_trig_step, swept until a cycle gains < 1e-9.
+
+    A step takes up to 2m+1 evaluations; the search stops before a step that
+    could overrun the budget.
+    """
     f, m = _objective(scen, mode)
-    params = (start.phases if mode == "free" else start.phases[0]).reshape(-1).copy()
-    counted = _CountedObjective(f, budget)
+    params = _params_of(start, mode)
+    used = 0
+
+    def counted(p):
+        nonlocal used
+        used += 1
+        return f(p)
+
     best = counted(params)
-    try:
-        improved = True
-        while improved:
-            sweep_start = best
-            for coord in range(params.size):
-                best = sampled_trig_step(counted, params, coord, best, m)
-            improved = best - sweep_start > 1e-9
-    except _BudgetExhausted:
-        pass
+    improved = True
+    while improved:
+        sweep_start = best
+        for coord in range(params.size):
+            if used + 2 * m + 1 > budget:
+                return best
+            best = sampled_trig_step(counted, params, coord, best, m)
+        improved = best - sweep_start > 1e-9
     return best
+
+
+def count_objective_calls(monkeypatch):
+    """Count the search's ghz_bell_value calls; returns the growing call list."""
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return ghz_bell_value(config)
+
+    monkeypatch.setattr("quditbell.optimize.ghz_bell_value", counted)
+    return calls
 
 
 class TestTrigStep:
@@ -341,43 +363,85 @@ class TestTrigStep:
         "n,d,mode", [(2, 5, "free"), (2, 3, "symmetric"), (3, 2, "symmetric")]
     )
     def test_one_step_reaches_the_scanned_maximum(self, rng, n, d, mode):
+        # with a budget of two the search moves only the sweep's first coordinate
         scen = BellScenario(n, d)
-        f, m = _objective(scen, mode)
-        params = _start_params(scen, mode, rng)
-        coord = int(rng.integers(params.size))
+        f, _ = _objective(scen, mode)
+        start = random_config(scen, rng)
+        params = _params_of(start, mode)
         scan = []
         for theta in np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False):
             p = params.copy()
-            p[coord] = theta
+            p[0] = theta
             scan.append(f(p))
-        a = _read_coefficients(scen, mode, params)[coord]
-        value = _trig_step(f, params, coord, f(params), a)
+        config, value = optimize_phases(scen, start, budget=2, mode=mode)
+        moved = _params_of(config, mode)
+        np.testing.assert_array_equal(moved[1:], params[1:])
         assert value >= max(scan) - 1e-9
-        assert f(params) == value
+        assert f(moved) == value
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_one_coordinate_costs_one_evaluation(self, rng, mode, n):
+    def test_one_coordinate_costs_one_evaluation(self, rng, monkeypatch, mode, n):
         scen = BellScenario(n, 3)
-        f, _ = _objective(scen, mode)
-        params = _start_params(scen, mode, rng)
-        counted = _CountedObjective(f, budget=100)
-        f0 = counted(params)
-        _trig_step(counted, params, 1, f0, _read_coefficients(scen, mode, params)[1])
-        assert counted.used - 1 == 1  # f0 is reused, not re-evaluated
+        start = random_config(scen, rng)
+        params = _params_of(start, mode)
+        calls = count_objective_calls(monkeypatch)
+        for moves in (1, 2, 3):
+            calls.clear()
+            config, _ = optimize_phases(scen, start, budget=1 + moves, mode=mode)
+            assert len(calls) == 1 + moves  # the start, then one per move
+            assert np.count_nonzero(_params_of(config, mode) != params) <= moves
 
-    def test_flat_coordinate_keeps_the_start(self):
-        params = np.array([0.3, 1.1])
-        value = _trig_step(lambda p: 2.0, params, 0, 2.0, np.zeros(2, dtype=complex))
-        assert value == 2.0
-        assert params[0] == 0.3
+    def test_flat_coordinate_keeps_the_start(self, rng, monkeypatch):
+        scen = BellScenario(2, 3)
+        start = random_config(scen, rng)
+        calls = count_objective_calls(monkeypatch)
 
-    def test_move_the_objective_rejects_is_undone(self):
+        def one_flat_coordinate(weights, phases):
+            yield 0, np.zeros(2, dtype=complex)
+
+        for mode in ("free", "symmetric"):
+            monkeypatch.setattr(f"quditbell.optimize._{mode}_sweep", one_flat_coordinate)
+            calls.clear()
+            config, value = optimize_phases(scen, start, budget=100, mode=mode)
+            assert len(calls) == 1  # the start only
+            np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
+            assert value == ghz_bell_value(config)
+
+    def test_move_the_objective_rejects_is_undone(self, rng, monkeypatch):
         # the read-off peak is only a proposal: a lower confirmed value keeps the start
-        params = np.array([0.3, 1.1])
-        value = _trig_step(lambda p: 1.0, params, 0, 2.0, np.array([1.0 + 1.0j]))
-        assert value == 2.0
-        assert params[0] == 0.3
+        scen = BellScenario(2, 3)
+        start = random_config(scen, rng)
+        calls = []
+
+        def lower_after_the_start(config):
+            calls.append(config)
+            return 2.0 if len(calls) == 1 else 1.0
+
+        monkeypatch.setattr("quditbell.optimize.ghz_bell_value", lower_after_the_start)
+        for mode in ("free", "symmetric"):
+            calls.clear()
+            config, value = optimize_phases(scen, start, budget=100, mode=mode)
+            assert len(calls) > 1
+            assert value == 2.0
+            np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+    def test_budget_counts_every_evaluation(self, rng, monkeypatch, mode, n, d):
+        scen = BellScenario(n, d)
+        start = random_config(scen, rng)
+        calls = count_objective_calls(monkeypatch)
+        optimize_phases(scen, start, budget=10**6, mode=mode)
+        full = len(calls)
+        previous = -math.inf
+        for budget in range(1, full + 2):
+            calls.clear()
+            config, value = optimize_phases(scen, start, budget=budget, mode=mode)
+            assert len(calls) == min(budget, full)
+            assert value >= previous
+            assert ghz_bell_value(config) == value
+            previous = value
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
