@@ -91,7 +91,7 @@ class BudgetExceededError(RuntimeError):
         # d^exponent stays unexpanded and a huge budget is written as a power of
         # two: in full either can run to millions of digits, and str() of an
         # int past 4,300 digits raises
-        allows = budget if abs(budget) < 10**18 else f"about 2^{round(math.log2(abs(budget)))}"
+        allows = budget if budget < 10**18 else f"about 2^{round(math.log2(budget))}"
         super().__init__(
             f"enumeration needs {dimension}^{exponent} strategies, budget allows {allows}"
         )
@@ -106,6 +106,8 @@ def strategy_space_exponent(scenario: BellScenario, partition=None) -> int:
 
 
 def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     # d^e >= 2^e exceeds every budget of fewer than e bits: refuse without forming d^e
     d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
     if e > budget.bit_length() or d**e > budget:
@@ -149,7 +151,8 @@ class Bipartition:
         if len(parts) != 2:
             raise ValueError(f"partition must look like '1,2/3', got {text!r}")
         try:
-            blocks = [tuple(int(x) for x in part.split(",") if x) for part in parts]
+            # int() refuses an empty entry ('1,,2/3'), the constructor an empty block ('1,2/')
+            blocks = [tuple(int(x) for x in part.split(",")) if part else () for part in parts]
         except ValueError as exc:
             raise ValueError(f"partition has non-integer parties: {text!r}") from exc
         partition = cls(blocks[0], blocks[1])

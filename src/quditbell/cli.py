@@ -59,10 +59,7 @@ class InputError(ValueError):
 def _scenario(n: int, d: int) -> BellScenario:
     if n < 2:
         raise InputError(f"need at least 2 parties, got {n}")
-    try:
-        return BellScenario(n, d)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return BellScenario(n, d)
 
 
 def _ghz_scenario(n: int, d: int) -> BellScenario:
@@ -94,6 +91,16 @@ def _csv_lines(rows: list[dict]):
                 value = row[key]
                 cells.append(f"{value:.10g}" if isinstance(value, float) else str(value))
             yield ",".join(cells) + "\n"
+
+
+def _writable(ctx, param, path: Optional[str]) -> Optional[str]:
+    """Option callback: refuse, before any work, a path no file can be written beside."""
+    if path is not None:
+        try:
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -140,7 +147,7 @@ def cli():
 _common = [
     click.option("--n", type=int, required=True, help="Number of parties (>= 2)."),
     click.option("--d", type=int, required=True, help="Outcomes per measurement (>= 2)."),
-    click.option("--out", "out_path", type=click.Path(), default=None,
+    click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable,
                  help="Write the report to this file (atomic) instead of stdout."),
 ]
 
@@ -207,7 +214,7 @@ def bound(n, d, out_path, model, partition, budget):
               default="closed-form", show_default=True,
               help="Probability path for the GHZ state: the closed form at any "
                    f"size, or the dense density-matrix oracle for d^N <= {DENSE_DIMENSION_LIMIT}.")
-@click.option("--emit-table", type=click.Path(), default=None,
+@click.option("--emit-table", type=click.Path(), default=None, callback=_writable,
               help="Also write the probability table JSON to this file; refused "
                    f"past {DENSE_DIMENSION_LIMIT**2} = 2^N d^N entries.")
 @click.option("--restarts", type=int, default=20, show_default=True,
@@ -280,7 +287,7 @@ def visibility(n, d, out_path):
               help="Inclusive party range 'lo:hi'.")
 @click.option("--d-range", default="2:3", show_default=True,
               help="Inclusive dimension range 'lo:hi'.")
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 def scan(n_range, d_range, out_path, fmt):
@@ -308,7 +315,7 @@ def scan(n_range, d_range, out_path, fmt):
 
 @cli.command("eval")
 @click.argument("table_file", type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
 def eval_table(table_file, out_path):
     """Evaluate the Bell functional on a probability-table JSON file."""
     try:
@@ -348,7 +355,7 @@ def run(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except (BudgetExceededError, DenseLimitError) as exc:

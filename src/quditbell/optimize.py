@@ -48,7 +48,8 @@ def optimal_angles(scenario: BellScenario) -> PhaseConfiguration:
     m1 = 15.0 / scenario.n_parties
     m2 = m1 - 6.0
     ramp = np.arange(d) * math.pi / (2.0 * d)
-    return PhaseConfiguration.from_party_vectors(scenario, m1 * ramp, m2 * ramp)
+    pair = [m1 * ramp, m2 * ramp]
+    return PhaseConfiguration(scenario, np.tile(pair, (scenario.n_parties, 1, 1)))
 
 
 def cglmp_max_closed_form(dimension: int) -> float:

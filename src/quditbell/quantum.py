@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -136,7 +135,7 @@ def product_state(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
 
 
 class PhaseConfiguration:
-    """Per-party, per-setting phase vectors (radians) for multiport measurements."""
+    """Read-only (N, 2, d) phases in radians: phases[p, c] for party p + 1, setting c + 1."""
 
     def __init__(self, scenario: BellScenario, phases: np.ndarray):
         arr = np.array(phases, dtype=float)
@@ -149,25 +148,9 @@ class PhaseConfiguration:
         self.scenario = scenario
         self.phases = arr
 
-    def vector(self, party: int, setting: int) -> np.ndarray:
-        """Phase vector of a 1-indexed party for setting 1 or 2."""
-        if not 1 <= party <= self.scenario.n_parties:
-            raise ValueError(f"party {party} out of range")
-        if setting not in (1, 2):
-            raise ValueError(f"setting must be 1 or 2, got {setting}")
-        return self.phases[party - 1, setting - 1]
-
     @classmethod
     def zero(cls, scenario: BellScenario) -> "PhaseConfiguration":
         return cls(scenario, np.zeros((scenario.n_parties, 2, scenario.dimension)))
-
-    @classmethod
-    def from_party_vectors(
-        cls, scenario: BellScenario, setting1: Sequence[float], setting2: Sequence[float]
-    ) -> "PhaseConfiguration":
-        """Same two phase vectors for every party."""
-        pair = np.stack([np.asarray(setting1, float), np.asarray(setting2, float)])
-        return cls(scenario, np.tile(pair, (scenario.n_parties, 1, 1)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,32 +165,6 @@ class PhaseConfiguration:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, payload) -> "PhaseConfiguration":
-        if not isinstance(payload, dict) or not {"n", "d", "phases"} <= set(payload):
-            raise ValueError("phase payload must be an object with n, d, phases")
-        n, d, phases = payload["n"], payload["d"], payload["phases"]
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, d)):
-            raise ValueError("phase payload fields 'n' and 'd' must be integers")
-        if not isinstance(phases, dict):
-            raise ValueError("phase payload field 'phases' must be an object")
-        scenario = BellScenario(n, d)
-        vectors = []
-        for p in range(1, n + 1):
-            party = phases.get(f"party-{p}")
-            if not isinstance(party, dict):
-                raise ValueError(f"phase payload party-{p} must be an object")
-            for i in (1, 2):
-                vec = party.get(f"setting-{i}")
-                if not isinstance(vec, list) or len(vec) != d:
-                    raise ValueError(f"party-{p} setting-{i} must list {d} phases")
-                vectors.append(vec)
-        try:
-            arr = np.array(vectors, dtype=float).reshape(n, 2, d)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError("phase payload phases must be numbers") from exc
-        return cls(scenario, arr)
-
 
 def _fourier(d: int) -> np.ndarray:
     """d x d discrete Fourier matrix, entry (j, k) = omega^(j k)."""
@@ -215,16 +172,17 @@ def _fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / d)
 
 
-def multiport_unitary(phase_vector: Sequence[float]) -> np.ndarray:
-    """Unbiased symmetric multiport splitter with input phase shifters.
+def multiport_unitary(phases) -> np.ndarray:
+    """Unbiased symmetric multiport splitters with input phase shifters, (..., d) -> (..., d, d).
 
     Entry (k, l) is omega^(k l) e^(i phi_l)/sqrt(d) with omega = exp(2 pi i/d),
     so every matrix element has modulus 1/sqrt(d).
     """
-    phi = np.asarray(phase_vector, dtype=float)
-    if phi.ndim != 1 or phi.size < 2:
-        raise ValueError(f"phase vector must be 1-d with at least 2 entries, got shape {phi.shape}")
-    return _fourier(phi.size) * np.exp(1j * phi)[None, :] / math.sqrt(phi.size)
+    phi = np.asarray(phases, dtype=float)
+    if phi.ndim == 0 or phi.shape[-1] < 2:
+        raise ValueError(f"phase vectors need at least 2 entries, got shape {phi.shape}")
+    d = phi.shape[-1]
+    return _fourier(d) * np.exp(1j * phi)[..., None, :] / math.sqrt(d)
 
 
 def joint_probabilities(
@@ -257,10 +215,7 @@ def joint_probabilities(
             "for GHZ states use the closed-form path (ghz_table)"
         )
     n, d = rho.scenario.n_parties, rho.scenario.dimension
-    units = [
-        np.stack([multiport_unitary(config.vector(p, c)) for c in (1, 2)])
-        for p in range(1, n + 1)
-    ]
+    units = multiport_unitary(config.phases)  # (N, 2, d, d)
     if n == 1:
         # K would hold 2 d^3 entries, 2d times rho: read diag(U rho U^dag) instead
         state = np.sum((units[0] @ rho.matrix) * units[0].conj(), axis=-1)

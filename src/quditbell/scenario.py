@@ -248,8 +248,12 @@ class JointProbabilityTable:
         size = scenario.n_outcome_tuples
         rows = []
         for s in expected:
+            values = tables[s]
+            # numpy would read "0.5", true and null as floats
+            if isinstance(values, list) and {str, bool, type(None)} & set(map(type, values)):
+                raise TableFormatError(f"setting {s}: probabilities must be numbers")
             try:
-                row = np.array(tables[s], dtype=float)
+                row = np.array(values, dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TableFormatError(f"setting {s}: probabilities must be numbers") from exc
             # checked row by row, so a huge declared d^n allocates nothing

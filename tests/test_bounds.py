@@ -280,7 +280,7 @@ class TestBipartition:
         assert part.block_b == (2, 4)
 
     def test_parse_rejects_garbage(self):
-        for text in ("1,2", "1,2/2,3", "1//2", "a/b", "1/2/3"):
+        for text in ("1,2", "1,2/2,3", "1//2", "a/b", "1/2/3", "1,,2/3", "1,2,/3"):
             with pytest.raises(ValueError):
                 Bipartition.parse(text, 3)
 

@@ -103,6 +103,16 @@ class TestBoundCommand:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert len(err.encode()) < 200
 
+    def test_budget_below_one_is_input_error(self, capsys):
+        for budget in ("-5", "0"):
+            code, out, err = invoke(
+                capsys, "bound", "--n", "2", "--d", "2", "--partition", "1/2",
+                "--budget", budget,
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: budget must be at least 1, got {budget}\n"
+
     def test_invalid_partition_exit_code(self, capsys):
         code, _, err = invoke(
             capsys, "bound", "--n", "3", "--d", "2", "--partition", "1,2,3",
@@ -387,6 +397,19 @@ class TestEvalCommand:
         code, _, err = invoke(capsys, "eval", str(tmp_path / "nope.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("row", [
+        ["0.5", "0", "0", "0.5"], [True, False, False, False], [0.5, None, 0.0, 0.5],
+    ], ids=["strings", "booleans", "null"])
+    def test_non_number_probabilities_are_input_error(self, capsys, tmp_path, row):
+        tables = {s: [0.25] * 4 for s in ("11", "12", "21", "22")}
+        tables["12"] = row
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"n": 2, "d": 2, "tables": tables}))
+        code, out, err = invoke(capsys, "eval", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.endswith("setting 12: probabilities must be numbers\n")
+
     def test_single_party_table_is_refused(self, capsys, tmp_path):
         # a classical point mass would otherwise "witness" one-party entanglement
         path = tmp_path / "one.json"
@@ -481,6 +504,21 @@ class TestOutputHandling:
         assert err.startswith("error: cannot write ") and target in err
         assert err.count("\n") == 1 and len(err.encode()) < 200
         assert not (tmp_path / "missing-dir").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-table"])
+    def test_unwritable_path_refused_before_any_work(self, capsys, monkeypatch, tmp_path, flag):
+        def no_work(*args, **kwargs):
+            pytest.fail("the phase search ran before the output path was checked")
+
+        monkeypatch.setattr("quditbell.cli.optimize_with_restarts", no_work)
+        target = str(tmp_path / "missing-dir" / "x.json")
+        code, out, err = invoke(
+            capsys, "violation", "--n", "6", "--d", "6", "--angles", "optimized-free",
+            flag, target,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [

@@ -1,11 +1,10 @@
-"""Fuzzing of the JSON loaders: any payload loads or raises the loader's own error."""
+"""Fuzzing of the table JSON loader: any payload loads or raises the loader's own error."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from quditbell.quantum import PhaseConfiguration
 from quditbell.scenario import JointProbabilityTable, TableFormatError, all_setting_strings
 
 # a fixed alphabet, near the setting strings and field names, spares
@@ -59,22 +58,12 @@ def table_payloads(draw):
     row = (
         st.just([1 / size] * size)
         | st.lists(NUMBERS, min_size=size, max_size=size)
+        | st.lists(SCALARS, min_size=size, max_size=size)
         | st.lists(NUMBERS, max_size=4)
         | JSON
     )
     tables = _maybe_drop(draw, {s: draw(row) for s in all_setting_strings(n)})
     return _maybe_drop(draw, {**_sizes(draw, n, d), "tables": tables})
-
-
-@st.composite
-def phase_payloads(draw):
-    n, d = draw(st.integers(1, 3)), draw(st.integers(2, 4))
-    vector = st.lists(NUMBERS, min_size=d, max_size=d) | st.lists(NUMBERS, max_size=5) | JSON
-    phases = {
-        f"party-{p}": _maybe_drop(draw, {f"setting-{i}": draw(vector) for i in (1, 2)})
-        for p in range(1, n + 1)
-    }
-    return _maybe_drop(draw, {**_sizes(draw, n, d), "phases": _maybe_drop(draw, phases)})
 
 
 @FUZZ
@@ -83,13 +72,4 @@ def test_table_loader_raises_only_table_format_errors(payload):
     try:
         JointProbabilityTable.from_json_dict(payload)
     except TableFormatError:
-        pass
-
-
-@FUZZ
-@given(phase_payloads() | JSON)
-def test_phase_loader_raises_only_value_errors(payload):
-    try:
-        PhaseConfiguration.from_json_dict(payload)
-    except ValueError:
         pass

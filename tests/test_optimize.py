@@ -68,8 +68,8 @@ class TestMaxViolation:
 class TestOptimalAngles:
     def test_two_qubit_vectors(self):
         config = optimal_angles(BellScenario(2, 2))
-        np.testing.assert_allclose(config.vector(1, 1), [0.0, 7.5 * math.pi / 4])
-        np.testing.assert_allclose(config.vector(1, 2), [0.0, 1.5 * math.pi / 4])
+        np.testing.assert_allclose(config.phases[0, 0], [0.0, 7.5 * math.pi / 4])
+        np.testing.assert_allclose(config.phases[0, 1], [0.0, 1.5 * math.pi / 4])
 
     def test_first_entry_always_zero(self):
         for n, d in ((2, 2), (3, 5), (4, 3)):

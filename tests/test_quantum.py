@@ -50,7 +50,7 @@ def kron_joint_probabilities(rho, config):
     n = rho.scenario.n_parties
     rows = []
     for s in all_setting_strings(n):
-        ops = [multiport_unitary(config.vector(p, int(s[p - 1]))) for p in range(1, n + 1)]
+        ops = [multiport_unitary(config.phases[p, int(c) - 1]) for p, c in enumerate(s)]
         u = reduce(np.kron, ops[::-1])
         rows.append(np.real(np.diagonal(u @ rho.matrix @ u.conj().T)))
     return JointProbabilityTable(rho.scenario, rows)
@@ -178,6 +178,14 @@ class TestMultiportUnitary:
     def test_rejects_short_vector(self):
         with pytest.raises(ValueError):
             multiport_unitary([0.0])
+
+    def test_stacked_phases_match_vector_calls(self, rng):
+        phases = rng.uniform(0, 2 * np.pi, (4, 2, 3))
+        stacked = multiport_unitary(phases)
+        assert stacked.shape == (4, 2, 3, 3)
+        for p in range(4):
+            for c in range(2):
+                np.testing.assert_array_equal(stacked[p, c], multiport_unitary(phases[p, c]))
 
 
 class TestJointProbabilities:
@@ -330,7 +338,7 @@ class TestClosedForm:
                 for _ in range(2):
                     if symmetric:
                         pair = rng.uniform(0.0, 2.0 * np.pi, (2, d))
-                        config = PhaseConfiguration.from_party_vectors(scen, *pair)
+                        config = PhaseConfiguration(scen, np.tile(pair, (n, 1, 1)))
                     else:
                         config = random_config(scen, rng)
                     # each of the 2^N setting terms lies in [-1, 1], and a random
@@ -428,44 +436,6 @@ class TestProductState:
 
 
 class TestPhaseConfiguration:
-    def test_json_round_trip(self, rng):
-        config = random_config(BellScenario(3, 4), rng)
-        back = PhaseConfiguration.from_json_dict(config.to_json_dict())
-        np.testing.assert_allclose(back.phases, config.phases)
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("phases", [1.0, 2.0]),
-            ("phases", "party-1"),
-            ("party-1", [0.0, 0.0]),
-            ("party-2", None),
-            ("setting-1", 0.5),
-            ("setting-2", ["x", 0.0]),
-            ("n", True),
-            ("n", 2.5),
-            ("d", False),
-            ("d", "2"),
-        ],
-    )
-    def test_bad_payload_raises_value_error(self, field, value):
-        payload = PhaseConfiguration.zero(BellScenario(2, 2)).to_json_dict()
-        if field in ("n", "d", "phases"):
-            payload[field] = value
-        elif field.startswith("party"):
-            payload["phases"][field] = value
-        else:
-            payload["phases"]["party-1"][field] = value
-        with pytest.raises(ValueError):
-            PhaseConfiguration.from_json_dict(payload)
-
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             PhaseConfiguration(BellScenario(2, 2), np.zeros((2, 2, 3)))
-
-    def test_vector_accessor_bounds(self):
-        config = PhaseConfiguration.zero(BellScenario(2, 2))
-        with pytest.raises(ValueError):
-            config.vector(3, 1)
-        with pytest.raises(ValueError):
-            config.vector(1, 0)
