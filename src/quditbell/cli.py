@@ -94,8 +94,10 @@ def _csv_lines(rows: list[dict]):
 
 
 def _writable(ctx, param, path: Optional[str]) -> Optional[str]:
-    """Option callback: refuse, before any work, a path no file can be written beside."""
+    """Option callback: refuse, before any work, a directory or a path in an unwritable one."""
     if path is not None:
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: Is a directory")
         try:
             tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
         except OSError as exc:

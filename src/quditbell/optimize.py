@@ -6,7 +6,8 @@ visibility, and a linear phase ramp attains it.  An exact coordinate search
 confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
 the branch-pair factors that ghz_bell_value multiplies, so each move costs one
-objective evaluation, the one that confirms it.
+objective evaluation, the one that confirms it.  The peak of each polynomial is
+one small eigenvalue problem, and tolerances scale with the value, as 2^(N-2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .scenario import BellScenario
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
 
-# a coordinate sweep that gains less than this ends the phase search
+# a coordinate sweep that gains less than this times 2^(N-2) ends the phase search
 _SWEEP_TOL = 1e-9
 
 __all__ = [
@@ -132,16 +133,26 @@ def _peak(a: np.ndarray):
 
     Degree 1 peaks at -arg a_1.  Otherwise the stationary points are the roots
     of e^(iM theta) times the derivative, a degree-2M polynomial in
-    e^(i theta), and the best of them is taken.
+    e^(i theta), and the best of them is taken.  They are numpy.roots' bit for
+    bit, from its companion matrix with the M - K zero terms cut off each end
+    (a_K the top nonzero term) and the low end's put back as zero roots.
     """
     if not a.any():
         return None
     if a.size == 1:
         return -np.angle(a[0])
-    m = np.arange(1, a.size + 1)
-    # u^(M+m) carries i m a_m and u^(M-m) carries -i m conj(a_m); highest power first
-    roots = np.angle(np.roots(np.concatenate([(1j * m * a)[::-1], [0.0], -1j * m * a.conj()])))
-    return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
+    k = np.arange(1, np.flatnonzero(a)[-1] + 2)
+    # u^(K+k) carries i k a_k and u^(K-k) carries -i k conj(a_k); highest power first
+    poly = np.concatenate([(1j * k * a[: k.size])[::-1], [0.0], -1j * k * a[: k.size].conj()])
+    companion = np.diag(np.ones(poly.size - 2, complex), -1)
+    companion[0] = -poly[1:] / poly[0]
+    roots = np.angle(np.concatenate([np.linalg.eigvals(companion), np.zeros(a.size - k.size)]))
+    return roots[np.argmax((np.exp(1j * np.outer(roots, np.arange(1, a.size + 1))) @ a).real)]
+
+
+def _others(d: int) -> list[np.ndarray]:
+    """The indices k != j for each phase j of a setting the search moves (see optimize_phases)."""
+    return [np.flatnonzero(np.arange(d) != j) for j in range(1 if d == 2 else d)]
 
 
 def _free_sweep(weights: np.ndarray, phases: np.ndarray):
@@ -164,12 +175,12 @@ def _free_sweep(weights: np.ndarray, phases: np.ndarray):
         rest.append(f1 * rest[-1][:-1] + f2 * rest[-1][1:])
     rest.reverse()
     prefix = np.ones((1, d, d), dtype=complex)
-    off = ~np.eye(d, dtype=bool)
+    others = _others(d)
     for p, r in enumerate(rest):
         gradient = (np.sum(prefix * r[:-1], axis=0), np.sum(prefix * r[1:], axis=0))
         for s, g in enumerate(gradient):
-            for j in range(d):
-                a = g[j, off[j]] @ np.exp(-1j * phases[p, s, off[j]])
+            for j, k in enumerate(others):
+                a = g[j, k] @ np.exp(-1j * phases[p, s, k])
                 yield (2 * p + s) * d + j, np.array([a])
         f1, f2 = _branch_factors(phases[p])
         moved = np.zeros((p + 2, d, d), dtype=complex)
@@ -191,15 +202,16 @@ def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray):
     """
     n, d = weights.shape[0] - 1, phases.shape[1]
     t = np.arange(n + 1)
-    binom = np.array([math.comb(n, k) / 2**n for k in t])
+    binom = np.array([[math.comb(n, k) / 2**n] for k in t])
     powers = np.stack([n - t, t], axis=1)  # (N+1, 2): exponent of each setting's factor
-    off = ~np.eye(d, dtype=bool)
+    others = _others(d)
+    pair_weights = [weights[:, j, k] for j, k in enumerate(others)]
     for s in (0, 1):
-        for j in range(d):
-            row = phases[:, j, None] - phases[:, off[j]]  # phi_j - phi_k, k != j
-            row[s] = -phases[s, off[j]]
-            terms = binom[:, None] * np.exp(1j * (powers @ row))
-            by_power = 2.0 * np.sum(weights[:, j, off[j]] * terms, axis=1)
+        for j, (k, w) in enumerate(zip(others, pair_weights)):
+            row = phases[:, j, None] - phases[:, k]  # phi_j - phi_k, k != j
+            row[s] = -phases[s, k]
+            terms = binom * np.exp(1j * (powers @ row))
+            by_power = 2.0 * np.sum(w * terms, axis=1)
             yield s * d + j, by_power[-2::-1] if s == 0 else by_power[1:]
 
 
@@ -213,17 +225,22 @@ def optimize_phases(
 
     Cycles through the phase entries (all 2*N*d in "free" mode, the 2*d
     party-shared ones in "symmetric" mode), moving each to the exact maximum
-    along it.  A phase multiplies one GHZ branch by e^(i phi) in one party
-    (free, degree 1) or in all N parties (symmetric, degree N); the
-    trigonometric polynomial along it is read off the branch-pair factors of
-    ghz_bell_value, not sampled, and one objective evaluation confirms each
-    move, which is kept only if the value does not drop.  The budget counts
-    evaluations, the start's included, and is checked before each move.
-    Sweeps repeat until a full cycle improves by less than 1e-9 or the
-    budget is spent.  The returned value is the objective at the returned
-    phases and never drops below the start's; symmetric mode reads the
-    start's party-1 vectors as the shared parameters.  Like max_violation,
-    the search's ceiling, it refuses N < 2 with ValueError before any sweep.
+    along it.  Adding a constant to a setting's d phases changes no factor
+    e^(i(phi_j - phi_k)), so at d = 2 moving phi_1 by t moves phi_0 by -t,
+    along a line the move of phi_0 has just maximized: only phi_0 moves there.
+    (For d >= 3 the last phase is a joint move of the others.)  A phase
+    multiplies one GHZ branch by e^(i phi) in one party (free, degree 1) or in
+    all N parties (symmetric, degree N); the trigonometric polynomial along it
+    is read off the branch-pair factors of ghz_bell_value, not sampled, and
+    one objective evaluation confirms each move, which is kept only if the
+    value does not drop.  The budget counts evaluations, the start's included,
+    and is checked before each move.  Sweeps repeat until a full cycle
+    improves by less than 1e-9 * 2^(N-2) or the budget is spent, and a value
+    past the closed form by 1e-6 * 2^(N-2) warns: both scale with the value.
+    The returned value is the objective at the returned phases and never
+    drops below the start's; symmetric mode reads the start's party-1 vectors
+    as the shared parameters.  Like max_violation, the search's ceiling, it
+    refuses N < 2 with ValueError before any sweep.
     """
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
@@ -231,6 +248,7 @@ def optimize_phases(
         raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
     n, d = scenario.n_parties, scenario.dimension
     ceiling = max_violation(scenario)
+    scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30
 
     free = mode == "free"
     # symmetric mode: party 1's vectors parameterize all parties
@@ -238,7 +256,7 @@ def optimize_phases(
     flat = phases.reshape(-1)  # a view: coordinate c is flat[c]
 
     def build():
-        return PhaseConfiguration(scenario, phases if free else np.tile(phases, (n, 1, 1)))
+        return PhaseConfiguration(scenario, phases if free else np.broadcast_to(phases, (n, 2, d)))
 
     sweep = _free_sweep if free else _symmetric_sweep
     weights = _ghz_weights(n, d)
@@ -261,9 +279,9 @@ def optimize_phases(
                 best = value
             else:
                 flat[coord] = x0
-        improved = best - sweep_start > _SWEEP_TOL
+        improved = best - sweep_start > _SWEEP_TOL * scale
 
-    if best > ceiling + 1e-6:
+    if best > ceiling + 1e-6 * scale:
         warnings.warn(
             f"phase search exceeded the closed-form maximum: {best!r} > {ceiling!r}",
             stacklevel=2,
@@ -287,7 +305,7 @@ def optimize_with_restarts(
 ) -> PhaseSearchResult:
     """Run optimize_phases from uniformly random starts and keep the best.
 
-    Each restart sweeps until a full cycle gains less than 1e-9 or its
+    Each restart sweeps until a full cycle gains less than 1e-9 * 2^(N-2) or its
     evaluation budget is spent.  Restarts are independent; ties go to the
     earliest restart, so the result is a deterministic function of the seed.
     """

@@ -520,6 +520,26 @@ class TestOutputHandling:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-table"])
+    @pytest.mark.parametrize("target", ["dir", "."])
+    def test_existing_directory_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, flag, target
+    ):
+        def no_work(*args, **kwargs):
+            pytest.fail("the phase search ran before the output path was checked")
+
+        monkeypatch.setattr("quditbell.cli.optimize_with_restarts", no_work)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        code, out, err = invoke(
+            capsys, "violation", "--n", "6", "--d", "6", "--angles", "optimized-free",
+            flag, target,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {target}: Is a directory\n"
+        assert os.listdir(tmp_path) == ["dir"] and os.listdir(tmp_path / "dir") == []
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [
         ("bound", "--n", "2", "--d", "2", "--partition", "1/2"),

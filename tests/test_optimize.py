@@ -9,6 +9,7 @@ import pytest
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
     _free_sweep,
+    _peak,
     _symmetric_sweep,
     cglmp_max_closed_form,
     critical_visibility,
@@ -207,6 +208,18 @@ class TestPhaseSearch:
             warnings.simplefilter("error")
             optimize_phases(scen, random_config(scen, rng), budget=2000, mode=mode)
             optimize_phases(scen, optimal_angles(scen), budget=2000, mode=mode)
+            # at large N an absolute 1e-6 lies below one ulp of the value
+            for n, d in ((30, 2), (40, 2), (40, 3)):
+                large = BellScenario(n, d)
+                optimize_phases(large, optimal_angles(large), budget=2000, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_one_sweep_ends_a_search_started_at_the_optimum(self, monkeypatch, mode):
+        # the stop rule scales with the value: 1e-9 would keep sweeping on rounding at N = 40
+        scen = BellScenario(40, 2)
+        calls = count_objective_calls(monkeypatch)
+        optimize_phases(scen, optimal_angles(scen), budget=2000, mode=mode)
+        assert len(calls) <= 1 + (2 * 40 if mode == "free" else 2)
 
     def test_restarts_deterministic_in_seed(self):
         scen = BellScenario(2, 2)
@@ -275,7 +288,7 @@ def sampled_trig_step(f, params, coord, f0, degree):
 
 
 def sampled_search(scen, start, mode, budget=20_000):
-    """Coordinate ascent by sampled_trig_step, swept until a cycle gains < 1e-9.
+    """Coordinate ascent by sampled_trig_step, swept until a cycle gains < 1e-9 * 2^(N-2).
 
     A step takes up to 2m+1 evaluations; the search stops before a step that
     could overrun the budget.
@@ -297,7 +310,7 @@ def sampled_search(scen, start, mode, budget=20_000):
             if used + 2 * m + 1 > budget:
                 return best
             best = sampled_trig_step(counted, params, coord, best, m)
-        improved = best - sweep_start > 1e-9
+        improved = best - sweep_start > math.ldexp(1e-9, scen.n_parties - 2)
     return best
 
 
@@ -345,7 +358,8 @@ class TestTrigStep:
         f, m = _objective(scen, mode)
         params = _start_params(scen, mode, rng)
         read = _read_coefficients(scen, mode, params)
-        assert sorted(read) == list(range(params.size))
+        # at d = 2 only phase 0 of each setting moves; phase 1 is its gauge image
+        assert sorted(read) == list(range(0, params.size, 2 if d == 2 else 1))
         size, k = 2 * m + 1, np.arange(1, m + 1)
         offsets = 2.0 * np.pi * np.arange(size) / size
         for coord, a in read.items():
@@ -450,3 +464,41 @@ class TestTrigStep:
         start = random_config(scen, rng)
         _, value = optimize_phases(scen, start, budget=20_000, mode=mode)
         assert value == pytest.approx(sampled_search(scen, start, mode), rel=0, abs=1e-12)
+
+
+def roots_peak(a):
+    """The peak by np.roots, the solver _peak replaces; the bit-for-bit oracle."""
+    if not a.any():
+        return None
+    if a.size == 1:
+        return -np.angle(a[0])
+    m = np.arange(1, a.size + 1)
+    roots = np.angle(np.roots(np.concatenate([(1j * m * a)[::-1], [0.0], -1j * m * a.conj()])))
+    return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
+
+
+class TestPeak:
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_equals_the_np_roots_peak_bit_for_bit(self, rng, degree):
+        for trial in range(200):
+            a = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+            # zero first or last terms; vanishing top terms trim the polynomial at both ends
+            a[: trial % 3] = 0.0
+            a[degree - (trial // 3) % 3 :] = 0.0
+            assert _peak(a) == roots_peak(a)  # None for the all-zero vector
+        assert _peak(np.zeros(degree, dtype=complex)) is None
+
+
+@pytest.mark.parametrize("mode", ["free", "symmetric"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phase_one_is_the_gauge_image_of_phase_zero_at_d2(rng, mode, n):
+    # moving phi_1 of a setting by t gives the value of moving phi_0 by -t
+    scen = BellScenario(n, 2)
+    f, _ = _objective(scen, mode)
+    params = _start_params(scen, mode, rng)
+    for first in range(0, params.size, 2):
+        for t in rng.uniform(-np.pi, np.pi, 3):
+            p0, p1 = params.copy(), params.copy()
+            p0[first] -= t
+            p1[first + 1] += t
+            assert f(p1) == pytest.approx(f(p0), rel=0, abs=1e-12)
