@@ -58,13 +58,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .scenario import BellScenario, _numerator_row, all_setting_strings, t_count
+from .scenario import (
+    BellScenario,
+    _is_int,
+    _numerator_row,
+    all_setting_strings,
+    setting_index,
+    t_counts,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -112,6 +120,13 @@ def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
     d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
     if e > budget.bit_length() or d**e > budget:
         raise BudgetExceededError(d, e, budget)
+
+
+def _check_partition(scenario: BellScenario, partition) -> None:
+    if partition.n_parties != scenario.n_parties:
+        raise ValueError(
+            f"partition covers {partition.n_parties} parties, scenario has {scenario.n_parties}"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,42 +211,36 @@ class DeterministicStrategy:
         object.__setattr__(self, "xi", dict(self.xi))
         object.__setattr__(self, "zeta", dict(self.zeta))
 
-    def validate_for(self, scenario: BellScenario) -> None:
-        if self.partition.n_parties != scenario.n_parties:
-            raise ValueError(
-                f"strategy partition covers {self.partition.n_parties} parties, "
-                f"scenario has {scenario.n_parties}"
-            )
+    def validate_for(self, scenario: BellScenario) -> tuple[np.ndarray, np.ndarray]:
+        """Check the maps against the scenario; return xi and zeta as int arrays by block
+        index, which reads a block combination in binary with setting 1 as 0, as a row's does."""
+        _check_partition(scenario, self.partition)
+        d, arrays = scenario.dimension, []
         for name, mapping, block in (
             ("xi", self.xi, self.partition.block_a),
             ("zeta", self.zeta, self.partition.block_b),
         ):
             expected = all_setting_strings(len(block))
             if set(mapping) != set(expected):
-                raise ValueError(f"{name} must cover exactly the combinations {expected}")
-            for combo, value in mapping.items():
-                if not 0 <= int(value) < scenario.dimension:
-                    raise ValueError(
-                        f"{name}[{combo}] = {value} outside [0, {scenario.dimension - 1}]"
-                    )
-
-
-def _substring(setting: str, parties: tuple[int, ...]) -> str:
-    return "".join(setting[p - 1] for p in parties)
+                listed = f"the {len(expected)} combinations {reprlib.repr(expected)}"
+                raise ValueError(f"{name} must cover exactly {listed}")
+            for combo, v in mapping.items():
+                if not (_is_int(v) and 0 <= v < d):
+                    raise ValueError(f"{name}[{combo}] = {v!r} outside the integers 0..{d - 1}")
+            arrays.append(np.array([mapping[c] for c in expected], dtype=np.int64))
+        return arrays[0], arrays[1]
 
 
 def strategy_bell_value(
     strategy: DeterministicStrategy, scenario: BellScenario
 ) -> Fraction:
-    """Bell functional value of the delta table the strategy induces, exact."""
-    strategy.validate_for(scenario)
-    part, d = strategy.partition, scenario.dimension
-    total = 0
-    for s in all_setting_strings(scenario.n_parties):
-        xi = strategy.xi[_substring(s, part.block_a)]
-        zeta = strategy.zeta[_substring(s, part.block_b)]
-        total += _numerator_row(t_count(s), d)[(xi + zeta) % d]
-    return Fraction(-total, d - 1)
+    """Bell functional value of the delta table the strategy induces, exact: the outer
+    sum over block indices i, j of num[t(i) + t(j)][(xi_i + zeta_j) mod d], over -(d - 1)."""
+    xi, zeta = strategy.validate_for(scenario)
+    n, d = scenario.n_parties, scenario.dimension
+    t = t_counts(n).reshape(len(xi), len(zeta))  # t(i) + t(j), the joined index's popcount
+    nums = _numerator_rows(n, d, _exact_dtype(n, d))
+    return Fraction(-int(nums[t, (xi[:, None] + zeta) % d].sum()), d - 1)
 
 
 def _exact_dtype(n_parties: int, d: int):
@@ -277,10 +286,7 @@ def hlnhv_bound(
     it certifies, d^(2^|A|) * d^(2^|B|), and a larger one raises
     BudgetExceededError.
     """
-    if partition.n_parties != scenario.n_parties:
-        raise ValueError(
-            f"partition covers {partition.n_parties} parties, scenario has {scenario.n_parties}"
-        )
+    _check_partition(scenario, partition)
     partition = partition.canonical()
     n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, partition, budget)
@@ -296,12 +302,11 @@ def hlnhv_bound(
     t = np.arange(ka + 1)[:, None] + np.arange(kb + 1)
     weights = pair_counts[:, :, None] * _numerator_rows(n, d, dtype)[t]
     total, x, z = _min_class_sum(weights)
-    witness = DeterministicStrategy(
+    return Fraction(-total, d - 1), DeterministicStrategy(
         partition,
-        {c: x[t_count(c)] for c in all_setting_strings(ka)},
-        {c: z[t_count(c)] for c in all_setting_strings(kb)},
+        {c: x[c.count("2")] for c in all_setting_strings(ka)},
+        {c: z[c.count("2")] for c in all_setting_strings(kb)},
     )
-    return Fraction(-total, d - 1), witness
 
 
 def lhv_bound(
@@ -362,49 +367,21 @@ class Grouping:
 def build_grouping(scenario: BellScenario, partition: Bipartition) -> Grouping:
     """Group the setting strings by flipping each block's first party.
 
-    A base string has both first parties on setting 1; its quadruple flips
-    block B's, then block A's, then both to setting 2.  Each flip raises a
-    block's t-count by one, so the 2^(N-2) quadruples, in the order of their
-    bases, cover every setting string once.
+    A base index has both first parties' bits clear (setting 1); its quadruple
+    sets block B's, then block A's, then both.  Each flip raises a block's
+    t-count by one, so the 2^(N-2) quadruples, in the order of their bases,
+    cover every setting once.  The bases are free in the other N - 2 parties,
+    so C(N-2, k) of them have t-count k.
     """
-    if partition.n_parties != scenario.n_parties:
-        raise ValueError(
-            f"partition covers {partition.n_parties} parties, scenario has {scenario.n_parties}"
-        )
-    n = scenario.n_parties
-    a1 = partition.block_a[0] - 1
-    b1 = partition.block_b[0] - 1
-
-    def flip(s, i):
-        return s[:i] + "2" + s[i + 1 :]
-
-    groups = [
-        (s, flip(s, b1), flip(s, a1), flip(flip(s, a1), b1))
-        for s in all_setting_strings(n)
-        if s[a1] == "1" and s[b1] == "1"
-    ]
-    counts = [0] * (n - 1)
-    for group in groups:
-        counts[t_count(group[0])] += 1
-    return Grouping(scenario, partition, tuple(groups), tuple(counts))
-
-
-def _group_blocks(group, partition):
-    """Block combinations (base A, flipped A, base B, flipped B) of a quadruple."""
-    base_a = _substring(group[0], partition.block_a)
-    base_b = _substring(group[0], partition.block_b)
-    flip_a = _substring(group[2], partition.block_a)
-    flip_b = _substring(group[1], partition.block_b)
-    if (
-        _substring(group[1], partition.block_a) != base_a
-        or _substring(group[2], partition.block_b) != base_b
-        or _substring(group[3], partition.block_a) != flip_a
-        or _substring(group[3], partition.block_b) != flip_b
-        or t_count(flip_a) != t_count(base_a) + 1
-        or t_count(flip_b) != t_count(base_b) + 1
-    ):
-        raise ValueError(f"malformed quadruple {group}")
-    return base_a, flip_a, base_b, flip_b
+    _check_partition(scenario, partition)
+    n, strings = scenario.n_parties, all_setting_strings(scenario.n_parties)
+    a, b = 1 << (n - partition.block_a[0]), 1 << (n - partition.block_b[0])
+    groups = tuple(
+        (strings[i], strings[i | b], strings[i | a], strings[i | a | b])
+        for i in range(1 << n)
+        if not i & (a | b)
+    )
+    return Grouping(scenario, partition, groups, tuple(math.comb(n - 2, k) for k in range(n - 1)))
 
 
 def group_deterministic_max(
@@ -417,10 +394,16 @@ def group_deterministic_max(
     exhaustive over the full strategy space.  The search uses the HLNHV
     gauge (xa = 0) and decoupling (zb and zb' are independent given xa').
     """
-    d = scenario.dimension
-    _group_blocks(group, partition)  # shape check
+    n, d = scenario.n_parties, scenario.dimension
+    base, flip_b, flip_a, both = (setting_index(s, n) for s in group)
+    bit_a, bit_b = flip_a ^ base, flip_b ^ base
+    mask_a = sum(1 << (n - p) for p in partition.block_a)
+    # each flip moves one party of its block from setting 1 to 2, the fourth member both
+    if not (bit_a.bit_count() == bit_b.bit_count() == 1 and bit_a & mask_a and not bit_b & mask_a
+            and not base & (bit_a | bit_b) and both == base | bit_a | bit_b):
+        raise ValueError(f"malformed quadruple {group}")
     # the quadruple's t-counts are (k, k+1, k+1, k+2)
-    low, mid, high = (_numerator_row(t_count(group[0]) + i, d) for i in range(3))
+    low, mid, high = (_numerator_row(base.bit_count() + i, d) for i in range(3))
     best = min(
         min(low[zb] + mid[(xa2 + zb) % d] for zb in range(d))
         + min(mid[zb2] + high[(xa2 + zb2) % d] for zb2 in range(d))

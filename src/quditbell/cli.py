@@ -44,7 +44,8 @@ from .scenario import (
     JointProbabilityTable,
     TableFormatError,
     bell_value,
-    correlations,
+    correlation_numerators,
+    functional_value,
 )
 
 ANGLES_MODES = ("optimal", "zero", "optimized-symmetric", "optimized-free")
@@ -74,6 +75,11 @@ def _ghz_scenario(n: int, d: int) -> BellScenario:
             "maximum exceeds the float range"
         ) from exc
     return scenario
+
+
+def _witness_fired(value: float, n: int) -> bool:
+    """The report's verdict: the Bell value exceeds the HLNHV bound 2^(N-1)."""
+    return value > 2.0 ** (n - 1)
 
 
 def _sig10(x: float) -> float:
@@ -266,7 +272,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
             "closed_form_max": _sig10(ceiling),
             "difference": _sig10(value - ceiling),
             "hlnhv_bound": _sig10(2.0 ** (n - 1)),
-            "witness_fired": value > 2.0 ** (n - 1),
+            "witness_fired": _witness_fired(value, n),
             "angles": phases.to_json_dict(),
         },
         out_path,
@@ -331,18 +337,19 @@ def eval_table(table_file, out_path):
         table = JointProbabilityTable.from_json_dict(payload)
     except TableFormatError as exc:
         raise InputError(f"{table_file}: {exc}") from exc
-    _scenario(table.scenario.n_parties, table.scenario.dimension)  # refuses N < 2, as elsewhere
-    q_values = correlations(table).tolist()
-    value = -sum(q_values)
-    bound_value = 2.0 ** (table.scenario.n_parties - 1)
+    n, d = table.scenario.n_parties, table.scenario.dimension
+    _scenario(n, d)  # refuses N < 2, as elsewhere
+    numerators = correlation_numerators(table)
+    value = functional_value(numerators, d)
+    q_values = (numerators / (d - 1)).tolist()
     _emit(
         {
-            "n": table.scenario.n_parties,
-            "d": table.scenario.dimension,
+            "n": n,
+            "d": d,
             "bell_value": _sig10(value),
             "q_values": dict(zip(table.scenario.setting_strings(), map(_sig10, q_values))),
-            "hlnhv_bound": _sig10(bound_value),
-            "witness_fired": value > bound_value,
+            "hlnhv_bound": _sig10(2.0 ** (n - 1)),
+            "witness_fired": _witness_fired(value, n),
         },
         out_path,
     )

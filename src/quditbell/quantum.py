@@ -19,7 +19,7 @@ import numpy as np
 from .scenario import (
     BellScenario,
     JointProbabilityTable,
-    coefficient_by_residue,
+    _numerator_row,
     outcome_sums_mod_d,
 )
 
@@ -268,7 +268,7 @@ def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     W[t] is circulant and Hermitian, because the coefficients are real.
     """
     d = dimension
-    coeffs = np.array([coefficient_by_residue(t, d) for t in range(n_parties + 1)])
+    coeffs = np.array([_numerator_row(t, d) for t in range(n_parties + 1)]) / (d - 1)
     j = np.arange(d)
     lag = (j[:, None] - j[None, :]) % d
     weights = -(coeffs @ _fourier(d))[:, lag] / d**2

@@ -26,16 +26,17 @@ __all__ = [
     "JointProbabilityTable",
     "TableFormatError",
     "all_setting_strings",
-    "as_setting_string",
     "bell_value",
     "coefficient",
-    "coefficient_by_residue",
+    "correlation_numerators",
     "correlations",
+    "functional_value",
     "outcome_index",
     "outcome_sums_mod_d",
     "point_mass_table",
+    "setting_index",
     "shift",
-    "t_count",
+    "t_counts",
 ]
 
 
@@ -75,20 +76,31 @@ def all_setting_strings(n_parties: int) -> tuple[str, ...]:
     return tuple("".join(s) for s in itertools.product("12", repeat=n_parties))
 
 
-def as_setting_string(setting, n_parties: int) -> str:
-    """Normalize a setting given as a string or int sequence to a '12...' string."""
-    if isinstance(setting, str):
-        s = setting
-    else:
-        s = "".join(str(int(i)) for i in setting)
-    if len(s) != n_parties or any(c not in "12" for c in s):
-        raise ValueError(f"invalid setting string {setting!r} for {n_parties} parties")
-    return s
+def _is_int(value) -> bool:
+    """An integer that is not a bool: bool subclasses int, and True would read as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def t_count(setting) -> int:
-    """Number of parties choosing their second setting."""
-    return sum(1 for c in str(setting) if c == "2")
+def setting_index(setting, n_parties: int) -> int:
+    """Row index of a setting given as a '12...' string or a sequence of the ints 1 and 2.
+
+    Bit N-p holds party p's setting (1 as 0, 2 as 1), so the t-count is the index's
+    popcount.  Anything else, floats and bools included, raises ValueError.
+    """
+    text = setting
+    if not isinstance(setting, str):
+        try:
+            text = "".join(str(e) if _is_int(e) and e in (1, 2) else "?" for e in setting)
+        except TypeError:  # not iterable
+            text = "?"
+    if len(text) != n_parties or not set(text) <= {"1", "2"}:
+        raise ValueError(f"invalid setting {reprlib.repr(setting)} for {n_parties} parties")
+    return int(text.replace("1", "0").replace("2", "1"), 2)
+
+
+def t_counts(n_parties: int) -> np.ndarray:
+    """t-count (parties on setting 2) of every setting index 0..2^N-1: its popcount."""
+    return np.bitwise_count(np.arange(1 << n_parties))
 
 
 def shift(t: int) -> int:
@@ -113,7 +125,7 @@ def _numerator_row(t: int, d: int) -> tuple[int, ...]:
 
 def coefficient(setting, outcome: Sequence[int], scenario: BellScenario) -> float:
     """Coefficient the Bell functional assigns to one (setting, outcome) cell."""
-    s = as_setting_string(setting, scenario.n_parties)
+    t = setting_index(setting, scenario.n_parties).bit_count()
     outcome = tuple(int(x) for x in outcome)
     if len(outcome) != scenario.n_parties:
         raise ValueError(
@@ -122,15 +134,7 @@ def coefficient(setting, outcome: Sequence[int], scenario: BellScenario) -> floa
     d = scenario.dimension
     if any(not 0 <= x < d for x in outcome):
         raise ValueError(f"outcome entries must lie in [0, {d - 1}]")
-    return _numerator_row(t_count(s), d)[sum(outcome) % d] / (d - 1)
-
-
-@lru_cache(maxsize=None)
-def coefficient_by_residue(t: int, dimension: int) -> np.ndarray:
-    """Coefficient value for each outcome-sum residue class, as floats."""
-    vals = np.array(_numerator_row(t, dimension)) / (dimension - 1)
-    vals.flags.writeable = False
-    return vals
+    return _numerator_row(t, d)[sum(outcome) % d] / (d - 1)
 
 
 def outcome_index(outcome: Sequence[int], dimension: int) -> int:
@@ -195,8 +199,7 @@ class JointProbabilityTable:
 
     def probs_for(self, setting) -> np.ndarray:
         """Probability vector for one setting string (read-only view)."""
-        s = as_setting_string(setting, self.scenario.n_parties)
-        return self.rows[int(s.replace("1", "0").replace("2", "1"), 2)]
+        return self.rows[setting_index(setting, self.scenario.n_parties)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,22 +278,28 @@ def point_mass_table(
     return JointProbabilityTable(scenario, rows)
 
 
-def correlations(table: JointProbabilityTable) -> np.ndarray:
-    """Every setting's correlation value, its coefficient-weighted outcome average.
+def correlation_numerators(table: JointProbabilityTable) -> np.ndarray:
+    """d - 1 times every setting's correlation value, in setting order.
 
-    In setting order.  A coefficient depends on the setting only through its
-    t-count, the number of 1 bits in its row index, so one product meets
-    every row with each of the N+1 coefficient vectors over the outcome
-    indices, and each row keeps the one of its own t-count.  That costs
-    (N+1) d^N floats beside the table.
+    One product meets every row with the N+1 integer numerator rows over the outcome
+    indices, (N+1) d^N floats beside the table, and each row keeps its t-count's.
     """
     n, d = table.scenario.n_parties, table.scenario.dimension
-    t_counts = np.indices((2,) * n).reshape(n, -1).sum(axis=0)
-    by_t = np.array([coefficient_by_residue(t, d) for t in range(n + 1)])
-    coeffs = by_t[:, outcome_sums_mod_d(n, d)]
-    return (table.rows @ coeffs.T)[np.arange(1 << n), t_counts]
+    nums = np.array([_numerator_row(t, d) for t in range(n + 1)], dtype=float)
+    return (table.rows @ nums[:, outcome_sums_mod_d(n, d)].T)[np.arange(1 << n), t_counts(n)]
+
+
+def functional_value(numerators: np.ndarray, dimension: int) -> float:
+    """The Bell functional from correlation_numerators, summed before one division by d - 1,
+    so a hybrid model's point-mass table on the bound 2^(N-1) reads exactly 2^(N-1)."""
+    return -sum(numerators.tolist()) / (dimension - 1)
+
+
+def correlations(table: JointProbabilityTable) -> np.ndarray:
+    """Every setting's correlation value, its coefficient-weighted outcome average."""
+    return correlation_numerators(table) / (table.scenario.dimension - 1)
 
 
 def bell_value(table: JointProbabilityTable) -> float:
     """The N-qudit Bell functional: negated sum of all correlation values."""
-    return -sum(correlations(table).tolist())
+    return functional_value(correlation_numerators(table), table.scenario.dimension)

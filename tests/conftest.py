@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditbell.bounds import Bipartition, DeterministicStrategy, _substring
+from quditbell.bounds import Bipartition, DeterministicStrategy
 from quditbell.quantum import DensityMatrix, PhaseConfiguration
 from quditbell.scenario import (
     BellScenario,
@@ -74,6 +74,16 @@ def coefficient_exact(t: int, outcome_sum: int, dimension: int) -> Fraction:
     return g2_exact(arg, dimension)
 
 
+def t_count(setting: str) -> int:
+    """Oracle: the number of parties on setting 2, counted in the string."""
+    return setting.count("2")
+
+
+def residue_coefficients(t: int, dimension: int) -> np.ndarray:
+    """Oracle: a t-count's coefficient at each outcome-sum residue, as rounded floats."""
+    return np.array([float(coefficient_exact(t, r, dimension)) for r in range(dimension)])
+
+
 def outcome_from_index(index: int, scenario: BellScenario) -> tuple[int, ...]:
     """Inverse of outcome_index for the given scenario."""
     d = scenario.dimension
@@ -132,6 +142,11 @@ def t_coefficient(n_parties: int, k: int) -> int:
     )
 
 
+def substring(setting: str, parties: tuple[int, ...]) -> str:
+    """The block combination a setting string gives the listed (1-indexed) parties."""
+    return "".join(setting[p - 1] for p in parties)
+
+
 def strategy_delta_table(
     strategy: DeterministicStrategy, scenario: BellScenario
 ) -> JointProbabilityTable:
@@ -145,7 +160,7 @@ def strategy_delta_table(
     rows = np.zeros((2**scenario.n_parties, scenario.n_outcome_tuples))
     for i, s in enumerate(all_setting_strings(scenario.n_parties)):
         outcome = [0] * scenario.n_parties
-        outcome[part.block_a[0] - 1] = strategy.xi[_substring(s, part.block_a)]
-        outcome[part.block_b[0] - 1] = strategy.zeta[_substring(s, part.block_b)]
+        outcome[part.block_a[0] - 1] = strategy.xi[substring(s, part.block_a)]
+        outcome[part.block_b[0] - 1] = strategy.zeta[substring(s, part.block_b)]
         rows[i, outcome_index(outcome, scenario.dimension)] = 1.0
     return JointProbabilityTable(scenario, rows)

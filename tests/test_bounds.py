@@ -17,7 +17,6 @@ from quditbell.bounds import (
     hlnhv_bound,
     lhv_bound,
     strategy_bell_value,
-    _group_blocks,
     _min_class_sum,
 )
 from quditbell.scenario import (
@@ -26,7 +25,6 @@ from quditbell.scenario import (
     all_setting_strings,
     bell_value,
     point_mass_table,
-    t_count,
 )
 from conftest import (
     coefficient_exact,
@@ -34,8 +32,26 @@ from conftest import (
     g2_exact,
     random_strategy,
     strategy_delta_table,
+    substring,
     t_coefficient,
+    t_count,
 )
+
+
+def loop_strategy_bell_value(strategy, scenario) -> Fraction:
+    """Oracle: the strategy's exact value, setting string by setting string.
+
+    Each of the 2^N strings reads its block combinations' values and adds
+    the integer numerator of its t-count at their sum.
+    """
+    strategy.validate_for(scenario)
+    part, d = strategy.partition, scenario.dimension
+    total = 0
+    for s in all_setting_strings(scenario.n_parties):
+        xi = strategy.xi[substring(s, part.block_a)]
+        zeta = strategy.zeta[substring(s, part.block_b)]
+        total += _numerator_row(t_count(s), d)[(xi + zeta) % d]
+    return Fraction(-total, d - 1)
 
 
 def odometer_hlnhv(scenario, partition):
@@ -225,6 +241,26 @@ def _group_value(group, xi_pair, zeta_pair, dimension) -> Fraction:
     )
 
 
+def group_blocks(group, partition):
+    """Block combinations (base A, flipped A, base B, flipped B) of a quadruple.
+
+    Raises unless the quadruple pairs two block-A combinations, the second
+    one t-count higher, with two such block-B combinations.
+    """
+    base_a, base_b = substring(group[0], partition.block_a), substring(group[0], partition.block_b)
+    flip_a, flip_b = substring(group[2], partition.block_a), substring(group[1], partition.block_b)
+    if (
+        substring(group[1], partition.block_a) != base_a
+        or substring(group[2], partition.block_b) != base_b
+        or substring(group[3], partition.block_a) != flip_a
+        or substring(group[3], partition.block_b) != flip_b
+        or t_count(flip_a) != t_count(base_a) + 1
+        or t_count(flip_b) != t_count(base_b) + 1
+    ):
+        raise ValueError(f"malformed quadruple {group}")
+    return base_a, flip_a, base_b, flip_b
+
+
 def verify_group_cglmp(group, strategy, scenario) -> Fraction:
     """Oracle: one quadruple's value under a strategy, cross-checked in two-party form.
 
@@ -236,7 +272,7 @@ def verify_group_cglmp(group, strategy, scenario) -> Fraction:
     strategy.validate_for(scenario)
     d = scenario.dimension
     part = strategy.partition
-    base_a, flip_a, base_b, flip_b = _group_blocks(group, part)
+    base_a, flip_a, base_b, flip_b = group_blocks(group, part)
     xi_pair = (strategy.xi[base_a], strategy.xi[flip_a])
     zeta_pair = (strategy.zeta[base_b], strategy.zeta[flip_b])
     direct = _group_value(group, xi_pair, zeta_pair, d)
@@ -325,6 +361,36 @@ class TestStrategyValue:
                     table = strategy_delta_table(strategy, scen)
                     assert float(direct) == pytest.approx(bell_value(table), abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_loop_oracle(self, n, rng):
+        # exact equality with the setting-string loop, every split, d=2..5
+        for d in range(2, 6):
+            scen = BellScenario(n, d)
+            for part in bipartitions(n):
+                for _ in range(3):
+                    strategy = random_strategy(scen, part, rng)
+                    assert strategy_bell_value(strategy, scen) == loop_strategy_bell_value(
+                        strategy, scen
+                    )
+
+    def test_eighteen_qutrits_one_against_rest(self):
+        # 2^17 block-B combinations; the budget bypassed, as it counts 3^(2 + 2^17)
+        scen = BellScenario(18, 3)
+        part = Bipartition.from_block(18, (1,))
+        bound, witness = hlnhv_bound(scen, part, budget=3 ** (2 + 2**17))
+        assert bound == 131072
+        assert strategy_bell_value(witness, scen) == 131072
+
+    def test_validate_returns_arrays_by_block_index(self):
+        scen = BellScenario(3, 3)
+        part = Bipartition.from_block(3, (2,))
+        strategy = DeterministicStrategy(
+            part, {"1": 2, "2": 1}, {"11": 0, "12": 1, "21": 2, "22": 0}
+        )
+        xi, zeta = strategy.validate_for(scen)
+        assert xi.tolist() == [2, 1]
+        assert zeta.tolist() == [0, 1, 2, 0]
+
     def test_validates_values_in_range(self):
         scen = BellScenario(3, 2)
         part = Bipartition.from_block(3, (1,))
@@ -334,12 +400,29 @@ class TestStrategyValue:
         with pytest.raises(ValueError, match="outside"):
             strategy_bell_value(bad, scen)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None])
+    def test_validates_integer_values(self, value):
+        # an array would read 1.5 and True as 1: each is refused, named by its entry
+        scen = BellScenario(3, 3)
+        part = Bipartition.from_block(3, (1,))
+        bad = DeterministicStrategy(part, {"1": 0, "2": 0}, {"11": 0, "12": value, "21": 0, "22": 0})
+        with pytest.raises(ValueError, match=r"zeta\[12\] = .* outside the integers 0..2"):
+            strategy_bell_value(bad, scen)
+
     def test_validates_domain_cover(self):
         scen = BellScenario(3, 2)
         part = Bipartition.from_block(3, (1,))
         bad = DeterministicStrategy(part, {"1": 0}, {c: 0 for c in all_setting_strings(2)})
         with pytest.raises(ValueError, match="combinations"):
             strategy_bell_value(bad, scen)
+
+    def test_domain_refusal_stays_short(self):
+        # 2^17 expected block-B combinations are counted, not listed
+        part = Bipartition.from_block(18, (1,))
+        bad = DeterministicStrategy(part, {"1": 0, "2": 0}, {"1" * 17: 0})
+        with pytest.raises(ValueError, match="the 131072 combinations") as err:
+            bad.validate_for(BellScenario(18, 3))
+        assert len(str(err.value)) < 200
 
 
 class TestHlnhvBound:
@@ -632,8 +715,21 @@ class TestGrouping:
             assert group_deterministic_max(group, scen, part) == fraction_group_max(group, d)
 
     def test_malformed_quadruple_rejected(self, rng):
+        # parties 1,2 against 3: the well-formed quadruple of base 111 is
+        # (111, 112, 211, 212); each shape below breaks one condition
         scen = BellScenario(3, 2)
         part = Bipartition.from_block(3, (1, 2))
+        assert group_deterministic_max(("111", "112", "211", "212"), scen, part) == 2
+        for group in [
+            ("111", "121", "211", "221"),  # block B's flip moves a block-A party
+            ("112", "111", "212", "212"),  # block B's flip goes from setting 2 to 1
+            ("111", "112", "221", "222"),  # two parties flipped at once
+            ("111", "112", "211", "222"),  # the fourth member is not both flips
+        ]:
+            with pytest.raises(ValueError, match="malformed"):
+                group_deterministic_max(group, scen, part)
+        with pytest.raises(ValueError, match="invalid setting"):
+            group_deterministic_max(("111", "112", "211", "2122"), scen, part)
         strategy = random_strategy(scen, part, rng)
         with pytest.raises(ValueError, match="malformed"):
             verify_group_cglmp(("111", "112", "121", "211"), strategy, scen)

@@ -9,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from quditbell.cli import run
+from quditbell.bounds import Bipartition, BudgetExceededError, bipartitions, hlnhv_bound
+from quditbell.cli import _witness_fired, run
+from quditbell.scenario import BellScenario, bell_value
+from conftest import strategy_delta_table
 
 
 def invoke(capsys, *argv):
@@ -358,6 +361,18 @@ class TestEvalCommand:
         assert report["bell_value"] == pytest.approx(0.0, abs=1e-9)
         assert report["witness_fired"] is False
 
+    def test_hybrid_model_on_the_bound_does_not_fire(self, capsys, tmp_path):
+        # the least HLNHV witness of 1,2/3,4,5 at d=4 sits exactly on 2^4; a
+        # sum of coefficients rounded one by one put it 7.1e-15 above
+        scen = BellScenario(5, 4)
+        witness = hlnhv_bound(scen, Bipartition.parse("1,2/3,4,5", 5))[1]
+        path = tmp_path / "hybrid.json"
+        path.write_text(json.dumps(strategy_delta_table(witness, scen).to_json_dict()))
+        code, out, _ = invoke(capsys, "eval", str(path))
+        assert code == 0
+        assert '"bell_value": 16.0,' in out
+        assert '"witness_fired": false' in out
+
     def test_bad_normalization_is_input_error(self, capsys, tmp_path):
         payload = {
             "n": 2,
@@ -418,6 +433,25 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert "need at least 2 parties" in err
+
+
+def test_hybrid_witness_tables_never_fire():
+    # the point-mass table of the least witness of every split with N=2..6
+    # and d=2..11 that the default budget admits reads exactly 2^(N-1)
+    checked = 0
+    for n in range(2, 7):
+        for d in range(2, 12):
+            scen = BellScenario(n, d)
+            for part in bipartitions(n):
+                try:
+                    witness = hlnhv_bound(scen, part)[1]
+                except BudgetExceededError:
+                    continue
+                value = bell_value(strategy_delta_table(witness, scen))
+                assert value == 2 ** (n - 1), (n, d, part.describe())
+                assert not _witness_fired(value, n)
+                checked += 1
+    assert checked == 157
 
 
 class TestScanCommand:

@@ -5,7 +5,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from quditbell.scenario import JointProbabilityTable, TableFormatError, all_setting_strings
+from quditbell.scenario import (
+    JointProbabilityTable,
+    TableFormatError,
+    all_setting_strings,
+    setting_index,
+)
 
 # a fixed alphabet, near the setting strings and field names, spares
 # hypothesis its Unicode tables
@@ -73,3 +78,19 @@ def test_table_loader_raises_only_table_format_errors(payload):
         JointProbabilityTable.from_json_dict(payload)
     except TableFormatError:
         pass
+
+
+@st.composite
+def setting_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    return n, draw(st.integers(min_value=0, max_value=2**n - 1))
+
+
+@FUZZ
+@given(setting_rows())
+def test_setting_index_round_trip(row):
+    # the string and the int-sequence spellings both read back as the row index
+    n, i = row
+    setting = all_setting_strings(n)[i]
+    assert setting_index(setting, n) == i
+    assert setting_index([int(c) for c in setting], n) == i

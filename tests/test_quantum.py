@@ -27,12 +27,16 @@ from quditbell.scenario import (
     JointProbabilityTable,
     all_setting_strings,
     bell_value,
-    coefficient_by_residue,
     outcome_index,
     outcome_sums_mod_d,
+)
+from conftest import (
+    outcome_from_index,
+    random_config,
+    random_density,
+    residue_coefficients,
     t_count,
 )
-from conftest import outcome_from_index, random_config, random_density
 
 
 def maximally_mixed(scenario):
@@ -92,7 +96,7 @@ def loop_ghz_bell_value(config):
     per_residue_count = d ** (scenario.n_parties - 1)
     value = 0.0
     for s in all_setting_strings(scenario.n_parties):
-        coeffs = coefficient_by_residue(t_count(s), d)
+        coeffs = residue_coefficients(t_count(s), d)
         value -= per_residue_count * float(coeffs @ loop_ghz_residue_probs(config, s))
     return value
 

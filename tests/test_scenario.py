@@ -16,13 +16,13 @@ from quditbell.scenario import (
     all_setting_strings,
     bell_value,
     coefficient,
-    coefficient_by_residue,
     correlations,
     outcome_index,
     outcome_sums_mod_d,
     point_mass_table,
+    setting_index,
     shift,
-    t_count,
+    t_counts,
 )
 from conftest import (
     cglmp_value,
@@ -32,6 +32,8 @@ from conftest import (
     outcome_from_index,
     random_table,
     relabel_for_cglmp,
+    residue_coefficients,
+    t_count,
 )
 
 
@@ -56,7 +58,7 @@ def loop_correlations(table: JointProbabilityTable) -> list[float]:
     n, d = table.scenario.n_parties, table.scenario.dimension
     sums = outcome_sums_mod_d(n, d)
     return [
-        float(coefficient_by_residue(t_count(s), d)[sums] @ table.probs_for(s))
+        float(residue_coefficients(t_count(s), d)[sums] @ table.probs_for(s))
         for s in all_setting_strings(n)
     ]
 
@@ -107,6 +109,13 @@ class TestCoefficient:
         scen = BellScenario(2, 2)
         assert coefficient("22", (0, 0), scen) == 1.0
 
+    def test_int_sequence_setting(self):
+        scen = BellScenario(3, 3)
+        assert coefficient((1, 1, 2), (0, 0, 0), scen) == coefficient("112", (0, 0, 0), scen)
+        assert coefficient(np.array([2, 1, 2]), (1, 0, 0), scen) == coefficient(
+            "212", (1, 0, 0), scen
+        )
+
     def test_rejects_length_mismatch(self):
         scen = BellScenario(3, 3)
         with pytest.raises(ValueError):
@@ -133,6 +142,37 @@ class TestCoefficient:
             base = coefficient(s, lifted, scen)
             assert coefficient_exact(t_count(s), sum(o) + 4, 4) == pytest.approx(base)
             assert coefficient_exact(t_count(s), sum(o) - 8, 4) == pytest.approx(base)
+
+
+# A setting is a '12...' string or a sequence of the ints 1 and 2: a
+# multi-digit int, a float, a bool, a character or a non-sequence is no
+# setting of two parties
+MALFORMED_SETTINGS = [
+    [12], [1, 2.7], [1.0, 2.0], (True, 2), [1, False], ["1", "2"], 3, None,
+    "1x", "13", [1, 3], [0, 1], "1", "112",
+]
+
+
+class TestSettingIndex:
+    @pytest.mark.parametrize("setting", MALFORMED_SETTINGS, ids=repr)
+    def test_malformed_setting_refused(self, setting):
+        scen = BellScenario(2, 2)
+        table = point_mass_table(scen, {s: (0, 0) for s in all_setting_strings(2)})
+        with pytest.raises(ValueError, match="invalid setting"):
+            coefficient(setting, (0, 0), scen)
+        with pytest.raises(ValueError, match="invalid setting"):
+            table.probs_for(setting)
+
+    def test_refusal_stays_short(self):
+        with pytest.raises(ValueError, match="invalid setting") as err:
+            coefficient("1" * 10**6, (0, 0, 0), BellScenario(3, 3))
+        assert len(str(err.value)) < 100
+
+    def test_bits_and_popcount(self):
+        assert setting_index("211", 3) == 4
+        assert setting_index((1, 1, 2), 3) == 1
+        assert setting_index("2" * 70, 70) == 2**70 - 1
+        assert t_counts(3).tolist() == [t_count(s) for s in all_setting_strings(3)]
 
 
 class TestOutcomeEncoding:
@@ -372,9 +412,14 @@ class TestScenarioType:
             BellScenario(0, 3)
 
     def test_coefficient_residue_table_matches_exact(self):
-        # bit for bit: dividing the integer row by d - 1 rounds correctly, as
-        # float() of the exact rational does
+        # bit for bit: coefficient divides the integer row by d - 1, which
+        # rounds correctly, as float() of the exact rational does
         for d in range(2, 13):
+            scen = BellScenario(3 * d, d)
             for t in range(3 * d + 1):
-                expected = np.array([float(coefficient_exact(t, r, d)) for r in range(d)])
-                assert coefficient_by_residue(t, d).tobytes() == expected.tobytes(), (t, d)
+                setting = "1" * (3 * d - t) + "2" * t
+                for r in range(d):
+                    outcome = (r,) + (0,) * (3 * d - 1)
+                    assert coefficient(setting, outcome, scen) == float(
+                        coefficient_exact(t, r, d)
+                    ), (t, r, d)
