@@ -25,8 +25,9 @@ from .bounds import (
     strategy_space_exponent,
 )
 from .optimize import (
+    SVETLICHNY_VISIBILITY,
+    ViolationReport,
     critical_visibility,
-    max_violation,
     optimal_angles,
     optimize_with_restarts,
 )
@@ -63,18 +64,16 @@ def _scenario(n: int, d: int) -> BellScenario:
     return BellScenario(n, d)
 
 
-def _ghz_scenario(n: int, d: int) -> BellScenario:
-    """Scenario for the GHZ commands, refused before any work where the
+def _ghz_report(n: int, d: int) -> ViolationReport:
+    """The GHZ commands' closed form, refused before any work where the
     maximal violation (and so every report value) leaves the float range."""
-    scenario = _scenario(n, d)
     try:
-        max_violation(scenario)
+        return critical_visibility(_scenario(n, d))
     except OverflowError as exc:
         raise InputError(
             f"n={n}, d={d}: the maximal violation 2^(n-2) times the two-qudit "
             "maximum exceeds the float range"
         ) from exc
-    return scenario
 
 
 def _witness_fired(value: float, n: int) -> bool:
@@ -152,24 +151,16 @@ def cli():
     """N-qudit Bell-type inequality toolkit."""
 
 
-_common = [
-    click.option("--n", type=int, required=True, help="Number of parties (>= 2)."),
-    click.option("--d", type=int, required=True, help="Outcomes per measurement (>= 2)."),
-    click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable,
-                 help="Write the report to this file (atomic) instead of stdout."),
-]
-
-
-def _add_options(options):
-    def wrap(func):
-        for option in reversed(options):
-            func = option(func)
-        return func
-    return wrap
+n_option = click.option("--n", type=int, required=True, help="Number of parties (>= 2).")
+d_option = click.option("--d", type=int, required=True, help="Outcomes per measurement (>= 2).")
+out_option = click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable,
+                          help="Write the report to this file (atomic) instead of stdout.")
 
 
 @cli.command()
-@_add_options(_common)
+@n_option
+@d_option
+@out_option
 @click.option("--model", type=click.Choice(["hlnhv", "lhv"]), default="hlnhv",
               show_default=True, help="Hidden-variable model to bound.")
 @click.option("--partition", default=None,
@@ -214,7 +205,9 @@ def bound(n, d, out_path, model, partition, budget):
 
 
 @cli.command()
-@_add_options(_common)
+@n_option
+@d_option
+@out_option
 @click.option("--angles", "angles_mode", type=click.Choice(ANGLES_MODES),
               default="optimal", show_default=True,
               help="Measurement phases: the closed-form optimum, all zeros, or a fresh search.")
@@ -232,7 +225,8 @@ def bound(n, d, out_path, model, partition, budget):
 @click.option("--seed", type=int, default=0, show_default=True)
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed):
     """Quantum Bell value of the GHZ state at the requested angles."""
-    scenario = _ghz_scenario(n, d)
+    report = _ghz_report(n, d)
+    scenario = report.scenario
     # size refusals come first: they must not wait for the phase search
     if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
         raise DenseLimitError(
@@ -262,32 +256,43 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
         value = ghz_bell_value(phases)
     if emit_table:
         _atomic_write(emit_table, table.json_chunks())
-    ceiling = max_violation(scenario)
     _emit(
         {
             "n": n,
             "d": d,
             "angles_mode": angles_mode,
             "bell_value": _sig10(value),
-            "closed_form_max": _sig10(ceiling),
-            "difference": _sig10(value - ceiling),
+            "closed_form_max": _sig10(report.max_value),
+            "difference": _sig10(value - report.max_value),
             "hlnhv_bound": _sig10(2.0 ** (n - 1)),
             "witness_fired": _witness_fired(value, n),
-            "angles": phases.to_json_dict(),
+            "angles": phases.phases.tolist(),
         },
         out_path,
     )
 
 
 @cli.command()
-@_add_options(_common)
+@n_option
+@d_option
+@out_option
 def visibility(n, d, out_path):
     """Critical visibility of the white-noise GHZ mixture."""
-    payload = critical_visibility(_ghz_scenario(n, d)).to_json_dict()
-    for key in ("max_value", "ratio", "critical_visibility", "svetlichny_visibility"):
-        payload[key] = _sig10(payload[key])
-    payload["hlnhv_bound"] = _sig10(2.0 ** (n - 1))
-    _emit(payload, out_path)
+    report = _ghz_report(n, d)
+    _emit(
+        {
+            "n": n,
+            "d": d,
+            "max_value": _sig10(report.max_value),
+            "ratio": _sig10(report.ratio),
+            "critical_visibility": _sig10(report.critical_visibility),
+            "svetlichny_visibility": _sig10(SVETLICHNY_VISIBILITY),
+            "beats_svetlichny": report.beats_svetlichny,
+            "angles_mode": "optimal",
+            "hlnhv_bound": _sig10(2.0 ** (n - 1)),
+        },
+        out_path,
+    )
 
 
 @cli.command()
@@ -295,7 +300,7 @@ def visibility(n, d, out_path):
               help="Inclusive party range 'lo:hi'.")
 @click.option("--d-range", default="2:3", show_default=True,
               help="Inclusive dimension range 'lo:hi'.")
-@click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
+@out_option
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 def scan(n_range, d_range, out_path, fmt):
@@ -307,7 +312,7 @@ def scan(n_range, d_range, out_path, fmt):
     rows = []
     for n in range(lo_n, hi_n + 1):
         for d in range(lo_d, hi_d + 1):
-            report = critical_visibility(_ghz_scenario(n, d))
+            report = _ghz_report(n, d)
             rows.append(
                 {
                     "n": n,
@@ -323,7 +328,7 @@ def scan(n_range, d_range, out_path, fmt):
 
 @cli.command("eval")
 @click.argument("table_file", type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
+@out_option
 def eval_table(table_file, out_path):
     """Evaluate the Bell functional on a probability-table JSON file."""
     try:

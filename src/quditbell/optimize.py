@@ -109,19 +109,6 @@ class ViolationReport:
         """True when the noise threshold lies strictly below 1/sqrt(2)."""
         return self.critical_visibility < SVETLICHNY_VISIBILITY
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.scenario.n_parties,
-            "d": self.scenario.dimension,
-            "max_value": self.max_value,
-            "ratio": self.ratio,
-            "critical_visibility": self.critical_visibility,
-            "svetlichny_visibility": SVETLICHNY_VISIBILITY,
-            "beats_svetlichny": self.beats_svetlichny,
-            "angles_mode": "optimal",
-            "angles": optimal_angles(self.scenario).to_json_dict(),
-        }
-
 
 def critical_visibility(scenario: BellScenario) -> ViolationReport:
     """The maximal violation's report: its ratio and noise thresholds."""
@@ -240,12 +227,15 @@ def optimize_phases(
     The returned value is the objective at the returned phases and never
     drops below the start's; symmetric mode reads the start's party-1 vectors
     as the shared parameters.  Like max_violation, the search's ceiling, it
-    refuses N < 2 with ValueError before any sweep.
+    refuses N < 2 with ValueError before any sweep, as it does a start from
+    another scenario.
     """
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
     if mode not in ("free", "symmetric"):
         raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
+    if start.scenario != scenario:
+        raise ValueError(f"start is for {start.scenario}, the search is for {scenario}")
     n, d = scenario.n_parties, scenario.dimension
     ceiling = max_violation(scenario)
     scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30

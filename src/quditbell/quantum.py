@@ -152,19 +152,6 @@ class PhaseConfiguration:
     def zero(cls, scenario: BellScenario) -> "PhaseConfiguration":
         return cls(scenario, np.zeros((scenario.n_parties, 2, scenario.dimension)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.scenario.n_parties,
-            "d": self.scenario.dimension,
-            "phases": {
-                f"party-{p}": {
-                    f"setting-{i}": list(map(float, self.phases[p - 1, i - 1]))
-                    for i in (1, 2)
-                }
-                for p in range(1, self.scenario.n_parties + 1)
-            },
-        }
-
 
 def _fourier(d: int) -> np.ndarray:
     """d x d discrete Fourier matrix, entry (j, k) = omega^(j k)."""

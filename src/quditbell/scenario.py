@@ -123,18 +123,23 @@ def _numerator_row(t: int, d: int) -> tuple[int, ...]:
     return tuple(d - 1 - 2 * (sign * (r + shift(t)) % d) for r in range(d))
 
 
+def _outcome(outcome, scenario: BellScenario) -> tuple[int, ...]:
+    """An outcome's N entries, each an int (not a bool or float) in 0..d-1, else ValueError."""
+    n, d = scenario.n_parties, scenario.dimension
+    try:
+        entries = tuple(outcome)
+    except TypeError:  # not iterable
+        entries = ()
+    if len(entries) != n or not all(_is_int(x) and 0 <= x < d for x in entries):
+        raise ValueError(f"invalid outcome {reprlib.repr(outcome)} for {n} parties and d={d}")
+    return entries
+
+
 def coefficient(setting, outcome: Sequence[int], scenario: BellScenario) -> float:
     """Coefficient the Bell functional assigns to one (setting, outcome) cell."""
     t = setting_index(setting, scenario.n_parties).bit_count()
-    outcome = tuple(int(x) for x in outcome)
-    if len(outcome) != scenario.n_parties:
-        raise ValueError(
-            f"outcome length {len(outcome)} does not match {scenario.n_parties} parties"
-        )
     d = scenario.dimension
-    if any(not 0 <= x < d for x in outcome):
-        raise ValueError(f"outcome entries must lie in [0, {d - 1}]")
-    return _numerator_row(t, d)[sum(outcome) % d] / (d - 1)
+    return _numerator_row(t, d)[sum(_outcome(outcome, scenario)) % d] / (d - 1)
 
 
 def outcome_index(outcome: Sequence[int], dimension: int) -> int:
@@ -274,7 +279,7 @@ def point_mass_table(
     """Deterministic table putting probability 1 on one outcome per setting."""
     rows = np.zeros((1 << scenario.n_parties, scenario.n_outcome_tuples))
     for i, s in enumerate(scenario.setting_strings()):
-        rows[i, outcome_index(outcome_by_setting[s], scenario.dimension)] = 1.0
+        rows[i, outcome_index(_outcome(outcome_by_setting[s], scenario), scenario.dimension)] = 1.0
     return JointProbabilityTable(scenario, rows)
 
 

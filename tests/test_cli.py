@@ -11,6 +11,7 @@ import pytest
 
 from quditbell.bounds import Bipartition, BudgetExceededError, bipartitions, hlnhv_bound
 from quditbell.cli import _witness_fired, run
+from quditbell.optimize import cglmp_max_closed_form, optimal_angles
 from quditbell.scenario import BellScenario, bell_value
 from conftest import strategy_delta_table
 
@@ -260,6 +261,16 @@ class TestViolationCommand:
         assert report["bell_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-5)
         assert report["angles_mode"] == "optimized-symmetric"
 
+    def test_angles_are_the_phase_array(self, capsys):
+        # [party][setting][phase] in radians, the same floats as the configuration
+        scen = BellScenario(3, 4)
+        code, out, _ = invoke(capsys, "violation", "--n", "3", "--d", "4")
+        assert code == 0
+        assert json.loads(out)["angles"] == optimal_angles(scen).phases.tolist()
+        code, out, _ = invoke(capsys, "violation", "--n", "3", "--d", "4", "--angles", "zero")
+        assert code == 0
+        assert json.loads(out)["angles"] == [[[0.0] * 4] * 2] * 3
+
 
 class TestRoundTrip:
     def test_emit_table_then_eval(self, capsys, tmp_path):
@@ -468,15 +479,28 @@ class TestScanCommand:
         assert float(row_d2[5]) == pytest.approx(0.7071, abs=1e-4)
         assert float(row_d3[5]) == pytest.approx(0.6962, abs=1e-4)
 
-    def test_builds_no_angles(self, capsys, monkeypatch):
-        # a scan row needs only the maximal value; the angles belong to visibility
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--n-range", "2:3", "--d-range", "2:3"),
+            ("visibility", "--n", "1000", "--d", "3000"),
+        ],
+        ids=["scan", "visibility"],
+    )
+    def test_builds_no_angles(self, capsys, monkeypatch, argv):
+        # scan rows and the visibility report need only the maximal value; only
+        # violation reports angles
         def no_angles(*args, **kwargs):
-            pytest.fail("scan built the optimal angles")
+            pytest.fail(f"{argv[0]} built the optimal angles")
 
-        monkeypatch.setattr("quditbell.optimize.optimal_angles", no_angles)
-        code, out, _ = invoke(capsys, "scan", "--n-range", "2:3", "--d-range", "2:3")
+        for module in ("optimize", "cli"):
+            monkeypatch.setattr(f"quditbell.{module}.optimal_angles", no_angles)
+        code, out, _ = invoke(capsys, *argv)
         assert code == 0
-        assert len(json.loads(out)) == 4
+        if argv[0] == "scan":
+            assert len(json.loads(out)) == 4
+        else:
+            assert len(out.encode()) < 1024
 
     def test_json_scaling_column(self, capsys):
         code, out, _ = invoke(
@@ -631,7 +655,29 @@ class TestVisibilityCommand:
         assert report["beats_svetlichny"] is False
         assert report["hlnhv_bound"] == 8.0
         assert report["angles_mode"] == "optimal"
-        assert "angles" in report
+        assert "angles" not in report
+
+
+@pytest.mark.parametrize(
+    "argv, evaluations",
+    [
+        (("violation", "--n", "3", "--d", "3"), 1),
+        (("visibility", "--n", "3", "--d", "3"), 1),
+        (("scan", "--n-range", "2:3", "--d-range", "2:3"), 4),
+    ],
+    ids=["violation", "visibility", "scan"],
+)
+def test_one_closed_form_per_scenario(capsys, monkeypatch, argv, evaluations):
+    calls = []
+
+    def counted(dimension):
+        calls.append(dimension)
+        return cglmp_max_closed_form(dimension)
+
+    monkeypatch.setattr("quditbell.optimize.cglmp_max_closed_form", counted)
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert len(calls) == evaluations
 
 
 class TestFloatRangeRefusal:
@@ -648,7 +694,9 @@ class TestFloatRangeRefusal:
         def no_work(*args, **kwargs):
             pytest.fail("work started before the float-range refusal")
 
-        for name in ("optimize_with_restarts", "critical_visibility", "ghz_bell_value"):
+        # the closed form is the refusal itself; everything after it is work
+        for name in ("optimize_with_restarts", "ghz_bell_value", "ghz_table",
+                     "joint_probabilities", "optimal_angles"):
             monkeypatch.setattr(f"quditbell.cli.{name}", no_work)
         code, out, err = invoke(capsys, *argv)
         assert code == 1

@@ -172,6 +172,16 @@ class TestPhaseSearch:
         )
         assert value == pytest.approx(max_violation(scen), abs=1e-6)
 
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_start_from_another_scenario_is_refused(self, monkeypatch, mode):
+        # symmetric mode would otherwise search 5 parties from a 2-party start's vectors
+        scen = BellScenario(5, 3)
+        calls = count_objective_calls(monkeypatch)
+        for other in (BellScenario(2, 3), BellScenario(5, 4)):
+            with pytest.raises(ValueError, match="start is for"):
+                optimize_phases(scen, optimal_angles(other), budget=200, mode=mode)
+        assert calls == []
+
     def test_rejects_unknown_mode(self, rng):
         scen = BellScenario(2, 2)
         with pytest.raises(ValueError):

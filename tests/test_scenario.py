@@ -175,6 +175,38 @@ class TestSettingIndex:
         assert t_counts(3).tolist() == [t_count(s) for s in all_setting_strings(3)]
 
 
+# An outcome of two qubits is two ints in 0..1: an entry out of range, a
+# float, a bool, a character, the wrong length or a non-sequence is none
+MALFORMED_OUTCOMES = [
+    (3, 0), (-1, 0), (0, 2), (0.7, 0), (1.0, 0), (True, 0), (0, np.False_), ("0", "1"),
+    "01", (0, 0, 0), (0,), 5, None,
+]
+
+
+class TestOutcomeCheck:
+    @pytest.mark.parametrize("outcome", MALFORMED_OUTCOMES, ids=repr)
+    def test_malformed_outcome_refused(self, outcome):
+        scen = BellScenario(2, 2)
+        outcomes = {s: (0, 0) for s in all_setting_strings(2)}
+        outcomes["11"] = outcome
+        with pytest.raises(ValueError, match="invalid outcome"):
+            coefficient("11", outcome, scen)
+        with pytest.raises(ValueError, match="invalid outcome"):
+            point_mass_table(scen, outcomes)
+
+    def test_numpy_ints_accepted(self):
+        scen = BellScenario(2, 3)
+        outcome = np.array([2, 1])
+        assert coefficient("12", outcome, scen) == coefficient("12", (2, 1), scen)
+        table = point_mass_table(scen, {s: outcome for s in all_setting_strings(2)})
+        assert table.probs_for("12")[outcome_index((2, 1), 3)] == 1.0
+
+    def test_refusal_stays_short(self):
+        with pytest.raises(ValueError, match="invalid outcome") as err:
+            coefficient("111", [0.5] * 10**6, BellScenario(3, 3))
+        assert len(str(err.value)) < 100
+
+
 class TestOutcomeEncoding:
     def test_party_one_fastest(self):
         # index = x1 + d*x2 + d^2*x3
