@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import PhaseConfiguration, _branch_factors, _ghz_weights, ghz_bell_value
+from .quantum import (
+    PhaseConfiguration,
+    _binomials,
+    _branch_factors,
+    _ghz_weights,
+    ghz_bell_value,
+)
 from .scenario import BellScenario
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
@@ -54,11 +60,14 @@ def optimal_angles(scenario: BellScenario) -> PhaseConfiguration:
 
 
 def cglmp_max_closed_form(dimension: int) -> float:
-    """Maximal quantum value of the two-qudit functional.
+    """Two-qudit GHZ value under the multiport measurements at the optimal ramps.
 
     4d * sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}) with
     q_c = 1/(2 d^3 sin^2(pi (c + 1/4)/d)).  Strictly increasing in d; the
-    d=2 value is 2*sqrt(2).
+    d=2 value is 2*sqrt(2).  For d >= 3 it is not the maximal quantum value
+    of the functional: a state that is not maximally entangled does better
+    (2.914854 against 2.872934 at d=3; Acin, Durt, Gisin & Latorre,
+    PRA 65, 052325 (2002)).
     """
     if dimension < 2:
         raise ValueError(f"need outcome dimension >= 2, got {dimension}")
@@ -74,10 +83,13 @@ def cglmp_max_closed_form(dimension: int) -> float:
 
 
 def max_violation(scenario: BellScenario) -> float:
-    """Maximal quantum value for N >= 2 qudits: 2^(N-2) times the two-qudit one.
+    """GHZ value at optimal_angles for N >= 2 qudits: 2^(N-2) times the two-qudit one.
 
-    Raises ValueError for N < 2, where that product is not the maximum, and
-    OverflowError where it leaves the float range (N > 1024).
+    It is the phase search's ceiling; for d >= 3 it is the GHZ state's value
+    under these measurements, not the maximal quantum value (see
+    cglmp_max_closed_form).  Raises ValueError for N < 2, where that product
+    is not the maximum, and OverflowError where it leaves the float range
+    (N > 1024).
     """
     if scenario.n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {scenario.n_parties}")
@@ -189,7 +201,7 @@ def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray):
     """
     n, d = weights.shape[0] - 1, phases.shape[1]
     t = np.arange(n + 1)
-    binom = np.array([[math.comb(n, k) / 2**n] for k in t])
+    binom = _binomials(n)[:, None]
     powers = np.stack([n - t, t], axis=1)  # (N+1, 2): exponent of each setting's factor
     others = _others(d)
     pair_weights = [weights[:, j, k] for j, k in enumerate(others)]

@@ -6,7 +6,8 @@ dense path contracts any density matrix with the parties' measurements one
 party at a time, sharing the work of common setting prefixes; for GHZ states
 it is the independent oracle the closed form is checked against.  The GHZ
 Bell value never forms the 2^N setting strings: it is read off a generating
-function in the number of parties using setting 2.
+function in the number of parties using setting 2, which is a binomial power
+when every party uses the same phases.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ class PhaseConfiguration:
     """Read-only (N, 2, d) phases in radians: phases[p, c] for party p + 1, setting c + 1."""
 
     def __init__(self, scenario: BellScenario, phases: np.ndarray):
-        arr = np.array(phases, dtype=float)
+        arr = np.array(phases)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise ValueError(f"phases must be real, got dtype {arr.dtype}")
+        arr = arr.astype(float, copy=False)
         expected = (scenario.n_parties, 2, scenario.dimension)
         if arr.shape != expected:
             raise ValueError(f"expected phases of shape {expected}, got {arr.shape}")
@@ -263,6 +267,47 @@ def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     return weights
 
 
+def _binomials(n_parties: int) -> np.ndarray:
+    """C(N, t) / 2^N for t = 0..N: exact integers, each divided once, so every entry is <= 1."""
+    total, count, row = 1 << n_parties, 1, []
+    for t in range(n_parties + 1):
+        row.append(count / total)
+        count = count * (n_parties - t) // (t + 1)
+    return np.array(row)
+
+
+def _product_by_t(phases: np.ndarray) -> np.ndarray:
+    """z^t coefficients of prod_p (f_p1 + z f_p2), halved factors: (N, 2, d) -> (N+1, d, d).
+
+    One party at a time, O(N^2 d^2): the path for phases that differ between parties.
+    """
+    n, d = phases.shape[0], phases.shape[2]
+    by_t = np.zeros((n + 1, d, d), dtype=complex)
+    by_t[0] = 1.0
+    for p, (f1, f2) in enumerate(_branch_factors(phases)):  # (N, 2, d, d)
+        by_t[1 : p + 2] = by_t[1 : p + 2] * f1 + by_t[: p + 1] * f2
+        by_t[0] *= f1
+    return by_t
+
+
+def _binomial_by_t(pair: np.ndarray, n_parties: int) -> np.ndarray:
+    """The same coefficients when every party uses the (2, d) phases pair, in one step.
+
+    The product is then the binomial power (f_1 + z f_2)^N of halved factors:
+    by_t = C(N, t) 2^-N e^{i[(N-t) Delta_1 + t Delta_2]}, Delta_s[j, k] = phi_sj - phi_sk.
+    O(N d^2).
+    """
+    t = np.arange(n_parties + 1)
+    delta = pair[:, :, None] - pair[:, None, :]
+    angle = np.multiply.outer(n_parties - t, delta[0])
+    angle += np.multiply.outer(t, delta[1])
+    by_t = np.empty(angle.shape, dtype=complex)  # filled in place: no complex temporary
+    np.cos(angle, out=by_t.real)
+    np.sin(angle, out=by_t.imag)
+    by_t *= _binomials(n_parties)[:, None, None]
+    return by_t
+
+
 def ghz_bell_value(config: PhaseConfiguration) -> float:
     """Bell functional on the GHZ state, summed by t-count instead of by setting.
 
@@ -270,23 +315,29 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
     d^(N+1) P_s(r) = sum_{j,k} e^{i(Phi_j - Phi_k)} omega^{(j-k) r}, and the
     phase factor e^{i(Phi_j - Phi_k)} is a product over the parties.  So for
     every branch pair (j, k) the sum over all setting strings with t twos is
-    the z^t coefficient of prod_p (f_p1[j,k] + z f_p2[j,k]), with
+    the z^t coefficient by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with
     f_ps[j,k] = e^{i(phi_psj - phi_psk)}.  The residue-class weights that the
     t-count's coefficients give each branch pair are the table W of
-    _ghz_weights, built once per (N, d).  Cost O(N^2 d^2), no 2^N loop; this
-    is the optimizer's objective.
+    _ghz_weights, built once per (N, d).  No 2^N loop; this is the
+    optimizer's objective.
+
+    When every party's (2, d) block is equal, bit for bit, as at optimal_angles
+    and throughout a symmetric search, the product is a binomial power and
+    by_t is written down at once, in O(N d^2).  Otherwise the product is
+    multiplied out party by party, in O(N^2 d^2); a block that differs only in
+    a -0.0 against a 0.0 takes that path too, at no cost to the value.
 
     Every factor is halved and the 2^N put back by math.ldexp, so no
-    intermediate overflows: the value is returned wherever it fits a float
-    (at the optimum, N <= 1024 for every d), and OverflowError is raised,
-    as by max_violation, where it does not.
+    intermediate exceeds 1 in modulus: the value is returned wherever it fits
+    a float (at optimal_angles, N <= 1024 for every d), and OverflowError is
+    raised, as by max_violation, where it does not.
     """
-    scenario = config.scenario
-    n, d = scenario.n_parties, scenario.dimension
-    by_t = np.zeros((n + 1, d, d), dtype=complex)
-    by_t[0] = 1.0
-    for p, (f1, f2) in enumerate(_branch_factors(config.phases)):  # (N, 2, d, d)
-        by_t[1 : p + 2] = by_t[1 : p + 2] * f1 + by_t[: p + 1] * f2
-        by_t[0] *= f1
+    n, d = config.scenario.n_parties, config.scenario.dimension
+    phases = config.phases
+    raw = phases.tobytes()  # comparing bytes is far cheaper than an elementwise test
+    if raw == raw[: len(raw) // n] * n:
+        by_t = _binomial_by_t(phases[0], n)
+    else:
+        by_t = _product_by_t(phases)
     scaled = float((_ghz_weights(n, d).reshape(-1) @ by_t.reshape(-1)).real)
     return math.ldexp(scaled, n)

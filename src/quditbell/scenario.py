@@ -174,7 +174,10 @@ class JointProbabilityTable:
     """
 
     def __init__(self, scenario: BellScenario, rows):
-        arr = np.array(rows, dtype=float)
+        arr = np.array(rows)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise TableFormatError(f"probabilities must be real, got dtype {arr.dtype}")
+        arr = arr.astype(float, copy=False)
         n = scenario.n_parties
         expected = (1 << n, scenario.n_outcome_tuples)
         if arr.shape != expected:

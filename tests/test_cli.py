@@ -227,12 +227,14 @@ class TestViolationCommand:
         assert out == ""
 
     def test_closed_form_at_thirty_parties(self, capsys):
-        code, out, _ = invoke(
-            capsys, "violation", "--n", "30", "--d", "3", "--method", "closed-form"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["bell_value"] == report["closed_form_max"]
+        # and at 200 and 1024 parties, where the value is near the float range's top
+        for n, d in ((30, 3), (200, 5), (1024, 7)):
+            code, out, _ = invoke(
+                capsys, "violation", "--n", str(n), "--d", str(d), "--method", "closed-form"
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert report["bell_value"] == report["closed_form_max"], (n, d)
 
     def test_largest_float_range_scenario(self, capsys):
         code, out, _ = invoke(capsys, "violation", "--n", "1024", "--d", "2")
@@ -710,13 +712,28 @@ class TestProcess:
     """`python -m quditbell.cli` as a real process: main() passes run()'s code to exit."""
 
     @staticmethod
-    def cli_process(*argv):
+    def python_process(*argv):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=src)
         return subprocess.run(
-            [sys.executable, "-m", "quditbell.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
         )
+
+    @classmethod
+    def cli_process(cls, *argv):
+        return cls.python_process("-m", "quditbell.cli", *argv)
+
+    def test_import_computes_nothing(self):
+        # every CLI process, and every benchmark set-up, pays for work done at import
+        proc = self.python_process("-c", (
+            "import quditbell, quditbell.cli\n"
+            "from quditbell import quantum, scenario\n"
+            "caches = (quantum._ghz_weights, scenario.outcome_sums_mod_d,\n"
+            "          scenario.all_setting_strings, scenario._numerator_row)\n"
+            "print(*(c.cache_info().currsize for c in caches))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0", "0"]
 
     def test_success_exit_code(self):
         proc = self.cli_process("violation", "--n", "2", "--d", "2")

@@ -7,7 +7,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from quditbell.optimize import optimal_angles
+from quditbell import quantum
+from quditbell.optimize import max_violation, optimal_angles
 from quditbell.quantum import (
     DENSE_DIMENSION_LIMIT,
     PSD_EIGENVALUE_FLOOR,
@@ -25,6 +26,7 @@ from quditbell.quantum import (
 from quditbell.scenario import (
     BellScenario,
     JointProbabilityTable,
+    TableFormatError,
     all_setting_strings,
     bell_value,
     outcome_index,
@@ -99,6 +101,20 @@ def loop_ghz_bell_value(config):
         coeffs = residue_coefficients(t_count(s), d)
         value -= per_residue_count * float(coeffs @ loop_ghz_residue_probs(config, s))
     return value
+
+
+def shared_config(n, d, rng):
+    """Random phases that every party shares."""
+    pair = rng.uniform(0.0, 2.0 * np.pi, (2, d))
+    return PhaseConfiguration(BellScenario(n, d), np.tile(pair, (n, 1, 1)))
+
+
+def gauge_twin(config):
+    """The same value through the party-by-party product: a constant added to one
+    setting vector changes no factor e^(i(phi_j - phi_k)), but makes party 1 differ."""
+    phases = config.phases.copy()
+    phases[0, 0] += 0.7
+    return PhaseConfiguration(config.scenario, phases)
 
 
 class TestGhzState:
@@ -341,8 +357,7 @@ class TestClosedForm:
                 scen = BellScenario(n, d)
                 for _ in range(2):
                     if symmetric:
-                        pair = rng.uniform(0.0, 2.0 * np.pi, (2, d))
-                        config = PhaseConfiguration(scen, np.tile(pair, (n, 1, 1)))
+                        config = shared_config(n, d, rng)
                     else:
                         config = random_config(scen, rng)
                     # each of the 2^N setting terms lies in [-1, 1], and a random
@@ -350,6 +365,65 @@ class TestClosedForm:
                     assert ghz_bell_value(config) == pytest.approx(
                         loop_ghz_bell_value(config), rel=1e-12, abs=1e-12 * 2**n
                     ), (n, d)
+
+
+class TestSharedPhases:
+    """ghz_bell_value's binomial path, for phases every party shares, against the product loop."""
+
+    @staticmethod
+    def assert_matches_twin(config):
+        n = config.scenario.n_parties
+        assert ghz_bell_value(config) == pytest.approx(
+            ghz_bell_value(gauge_twin(config)), rel=1e-12, abs=math.ldexp(1e-12, n)
+        ), config.scenario
+
+    def test_matches_gauge_twin(self, rng):
+        for n in range(1, 13):
+            for d in range(2, 8):
+                self.assert_matches_twin(shared_config(n, d, rng))
+
+    @pytest.mark.parametrize("n,d", [(60, 3), (200, 20), (1024, 7)])
+    def test_matches_gauge_twin_at_large_n(self, n, d, rng):
+        self.assert_matches_twin(shared_config(n, d, rng))
+
+    def test_shared_phases_skip_the_product(self, monkeypatch, rng):
+        calls = []
+        real = quantum._branch_factors
+
+        def counted(phases):
+            calls.append(phases.shape)
+            return real(phases)
+
+        monkeypatch.setattr(quantum, "_branch_factors", counted)
+        scen = BellScenario(3, 3)
+        assert ghz_bell_value(optimal_angles(scen)) == pytest.approx(max_violation(scen), rel=1e-13)
+        assert calls == []
+        ghz_bell_value(random_config(scen, rng))
+        assert len(calls) == 1
+        # one ulp off shared, and a -0.0 against a 0.0, take the product
+        phases = optimal_angles(scen).phases.copy()
+        phases[2, 1, 2] = np.nextafter(phases[2, 1, 2], np.inf)
+        off = PhaseConfiguration(scen, phases)
+        assert ghz_bell_value(off) == pytest.approx(max_violation(scen), rel=1e-12)
+        assert len(calls) == 2
+        phases = optimal_angles(scen).phases.copy()
+        phases[1, 0, 0] = -0.0
+        assert ghz_bell_value(PhaseConfiguration(scen, phases)) == pytest.approx(
+            max_violation(scen), rel=1e-12
+        )
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [2, 30, 200, 1024])
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_closed_form_at_optimal_angles(self, n, d):
+        scen = BellScenario(n, d)
+        assert ghz_bell_value(optimal_angles(scen)) == pytest.approx(max_violation(scen), rel=1e-13)
+
+    def test_past_the_float_range_both_paths_overflow(self):
+        config = optimal_angles(BellScenario(1025, 2))
+        for c in (config, gauge_twin(config)):
+            with pytest.raises(OverflowError):
+                ghz_bell_value(c)
 
 
 class TestNoiseMixing:
@@ -437,6 +511,22 @@ class TestProductState:
                     * table_b.probs_for(s[2:])[outcome_index(o[2:], d)],
                     abs=1e-10,
                 )
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: PhaseConfiguration(BellScenario(2, 2), np.full((2, 2, 2), 1 + 1j)), ValueError),
+        (lambda: JointProbabilityTable(BellScenario(2, 2), np.full((4, 4), 0.25 + 0.5j)), TableFormatError),
+    ],
+    ids=["phases", "table"],
+)
+def test_complex_input_is_refused(build, error):
+    # a cast to float would keep only the real parts, with no more than a warning
+    with pytest.raises(error, match="must be real") as info:
+        build()
+    assert info.type is error
+    assert len(str(info.value)) < 100
 
 
 class TestPhaseConfiguration:
