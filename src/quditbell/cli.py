@@ -8,6 +8,7 @@ budget error.  Reports are JSON on stdout (CSV only from `scan --format csv`);
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from .bounds import (
 from .optimize import (
     SVETLICHNY_VISIBILITY,
     ViolationReport,
-    critical_visibility,
+    cglmp_max_closed_form,
     optimal_angles,
     optimize_with_restarts,
 )
@@ -64,11 +65,18 @@ def _scenario(n: int, d: int) -> BellScenario:
     return BellScenario(n, d)
 
 
-def _ghz_report(n: int, d: int) -> ViolationReport:
+def _ghz_report(n: int, d: int, two_qudit: dict[int, float]) -> ViolationReport:
     """The GHZ commands' closed form, refused before any work where the
-    maximal violation (and so every report value) leaves the float range."""
+    maximal violation (and so every report value) leaves the float range.
+
+    two_qudit maps each d the command has met to its two-qudit closed form,
+    which max_violation scales by 2^(n-2): a d is computed once per command.
+    """
+    scenario = _scenario(n, d)
+    if d not in two_qudit:
+        two_qudit[d] = cglmp_max_closed_form(d)
     try:
-        return critical_visibility(_scenario(n, d))
+        return ViolationReport(scenario, math.ldexp(two_qudit[d], n - 2))
     except OverflowError as exc:
         raise InputError(
             f"n={n}, d={d}: the maximal violation 2^(n-2) times the two-qudit "
@@ -225,7 +233,7 @@ def bound(n, d, out_path, model, partition, budget):
 @click.option("--seed", type=int, default=0, show_default=True)
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed):
     """Quantum Bell value of the GHZ state at the requested angles."""
-    report = _ghz_report(n, d)
+    report = _ghz_report(n, d, {})
     scenario = report.scenario
     # size refusals come first: they must not wait for the phase search
     if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
@@ -278,7 +286,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
 @out_option
 def visibility(n, d, out_path):
     """Critical visibility of the white-noise GHZ mixture."""
-    report = _ghz_report(n, d)
+    report = _ghz_report(n, d, {})
     _emit(
         {
             "n": n,
@@ -309,10 +317,10 @@ def scan(n_range, d_range, out_path, fmt):
     lo_d, hi_d = _parse_range(d_range)
     if (lo_n <= hi_n and lo_n < 2) or (lo_d <= hi_d and lo_d < 2):
         raise InputError("scan requires n >= 2 and d >= 2")
-    rows = []
+    rows, two_qudit = [], {}
     for n in range(lo_n, hi_n + 1):
         for d in range(lo_d, hi_d + 1):
-            report = _ghz_report(n, d)
+            report = _ghz_report(n, d, two_qudit)
             rows.append(
                 {
                     "n": n,

@@ -146,7 +146,7 @@ class PhaseConfiguration:
         expected = (scenario.n_parties, 2, scenario.dimension)
         if arr.shape != expected:
             raise ValueError(f"expected phases of shape {expected}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("phases must be finite")
         arr.flags.writeable = False
         self.scenario = scenario
@@ -282,10 +282,12 @@ def _product_by_t(phases: np.ndarray) -> np.ndarray:
     One party at a time, O(N^2 d^2): the path for phases that differ between parties.
     """
     n, d = phases.shape[0], phases.shape[2]
-    by_t = np.zeros((n + 1, d, d), dtype=complex)
-    by_t[0] = 1.0
-    for p, (f1, f2) in enumerate(_branch_factors(phases)):  # (N, 2, d, d)
-        by_t[1 : p + 2] = by_t[1 : p + 2] * f1 + by_t[: p + 1] * f2
+    factors = _branch_factors(phases)  # (N, 2, d, d)
+    by_t = np.empty((n + 1, d, d), dtype=complex)
+    by_t[:2] = factors[0]  # party 1 alone: f_11 + z f_12
+    for p, (f1, f2) in enumerate(factors[1:], start=1):
+        by_t[p + 1] = by_t[p] * f2
+        by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
         by_t[0] *= f1
     return by_t
 
@@ -297,10 +299,10 @@ def _binomial_by_t(pair: np.ndarray, n_parties: int) -> np.ndarray:
     by_t = C(N, t) 2^-N e^{i[(N-t) Delta_1 + t Delta_2]}, Delta_s[j, k] = phi_sj - phi_sk.
     O(N d^2).
     """
-    t = np.arange(n_parties + 1)
+    t = np.arange(n_parties + 1)[:, None, None]
     delta = pair[:, :, None] - pair[:, None, :]
-    angle = np.multiply.outer(n_parties - t, delta[0])
-    angle += np.multiply.outer(t, delta[1])
+    angle = (n_parties - t) * delta[0]
+    angle += t * delta[1]
     by_t = np.empty(angle.shape, dtype=complex)  # filled in place: no complex temporary
     np.cos(angle, out=by_t.real)
     np.sin(angle, out=by_t.imag)

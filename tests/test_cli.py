@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, files, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -504,6 +505,34 @@ class TestScanCommand:
         else:
             assert len(out.encode()) < 1024
 
+    def test_one_closed_form_per_distinct_dimension(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(dimension):
+            calls.append(dimension)
+            return cglmp_max_closed_form(dimension)
+
+        monkeypatch.setattr("quditbell.cli.cglmp_max_closed_form", counted)
+        code, out, _ = invoke(capsys, "scan", "--n-range", "2:6", "--d-range", "2:9")
+        assert code == 0
+        assert len(json.loads(out)) == 5 * 8
+        assert sorted(calls) == list(range(2, 10))
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "3dfa03072f3728a70f5a17a739ca44244a6c0c926809a080bf8fd28a5bc25d64"),
+            ("json", "80e5f59a275da4b90ec56dfdc556728fde381191fa3c62d281c14bb5ce3f4f20"),
+        ],
+    )
+    def test_output_is_that_of_one_closed_form_per_cell(self, capsys, fmt, digest):
+        # SHA-256 of the text written when every cell computed its own closed form
+        code, out, _ = invoke(
+            capsys, "scan", "--n-range", "2:6", "--d-range", "2:40", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_scaling_column(self, capsys):
         code, out, _ = invoke(
             capsys, "scan", "--n-range", "2:4", "--d-range", "2:2"
@@ -665,18 +694,19 @@ class TestVisibilityCommand:
     [
         (("violation", "--n", "3", "--d", "3"), 1),
         (("visibility", "--n", "3", "--d", "3"), 1),
-        (("scan", "--n-range", "2:3", "--d-range", "2:3"), 4),
+        (("scan", "--n-range", "2:3", "--d-range", "2:3"), 2),
     ],
     ids=["violation", "visibility", "scan"],
 )
 def test_one_closed_form_per_scenario(capsys, monkeypatch, argv, evaluations):
+    # scan's cells share the closed form of their d
     calls = []
 
     def counted(dimension):
         calls.append(dimension)
         return cglmp_max_closed_form(dimension)
 
-    monkeypatch.setattr("quditbell.optimize.cglmp_max_closed_form", counted)
+    monkeypatch.setattr("quditbell.cli.cglmp_max_closed_form", counted)
     code, _, _ = invoke(capsys, *argv)
     assert code == 0
     assert len(calls) == evaluations

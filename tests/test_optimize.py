@@ -451,6 +451,26 @@ class TestTrigStep:
             np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_a_spent_budget_solves_no_further_peak(self, rng, monkeypatch, mode):
+        # the budget is checked before the next read-off: every peak solved is a move evaluated
+        scen = BellScenario(2, 3)
+        start = random_config(scen, rng)
+        calls = count_objective_calls(monkeypatch)
+        peaks = []
+
+        def counted(a, *tables):
+            peaks.append(a)
+            return _peak(a, *tables)
+
+        monkeypatch.setattr("quditbell.optimize._peak", counted)
+        for budget in (2, 5, 13):
+            calls.clear()
+            peaks.clear()
+            optimize_phases(scen, start, budget=budget, mode=mode)
+            assert len(calls) == budget
+            assert len(peaks) == budget - 1  # the start needs none
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
     def test_budget_counts_every_evaluation(self, rng, monkeypatch, mode, n, d):
         scen = BellScenario(n, d)
@@ -474,6 +494,42 @@ class TestTrigStep:
         start = random_config(scen, rng)
         _, value = optimize_phases(scen, start, budget=20_000, mode=mode)
         assert value == pytest.approx(sampled_search(scen, start, mode), rel=0, abs=1e-12)
+
+
+# restart_values of optimize_with_restarts(BellScenario(n, d), restarts=3, seed=0,
+# mode=mode) at the default budget, recorded from the search when it still
+# rebuilt its index sets, exponents and companion matrices on every move
+PINNED_RESTART_VALUES = {
+    ("free", 2, 2): (2.8284271247461907, 2.8284271247461907, 2.82842712474619),
+    ("free", 2, 3): (2.872934051172121, 2.872934051168908, 2.8729340511721118),
+    ("free", 3, 3): (5.745868102329277, 5.74586810233318, 5.74586810234108),
+    ("free", 4, 2): (11.31370849898476, 11.31370849898476, 11.31370849898476),
+    ("symmetric", 2, 2): (2.828427124745411, 2.828427124740303, 2.828427124736314),
+    ("symmetric", 2, 3): (2.8729340511722645, 2.8729340511720913, 2.8729340511720256),
+    ("symmetric", 3, 3): (5.745868102331418, 5.745868102214159, 5.745868102224306),
+    ("symmetric", 4, 2): (11.31370849886191, 11.31370849857402, 11.313708498713838),
+}
+
+
+@pytest.mark.parametrize("mode,n,d", sorted(PINNED_RESTART_VALUES))
+def test_restart_values_are_pinned(mode, n, d):
+    result = optimize_with_restarts(BellScenario(n, d), restarts=3, seed=0, mode=mode)
+    np.testing.assert_allclose(
+        result.restart_values, PINNED_RESTART_VALUES[mode, n, d], rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3)])
+def test_symmetric_search_stays_on_the_binomial_path(rng, monkeypatch, n, d):
+    # each move is written into every party's block, so the blocks stay byte-equal
+    def product_path(phases):
+        pytest.fail("a symmetric search evaluated party-dependent phases")
+
+    monkeypatch.setattr("quditbell.quantum._product_by_t", product_path)
+    scen = BellScenario(n, d)
+    start = random_config(scen, rng)
+    _, value = optimize_phases(scen, start, budget=20_000, mode="symmetric")
+    assert value == pytest.approx(max_violation(scen), abs=1e-6)
 
 
 def roots_peak(a):
