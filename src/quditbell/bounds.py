@@ -114,8 +114,11 @@ def strategy_space_exponent(scenario: BellScenario, partition=None) -> int:
 
 
 def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
+    if not _is_int(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    budget = int(budget)  # numpy integers have no bit_length
     # d^e >= 2^e exceeds every budget of fewer than e bits: refuse without forming d^e
     d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
     if e > budget.bit_length() or d**e > budget:

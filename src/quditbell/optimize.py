@@ -5,23 +5,26 @@ The maximal GHZ violation has a closed form: the two-party value scales by
 visibility, and a linear phase ramp attains it.  An exact coordinate search
 confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
-the branch-pair factors that ghz_bell_value multiplies, so each move costs one
-objective evaluation, the one that confirms it.  The peak of each polynomial is
-one small eigenvalue problem, and tolerances scale with the value, as 2^(N-2).
+the branch-pair factors that ghz_bell_value multiplies, so a move is scored by
+its polynomial and the objective is evaluated twice a search, at the start and
+at the end.  The peak of each polynomial is one small eigenvalue problem, and
+tolerances scale with the value, as 2^(N-2).
 
 A move reads its coordinate's coefficients, finds their peak (-arg of one
 coefficient for a free phase, the eigenvalues of one 2N x 2N companion matrix
-for a shared one) and writes and evaluates the moved phases once.  Everything
-else is built once per search: the weights times 2 C(N, t) 2^-N, the exponent
-matrix, the index sets, the ramps and the companion matrices, whose first row
-alone is rewritten.  At N=2/d=3 in symmetric mode (best of 3000 on a 2-core
-VM) a move takes about 52 us, against 79 us when all of that was rebuilt per
-move: read-off 17.6 -> 10.5 us, peak 38.7 -> 24.5 us (15 us of it the
-eigenvalues), phase configuration 8.2 -> 3.0 us, objective 14.2 -> 13.8 us.
+for a shared one), reads its gain off the same coefficients and writes the
+phase.  Everything else is built once per search: the weights times
+2 C(N, t) 2^-N, the exponent matrix, the index sets, the ramps and the
+companion matrices, whose first row alone is rewritten.  At N=2/d=3 in
+symmetric mode (best of 3000 on a 2-core VM) a move takes about 39 us:
+read-off 10.0 us, peak 24.9 us, gain 4.0 us.  It took 52 us when an
+objective evaluation confirmed each move (17 us with its phase
+configuration), and 79 us when the arrays above were rebuilt per move.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,7 +38,7 @@ from .quantum import (
     _ghz_weights,
     ghz_bell_value,
 )
-from .scenario import BellScenario
+from .scenario import BellScenario, _is_int
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
 
@@ -158,6 +161,12 @@ class _PeakTables:
                 np.eye(2 * size, k=-1, dtype=complex),
             )
         return self._by_size[size]
+
+    def rise(self, a: np.ndarray, x0: float, theta: float) -> float:
+        """Re sum_m a[m-1] (e^(i m theta) - e^(i m x0)): the move from x0 to theta, over 2^N."""
+        if a.size == 1:  # a free phase: scalar arithmetic, a seventh of numpy's call cost
+            return (a[0] * (cmath.exp(1j * theta) - cmath.exp(1j * x0))).real
+        return ((np.exp(theta * self.up) - np.exp(x0 * self.up)) @ a).real
 
 
 def _peak(a: np.ndarray, tables: _PeakTables | None = None):
@@ -292,22 +301,26 @@ def optimize_phases(
     (For d >= 3 the last phase is a joint move of the others.)  A phase
     multiplies one GHZ branch by e^(i phi) in one party (free, degree 1) or in
     all N parties (symmetric, degree N); the trigonometric polynomial along it
-    is read off the branch-pair factors of ghz_bell_value, not sampled, and
-    one objective evaluation confirms each move, which is kept only if the
-    value does not drop.  The budget counts evaluations, the start's included,
-    and the search stops as soon as it is spent, before it reads another
-    coordinate.  Sweeps repeat until a full cycle improves by less than
-    1e-9 * 2^(N-2) or the budget is spent, and a value past the closed form
-    by 1e-6 * 2^(N-2) warns: both scale with the value.  The returned value
-    is the objective at the returned phases and never drops below the
-    start's; symmetric mode reads the start's party-1 vectors as the shared
+    is read off the branch-pair factors of ghz_bell_value, not sampled.  A
+    move's gain is read off the same polynomial, 2^N Re sum_m a_m
+    (e^(i m theta) - e^(i m x0)), and the move is kept if it is not negative.
+    The budget counts the start and every move, and the search stops as soon
+    as it is spent, before it reads another coordinate.  Sweeps repeat until
+    the kept gains of a full cycle sum to less than 1e-9 * 2^(N-2) or the
+    budget is spent.  The objective is evaluated at the start and, if a move
+    was kept, at the end: the returned value is the objective at the returned
+    phases, and if the end reads below the start (rounding near an optimum)
+    the start's phases and value are returned.  A returned value past the
+    closed form by 1e-6 * 2^(N-2) warns: both tolerances scale with the
+    value.  Symmetric mode reads the start's party-1 vectors as the shared
     parameters and writes each move into every party's block of one (N, 2, d)
     array, so the blocks stay equal byte for byte.  Like max_violation, the
     search's ceiling, it refuses N < 2 with ValueError before any sweep, as it
-    does a start from another scenario.
+    does a start from another scenario and a budget that is not a positive
+    int (a bool included).
     """
-    if budget <= 0:
-        raise ValueError(f"evaluation budget must be positive, got {budget}")
+    if not _is_int(budget) or budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget!r}")
     if mode not in ("free", "symmetric"):
         raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
     if start.scenario != scenario:
@@ -323,8 +336,8 @@ def optimize_phases(
     weights = _ghz_weights(n, scenario.dimension)
     sweeps = _free_sweep(weights, phases) if free else _symmetric_sweep(weights, phases[0])
     tables = _PeakTables(1 if free else n)
-    best = ghz_bell_value(PhaseConfiguration(scenario, phases))
-    used = 1
+    start_value = ghz_bell_value(PhaseConfiguration(scenario, phases))
+    best, used, moved = start_value, 1, False  # best: the start's value plus the kept gains
     improved = True
     while improved and used < budget:
         sweep_start = best
@@ -332,24 +345,28 @@ def optimize_phases(
             theta = _peak(a, tables)
             if theta is None:
                 continue
-            x0 = columns[0, coord]
-            columns[:, coord] = theta
-            value = ghz_bell_value(PhaseConfiguration(scenario, phases))
             used += 1
-            if value >= best:
-                best = value
-            else:
-                columns[:, coord] = x0
+            gain = math.ldexp(tables.rise(a, columns[0, coord], theta), n)
+            if gain >= 0.0:
+                columns[:, coord] = theta
+                best += gain
+                moved = True
             if used == budget:
                 break
         improved = best - sweep_start > _SWEEP_TOL * scale
 
-    if best > ceiling + 1e-6 * scale:
+    value = start_value
+    if moved:
+        value = ghz_bell_value(PhaseConfiguration(scenario, phases))
+        if value < start_value:  # rounding near an optimum: the start stands
+            phases[:] = start.phases if free else start.phases[0]
+            value = start_value
+    if value > ceiling + 1e-6 * scale:
         warnings.warn(
-            f"phase search exceeded the closed-form maximum: {best!r} > {ceiling!r}",
+            f"phase search exceeded the closed-form maximum: {value!r} > {ceiling!r}",
             stacklevel=2,
         )
-    return PhaseConfiguration(scenario, phases), best
+    return PhaseConfiguration(scenario, phases), value
 
 
 @dataclass(frozen=True)
@@ -369,11 +386,12 @@ def optimize_with_restarts(
     """Run optimize_phases from uniformly random starts and keep the best.
 
     Each restart sweeps until a full cycle gains less than 1e-9 * 2^(N-2) or its
-    evaluation budget is spent.  Restarts are independent; ties go to the
-    earliest restart, so the result is a deterministic function of the seed.
+    budget of moves (the start counts as one) is spent.  Restarts are
+    independent; ties go to the earliest restart, so the result is a
+    deterministic function of the seed.
     """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
+    if not _is_int(restarts) or restarts < 1:
+        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
     rng = np.random.default_rng(seed)
     n, d = scenario.n_parties, scenario.dimension
     best_config, best_value = None, -math.inf

@@ -459,6 +459,16 @@ class TestHlnhvBound:
         assert "budget allows about 2^16610" in str(err.value)
         assert err.value.budget == 10**5000
 
+    def test_budget_must_be_an_integer(self):
+        # 1e9 once failed on float.bit_length, and True read as a budget of 1
+        scen, part = BellScenario(3, 2), Bipartition.from_block(3, [1])
+        for budget in (1e9, 2.5, True):
+            for bound in (lambda b: hlnhv_bound(scen, part, budget=b), lambda b: lhv_bound(scen, budget=b)):
+                with pytest.raises(ValueError, match=f"integer, got {budget!r}"):
+                    bound(budget)
+        assert hlnhv_bound(scen, part, budget=np.int64(10**8)) == hlnhv_bound(scen, part)
+        assert lhv_bound(scen, budget=np.int64(10**8)) == lhv_bound(scen)
+
     def test_witness_is_lexicographically_least(self):
         # scanning in index order with strict improvement keeps the first argmax
         scen = BellScenario(2, 2)

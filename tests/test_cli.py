@@ -12,7 +12,7 @@ import pytest
 
 from quditbell.bounds import Bipartition, BudgetExceededError, bipartitions, hlnhv_bound
 from quditbell.cli import _witness_fired, run
-from quditbell.optimize import cglmp_max_closed_form, optimal_angles
+from quditbell.optimize import cglmp_max_closed_form, optimal_angles, optimize_with_restarts
 from quditbell.scenario import BellScenario, bell_value
 from conftest import strategy_delta_table
 
@@ -263,6 +263,20 @@ class TestViolationCommand:
         report = json.loads(out)
         assert report["bell_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-5)
         assert report["angles_mode"] == "optimized-symmetric"
+
+    def test_optimized_mode_reports_its_restarts(self, capsys):
+        # the report's value is the best restart's, taken from the search itself
+        code, out, _ = invoke(
+            capsys, "violation", "--n", "2", "--d", "3", "--angles", "optimized-free",
+            "--restarts", "3", "--budget", "3000", "--seed", "5",
+        )
+        assert code == 0
+        report = json.loads(out)
+        search = optimize_with_restarts(BellScenario(2, 3), restarts=3, budget=3000, seed=5)
+        assert report["restart_values"] == [float(f"{v:.10g}") for v in search.restart_values]
+        assert max(report["restart_values"]) == report["bell_value"]
+        code, out, _ = invoke(capsys, "violation", "--n", "2", "--d", "3")
+        assert "restart_values" not in json.loads(out)
 
     def test_angles_are_the_phase_array(self, capsys):
         # [party][setting][phase] in radians, the same floats as the configuration

@@ -8,6 +8,7 @@ import pytest
 
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
+    _PeakTables,
     _free_sweep,
     _peak,
     _symmetric_sweep,
@@ -148,6 +149,24 @@ class TestPhaseSearch:
         scen = BellScenario(2, 2)
         with pytest.raises(ValueError):
             optimize_phases(scen, optimal_angles(scen), budget=0)
+
+    def test_budget_must_be_an_integer(self, monkeypatch):
+        # a budget of 2.5 once ran 13 evaluations, as the spent test compares with ==
+        scen = BellScenario(2, 3)
+        calls = count_objective_calls(monkeypatch)
+        for budget in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"integer, got {budget!r}"):
+                optimize_phases(scen, optimal_angles(scen), budget=budget)
+        assert calls == []
+        config, value = optimize_phases(scen, optimal_angles(scen), budget=np.int64(3))
+        assert ghz_bell_value(config) == value
+
+    def test_restarts_must_be_an_integer(self):
+        scen = BellScenario(2, 2)
+        for restarts in (2.0, True):
+            with pytest.raises(ValueError, match=f"integer, got {restarts!r}"):
+                optimize_with_restarts(scen, restarts=restarts, budget=50)
+        assert len(optimize_with_restarts(scen, restarts=np.int64(2), budget=50).restart_values) == 2
 
     def test_tiny_budget_still_returns_consistent_pair(self, rng):
         scen = BellScenario(2, 2)
@@ -336,6 +355,18 @@ def count_objective_calls(monkeypatch):
     return calls
 
 
+def count_peaks(monkeypatch):
+    """Count the search's solved peaks; returns the growing list of their coefficients."""
+    peaks = []
+
+    def counted(a, *tables):
+        peaks.append(a)
+        return _peak(a, *tables)
+
+    monkeypatch.setattr("quditbell.optimize._peak", counted)
+    return peaks
+
+
 class TestTrigStep:
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 2), (5, 2)])
@@ -406,14 +437,18 @@ class TestTrigStep:
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_coordinate_costs_one_evaluation(self, rng, monkeypatch, mode, n):
+        # a move costs one unit of the budget; the objective runs at the start and the end
         scen = BellScenario(n, 3)
         start = random_config(scen, rng)
         params = _params_of(start, mode)
         calls = count_objective_calls(monkeypatch)
+        peaks = count_peaks(monkeypatch)
         for moves in (1, 2, 3):
             calls.clear()
+            peaks.clear()
             config, _ = optimize_phases(scen, start, budget=1 + moves, mode=mode)
-            assert len(calls) == 1 + moves  # the start, then one per move
+            assert len(peaks) == moves
+            assert len(calls) == 2  # a random start's first move is kept
             assert np.count_nonzero(_params_of(config, mode) != params) <= moves
 
     def test_flat_coordinate_keeps_the_start(self, rng, monkeypatch):
@@ -432,8 +467,25 @@ class TestTrigStep:
             np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
             assert value == ghz_bell_value(config)
 
+    def test_a_peak_the_read_off_rejects_is_not_taken(self, rng, monkeypatch):
+        # the peak is only a proposal: an angle its polynomial scores lower keeps the phase
+        scen = BellScenario(2, 3)
+        start = random_config(scen, rng)
+        calls = count_objective_calls(monkeypatch)
+
+        def worst_angle(a, *tables):
+            return _peak(-a, *tables)  # the minimum of the same polynomial
+
+        monkeypatch.setattr("quditbell.optimize._peak", worst_angle)
+        for mode in ("free", "symmetric"):
+            calls.clear()
+            config, value = optimize_phases(scen, start, budget=100, mode=mode)
+            assert len(calls) == 1  # no move kept: the start's evaluation is the value
+            np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
+            assert value == ghz_bell_value(config)
+
     def test_move_the_objective_rejects_is_undone(self, rng, monkeypatch):
-        # the read-off peak is only a proposal: a lower confirmed value keeps the start
+        # the end's evaluation is checked against the start's: a lower one returns the start
         scen = BellScenario(2, 3)
         start = random_config(scen, rng)
         calls = []
@@ -446,46 +498,79 @@ class TestTrigStep:
         for mode in ("free", "symmetric"):
             calls.clear()
             config, value = optimize_phases(scen, start, budget=100, mode=mode)
-            assert len(calls) > 1
+            assert len(calls) == 2
             assert value == 2.0
-            np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
+            expected = start.phases if mode == "free" else np.tile(start.phases[0], (2, 1, 1))
+            np.testing.assert_array_equal(config.phases, expected)
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     def test_a_spent_budget_solves_no_further_peak(self, rng, monkeypatch, mode):
-        # the budget is checked before the next read-off: every peak solved is a move evaluated
+        # the budget is checked before the next read-off: it counts the start and every peak solved
         scen = BellScenario(2, 3)
         start = random_config(scen, rng)
-        calls = count_objective_calls(monkeypatch)
-        peaks = []
-
-        def counted(a, *tables):
-            peaks.append(a)
-            return _peak(a, *tables)
-
-        monkeypatch.setattr("quditbell.optimize._peak", counted)
+        peaks = count_peaks(monkeypatch)
         for budget in (2, 5, 13):
-            calls.clear()
             peaks.clear()
             optimize_phases(scen, start, budget=budget, mode=mode)
-            assert len(calls) == budget
             assert len(peaks) == budget - 1  # the start needs none
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
-    def test_budget_counts_every_evaluation(self, rng, monkeypatch, mode, n, d):
+    def test_budget_counts_every_move(self, rng, monkeypatch, mode, n, d):
         scen = BellScenario(n, d)
         start = random_config(scen, rng)
-        calls = count_objective_calls(monkeypatch)
+        peaks = count_peaks(monkeypatch)
         optimize_phases(scen, start, budget=10**6, mode=mode)
-        full = len(calls)
+        full = 1 + len(peaks)
         previous = -math.inf
         for budget in range(1, full + 2):
-            calls.clear()
+            peaks.clear()
             config, value = optimize_phases(scen, start, budget=budget, mode=mode)
-            assert len(calls) == min(budget, full)
+            assert len(peaks) == min(budget, full) - 1
             assert value >= previous
             assert ghz_bell_value(config) == value
             previous = value
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_each_kept_gain_is_the_objective_difference(self, rng, monkeypatch, mode, n, d):
+        # the search scores a move by its polynomial; the objective before and after agrees
+        scen = BellScenario(n, d)
+        start = random_config(scen, rng)
+        f, _ = _objective(scen, mode)
+        rise, rises = _PeakTables.rise, []
+
+        def recorded(tables, a, x0, theta):
+            rises.append(rise(tables, a, x0, theta))
+            return rises[-1]
+
+        monkeypatch.setattr(_PeakTables, "rise", recorded)
+        previous_params, previous = _params_of(start, mode), f(_params_of(start, mode))
+        kept = 0
+        for moves in range(1, 31):
+            rises.clear()
+            config, value = optimize_phases(scen, start, budget=1 + moves, mode=mode)
+            if len(rises) < moves:
+                break  # the search ended before this budget
+            params = _params_of(config, mode)
+            gain = math.ldexp(rises[-1], n)
+            if gain >= 0.0:
+                kept += 1
+                assert value - previous == pytest.approx(gain, rel=0, abs=math.ldexp(1e-12, n - 2))
+            else:
+                np.testing.assert_array_equal(params, previous_params)
+            previous_params, previous = params, value
+        assert kept > 0
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(30, 2), (40, 3)])
+    def test_search_at_the_optimum_returns_its_evaluation(self, mode, n, d):
+        # near the optimum a kept move may read an ulp lower: the value never drops below the start
+        scen = BellScenario(n, d)
+        start = optimal_angles(scen)
+        config, value = optimize_phases(scen, start, budget=2000, mode=mode)
+        assert value >= ghz_bell_value(start)
+        assert ghz_bell_value(config) == value
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
@@ -498,12 +583,15 @@ class TestTrigStep:
 
 # restart_values of optimize_with_restarts(BellScenario(n, d), restarts=3, seed=0,
 # mode=mode) at the default budget, recorded from the search when it still
-# rebuilt its index sets, exponents and companion matrices on every move
+# rebuilt its index sets, exponents and companion matrices on every move; the
+# (6, 3) and (8, 3) ones when it still evaluated the objective after every move
 PINNED_RESTART_VALUES = {
     ("free", 2, 2): (2.8284271247461907, 2.8284271247461907, 2.82842712474619),
     ("free", 2, 3): (2.872934051172121, 2.872934051168908, 2.8729340511721118),
     ("free", 3, 3): (5.745868102329277, 5.74586810233318, 5.74586810234108),
     ("free", 4, 2): (11.31370849898476, 11.31370849898476, 11.31370849898476),
+    ("free", 6, 3): (45.96694481873246, 45.96694481869381, 31.999999999995634),
+    ("free", 8, 3): (127.99999999963276, 183.8677792750169, 127.99999999951422),
     ("symmetric", 2, 2): (2.828427124745411, 2.828427124740303, 2.828427124736314),
     ("symmetric", 2, 3): (2.8729340511722645, 2.8729340511720913, 2.8729340511720256),
     ("symmetric", 3, 3): (5.745868102331418, 5.745868102214159, 5.745868102224306),
