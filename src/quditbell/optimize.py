@@ -6,9 +6,10 @@ visibility, and a linear phase ramp attains it.  An exact coordinate search
 confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
 the branch-pair factors that ghz_bell_value multiplies, so a move is scored by
-its polynomial and the objective is evaluated twice a search, at the start and
-at the end.  The peak of each polynomial is one small eigenvalue problem, and
-tolerances scale with the value, as 2^(N-2).
+its polynomial and the objective is evaluated at the start and at the end
+(and, from a start at an optimum, for each move its rounding cannot sign).
+The peak of each polynomial is one small eigenvalue problem, and tolerances
+scale with the value, as 2^(N-2).
 
 A move reads its coordinate's coefficients, finds their peak (-arg of one
 coefficient for a free phase, the eigenvalues of one 2N x 2N companion matrix
@@ -44,6 +45,8 @@ SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
 
 # a coordinate sweep that gains less than this times 2^(N-2) ends the phase search
 _SWEEP_TOL = 1e-9
+# a read-off gain within this times 2^(N-2) of zero is rounding: its sign says nothing
+_GAIN_TOL = 1e-13
 
 __all__ = [
     "SVETLICHNY_VISIBILITY",
@@ -303,18 +306,24 @@ def optimize_phases(
     all N parties (symmetric, degree N); the trigonometric polynomial along it
     is read off the branch-pair factors of ghz_bell_value, not sampled.  A
     move's gain is read off the same polynomial, 2^N Re sum_m a_m
-    (e^(i m theta) - e^(i m x0)), and the move is kept if it is not negative.
-    The budget counts the start and every move, and the search stops as soon
-    as it is spent, before it reads another coordinate.  Sweeps repeat until
-    the kept gains of a full cycle sum to less than 1e-9 * 2^(N-2) or the
-    budget is spent.  The objective is evaluated at the start and, if a move
-    was kept, at the end: the returned value is the objective at the returned
-    phases, and if the end reads below the start (rounding near an optimum)
-    the start's phases and value are returned.  A returned value past the
-    closed form by 1e-6 * 2^(N-2) warns: both tolerances scale with the
-    value.  Symmetric mode reads the start's party-1 vectors as the shared
-    parameters and writes each move into every party's block of one (N, 2, d)
-    array, so the blocks stay equal byte for byte.  Like max_violation, the
+    (e^(i m theta) - e^(i m x0)): a move gaining more than 1e-13 * 2^(N-2) is
+    kept and one losing more is dropped.  In between the sign is rounding.
+    While no move has been kept on its gain alone, the running value is the
+    objective itself, so one evaluation decides such a move, kept if the
+    value does not drop (a start at an optimum moves by these alone); after
+    that the running value carries the same rounding, and the move is
+    dropped.  A peak equal to the current phase moves nothing.  The budget
+    counts the start and every peak solved, and the search stops as soon as
+    it is spent, before it reads another coordinate.  Sweeps repeat until the
+    kept gains of a full cycle sum to less than 1e-9 * 2^(N-2) or the budget
+    is spent.  The objective is evaluated at the start and, if a move was
+    kept on its gain alone, at the end: the returned value is the objective
+    at the returned phases, and if the end reads below the start the start's
+    phases and value are returned.  A returned value past the closed form by
+    1e-6 * 2^(N-2) warns: the tolerances scale with the value.  Symmetric
+    mode reads the start's party-1 vectors as the shared parameters and
+    writes each move into every party's block of one (N, 2, d) array, so the
+    blocks stay equal byte for byte.  Like max_violation, the
     search's ceiling, it refuses N < 2 with ValueError before any sweep, as it
     does a start from another scenario and a budget that is not a positive
     int (a bool included).
@@ -337,7 +346,8 @@ def optimize_phases(
     sweeps = _free_sweep(weights, phases) if free else _symmetric_sweep(weights, phases[0])
     tables = _PeakTables(1 if free else n)
     start_value = ghz_bell_value(PhaseConfiguration(scenario, phases))
-    best, used, moved = start_value, 1, False  # best: the start's value plus the kept gains
+    best, used = start_value, 1
+    exact = True  # best is the objective at the current phases, not a sum of read-off gains
     improved = True
     while improved and used < budget:
         sweep_start = best
@@ -346,17 +356,29 @@ def optimize_phases(
             if theta is None:
                 continue
             used += 1
-            gain = math.ldexp(tables.rise(a, columns[0, coord], theta), n)
-            if gain >= 0.0:
-                columns[:, coord] = theta
-                best += gain
-                moved = True
+            x0 = columns[0, coord]
+            if theta != x0:
+                gain = math.ldexp(tables.rise(a, x0, theta), n)
+                if gain > _GAIN_TOL * scale:
+                    columns[:, coord] = theta
+                    best += gain
+                    exact = False
+                elif exact and gain >= -_GAIN_TOL * scale:
+                    # the gain's sign is rounding, and best is the objective here: one
+                    # evaluation decides.  Past a kept gain best carries the same rounding,
+                    # so the move is dropped: the phase is already within rounding of its peak.
+                    columns[:, coord] = theta
+                    value = ghz_bell_value(PhaseConfiguration(scenario, phases))
+                    if value >= best:
+                        best = value
+                    else:
+                        columns[:, coord] = x0
             if used == budget:
                 break
         improved = best - sweep_start > _SWEEP_TOL * scale
 
-    value = start_value
-    if moved:
+    value = best
+    if not exact:
         value = ghz_bell_value(PhaseConfiguration(scenario, phases))
         if value < start_value:  # rounding near an optimum: the start stands
             phases[:] = start.phases if free else start.phases[0]

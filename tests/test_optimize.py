@@ -497,11 +497,40 @@ class TestTrigStep:
         monkeypatch.setattr("quditbell.optimize.ghz_bell_value", lower_after_the_start)
         for mode in ("free", "symmetric"):
             calls.clear()
-            config, value = optimize_phases(scen, start, budget=100, mode=mode)
+            # five moves within the first sweep, each gaining clearly from a random start
+            config, value = optimize_phases(scen, start, budget=6, mode=mode)
             assert len(calls) == 2
+            assert not np.array_equal(calls[-1].phases, calls[0].phases)  # the end moved
             assert value == 2.0
             expected = start.phases if mode == "free" else np.tile(start.phases[0], (2, 1, 1))
             np.testing.assert_array_equal(config.phases, expected)
+
+    def test_a_gain_within_rounding_is_decided_by_the_objective(self, monkeypatch):
+        # at the optimum every read-off gain is rounding, so each move is evaluated once and
+        # the last evaluation is the value: no end evaluation follows
+        scen = BellScenario(2, 2)
+        start = optimal_angles(scen)
+        calls = count_objective_calls(monkeypatch)
+        for budget in (2, 3, 5):
+            calls.clear()
+            config, value = optimize_phases(scen, start, budget=budget)
+            assert len(calls) == budget
+            assert value == ghz_bell_value(config) >= ghz_bell_value(start)
+
+    def test_a_move_within_rounding_the_objective_rejects_is_undone(self, monkeypatch):
+        scen = BellScenario(2, 2)
+        start = optimal_angles(scen)
+        calls = []
+
+        def lower_after_the_start(config):
+            calls.append(config)
+            return 2.0 if len(calls) == 1 else 1.0
+
+        monkeypatch.setattr("quditbell.optimize.ghz_bell_value", lower_after_the_start)
+        config, value = optimize_phases(scen, start, budget=5)
+        assert len(calls) == 5  # the start and four confirmations, all rejected
+        assert value == 2.0
+        np.testing.assert_array_equal(config.phases, start.phases)
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     def test_a_spent_budget_solves_no_further_peak(self, rng, monkeypatch, mode):
@@ -553,10 +582,10 @@ class TestTrigStep:
             if len(rises) < moves:
                 break  # the search ended before this budget
             params = _params_of(config, mode)
-            gain = math.ldexp(rises[-1], n)
-            if gain >= 0.0:
-                kept += 1
-                assert value - previous == pytest.approx(gain, rel=0, abs=math.ldexp(1e-12, n - 2))
+            gain, tol = math.ldexp(rises[-1], n), math.ldexp(1e-12, n - 2)
+            if gain >= -tol:  # a gain within rounding of zero changes the value by rounding at most
+                kept += gain > tol
+                assert value - previous == pytest.approx(gain, rel=0, abs=tol)
             else:
                 np.testing.assert_array_equal(params, previous_params)
             previous_params, previous = params, value
