@@ -69,6 +69,7 @@ from .scenario import (
     BellScenario,
     _is_int,
     _numerator_row,
+    _numerator_rows,
     all_setting_strings,
     setting_index,
     t_counts,
@@ -249,10 +250,6 @@ def strategy_bell_value(
 def _exact_dtype(n_parties: int, d: int):
     """int64 while every partial sum, at most 2^N * (d - 1), fits; else Python ints."""
     return np.int64 if (d - 1) << n_parties < 1 << 63 else object
-
-
-def _numerator_rows(n_parties: int, d: int, dtype) -> np.ndarray:
-    return np.array([_numerator_row(t, d) for t in range(n_parties + 1)], dtype=dtype)
 
 
 def _min_class_sum(weights: np.ndarray) -> tuple[int, list[int], list[int]]:

@@ -177,6 +177,8 @@ out_option = click.option("--out", "out_path", type=click.Path(), default=None, 
               show_default=True, help="Largest strategy space the search may certify.")
 def bound(n, d, out_path, model, partition, budget):
     """Certify the HLNHV (or LHV) bound by an exact search of all strategies."""
+    if model == "lhv" and partition is not None:
+        raise InputError("--partition applies to --model hlnhv only")
     parsed = None if partition is None else Bipartition.parse(partition, n)
     scenario = _scenario(n, d)
     started = time.perf_counter()
@@ -230,7 +232,8 @@ def bound(n, d, out_path, model, partition, budget):
               help="Random restarts for the optimized-* modes.")
 @click.option("--budget", type=int, default=20_000, show_default=True,
               help="Moves per restart (the start counts as one) for the optimized-* modes.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Seed of the optimized-* modes' random starts.")
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed):
     """Quantum Bell value of the GHZ state at the requested angles."""
     report = _ghz_report(n, d, {})

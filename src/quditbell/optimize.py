@@ -5,22 +5,16 @@ The maximal GHZ violation has a closed form: the two-party value scales by
 visibility, and a linear phase ramp attains it.  An exact coordinate search
 confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
-the branch-pair factors that ghz_bell_value multiplies, so a move is scored by
-its polynomial and the objective is evaluated at the start and at the end
+the branch-pair factors that ghz_bell_value multiplies.  A sweep yields each
+phase as a finished move, its peak and the rise to it read off that
+polynomial: -arg of its one coefficient for a free phase, the best eigenvalue
+of one 2N x 2N companion matrix for a shared one.  So the search only keeps
+or drops moves, and evaluates the objective at the start and at the end
 (and, from a start at an optimum, for each move its rounding cannot sign).
-The peak of each polynomial is one small eigenvalue problem, and tolerances
-scale with the value, as 2^(N-2).
-
-A move reads its coordinate's coefficients, finds their peak (-arg of one
-coefficient for a free phase, the eigenvalues of one 2N x 2N companion matrix
-for a shared one), reads its gain off the same coefficients and writes the
-phase.  Everything else is built once per search: the weights times
-2 C(N, t) 2^-N, the exponent matrix, the index sets, the ramps and the
-companion matrices, whose first row alone is rewritten.  At N=2/d=3 in
-symmetric mode (best of 3000 on a 2-core VM) a move takes about 39 us:
-read-off 10.0 us, peak 24.9 us, gain 4.0 us.  It took 52 us when an
-objective evaluation confirmed each move (17 us with its phase
-configuration), and 79 us when the arrays above were rebuilt per move.
+What a sweep reads besides the phases is built once per search: the weights
+times 2 C(N, t) 2^-N, the exponent matrix, the index sets, the ramps and the
+companion matrix, whose first row alone is rewritten.  Tolerances scale with
+the value, as 2^(N-2).
 """
 
 from __future__ import annotations
@@ -143,64 +137,41 @@ def critical_visibility(scenario: BellScenario) -> ViolationReport:
     return ViolationReport(scenario, max_violation(scenario))
 
 
-class _PeakTables:
-    """What _peak needs besides the coefficients, for one degree M: built once per search.
+def _peak(a: np.ndarray, x0: float, up: np.ndarray, down: np.ndarray, buffers=None):
+    """(theta, rise): the angle maximizing Re sum_m a[m-1] e^(i m theta) and the rise to it.
 
-    The ramps 1..M and +-i(1..M), and for each trimmed size K met so far a
-    polynomial buffer whose middle term stays 0 and a 2K x 2K companion
-    matrix whose sub-diagonal of ones stays set: a peak writes only the
-    polynomial's outer terms and the companion's first row.
-    """
-
-    def __init__(self, degree: int):
-        self.ramp = np.arange(1, degree + 1)
-        self.up, self.down = 1j * self.ramp, -1j * self.ramp
-        self._by_size: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        if size not in self._by_size:
-            self._by_size[size] = (
-                np.zeros(2 * size + 1, dtype=complex),
-                np.eye(2 * size, k=-1, dtype=complex),
-            )
-        return self._by_size[size]
-
-    def rise(self, a: np.ndarray, x0: float, theta: float) -> float:
-        """Re sum_m a[m-1] (e^(i m theta) - e^(i m x0)): the move from x0 to theta, over 2^N."""
-        if a.size == 1:  # a free phase: scalar arithmetic, a seventh of numpy's call cost
-            return (a[0] * (cmath.exp(1j * theta) - cmath.exp(1j * x0))).real
-        return ((np.exp(theta * self.up) - np.exp(x0 * self.up)) @ a).real
-
-
-def _peak(a: np.ndarray, tables: _PeakTables | None = None):
-    """Angle maximizing Re sum_m a[m-1] e^(i m theta), or None where that is flat.
-
-    Degree 1 peaks at -arg a_1.  Otherwise the stationary points are the roots
-    of e^(iM theta) times the derivative, a degree-2M polynomial in
-    e^(i theta), and the best of them is taken.  They are numpy.roots' bit for
-    bit, from its companion matrix with the M - K zero terms cut off each end
-    (a_K the top nonzero term) and the low end's put back as zero roots.
-    tables, built here when not given, hold the arrays that depend on M alone.
+    None where the polynomial is flat.  The rise is Re sum_m a[m-1]
+    (e^(i m theta) - e^(i m x0)), the move from x0 to theta over 2^N.  The
+    stationary points are the roots of e^(iM theta) times the derivative, a
+    degree-2M polynomial in e^(i theta), and the best of them is taken.  They
+    are numpy.roots' bit for bit, from its companion matrix with the M - K
+    zero terms cut off each end (a_K the top nonzero term) and the low end's
+    put back as zero roots.  up and down are the ramps i(1..M) and -i(1..M).
+    buffers, a (2M+1)-term polynomial whose middle term stays 0 and a 2M x 2M
+    companion matrix whose sub-diagonal of ones stays set, are written in
+    place: only the outer terms and the first row change.
+    A trimmed polynomial, or a call without buffers, builds its own.
     """
     if a[-1]:
         size = a.size
     elif a.any():
         size = np.flatnonzero(a)[-1] + 1
+        buffers = None
     else:
         return None
-    if a.size == 1:
-        return -np.angle(a[0])
-    if tables is None:
-        tables = _PeakTables(a.size)
-    poly, companion = tables.buffers(size)
+    poly, companion = buffers or (
+        np.zeros(2 * size + 1, dtype=complex),
+        np.eye(2 * size, k=-1, dtype=complex),
+    )
     # u^(K+k) carries i k a_k and u^(K-k) carries -i k conj(a_k); highest power first
-    poly[:size] = (tables.up[:size] * a[:size])[::-1]
-    poly[size + 1 :] = tables.down[:size] * a[:size].conj()
+    poly[:size] = (up[:size] * a[:size])[::-1]
+    poly[size + 1 :] = down[:size] * a[:size].conj()
     companion[0] = -poly[1:] / poly[0]
     roots = np.angle(np.linalg.eigvals(companion))
     if size < a.size:
         roots = np.concatenate([roots, np.zeros(a.size - size)])
-    return roots[(np.exp(roots[:, None] * tables.up) @ a).real.argmax()]
+    theta = roots[(np.exp(roots[:, None] * up) @ a).real.argmax()]
+    return theta, ((np.exp(theta * up) - np.exp(x0 * up)) @ a).real
 
 
 def _others(d: int) -> list[np.ndarray]:
@@ -208,18 +179,8 @@ def _others(d: int) -> list[np.ndarray]:
     return [np.flatnonzero(np.arange(d) != j) for j in range(1 if d == 2 else d)]
 
 
-class _Sweeps:
-    """A search's sweeps over arrays built once: each pass over it is one sweep."""
-
-    def __init__(self, sweep):
-        self._sweep = sweep
-
-    def __iter__(self):
-        return self._sweep()
-
-
-def _free_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
-    """Sweeps yielding (coordinate, a) for every phase in turn, party by party.
+def _free_sweep(weights: np.ndarray, phases: np.ndarray):
+    """A sweep: a generator function yielding (coordinate, peak, rise) party by party.
 
     phases is the search's (N, 2, d) array, read again as the caller moves
     it between yields.  The value is 2^N Re sum_t <W[t], by_t>, and by_t
@@ -230,7 +191,8 @@ def _free_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
     after p), and the suffix is folded into W backwards once per sweep:
     rest[p][a] = sum_b W[a + b] suffix[b].  G is Hermitian like every factor,
     so along phi_psj the value is const + 2^N Re(a e^(i phi)) with
-    a = sum_{k != j} G_s[j, k] e^(-i phi_psk).  O(N d^2) per party.
+    a = sum_{k != j} G_s[j, k] e^(-i phi_psk).  It peaks at -arg a, and a
+    coordinate with a = 0 is flat and yields nothing.  O(N d^2) per party.
     """
     d = phases.shape[2]
     others = _others(d)
@@ -246,7 +208,10 @@ def _free_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
             for s, g in enumerate(gradient):
                 for j, k in enumerate(others):
                     a = g[j, k] @ np.exp(-1j * phases[p, s, k])
-                    yield (2 * p + s) * d + j, np.array([a])
+                    if a:
+                        theta = -np.angle(a)
+                        rise = a * (cmath.exp(1j * theta) - cmath.exp(1j * phases[p, s, j]))
+                        yield (2 * p + s) * d + j, theta, rise.real
             if p + 1 < len(rest):  # the last party's prefix is never read
                 f1, f2 = _branch_factors(phases[p])
                 moved = np.empty((p + 2, d, d), dtype=complex)
@@ -255,11 +220,11 @@ def _free_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
                 moved[-1] = prefix[-1] * f2
                 prefix = moved
 
-    return _Sweeps(sweep)
+    return sweep
 
 
-def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
-    """Sweeps yielding (coordinate, a) for each of the 2d shared phases in turn.
+def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray):
+    """A sweep: a generator function yielding (coordinate, peak, rise) for each shared phase.
 
     phases is the search's (2, d) array.  With every party alike the
     product is binomial, by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so
@@ -267,8 +232,8 @@ def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
     t (setting 2), and the pair (k, j) as its conjugate.  So the value is
     const + 2^N Re sum_m a_m e^(i m phi), where a_m sums
     2 W[t, j, k] by_t[j, k] (phi_sj set to 0) over k != j and the t with
-    e = m.  O(N d) per phase; the exponents and the weights times
-    2 C(N, t) 2^-N are built once.
+    e = m, and _peak solves it.  O(N d) per phase; the exponents, the weights
+    times 2 C(N, t) 2^-N, the ramps and _peak's buffers are built once.
     """
     n, d = weights.shape[0] - 1, phases.shape[1]
     t = np.arange(n + 1)
@@ -276,6 +241,9 @@ def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
     others = _others(d)
     scaled = 2.0 * _binomials(n)[:, None, None] * weights
     pair_weights = [scaled[:, j, k] for j, k in enumerate(others)]
+    ramp = np.arange(1, n + 1)
+    up, down = 1j * ramp, -1j * ramp
+    buffers = np.zeros(2 * n + 1, dtype=complex), np.eye(2 * n, k=-1, dtype=complex)
 
     def sweep():
         for s in (0, 1):
@@ -283,9 +251,12 @@ def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray) -> _Sweeps:
                 row = phases[:, j, None] - phases[:, k]  # phi_j - phi_k, k != j
                 row[s] = -phases[s, k]
                 by_power = (w * np.exp(1j * (powers @ row))).sum(axis=1)
-                yield s * d + j, by_power[-2::-1] if s == 0 else by_power[1:]
+                a = by_power[-2::-1] if s == 0 else by_power[1:]
+                move = _peak(a, phases[s, j], up, down, buffers)
+                if move is not None:
+                    yield s * d + j, *move
 
-    return _Sweeps(sweep)
+    return sweep
 
 
 def optimize_phases(
@@ -304,17 +275,19 @@ def optimize_phases(
     (For d >= 3 the last phase is a joint move of the others.)  A phase
     multiplies one GHZ branch by e^(i phi) in one party (free, degree 1) or in
     all N parties (symmetric, degree N); the trigonometric polynomial along it
-    is read off the branch-pair factors of ghz_bell_value, not sampled.  A
-    move's gain is read off the same polynomial, 2^N Re sum_m a_m
-    (e^(i m theta) - e^(i m x0)): a move gaining more than 1e-13 * 2^(N-2) is
-    kept and one losing more is dropped.  In between the sign is rounding.
+    is read off the branch-pair factors of ghz_bell_value, not sampled, and a
+    sweep yields each coordinate's move: its peak theta and its rise
+    Re sum_m a_m (e^(i m theta) - e^(i m x0)), the gain over 2^N.  A move
+    gaining more than 1e-13 * 2^(N-2) is kept and one losing more is dropped.
+    In between the sign is rounding.
     While no move has been kept on its gain alone, the running value is the
     objective itself, so one evaluation decides such a move, kept if the
     value does not drop (a start at an optimum moves by these alone); after
     that the running value carries the same rounding, and the move is
     dropped.  A peak equal to the current phase moves nothing.  The budget
-    counts the start and every peak solved, and the search stops as soon as
-    it is spent, before it reads another coordinate.  Sweeps repeat until the
+    counts the start and every move yielded (a flat coordinate yields none),
+    and the search stops as soon as it is spent, before the sweep reads
+    another coordinate.  Sweeps repeat until the
     kept gains of a full cycle sum to less than 1e-9 * 2^(N-2) or the budget
     is spent.  The objective is evaluated at the start and, if a move was
     kept on its gain alone, at the end: the returned value is the objective
@@ -343,22 +316,18 @@ def optimize_phases(
     phases = start.phases.copy() if free else np.tile(start.phases[0], (n, 1, 1))
     columns = phases.reshape(1 if free else n, -1)  # a view: coordinate c is column c
     weights = _ghz_weights(n, scenario.dimension)
-    sweeps = _free_sweep(weights, phases) if free else _symmetric_sweep(weights, phases[0])
-    tables = _PeakTables(1 if free else n)
+    sweep = _free_sweep(weights, phases) if free else _symmetric_sweep(weights, phases[0])
     start_value = ghz_bell_value(PhaseConfiguration(scenario, phases))
     best, used = start_value, 1
     exact = True  # best is the objective at the current phases, not a sum of read-off gains
     improved = True
     while improved and used < budget:
         sweep_start = best
-        for coord, a in sweeps:
-            theta = _peak(a, tables)
-            if theta is None:
-                continue
+        for coord, theta, rise in sweep():
             used += 1
             x0 = columns[0, coord]
             if theta != x0:
-                gain = math.ldexp(tables.rise(a, x0, theta), n)
+                gain = math.ldexp(rise, n)
                 if gain > _GAIN_TOL * scale:
                     columns[:, coord] = theta
                     best += gain

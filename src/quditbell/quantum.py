@@ -20,7 +20,7 @@ import numpy as np
 from .scenario import (
     BellScenario,
     JointProbabilityTable,
-    _numerator_row,
+    _numerator_rows,
     outcome_sums_mod_d,
 )
 
@@ -259,7 +259,7 @@ def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     W[t] is circulant and Hermitian, because the coefficients are real.
     """
     d = dimension
-    coeffs = np.array([_numerator_row(t, d) for t in range(n_parties + 1)]) / (d - 1)
+    coeffs = _numerator_rows(n_parties, d, int) / (d - 1)
     j = np.arange(d)
     lag = (j[:, None] - j[None, :]) % d
     weights = -(coeffs @ _fourier(d))[:, lag] / d**2

@@ -123,6 +123,11 @@ def _numerator_row(t: int, d: int) -> tuple[int, ...]:
     return tuple(d - 1 - 2 * (sign * (r + shift(t)) % d) for r in range(d))
 
 
+def _numerator_rows(n_parties: int, d: int, dtype) -> np.ndarray:
+    """The (N+1) x d matrix of _numerator_row for t = 0..N, as dtype."""
+    return np.array([_numerator_row(t, d) for t in range(n_parties + 1)], dtype=dtype)
+
+
 def _outcome(outcome, scenario: BellScenario) -> tuple[int, ...]:
     """An outcome's N entries, each an int (not a bool or float) in 0..d-1, else ValueError."""
     n, d = scenario.n_parties, scenario.dimension
@@ -293,7 +298,7 @@ def correlation_numerators(table: JointProbabilityTable) -> np.ndarray:
     indices, (N+1) d^N floats beside the table, and each row keeps its t-count's.
     """
     n, d = table.scenario.n_parties, table.scenario.dimension
-    nums = np.array([_numerator_row(t, d) for t in range(n + 1)], dtype=float)
+    nums = _numerator_rows(n, d, float)
     return (table.rows @ nums[:, outcome_sums_mod_d(n, d)].T)[np.arange(1 << n), t_counts(n)]
 
 

@@ -134,6 +134,19 @@ class TestBoundCommand:
         code, _, _ = invoke(capsys, "bound", "--n", "1", "--d", "2", "--model", "lhv")
         assert code == 1
 
+    def test_partition_for_lhv_refused_before_any_work(self, capsys, monkeypatch):
+        # the LHV model has no bipartition: a given one is refused, not dropped
+        def no_bound(*args, **kwargs):
+            pytest.fail("the LHV bound ran despite the refused --partition")
+
+        monkeypatch.setattr("quditbell.cli.lhv_bound", no_bound)
+        code, out, err = invoke(
+            capsys, "bound", "--n", "3", "--d", "2", "--model", "lhv", "--partition", "1/2,3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --partition applies to --model hlnhv only\n"
+
 
 class TestViolationCommand:
     def test_two_qubit_optimal(self, capsys):
@@ -277,6 +290,19 @@ class TestViolationCommand:
         assert max(report["restart_values"]) == report["bell_value"]
         code, out, _ = invoke(capsys, "violation", "--n", "2", "--d", "3")
         assert "restart_values" not in json.loads(out)
+
+    def test_negative_seed_is_refused_by_name(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            pytest.fail("the phase search ran with a negative seed")
+
+        monkeypatch.setattr("quditbell.cli.optimize_with_restarts", no_search)
+        code, out, err = invoke(
+            capsys, "violation", "--n", "2", "--d", "2", "--angles", "optimized-free",
+            "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "'--seed'" in err and "-1" in err
 
     def test_angles_are_the_phase_array(self, capsys):
         # [party][setting][phase] in radians, the same floats as the configuration

@@ -8,7 +8,6 @@ import pytest
 
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
-    _PeakTables,
     _free_sweep,
     _peak,
     _symmetric_sweep,
@@ -279,11 +278,12 @@ def _start_params(scen, mode, rng):
     return _params_of(random_config(scen, rng), mode)
 
 
-def _read_coefficients(scen, mode, params):
-    """Every coordinate's polynomial as the search reads it, params held still."""
+def _read_moves(scen, mode, params):
+    """Every coordinate's (peak, rise) as the search reads it, params held still."""
     n, d = scen.n_parties, scen.dimension
     sweep, shape = (_free_sweep, (n, 2, d)) if mode == "free" else (_symmetric_sweep, (2, d))
-    return dict(sweep(_ghz_weights(n, d), params.reshape(shape)))
+    moves = sweep(_ghz_weights(n, d), params.reshape(shape))()
+    return {coord: (theta, rise) for coord, theta, rise in moves}
 
 
 def sampled_trig_step(f, params, coord, f0, degree):
@@ -355,16 +355,27 @@ def count_objective_calls(monkeypatch):
     return calls
 
 
-def count_peaks(monkeypatch):
-    """Count the search's solved peaks; returns the growing list of their coefficients."""
-    peaks = []
+def patch_moves(monkeypatch, change=lambda move: move):
+    """Pass every move the search's sweeps yield through change; returns the growing list
+    of the moves the search received."""
+    moves = []
 
-    def counted(a, *tables):
-        peaks.append(a)
-        return _peak(a, *tables)
+    def patched(build):
+        def built(weights, phases):
+            sweep = build(weights, phases)
 
-    monkeypatch.setattr("quditbell.optimize._peak", counted)
-    return peaks
+            def changed():
+                for move in sweep():
+                    moves.append(change(move))
+                    yield moves[-1]
+
+            return changed
+
+        return built
+
+    for sweep in (_free_sweep, _symmetric_sweep):
+        monkeypatch.setattr(f"quditbell.optimize.{sweep.__name__}", patched(sweep))
+    return moves
 
 
 class TestTrigStep:
@@ -395,24 +406,31 @@ class TestTrigStep:
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3), (5, 2)])
     def test_read_coefficients_match_the_sampled_dft(self, rng, mode, n, d):
+        # each move is the peak of the polynomial the samples' DFT fixes, and its rise
+        # is that polynomial's change from the current phase, over 2^N
         scen = BellScenario(n, d)
         f, m = _objective(scen, mode)
         params = _start_params(scen, mode, rng)
-        read = _read_coefficients(scen, mode, params)
+        read = _read_moves(scen, mode, params)
         # at d = 2 only phase 0 of each setting moves; phase 1 is its gauge image
         assert sorted(read) == list(range(0, params.size, 2 if d == 2 else 1))
-        size, k = 2 * m + 1, np.arange(1, m + 1)
+        size, k = 2 * m + 1, np.arange(-m, m + 1)
         offsets = 2.0 * np.pi * np.arange(size) / size
-        for coord, a in read.items():
-            samples = []
+        grid = np.linspace(0.0, 2.0 * np.pi, 20_000, endpoint=False)
+        for coord, (theta, rise) in read.items():
+            x0, samples = params[coord], []
             for t in offsets:
                 p = params.copy()
-                p[coord] += t
+                p[coord] = x0 + t
                 samples.append(f(p))
-            # e^(ikt) of f(x0 + t) is 2^N a_k e^(ik x0) / 2 for the k > 0 terms
             dft = np.exp(-1j * np.outer(k, offsets)) @ samples / size
-            expected = 2.0**n * a * np.exp(1j * k * params[coord]) / 2
-            np.testing.assert_allclose(expected, dft, rtol=0, atol=1e-12)
+
+            def along(phi):  # the value at phase phi, from the samples alone
+                return (np.exp(1j * np.outer(np.atleast_1d(phi) - x0, k)) @ dft).real
+
+            assert along(theta)[0] >= along(grid).max() - 1e-9 * 2.0**n
+            tol = 1e-12 * 2.0**n
+            assert math.ldexp(rise, n) == pytest.approx(along(theta)[0] - samples[0], abs=tol)
 
     @pytest.mark.parametrize(
         "n,d,mode", [(2, 5, "free"), (2, 3, "symmetric"), (3, 2, "symmetric")]
@@ -442,44 +460,47 @@ class TestTrigStep:
         start = random_config(scen, rng)
         params = _params_of(start, mode)
         calls = count_objective_calls(monkeypatch)
-        peaks = count_peaks(monkeypatch)
+        yielded = patch_moves(monkeypatch)
         for moves in (1, 2, 3):
             calls.clear()
-            peaks.clear()
+            yielded.clear()
             config, _ = optimize_phases(scen, start, budget=1 + moves, mode=mode)
-            assert len(peaks) == moves
+            assert len(yielded) == moves
             assert len(calls) == 2  # a random start's first move is kept
             assert np.count_nonzero(_params_of(config, mode) != params) <= moves
 
     def test_flat_coordinate_keeps_the_start(self, rng, monkeypatch):
+        # a flat coordinate yields no move, so it costs no budget and moves nothing
         scen = BellScenario(2, 3)
         start = random_config(scen, rng)
+        weights = _ghz_weights(2, 3).copy()
+        weights[:, 0] = 0.0  # phase 0 of every setting drops out of the search's objective
+        for sweep, shape in ((_free_sweep, (2, 2, 3)), (_symmetric_sweep, (2, 3))):
+            params = rng.uniform(0.0, 2.0 * np.pi, shape)
+            coords = [coord for coord, _, _ in sweep(weights, params)()]
+            assert coords == [c for c in range(params.size) if c % 3]
         calls = count_objective_calls(monkeypatch)
-
-        def one_flat_coordinate(weights, phases):
-            yield 0, np.zeros(2, dtype=complex)
-
+        yielded = patch_moves(monkeypatch)
+        monkeypatch.setattr("quditbell.optimize._ghz_weights", lambda n, d: 0.0 * weights)
         for mode in ("free", "symmetric"):
-            monkeypatch.setattr(f"quditbell.optimize._{mode}_sweep", one_flat_coordinate)
             calls.clear()
             config, value = optimize_phases(scen, start, budget=100, mode=mode)
+            assert yielded == []
             assert len(calls) == 1  # the start only
             np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
             assert value == ghz_bell_value(config)
 
     def test_a_peak_the_read_off_rejects_is_not_taken(self, rng, monkeypatch):
-        # the peak is only a proposal: an angle its polynomial scores lower keeps the phase
+        # the peak is only a proposal: a move whose rise is negative keeps the phase
         scen = BellScenario(2, 3)
         start = random_config(scen, rng)
         calls = count_objective_calls(monkeypatch)
-
-        def worst_angle(a, *tables):
-            return _peak(-a, *tables)  # the minimum of the same polynomial
-
-        monkeypatch.setattr("quditbell.optimize._peak", worst_angle)
+        yielded = patch_moves(monkeypatch, lambda move: (*move[:2], -abs(move[2])))
         for mode in ("free", "symmetric"):
             calls.clear()
+            yielded.clear()
             config, value = optimize_phases(scen, start, budget=100, mode=mode)
+            assert len(yielded) == (12 if mode == "free" else 6)  # one sweep, every phase
             assert len(calls) == 1  # no move kept: the start's evaluation is the value
             np.testing.assert_array_equal(_params_of(config, mode), _params_of(start, mode))
             assert value == ghz_bell_value(config)
@@ -534,28 +555,29 @@ class TestTrigStep:
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     def test_a_spent_budget_solves_no_further_peak(self, rng, monkeypatch, mode):
-        # the budget is checked before the next read-off: it counts the start and every peak solved
+        # the budget is checked before the sweep reads the next coordinate: it counts the
+        # start and every move
         scen = BellScenario(2, 3)
         start = random_config(scen, rng)
-        peaks = count_peaks(monkeypatch)
+        yielded = patch_moves(monkeypatch)
         for budget in (2, 5, 13):
-            peaks.clear()
+            yielded.clear()
             optimize_phases(scen, start, budget=budget, mode=mode)
-            assert len(peaks) == budget - 1  # the start needs none
+            assert len(yielded) == budget - 1  # the start needs none
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
     def test_budget_counts_every_move(self, rng, monkeypatch, mode, n, d):
         scen = BellScenario(n, d)
         start = random_config(scen, rng)
-        peaks = count_peaks(monkeypatch)
+        yielded = patch_moves(monkeypatch)
         optimize_phases(scen, start, budget=10**6, mode=mode)
-        full = 1 + len(peaks)
+        full = 1 + len(yielded)
         previous = -math.inf
         for budget in range(1, full + 2):
-            peaks.clear()
+            yielded.clear()
             config, value = optimize_phases(scen, start, budget=budget, mode=mode)
-            assert len(peaks) == min(budget, full) - 1
+            assert len(yielded) == min(budget, full) - 1
             assert value >= previous
             assert ghz_bell_value(config) == value
             previous = value
@@ -567,22 +589,16 @@ class TestTrigStep:
         scen = BellScenario(n, d)
         start = random_config(scen, rng)
         f, _ = _objective(scen, mode)
-        rise, rises = _PeakTables.rise, []
-
-        def recorded(tables, a, x0, theta):
-            rises.append(rise(tables, a, x0, theta))
-            return rises[-1]
-
-        monkeypatch.setattr(_PeakTables, "rise", recorded)
+        yielded = patch_moves(monkeypatch)
         previous_params, previous = _params_of(start, mode), f(_params_of(start, mode))
         kept = 0
         for moves in range(1, 31):
-            rises.clear()
+            yielded.clear()
             config, value = optimize_phases(scen, start, budget=1 + moves, mode=mode)
-            if len(rises) < moves:
+            if len(yielded) < moves:
                 break  # the search ended before this budget
             params = _params_of(config, mode)
-            gain, tol = math.ldexp(rises[-1], n), math.ldexp(1e-12, n - 2)
+            gain, tol = math.ldexp(yielded[-1][2], n), math.ldexp(1e-12, n - 2)
             if gain >= -tol:  # a gain within rounding of zero changes the value by rounding at most
                 kept += gain > tol
                 assert value - previous == pytest.approx(gain, rel=0, abs=tol)
@@ -653,8 +669,6 @@ def roots_peak(a):
     """The peak by np.roots, the solver _peak replaces; the bit-for-bit oracle."""
     if not a.any():
         return None
-    if a.size == 1:
-        return -np.angle(a[0])
     m = np.arange(1, a.size + 1)
     roots = np.angle(np.roots(np.concatenate([(1j * m * a)[::-1], [0.0], -1j * m * a.conj()])))
     return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
@@ -663,13 +677,27 @@ def roots_peak(a):
 class TestPeak:
     @pytest.mark.parametrize("degree", range(1, 9))
     def test_equals_the_np_roots_peak_bit_for_bit(self, rng, degree):
+        m = np.arange(1, degree + 1)
+        up, down = 1j * m, -1j * m
+        buffers = np.zeros(2 * degree + 1, dtype=complex), np.eye(2 * degree, k=-1, dtype=complex)
         for trial in range(200):
             a = rng.normal(size=degree) + 1j * rng.normal(size=degree)
             # zero first or last terms; vanishing top terms trim the polynomial at both ends
             a[: trial % 3] = 0.0
             a[degree - (trial // 3) % 3 :] = 0.0
-            assert _peak(a) == roots_peak(a)  # None for the all-zero vector
-        assert _peak(np.zeros(degree, dtype=complex)) is None
+            x0 = rng.uniform(-np.pi, np.pi)
+            move = _peak(a, x0, up, down, buffers)
+            expected = roots_peak(a)
+            if expected is None:  # the all-zero vector
+                assert move is None
+                continue
+            assert move[0] == expected
+            # the buffers are rewritten in place: a second call, or one without them, agrees
+            assert _peak(a, x0, up, down, buffers) == _peak(a, x0, up, down) == move
+            assert move[1] == pytest.approx(
+                ((np.exp(1j * m * expected) - np.exp(1j * m * x0)) @ a).real, abs=1e-12
+            )
+        assert _peak(np.zeros(degree, dtype=complex), 0.0, up, down, buffers) is None
 
 
 @pytest.mark.parametrize("mode", ["free", "symmetric"])
