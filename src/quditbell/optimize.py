@@ -15,6 +15,16 @@ What a sweep reads besides the phases is built once per search: the weights
 times 2 C(N, t) 2^-N, the exponent matrix, the index sets, the ramps and the
 companion matrix, whose first row alone is rewritten.  Tolerances scale with
 the value, as 2^(N-2).
+
+Restarts climb as one stack: their phases are one (R, N, 2, d) array, and a
+sweep reads a coordinate's moves for every restart in one set of numpy
+calls (for shared phases, one eigvals over the stack's companion matrices),
+while each restart keeps or drops its own moves by its own running value,
+budget and stop rule.  A restart that stops leaves the stack at the end of
+its sweep.  A stack holds at most _STACK_ENTRIES / ((N+1)^2 d^2) restarts
+(at least one), (N+1)^2 d^2 being about the entries a free sweep holds per
+restart, so its arrays stay within a fixed size.  A single search is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -41,6 +51,10 @@ SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
 _SWEEP_TOL = 1e-9
 # a read-off gain within this times 2^(N-2) of zero is rounding: its sign says nothing
 _GAIN_TOL = 1e-13
+# restarts climb in stacks of at most this many entries, (N+1)^2 d^2 per restart: 8 at
+# N = 30, d = 8, where 8 stacked free restarts ran 2.3x faster than 8 single ones on a
+# 2-core VM, and one at N = d = 30, where a second would add 7.5 MB of peak RSS
+_STACK_ENTRIES = 2**19
 
 __all__ = [
     "SVETLICHNY_VISIBILITY",
@@ -174,89 +188,247 @@ def _peak(a: np.ndarray, x0: float, up: np.ndarray, down: np.ndarray, buffers=No
     return theta, ((np.exp(theta * up) - np.exp(x0 * up)) @ a).real
 
 
-def _others(d: int) -> list[np.ndarray]:
-    """The indices k != j for each phase j of a setting the search moves (see optimize_phases)."""
-    return [np.flatnonzero(np.arange(d) != j) for j in range(1 if d == 2 else d)]
+def _others(d: int) -> np.ndarray:
+    """The indices k != j, ascending, in row j for each phase j a setting's search moves.
 
-
-def _free_sweep(weights: np.ndarray, phases: np.ndarray):
-    """A sweep: a generator function yielding (coordinate, peak, rise) party by party.
-
-    phases is the search's (N, 2, d) array, read again as the caller moves
-    it between yields.  The value is 2^N Re sum_t <W[t], by_t>, and by_t
-    is affine in party p's halved factors: the value is
-    2^N Re sum (G_1 f_p1 + G_2 f_p2) entrywise, where G_s contracts W with the
-    leave-one-out product of the other parties.  That product is a prefix
-    (parties before p, already moved this sweep) times a suffix (the parties
-    after p), and the suffix is folded into W backwards once per sweep:
-    rest[p][a] = sum_b W[a + b] suffix[b].  G is Hermitian like every factor,
-    so along phi_psj the value is const + 2^N Re(a e^(i phi)) with
-    a = sum_{k != j} G_s[j, k] e^(-i phi_psk).  It peaks at -arg a, and a
-    coordinate with a = 0 is flat and yields nothing.  O(N d^2) per party.
+    See optimize_phases: at d = 2 only phase 0 moves.
     """
-    d = phases.shape[2]
-    others = _others(d)
+    return np.array([[k for k in range(d) if k != j] for j in range(1 if d == 2 else d)])
 
-    def sweep():
-        rest = [weights]
-        for f1, f2 in _branch_factors(phases[:0:-1]):
-            rest.append(f1 * rest[-1][:-1] + f2 * rest[-1][1:])
+
+def _free_sweep(weights: np.ndarray):
+    """A sweep: a generator function of a stack, yielding (coordinate, moves) party by party.
+
+    The stack is the climb's (R, N, 2, d) phases, read again as the caller
+    moves them between yields, and moves lists (row, x0, peak, rise) for
+    each row whose coordinate is not flat, x0 being the phase's current
+    value.  For one row the value is 2^N Re sum_t <W[t], by_t>, and by_t is
+    affine in party p's halved factors: the value is
+    2^N Re sum (G_1 f_p1 + G_2 f_p2) entrywise, where
+    G_s contracts W with the leave-one-out product of the other parties.
+    That product is a prefix (parties before p, already moved this sweep)
+    times a suffix (the parties after p), and the suffix is folded into W
+    backwards once per sweep: rest[p][a] = sum_b W[a + b] suffix[b].  G is
+    Hermitian like every factor, so along phi_psj the value is
+    const + 2^N Re(a e^(i phi)) with a = sum_{k != j} G_s[j, k] e^(-i phi_psk).
+    It peaks at -arg a, and a coordinate with a = 0 is flat.  O(N d^2) per
+    party and row; every array step runs once for all rows, and only each
+    row's rise is a scalar.
+    """
+    d = weights.shape[1]
+    # a is one batched dot per coordinate: for each phase j, the gradient's flat (j, k != j)
+    # entries as a (1, d - 1) row and the setting's phases k != j as a (d - 1, 1) column
+    reads = [(j, (j * d + k)[None], k[:, None]) for j, k in enumerate(_others(d))]
+
+    def sweep(phases):
+        count = len(phases)
+        settings = phases.reshape(count, -1, d)  # a view: setting s of party p is row 2p + s
+        rest = [weights[None]]
+        for f in _branch_factors(phases[:, :0:-1]).swapaxes(0, 1):  # (R, 2, d, d), party N first
+            rest.append(f[:, :1] * rest[-1][:, :-1] + f[:, 1:] * rest[-1][:, 1:])
         rest.reverse()
-        prefix = np.ones((1, d, d), dtype=complex)
+        prefix = np.ones((count, 1, d, d), dtype=complex)
         for p, r in enumerate(rest):
-            gradient = (np.sum(prefix * r[:-1], axis=0), np.sum(prefix * r[1:], axis=0))
+            gradient = (prefix * r[:, :-1]).sum(axis=1), (prefix * r[:, 1:]).sum(axis=1)
             for s, g in enumerate(gradient):
-                for j, k in enumerate(others):
-                    a = g[j, k] @ np.exp(-1j * phases[p, s, k])
-                    if a:
-                        theta = -np.angle(a)
-                        rise = a * (cmath.exp(1j * theta) - cmath.exp(1j * phases[p, s, j]))
-                        yield (2 * p + s) * d + j, theta, rise.real
+                g = g.reshape(count, d * d)
+                setting = settings[:, 2 * p + s]
+                for j, pair, cols in reads:
+                    a = (g.take(pair, axis=1) @ np.exp(-1j * setting.take(cols, axis=1))).ravel()
+                    moves = []
+                    for i, (ai, arg, x0) in enumerate(
+                        zip(a.tolist(), np.arctan2(a.imag, a.real).tolist(), setting[:, j].tolist())
+                    ):
+                        if ai:
+                            theta = -arg
+                            rise = ai * (cmath.exp(1j * theta) - cmath.exp(1j * x0))
+                            moves.append((i, x0, theta, rise.real))
+                    yield (2 * p + s) * d + j, moves
             if p + 1 < len(rest):  # the last party's prefix is never read
-                f1, f2 = _branch_factors(phases[p])
-                moved = np.empty((p + 2, d, d), dtype=complex)
-                moved[:-1] = prefix * f1
-                moved[1:-1] += prefix[:-1] * f2
-                moved[-1] = prefix[-1] * f2
+                f = _branch_factors(phases[:, p])
+                f1, f2 = f[:, :1], f[:, 1:]
+                moved = np.empty((count, p + 2, d, d), dtype=complex)
+                moved[:, :-1] = prefix * f1
+                moved[:, 1:-1] += prefix[:, :-1] * f2
+                moved[:, -1:] = prefix[:, -1:] * f2
                 prefix = moved
 
     return sweep
 
 
-def _symmetric_sweep(weights: np.ndarray, phases: np.ndarray):
-    """A sweep: a generator function yielding (coordinate, peak, rise) for each shared phase.
+def _symmetric_sweep(weights: np.ndarray):
+    """A sweep: a generator function of a stack, yielding (coordinate, moves) for each shared phase.
 
-    phases is the search's (2, d) array.  With every party alike the
+    The stack is the climb's (R, N, 2, d) phases, whose rows keep every
+    party's block equal to party 1's (2, d) one, and moves are as in
+    _free_sweep: a stack of one row is solved by _peak, a larger one by
+    _peaks.  With every party alike the
     product is binomial, by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so
     phi_sj enters the pair (j, k) as e^(i e phi) with e = N - t (setting 1) or
     t (setting 2), and the pair (k, j) as its conjugate.  So the value is
     const + 2^N Re sum_m a_m e^(i m phi), where a_m sums
     2 W[t, j, k] by_t[j, k] (phi_sj set to 0) over k != j and the t with
-    e = m, and _peak solves it.  O(N d) per phase; the exponents, the weights
-    times 2 C(N, t) 2^-N, the ramps and _peak's buffers are built once.
+    e = m.  O(N d) per phase and row; the exponents, the weights times
+    2 C(N, t) 2^-N, the ramps and _peak's buffers are built once.
     """
-    n, d = weights.shape[0] - 1, phases.shape[1]
+    n, d = weights.shape[0] - 1, weights.shape[1]
     t = np.arange(n + 1)
     powers = np.stack([n - t, t], axis=1)  # (N+1, 2): exponent of each setting's factor
-    others = _others(d)
     scaled = 2.0 * _binomials(n)[:, None, None] * weights
-    pair_weights = [scaled[:, j, k] for j, k in enumerate(others)]
+    reads = [(j, k, scaled[:, j, k]) for j, k in enumerate(_others(d))]
     ramp = np.arange(1, n + 1)
     up, down = 1j * ramp, -1j * ramp
     buffers = np.zeros(2 * n + 1, dtype=complex), np.eye(2 * n, k=-1, dtype=complex)
+    # a_m is by_power[N - m] for setting 1 and by_power[m] for setting 2, m = 1..N
+    terms = (slice(-2, None, -1), slice(1, None))
 
-    def sweep():
+    def sweep(phases):
+        shared = phases[:, 0]  # (R, 2, d): each row's party-1 block
         for s in (0, 1):
-            for j, (k, w) in enumerate(zip(others, pair_weights)):
-                row = phases[:, j, None] - phases[:, k]  # phi_j - phi_k, k != j
-                row[s] = -phases[s, k]
-                by_power = (w * np.exp(1j * (powers @ row))).sum(axis=1)
-                a = by_power[-2::-1] if s == 0 else by_power[1:]
-                move = _peak(a, phases[s, j], up, down, buffers)
-                if move is not None:
-                    yield s * d + j, *move
+            for j, k, w in reads:
+                at_k = shared.take(k, axis=2)
+                row = shared[:, :, j, None] - at_k  # phi_j - phi_k, k != j
+                row[:, s] = -at_k[:, s]
+                by_power = (w * np.exp(1j * (powers @ row))).sum(axis=2)
+                if len(phases) == 1:
+                    x0 = shared[0, s, j]
+                    move = _peak(by_power[0, terms[s]], x0, up, down, buffers)
+                    yield s * d + j, [] if move is None else [(0, x0, *move)]
+                else:
+                    yield s * d + j, _peaks(by_power, terms[s], shared[:, s, j], up, down)
 
     return sweep
+
+
+def _peaks(by_power, terms, x0, up, down) -> list:
+    """(row, x0, theta, rise) for each row of a stack that has a polynomial to climb.
+
+    Row i's coefficients are by_power[i, terms] and its phase is x0[i].  A row
+    whose top coefficient is exactly 0 goes through _peak.  The other rows are
+    solved together, with one eigvals over their companion matrices: the same
+    arithmetic as _peak's on operands of the same memory layout, so each
+    row's move is _peak's bit for bit.
+    """
+    moves = []
+    full = by_power[:, terms][:, -1] != 0
+    for i in np.flatnonzero(~full).tolist():
+        move = _peak(by_power[i, terms], x0[i], up, down)
+        if move is not None:
+            moves.append((i, x0[i], *move))
+    rows = np.flatnonzero(full)
+    if rows.size:
+        a, x0 = by_power[rows][:, terms], x0[rows]
+        size = a.shape[1]
+        poly = np.zeros((rows.size, 2 * size + 1), dtype=complex)
+        poly[:, :size] = (up * a)[:, ::-1]
+        poly[:, size + 1 :] = down * a.conj()
+        companion = np.repeat(np.eye(2 * size, k=-1, dtype=complex)[None], rows.size, axis=0)
+        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
+        roots = np.angle(np.linalg.eigvals(companion))
+        best = (np.exp(roots[:, :, None] * up) @ a[:, :, None]).real.argmax(axis=1)
+        theta = np.take_along_axis(roots, best, axis=1)
+        rise = ((np.exp(theta * up) - np.exp(x0[:, None] * up))[:, None] @ a[:, :, None]).real
+        moves += zip(rows.tolist(), x0.tolist(), theta.ravel().tolist(), rise.ravel().tolist())
+    return moves
+
+
+def _objective(scenario: BellScenario, phases: np.ndarray) -> float:
+    """The GHZ Bell value at one row's (N, 2, d) phases: every evaluation the search makes."""
+    return ghz_bell_value(PhaseConfiguration(scenario, phases))
+
+
+def _check(budget, mode: str) -> None:
+    """Refuse a budget that is not a positive int (a bool included) and an unknown mode."""
+    if not _is_int(budget) or budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    if mode not in ("free", "symmetric"):
+        raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
+
+
+def _climb(
+    scenario: BellScenario, starts: np.ndarray, budget: int, mode: str
+) -> tuple[np.ndarray, list[float]]:
+    """optimize_phases from every (N, 2, d) start of an (R, N, 2, d) stack at once.
+
+    Returns the phases reached, (R, N, 2, d), and their values.  Each row
+    keeps its own running value, budget, stop rule and end evaluation, by
+    optimize_phases' rules; the sweep reads a coordinate's moves for every
+    row in one set of numpy calls.  A row whose budget is spent takes no
+    further move, and a row that stops leaves the stack at the end of the
+    sweep.  A value past the closed form warns at the caller of the public
+    function that called this one.
+    """
+    n = scenario.n_parties
+    ceiling = max_violation(scenario)
+    scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30
+    tol = _GAIN_TOL * scale
+    free = mode == "free"
+    weights = _ghz_weights(n, scenario.dimension)
+    sweep = _free_sweep(weights) if free else _symmetric_sweep(weights)
+    # symmetric mode: party 1's vectors parameterize all parties, and stay equal in every block
+    phases = starts.copy() if free else np.repeat(starts[:, :1], n, axis=1)
+    start_values = [_objective(scenario, start) for start in phases]
+    values = start_values.copy()
+    rows = list(range(len(phases))) if budget > 1 else []  # the stack's rows, by start
+    stack = phases  # until a row leaves it
+    best = values.copy()
+    left = [budget - 1] * len(rows)  # the moves each row may still take
+    exact = [True] * len(rows)  # best[i] is the objective at row i, not a sum of read-off gains
+    sweep_tol = _SWEEP_TOL * scale
+    columns = stack.reshape(len(stack), 1 if free else n, -1)  # coordinate c is columns[i, :, c]
+    while rows:
+        sweep_start = best.copy()
+        spent = 0  # rows whose budget ran out this sweep
+        for coord, moves in sweep(stack):
+            for i, x0, theta, rise in moves:
+                if not left[i]:
+                    continue
+                left[i] -= 1
+                if not left[i]:
+                    spent += 1
+                if theta != x0:
+                    gain = math.ldexp(rise, n)
+                    if gain > tol:
+                        columns[i, :, coord] = theta
+                        best[i] += gain
+                        exact[i] = False
+                    elif exact[i] and gain >= -tol:
+                        # the gain's sign is rounding, and best is the objective here: one
+                        # evaluation decides.  Past a kept gain best carries the same rounding,
+                        # so the move is dropped: the phase is already within rounding of its peak.
+                        columns[i, :, coord] = theta
+                        value = _objective(scenario, stack[i])
+                        if value >= best[i]:
+                            best[i] = value
+                        else:
+                            columns[i, :, coord] = x0
+            if spent == len(rows):
+                break  # no row may move: no further coordinate is read
+        done = [i for i, m in enumerate(left) if not m or best[i] - sweep_start[i] <= sweep_tol]
+        for i in done:
+            row = rows[i]
+            if not exact[i]:
+                best[i] = _objective(scenario, stack[i])
+            if best[i] < start_values[row]:  # rounding near an optimum: the start stands
+                stack[i], best[i] = starts[row] if free else starts[row, 0], start_values[row]
+            if stack is not phases:
+                phases[row] = stack[i]
+            values[row] = best[i]
+        if len(done) == len(rows):
+            break
+        if done:
+            done = set(done)
+            keep = [i for i in range(len(rows)) if i not in done]
+            stack = stack[keep]
+            columns = stack.reshape(len(keep), 1 if free else n, -1)
+            rows, best, left, exact = ([x[i] for i in keep] for x in (rows, best, left, exact))
+    for value in values:
+        if value > ceiling + 1e-6 * scale:
+            warnings.warn(
+                f"phase search exceeded the closed-form maximum: {value!r} > {ceiling!r}",
+                stacklevel=3,
+            )
+    return phases, values
 
 
 def optimize_phases(
@@ -299,65 +471,14 @@ def optimize_phases(
     blocks stay equal byte for byte.  Like max_violation, the
     search's ceiling, it refuses N < 2 with ValueError before any sweep, as it
     does a start from another scenario and a budget that is not a positive
-    int (a bool included).
+    int (a bool included).  It is the stack of one of the climb that
+    optimize_with_restarts runs.
     """
-    if not _is_int(budget) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
-    if mode not in ("free", "symmetric"):
-        raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
+    _check(budget, mode)
     if start.scenario != scenario:
         raise ValueError(f"start is for {start.scenario}, the search is for {scenario}")
-    n = scenario.n_parties
-    ceiling = max_violation(scenario)
-    scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30
-
-    free = mode == "free"
-    # symmetric mode: party 1's vectors parameterize all parties, and stay equal in every block
-    phases = start.phases.copy() if free else np.tile(start.phases[0], (n, 1, 1))
-    columns = phases.reshape(1 if free else n, -1)  # a view: coordinate c is column c
-    weights = _ghz_weights(n, scenario.dimension)
-    sweep = _free_sweep(weights, phases) if free else _symmetric_sweep(weights, phases[0])
-    start_value = ghz_bell_value(PhaseConfiguration(scenario, phases))
-    best, used = start_value, 1
-    exact = True  # best is the objective at the current phases, not a sum of read-off gains
-    improved = True
-    while improved and used < budget:
-        sweep_start = best
-        for coord, theta, rise in sweep():
-            used += 1
-            x0 = columns[0, coord]
-            if theta != x0:
-                gain = math.ldexp(rise, n)
-                if gain > _GAIN_TOL * scale:
-                    columns[:, coord] = theta
-                    best += gain
-                    exact = False
-                elif exact and gain >= -_GAIN_TOL * scale:
-                    # the gain's sign is rounding, and best is the objective here: one
-                    # evaluation decides.  Past a kept gain best carries the same rounding,
-                    # so the move is dropped: the phase is already within rounding of its peak.
-                    columns[:, coord] = theta
-                    value = ghz_bell_value(PhaseConfiguration(scenario, phases))
-                    if value >= best:
-                        best = value
-                    else:
-                        columns[:, coord] = x0
-            if used == budget:
-                break
-        improved = best - sweep_start > _SWEEP_TOL * scale
-
-    value = best
-    if not exact:
-        value = ghz_bell_value(PhaseConfiguration(scenario, phases))
-        if value < start_value:  # rounding near an optimum: the start stands
-            phases[:] = start.phases if free else start.phases[0]
-            value = start_value
-    if value > ceiling + 1e-6 * scale:
-        warnings.warn(
-            f"phase search exceeded the closed-form maximum: {value!r} > {ceiling!r}",
-            stacklevel=2,
-        )
-    return PhaseConfiguration(scenario, phases), value
+    phases, values = _climb(scenario, start.phases[None], budget, mode)
+    return PhaseConfiguration(scenario, phases[0]), values[0]
 
 
 @dataclass(frozen=True)
@@ -378,19 +499,32 @@ def optimize_with_restarts(
 
     Each restart sweeps until a full cycle gains less than 1e-9 * 2^(N-2) or its
     budget of moves (the start counts as one) is spent.  Restarts are
-    independent; ties go to the earliest restart, so the result is a
-    deterministic function of the seed.
+    independent, but climb together: in stacks of at most
+    2^19 / ((N+1)^2 d^2) restarts (at least one), whose sweeps read every
+    restart's moves in one set of numpy calls.  A restart that stops leaves
+    its stack at the end of that sweep.  Each stack's starts are drawn from
+    the seeded generator when it begins, in restart order, and each restart
+    ends where optimize_phases from its start does, bit for bit, however the
+    restarts are stacked.  Ties go to the earliest restart, so the result is
+    a deterministic function of the seed.  The seed must be a non-negative
+    int and restarts a positive one (a bool is neither); the budget and mode
+    are checked as optimize_phases checks them, before any start is drawn.
     """
     if not _is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check(budget, mode)
     rng = np.random.default_rng(seed)
     n, d = scenario.n_parties, scenario.dimension
-    best_config, best_value = None, -math.inf
+    size = max(1, _STACK_ENTRIES // ((n + 1) ** 2 * d**2))
+    best_phases, best_value = None, -math.inf
     values = []
-    for _ in range(restarts):
-        start = PhaseConfiguration(scenario, rng.uniform(0.0, 2.0 * math.pi, (n, 2, d)))
-        config, value = optimize_phases(scenario, start, budget, mode=mode)
-        values.append(value)
-        if value > best_value:
-            best_config, best_value = config, value
-    return PhaseSearchResult(best_config, best_value, tuple(values))
+    for first in range(0, restarts, size):
+        starts = rng.uniform(0.0, 2.0 * math.pi, (min(size, restarts - first), n, 2, d))
+        phases, stack_values = _climb(scenario, starts, budget, mode)
+        for row, value in zip(phases, stack_values):
+            values.append(value)
+            if value > best_value:
+                best_phases, best_value = row, value
+    return PhaseSearchResult(PhaseConfiguration(scenario, best_phases), best_value, tuple(values))

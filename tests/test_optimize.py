@@ -8,8 +8,10 @@ import pytest
 
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
+    _climb,
     _free_sweep,
     _peak,
+    _peaks,
     _symmetric_sweep,
     cglmp_max_closed_form,
     critical_visibility,
@@ -167,6 +169,21 @@ class TestPhaseSearch:
                 optimize_with_restarts(scen, restarts=restarts, budget=50)
         assert len(optimize_with_restarts(scen, restarts=np.int64(2), budget=50).restart_values) == 2
 
+    def test_restarts_refuse_a_bad_seed_before_any_start(self, monkeypatch):
+        # numpy's own refusal of -1 names neither the function nor the seed
+        scen = BellScenario(2, 2)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "default_rng", lambda seed: pytest.fail("a start was drawn"))
+            for seed in (-1, 2.0, True, None):
+                message = f"seed must be a non-negative integer, got {seed!r}"
+                with pytest.raises(ValueError, match=message):
+                    optimize_with_restarts(scen, restarts=2, budget=50, seed=seed)
+        values = [
+            optimize_with_restarts(scen, restarts=2, budget=50, seed=seed).restart_values
+            for seed in (3, np.int64(3))
+        ]
+        assert values[0] == values[1]
+
     def test_tiny_budget_still_returns_consistent_pair(self, rng):
         scen = BellScenario(2, 2)
         start = random_config(scen, rng)
@@ -278,12 +295,25 @@ def _start_params(scen, mode, rng):
     return _params_of(random_config(scen, rng), mode)
 
 
-def _read_moves(scen, mode, params):
+def _stack(scen, mode, params):
+    """A one-row stack of the search's (R, N, 2, d) phases from its flat parameter vector."""
+    n, d = scen.n_parties, scen.dimension
+    if mode == "free":
+        return params.reshape(1, n, 2, d)
+    return np.tile(params.reshape(2, d), (1, n, 1, 1))
+
+
+def _read_moves(scen, mode, params, weights=None):
     """Every coordinate's (peak, rise) as the search reads it, params held still."""
     n, d = scen.n_parties, scen.dimension
-    sweep, shape = (_free_sweep, (n, 2, d)) if mode == "free" else (_symmetric_sweep, (2, d))
-    moves = sweep(_ghz_weights(n, d), params.reshape(shape))()
-    return {coord: (theta, rise) for coord, theta, rise in moves}
+    sweep = (_free_sweep if mode == "free" else _symmetric_sweep)(
+        _ghz_weights(n, d) if weights is None else weights
+    )
+    return {
+        coord: (theta, rise)
+        for coord, moves in sweep(_stack(scen, mode, params))
+        for _, _, theta, rise in moves
+    }
 
 
 def sampled_trig_step(f, params, coord, f0, degree):
@@ -356,18 +386,21 @@ def count_objective_calls(monkeypatch):
 
 
 def patch_moves(monkeypatch, change=lambda move: move):
-    """Pass every move the search's sweeps yield through change; returns the growing list
-    of the moves the search received."""
-    moves = []
+    """Pass every (coordinate, peak, rise) move the search's sweeps yield through change;
+    returns the growing list of the moves the search received."""
+    received = []
 
     def patched(build):
-        def built(weights, phases):
-            sweep = build(weights, phases)
+        def built(weights):
+            sweep = build(weights)
 
-            def changed():
-                for move in sweep():
-                    moves.append(change(move))
-                    yield moves[-1]
+            def changed(phases):
+                for coord, moves in sweep(phases):
+                    changed_moves = []
+                    for row, x0, *move in moves:
+                        received.append(change((coord, *move)))
+                        changed_moves.append((row, x0, *received[-1][1:]))
+                    yield coord, changed_moves
 
             return changed
 
@@ -375,7 +408,7 @@ def patch_moves(monkeypatch, change=lambda move: move):
 
     for sweep in (_free_sweep, _symmetric_sweep):
         monkeypatch.setattr(f"quditbell.optimize.{sweep.__name__}", patched(sweep))
-    return moves
+    return received
 
 
 class TestTrigStep:
@@ -475,9 +508,9 @@ class TestTrigStep:
         start = random_config(scen, rng)
         weights = _ghz_weights(2, 3).copy()
         weights[:, 0] = 0.0  # phase 0 of every setting drops out of the search's objective
-        for sweep, shape in ((_free_sweep, (2, 2, 3)), (_symmetric_sweep, (2, 3))):
-            params = rng.uniform(0.0, 2.0 * np.pi, shape)
-            coords = [coord for coord, _, _ in sweep(weights, params)()]
+        for mode in ("free", "symmetric"):
+            params = _start_params(scen, mode, rng)
+            coords = list(_read_moves(scen, mode, params, weights))
             assert coords == [c for c in range(params.size) if c % 3]
         calls = count_objective_calls(monkeypatch)
         yielded = patch_moves(monkeypatch)
@@ -665,6 +698,148 @@ def test_symmetric_search_stays_on_the_binomial_path(rng, monkeypatch, n, d):
     assert value == pytest.approx(max_violation(scen), abs=1e-6)
 
 
+def _stack_starts(scen, rng, count=4):
+    """Random (N, 2, d) starts as one (R, N, 2, d) stack, with row 1 at optimal_angles, where
+    every move is within rounding and so decided by an evaluation."""
+    starts = rng.uniform(0.0, 2.0 * np.pi, (count, scen.n_parties, 2, scen.dimension))
+    starts[1] = optimal_angles(scen).phases
+    return starts
+
+
+def assert_rows_are_single_searches(scen, starts, mode, budgets=(2, 3, 7, 200)):
+    # budgets of 2, 3 and 7 run out in the first sweep; 200 ends some searches by the stop
+    # rule and runs out mid-sweep in others
+    for budget in budgets:
+        phases, values = _climb(scen, starts, budget, mode)
+        for start, row, value in zip(starts, phases, values):
+            config, single = optimize_phases(scen, PhaseConfiguration(scen, start), budget, mode)
+            assert row.tobytes() == config.phases.tobytes()
+            assert value == single
+
+
+def patch_stack_sizes(monkeypatch):
+    """Record the number of rows of the stack each sweep reads; returns the growing list."""
+    sizes = []
+
+    def patched(build):
+        def built(weights):
+            sweep = build(weights)
+
+            def counted(phases):
+                sizes.append(len(phases))
+                yield from sweep(phases)
+
+            return counted
+
+        return built
+
+    for sweep in (_free_sweep, _symmetric_sweep):
+        monkeypatch.setattr(f"quditbell.optimize.{sweep.__name__}", patched(sweep))
+    return sizes
+
+
+class TestStack:
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_each_row_is_its_single_search_bit_for_bit(self, rng, mode, n, d):
+        scen = BellScenario(n, d)
+        assert_rows_are_single_searches(scen, _stack_starts(scen, rng), mode)
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_flat_coordinates_cost_no_row_any_budget(self, rng, monkeypatch, mode):
+        # phase 0 of every setting is flat: no row moves it or pays for it
+        scen = BellScenario(3, 3)
+        weights = _ghz_weights(3, 3).copy()
+        weights[:, 0] = 0.0
+        monkeypatch.setattr("quditbell.optimize._ghz_weights", lambda n, d: weights)
+        sizes = patch_stack_sizes(monkeypatch)
+        assert_rows_are_single_searches(scen, _stack_starts(scen, rng), mode)
+        assert 4 in sizes
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3)])
+    def test_stacking_changes_no_restart(self, monkeypatch, mode, n, d):
+        # restarts stacked five, two or one at a time give the same values and the same best
+        scen = BellScenario(n, d)
+        kwargs = dict(restarts=5, budget=300, mode=mode, seed=17)
+        sizes = patch_stack_sizes(monkeypatch)
+        expected = optimize_with_restarts(scen, **kwargs)
+        assert sizes[0] == 5
+        starts = np.random.default_rng(17).uniform(0.0, 2.0 * np.pi, (5, n, 2, d))
+        singles = [optimize_phases(scen, PhaseConfiguration(scen, s), 300, mode)[1] for s in starts]
+        assert expected.restart_values == tuple(singles)
+        for size in (1, 2):
+            monkeypatch.setattr("quditbell.optimize._STACK_ENTRIES", size * (n + 1) ** 2 * d**2)
+            sizes.clear()
+            result = optimize_with_restarts(scen, **kwargs)
+            assert max(sizes) == size
+            assert result.restart_values == expected.restart_values
+            assert result.value == expected.value
+            assert result.config.phases.tobytes() == expected.config.phases.tobytes()
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_a_restart_that_stops_leaves_the_stack(self, monkeypatch, mode):
+        # each sweep reads exactly the restarts still climbing
+        scen = BellScenario(3, 3)
+        sizes = patch_stack_sizes(monkeypatch)
+        sweeps = []
+        for start in np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, (5, 3, 2, 3)):
+            sizes.clear()
+            optimize_phases(scen, PhaseConfiguration(scen, start), 20_000, mode)
+            sweeps.append(len(sizes))
+        assert len(set(sweeps)) > 1  # the restarts stop after different sweeps
+        sizes.clear()
+        optimize_with_restarts(scen, restarts=5, mode=mode, seed=23)
+        assert sizes == [sum(count > k for count in sweeps) for k in range(max(sweeps))]
+
+    def test_a_spent_row_takes_no_further_move(self, monkeypatch):
+        # row i has a move at every (i + 1)-th coordinate only, so the rows spend their budget
+        # at different coordinates of one sweep: each takes budget - 1 moves, no more
+        sweeps = []
+
+        def sweep_builder(weights):
+            def sweep(phases):
+                sweeps.append(len(phases))
+                if len(sweeps) > 1:
+                    pytest.fail("every row's budget ends in the first sweep")
+                for coord in range(phases[0].size):
+                    yield coord, [
+                        (i, row.flat[coord], row.flat[coord] + 1.0, 1.0)
+                        for i, row in enumerate(phases)
+                        if coord % (i + 1) == 0
+                    ]
+
+            return sweep
+
+        monkeypatch.setattr("quditbell.optimize._free_sweep", sweep_builder)
+        monkeypatch.setattr("quditbell.optimize.ghz_bell_value", lambda config: 0.0)
+        phases, values = _climb(BellScenario(2, 3), np.zeros((3, 2, 2, 3)), 5, "free")
+        moved = [np.flatnonzero(row).tolist() for row in phases]
+        assert moved == [[0, 1, 2, 3], [0, 2, 4, 6], [0, 3, 6, 9]]
+        assert values == [0.0] * 3
+
+    @pytest.mark.parametrize("mode", ["free", "symmetric"])
+    def test_a_random_start_costs_two_evaluations(self, monkeypatch, mode):
+        # the start and the end: a stack shares numpy calls, not evaluations
+        calls = count_objective_calls(monkeypatch)
+        optimize_with_restarts(BellScenario(3, 3), restarts=6, mode=mode, seed=5)
+        assert len(calls) == 12
+
+    def test_the_closed_form_warning_points_at_the_caller(self, monkeypatch):
+        # the caller's line, for a restart too: not a line inside optimize_with_restarts
+        scen = BellScenario(2, 2)
+        monkeypatch.setattr("quditbell.optimize.max_violation", lambda scenario: 2.0)
+        for search in (
+            lambda: optimize_with_restarts(scen, restarts=3, budget=50),
+            lambda: optimize_phases(scen, optimal_angles(scen), budget=50),
+        ):
+            with pytest.warns(UserWarning, match="exceeded the closed-form maximum") as record:
+                search()
+            caller = (__file__, search.__code__.co_firstlineno)
+            assert [(w.filename, w.lineno) for w in record] == [caller] * len(record)
+
+
 def roots_peak(a):
     """The peak by np.roots, the solver _peak replaces; the bit-for-bit oracle."""
     if not a.any():
@@ -698,6 +873,25 @@ class TestPeak:
                 ((np.exp(1j * m * expected) - np.exp(1j * m * x0)) @ a).real, abs=1e-12
             )
         assert _peak(np.zeros(degree, dtype=complex), 0.0, up, down, buffers) is None
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_a_stack_solves_each_row_as_peak_does(self, rng, degree):
+        # full rows are solved together; a trimmed row goes through _peak, a flat one moves not
+        m = np.arange(1, degree + 1)
+        up, down = 1j * m, -1j * m
+        for terms in (slice(-2, None, -1), slice(1, None)):  # setting 1's and setting 2's terms
+            by_power = rng.normal(size=(6, degree + 1)) + 1j * rng.normal(size=(6, degree + 1))
+            a = by_power[:, terms]  # a view: rows 1 and 2 are trimmed and flat through it
+            a[1, -1] = 0.0
+            a[2] = 0.0
+            x0 = rng.uniform(-np.pi, np.pi, 6)
+            expected = []
+            for i in range(6):
+                move = _peak(by_power[i, terms], x0[i], up, down)
+                if move is not None:
+                    expected.append((i, x0[i], *move))
+            assert sorted(_peaks(by_power, terms, x0, up, down)) == expected
+            assert len(expected) == (4 if degree == 1 else 5)
 
 
 @pytest.mark.parametrize("mode", ["free", "symmetric"])
