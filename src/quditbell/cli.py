@@ -236,6 +236,9 @@ def bound(n, d, out_path, model, partition, budget):
               help="Seed of the optimized-* modes' random starts.")
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed):
     """Quantum Bell value of the GHZ state at the requested angles."""
+    # the report would silently replace the table
+    if out_path and emit_table and os.path.realpath(out_path) == os.path.realpath(emit_table):
+        raise InputError(f"--out and --emit-table name the same file: {emit_table}")
     report = _ghz_report(n, d, {})
     scenario = report.scenario
     # size refusals come first: they must not wait for the phase search

@@ -8,23 +8,8 @@ phase the value is a trigonometric polynomial, whose coefficients are read off
 the branch-pair factors that ghz_bell_value multiplies.  A sweep yields each
 phase as a finished move, its peak and the rise to it read off that
 polynomial: -arg of its one coefficient for a free phase, the best eigenvalue
-of one 2N x 2N companion matrix for a shared one.  So the search only keeps
-or drops moves, and evaluates the objective at the start and at the end
-(and, from a start at an optimum, for each move its rounding cannot sign).
-What a sweep reads besides the phases is built once per search: the weights
-times 2 C(N, t) 2^-N, the exponent matrix, the index sets, the ramps and the
-companion matrix, whose first row alone is rewritten.  Tolerances scale with
-the value, as 2^(N-2).
-
-Restarts climb as one stack: their phases are one (R, N, 2, d) array, and a
-sweep reads a coordinate's moves for every restart in one set of numpy
-calls (for shared phases, one eigvals over the stack's companion matrices),
-while each restart keeps or drops its own moves by its own running value,
-budget and stop rule.  A restart that stops leaves the stack at the end of
-its sweep.  A stack holds at most _STACK_ENTRIES / ((N+1)^2 d^2) restarts
-(at least one), (N+1)^2 d^2 being about the entries a free sweep holds per
-restart, so its arrays stay within a fixed size.  A single search is a stack
-of one.
+of one 2N x 2N companion matrix for a shared one.  optimize_phases states the
+search's rules.
 """
 
 from __future__ import annotations
@@ -41,6 +26,7 @@ from .quantum import (
     _binomials,
     _branch_factors,
     _ghz_weights,
+    _times_party,
     ghz_bell_value,
 )
 from .scenario import BellScenario, _is_int
@@ -151,39 +137,31 @@ def critical_visibility(scenario: BellScenario) -> ViolationReport:
     return ViolationReport(scenario, max_violation(scenario))
 
 
-def _peak(a: np.ndarray, x0: float, up: np.ndarray, down: np.ndarray, buffers=None):
+def _peak(a: np.ndarray, x0: float, up: np.ndarray, down: np.ndarray, buffers):
     """(theta, rise): the angle maximizing Re sum_m a[m-1] e^(i m theta) and the rise to it.
 
     None where the polynomial is flat.  The rise is Re sum_m a[m-1]
     (e^(i m theta) - e^(i m x0)), the move from x0 to theta over 2^N.  The
     stationary points are the roots of e^(iM theta) times the derivative, a
     degree-2M polynomial in e^(i theta), and the best of them is taken.  They
-    are numpy.roots' bit for bit, from its companion matrix with the M - K
-    zero terms cut off each end (a_K the top nonzero term) and the low end's
-    put back as zero roots.  up and down are the ramps i(1..M) and -i(1..M).
+    are numpy.roots' bit for bit, from its companion matrix; a polynomial
+    whose top term is 0, which that matrix would divide by, goes to
+    numpy.roots itself.  up and down are the ramps i(1..M) and -i(1..M).
     buffers, a (2M+1)-term polynomial whose middle term stays 0 and a 2M x 2M
     companion matrix whose sub-diagonal of ones stays set, are written in
     place: only the outer terms and the first row change.
-    A trimmed polynomial, or a call without buffers, builds its own.
     """
+    poly, companion = buffers
+    # u^(M+m) carries i m a_m and u^(M-m) carries -i m conj(a_m); highest power first
+    poly[: a.size] = (up * a)[::-1]
+    poly[a.size + 1 :] = down * a.conj()
     if a[-1]:
-        size = a.size
+        companion[0] = -poly[1:] / poly[0]
+        roots = np.angle(np.linalg.eigvals(companion))
     elif a.any():
-        size = np.flatnonzero(a)[-1] + 1
-        buffers = None
+        roots = np.angle(np.roots(poly))
     else:
         return None
-    poly, companion = buffers or (
-        np.zeros(2 * size + 1, dtype=complex),
-        np.eye(2 * size, k=-1, dtype=complex),
-    )
-    # u^(K+k) carries i k a_k and u^(K-k) carries -i k conj(a_k); highest power first
-    poly[:size] = (up[:size] * a[:size])[::-1]
-    poly[size + 1 :] = down[:size] * a[:size].conj()
-    companion[0] = -poly[1:] / poly[0]
-    roots = np.angle(np.linalg.eigvals(companion))
-    if size < a.size:
-        roots = np.concatenate([roots, np.zeros(a.size - size)])
     theta = roots[(np.exp(roots[:, None] * up) @ a).real.argmax()]
     return theta, ((np.exp(theta * up) - np.exp(x0 * up)) @ a).real
 
@@ -223,13 +201,15 @@ def _free_sweep(weights: np.ndarray):
     def sweep(phases):
         count = len(phases)
         settings = phases.reshape(count, -1, d)  # a view: setting s of party p is row 2p + s
-        rest = [weights[None]]
+        rest = [weights[:, None]]  # (T, R, d, d): t leads, as _times_party takes it
         for f in _branch_factors(phases[:, :0:-1]).swapaxes(0, 1):  # (R, 2, d, d), party N first
-            rest.append(f[:, :1] * rest[-1][:, :-1] + f[:, 1:] * rest[-1][:, 1:])
+            rest.append(f[:, 0] * rest[-1][:-1] + f[:, 1] * rest[-1][1:])
         rest.reverse()
-        prefix = np.ones((count, 1, d, d), dtype=complex)
+        by_t = np.empty((len(rest), count, d, d), dtype=complex)
+        by_t[0] = 1.0
         for p, r in enumerate(rest):
-            gradient = (prefix * r[:, :-1]).sum(axis=1), (prefix * r[:, 1:]).sum(axis=1)
+            prefix = by_t[: p + 1]
+            gradient = (prefix * r[:-1]).sum(axis=0), (prefix * r[1:]).sum(axis=0)
             for s, g in enumerate(gradient):
                 g = g.reshape(count, d * d)
                 setting = settings[:, 2 * p + s]
@@ -246,12 +226,7 @@ def _free_sweep(weights: np.ndarray):
                     yield (2 * p + s) * d + j, moves
             if p + 1 < len(rest):  # the last party's prefix is never read
                 f = _branch_factors(phases[:, p])
-                f1, f2 = f[:, :1], f[:, 1:]
-                moved = np.empty((count, p + 2, d, d), dtype=complex)
-                moved[:, :-1] = prefix * f1
-                moved[:, 1:-1] += prefix[:, :-1] * f2
-                moved[:, -1:] = prefix[:, -1:] * f2
-                prefix = moved
+                _times_party(by_t, f[:, 0], f[:, 1], p)
 
     return sweep
 
@@ -295,24 +270,24 @@ def _symmetric_sweep(weights: np.ndarray):
                     move = _peak(by_power[0, terms[s]], x0, up, down, buffers)
                     yield s * d + j, [] if move is None else [(0, x0, *move)]
                 else:
-                    yield s * d + j, _peaks(by_power, terms[s], shared[:, s, j], up, down)
+                    yield s * d + j, _peaks(by_power, terms[s], shared[:, s, j], up, down, buffers)
 
     return sweep
 
 
-def _peaks(by_power, terms, x0, up, down) -> list:
+def _peaks(by_power, terms, x0, up, down, buffers) -> list:
     """(row, x0, theta, rise) for each row of a stack that has a polynomial to climb.
 
     Row i's coefficients are by_power[i, terms] and its phase is x0[i].  A row
-    whose top coefficient is exactly 0 goes through _peak.  The other rows are
-    solved together, with one eigvals over their companion matrices: the same
-    arithmetic as _peak's on operands of the same memory layout, so each
-    row's move is _peak's bit for bit.
+    whose top coefficient is exactly 0 goes through _peak, with its buffers.
+    The other rows are solved together, with one eigvals over their companion
+    matrices: the same arithmetic as _peak's on operands of the same memory
+    layout, so each row's move is _peak's bit for bit.
     """
     moves = []
     full = by_power[:, terms][:, -1] != 0
     for i in np.flatnonzero(~full).tolist():
-        move = _peak(by_power[i, terms], x0[i], up, down)
+        move = _peak(by_power[i, terms], x0[i], up, down, buffers)
         if move is not None:
             moves.append((i, x0[i], *move))
     rows = np.flatnonzero(full)
@@ -350,13 +325,15 @@ def _climb(
 ) -> tuple[np.ndarray, list[float]]:
     """optimize_phases from every (N, 2, d) start of an (R, N, 2, d) stack at once.
 
-    Returns the phases reached, (R, N, 2, d), and their values.  Each row
-    keeps its own running value, budget, stop rule and end evaluation, by
-    optimize_phases' rules; the sweep reads a coordinate's moves for every
-    row in one set of numpy calls.  A row whose budget is spent takes no
-    further move, and a row that stops leaves the stack at the end of the
-    sweep.  A value past the closed form warns at the caller of the public
-    function that called this one.
+    Returns the phases reached, (R, N, 2, d), and their values.  A sweep
+    reads a coordinate's moves for every row of the stack in one set of numpy
+    calls (for shared phases, one eigvals over the rows' companion matrices),
+    and each row keeps or drops its own moves by optimize_phases' rules, with
+    its own running value, budget and stop rule.  A row whose budget is spent
+    takes no further move.  At the end of each sweep the rows that stop get
+    their end evaluation and are written back, and the stack keeps the rest.
+    A value past the closed form warns at the caller of the public function
+    that called this one.
     """
     n = scenario.n_parties
     ceiling = max_violation(scenario)
@@ -367,25 +344,21 @@ def _climb(
     sweep = _free_sweep(weights) if free else _symmetric_sweep(weights)
     # symmetric mode: party 1's vectors parameterize all parties, and stay equal in every block
     phases = starts.copy() if free else np.repeat(starts[:, :1], n, axis=1)
-    start_values = [_objective(scenario, start) for start in phases]
-    values = start_values.copy()
+    values = [_objective(scenario, start) for start in phases]  # a row's start value until it ends
     rows = list(range(len(phases))) if budget > 1 else []  # the stack's rows, by start
     stack = phases  # until a row leaves it
     best = values.copy()
     left = [budget - 1] * len(rows)  # the moves each row may still take
     exact = [True] * len(rows)  # best[i] is the objective at row i, not a sum of read-off gains
     sweep_tol = _SWEEP_TOL * scale
-    columns = stack.reshape(len(stack), 1 if free else n, -1)  # coordinate c is columns[i, :, c]
     while rows:
+        columns = stack.reshape(len(rows), 1 if free else n, -1)  # coordinate c is columns[i, :, c]
         sweep_start = best.copy()
-        spent = 0  # rows whose budget ran out this sweep
         for coord, moves in sweep(stack):
             for i, x0, theta, rise in moves:
                 if not left[i]:
                     continue
                 left[i] -= 1
-                if not left[i]:
-                    spent += 1
                 if theta != x0:
                     gain = math.ldexp(rise, n)
                     if gain > tol:
@@ -402,25 +375,20 @@ def _climb(
                             best[i] = value
                         else:
                             columns[i, :, coord] = x0
-            if spent == len(rows):
+            if not any(left):
                 break  # no row may move: no further coordinate is read
-        done = [i for i, m in enumerate(left) if not m or best[i] - sweep_start[i] <= sweep_tol]
-        for i in done:
-            row = rows[i]
+        keep = []
+        for i, row in enumerate(rows):
+            if left[i] and best[i] - sweep_start[i] > sweep_tol:
+                keep.append(i)
+                continue
             if not exact[i]:
                 best[i] = _objective(scenario, stack[i])
-            if best[i] < start_values[row]:  # rounding near an optimum: the start stands
-                stack[i], best[i] = starts[row] if free else starts[row, 0], start_values[row]
-            if stack is not phases:
-                phases[row] = stack[i]
-            values[row] = best[i]
-        if len(done) == len(rows):
-            break
-        if done:
-            done = set(done)
-            keep = [i for i in range(len(rows)) if i not in done]
+            if best[i] < values[row]:  # rounding near an optimum: the start stands
+                stack[i], best[i] = starts[row] if free else starts[row, 0], values[row]
+            phases[row], values[row] = stack[i], best[i]
+        if len(keep) < len(rows):
             stack = stack[keep]
-            columns = stack.reshape(len(keep), 1 if free else n, -1)
             rows, best, left, exact = ([x[i] for i in keep] for x in (rows, best, left, exact))
     for value in values:
         if value > ceiling + 1e-6 * scale:
@@ -471,8 +439,7 @@ def optimize_phases(
     blocks stay equal byte for byte.  Like max_violation, the
     search's ceiling, it refuses N < 2 with ValueError before any sweep, as it
     does a start from another scenario and a budget that is not a positive
-    int (a bool included).  It is the stack of one of the climb that
-    optimize_with_restarts runs.
+    int (a bool included).
     """
     _check(budget, mode)
     if start.scenario != scenario:
@@ -497,18 +464,15 @@ def optimize_with_restarts(
 ) -> PhaseSearchResult:
     """Run optimize_phases from uniformly random starts and keep the best.
 
-    Each restart sweeps until a full cycle gains less than 1e-9 * 2^(N-2) or its
-    budget of moves (the start counts as one) is spent.  Restarts are
-    independent, but climb together: in stacks of at most
-    2^19 / ((N+1)^2 d^2) restarts (at least one), whose sweeps read every
-    restart's moves in one set of numpy calls.  A restart that stops leaves
-    its stack at the end of that sweep.  Each stack's starts are drawn from
-    the seeded generator when it begins, in restart order, and each restart
-    ends where optimize_phases from its start does, bit for bit, however the
-    restarts are stacked.  Ties go to the earliest restart, so the result is
-    a deterministic function of the seed.  The seed must be a non-negative
-    int and restarts a positive one (a bool is neither); the budget and mode
-    are checked as optimize_phases checks them, before any start is drawn.
+    Restarts climb together, in stacks of at most 2^19 / ((N+1)^2 d^2)
+    restarts (at least one).  Each stack's starts are drawn from the seeded
+    generator when it begins, in restart order, and each restart ends where
+    optimize_phases from its start, with the same budget and mode, does, bit
+    for bit, however the restarts are stacked.  Ties go to the earliest
+    restart, so the result is a deterministic function of the seed.  The seed
+    must be a non-negative int and restarts a positive one (a bool is
+    neither); the budget and mode are checked as optimize_phases checks them,
+    before any start is drawn.
     """
     if not _is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")

@@ -276,6 +276,17 @@ def _binomials(n_parties: int) -> np.ndarray:
     return np.array(row)
 
 
+def _times_party(by_t: np.ndarray, f1: np.ndarray, f2: np.ndarray, p: int) -> None:
+    """Multiply (f1 + z f2) into the z^0..z^p coefficients by_t[:p + 1], in place.
+
+    by_t[:p + 2] then holds the product's z^0..z^(p+1) coefficients.  t is the
+    leading axis, so a stack's coefficients, (T, R, d, d), take (R, d, d) factors.
+    """
+    by_t[p + 1] = by_t[p] * f2
+    by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
+    by_t[0] *= f1
+
+
 def _product_by_t(phases: np.ndarray) -> np.ndarray:
     """z^t coefficients of prod_p (f_p1 + z f_p2), halved factors: (N, 2, d) -> (N+1, d, d).
 
@@ -286,9 +297,7 @@ def _product_by_t(phases: np.ndarray) -> np.ndarray:
     by_t = np.empty((n + 1, d, d), dtype=complex)
     by_t[:2] = factors[0]  # party 1 alone: f_11 + z f_12
     for p, (f1, f2) in enumerate(factors[1:], start=1):
-        by_t[p + 1] = by_t[p] * f2
-        by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
-        by_t[0] *= f1
+        _times_party(by_t, f1, f2, p)
     return by_t
 
 

@@ -328,6 +328,11 @@ class TestBipartition:
         with pytest.raises(ValueError):
             Bipartition((1, 2), ())
 
+    @pytest.mark.parametrize("block_a,block_b", [((1,), (3,)), ((2,), (3,)), ((1, 4), (2,))])
+    def test_rejects_blocks_that_leave_a_gap(self, block_a, block_b):
+        with pytest.raises(ValueError, match="do not partition"):
+            Bipartition(block_a, block_b)
+
     def test_canonical_puts_party_one_first(self):
         part = Bipartition((2, 3), (1,)).canonical()
         assert part.block_a == (1,)
@@ -436,6 +441,12 @@ class TestHlnhvBound:
         assert bound == Fraction(2 ** (n - 1))
         # the witness actually achieves the bound
         assert strategy_bell_value(witness, scen) == bound
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_partition_for_another_n_refused(self, n):
+        part = Bipartition.from_block(n, (1,))
+        with pytest.raises(ValueError, match=f"partition covers {n} parties, scenario has 3"):
+            hlnhv_bound(BellScenario(3, 2), part)
 
     def test_partition_invariance(self):
         scen = BellScenario(3, 3)

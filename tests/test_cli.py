@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, files, exit codes."""
 
+import errno
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from quditbell.bounds import Bipartition, BudgetExceededError, bipartitions, hlnhv_bound
-from quditbell.cli import _witness_fired, run
+from quditbell.cli import _witness_fired, main, run
 from quditbell.optimize import cglmp_max_closed_form, optimal_angles, optimize_with_restarts
 from quditbell.scenario import BellScenario, bell_value
 from conftest import strategy_delta_table
@@ -669,6 +670,44 @@ class TestOutputHandling:
         assert err == f"error: cannot write {target}: Is a directory\n"
         assert os.listdir(tmp_path) == ["dir"] and os.listdir(tmp_path / "dir") == []
 
+    @pytest.mark.parametrize("table", ["same.json", "./same.json", "link.json"])
+    def test_out_and_emit_table_on_one_file_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, table
+    ):
+        # the report would replace the table, and eval would then fail on the file
+        def no_work(*args, **kwargs):
+            pytest.fail("the phase search ran before the output paths were compared")
+
+        monkeypatch.setattr("quditbell.cli.optimize_with_restarts", no_work)
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same.json", "link.json")
+        code, out, err = invoke(
+            capsys, "violation", "--n", "2", "--d", "2", "--angles", "optimized-free",
+            "--out", "same.json", "--emit-table", table,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --out and --emit-table name the same file: {table}\n"
+        assert os.listdir(tmp_path) == ["link.json"]
+
+    def test_failed_rename_is_an_input_error_that_leaves_the_target(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        target = tmp_path / "report.json"
+        target.write_text("earlier report\n")
+        monkeypatch.setattr("quditbell.cli.os.replace", refuse)
+        code, out, err = invoke(
+            capsys, "visibility", "--n", "2", "--d", "3", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {target}: Permission denied\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+        assert target.read_text() == "earlier report\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [
         ("bound", "--n", "2", "--d", "2", "--partition", "1/2"),
@@ -804,6 +843,19 @@ class TestProcess:
         ))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (("visibility", "--n", "2", "--d", "2"), 0),
+        (("visibility", "--n", "1", "--d", "2"), 1),
+        (("bound", "--n", "2", "--d", "2", "--partition", "1/2", "--budget", "10"), 2),
+    ])
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch, argv, code):
+        # main is the console script's entry point
+        assert run(list(argv)) == code
+        monkeypatch.setattr(sys, "argv", ["quditbell", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
 
     def test_success_exit_code(self):
         proc = self.cli_process("violation", "--n", "2", "--d", "2")

@@ -849,6 +849,11 @@ def roots_peak(a):
     return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
 
 
+def _buffers(degree):
+    """Fresh _peak buffers: a (2M+1)-term polynomial and a 2M x 2M companion matrix."""
+    return np.zeros(2 * degree + 1, dtype=complex), np.eye(2 * degree, k=-1, dtype=complex)
+
+
 class TestPeak:
     @pytest.mark.parametrize("degree", range(1, 9))
     def test_equals_the_np_roots_peak_bit_for_bit(self, rng, degree):
@@ -867,18 +872,34 @@ class TestPeak:
                 assert move is None
                 continue
             assert move[0] == expected
-            # the buffers are rewritten in place: a second call, or one without them, agrees
-            assert _peak(a, x0, up, down, buffers) == _peak(a, x0, up, down) == move
+            # the buffers are rewritten in place: a second call agrees
+            assert _peak(a, x0, up, down, buffers) == move
             assert move[1] == pytest.approx(
                 ((np.exp(1j * m * expected) - np.exp(1j * m * x0)) @ a).real, abs=1e-12
             )
         assert _peak(np.zeros(degree, dtype=complex), 0.0, up, down, buffers) is None
+
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_a_trimmed_row_leaves_the_buffers_fit_for_a_full_one(self, rng, degree):
+        # a trimmed row goes to np.roots and writes only the polynomial: the next full row
+        # solved with the same buffers is solved bit for bit as with fresh ones
+        m = np.arange(1, degree + 1)
+        up, down = 1j * m, -1j * m
+        buffers = _buffers(degree)
+        for top in range(1, degree):
+            trimmed = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+            trimmed[top:] = 0.0
+            full = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+            x0 = rng.uniform(-np.pi, np.pi)
+            assert _peak(trimmed, x0, up, down, buffers)[0] == roots_peak(trimmed)
+            assert _peak(full, x0, up, down, buffers) == _peak(full, x0, up, down, _buffers(degree))
 
     @pytest.mark.parametrize("degree", range(1, 9))
     def test_a_stack_solves_each_row_as_peak_does(self, rng, degree):
         # full rows are solved together; a trimmed row goes through _peak, a flat one moves not
         m = np.arange(1, degree + 1)
         up, down = 1j * m, -1j * m
+        buffers = _buffers(degree)
         for terms in (slice(-2, None, -1), slice(1, None)):  # setting 1's and setting 2's terms
             by_power = rng.normal(size=(6, degree + 1)) + 1j * rng.normal(size=(6, degree + 1))
             a = by_power[:, terms]  # a view: rows 1 and 2 are trimmed and flat through it
@@ -887,10 +908,10 @@ class TestPeak:
             x0 = rng.uniform(-np.pi, np.pi, 6)
             expected = []
             for i in range(6):
-                move = _peak(by_power[i, terms], x0[i], up, down)
+                move = _peak(by_power[i, terms], x0[i], up, down, _buffers(degree))
                 if move is not None:
                     expected.append((i, x0[i], *move))
-            assert sorted(_peaks(by_power, terms, x0, up, down)) == expected
+            assert sorted(_peaks(by_power, terms, x0, up, down, buffers)) == expected
             assert len(expected) == (4 if degree == 1 else 5)
 
 

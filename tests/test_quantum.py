@@ -146,6 +146,11 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(BellScenario(2, 2), mat)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 2), (16, 16), (4,)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix"):
+            DensityMatrix(BellScenario(2, 2), np.zeros(shape))
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(BellScenario(2, 2), np.eye(4) / 2)
@@ -426,6 +431,21 @@ class TestSharedPhases:
                 ghz_bell_value(c)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_stacked_party_step_is_each_rows_step_bit_for_bit(rng, p, d):
+    # the free sweep multiplies a party into a (T, R, d, d) stack, ghz_bell_value into one row
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stack, factors = complex_normal(p + 2, 4, d, d), complex_normal(4, 2, d, d)
+    rows = [stack[:, r].copy() for r in range(4)]
+    quantum._times_party(stack, factors[:, 0], factors[:, 1], p)
+    for r, by_t in enumerate(rows):
+        quantum._times_party(by_t, factors[r, 0], factors[r, 1], p)
+        assert by_t.tobytes() == stack[:, r].tobytes()
+
+
 class TestNoiseMixing:
     def test_full_visibility_is_identity(self):
         rho = ghz_state(BellScenario(2, 3))
@@ -533,3 +553,10 @@ class TestPhaseConfiguration:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             PhaseConfiguration(BellScenario(2, 2), np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        phases = np.zeros((2, 2, 2))
+        phases[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="phases must be finite"):
+            PhaseConfiguration(BellScenario(2, 2), phases)

@@ -226,6 +226,12 @@ class TestTableInvariants:
         with pytest.raises(TableFormatError, match="missing"):
             JointProbabilityTable.from_json_dict(payload)
 
+    def test_tables_as_a_list_rejected(self):
+        payload = uniform_payload(2, 2)
+        payload["tables"] = list(payload["tables"].values())
+        with pytest.raises(TableFormatError, match="field 'tables' must be an object"):
+            JointProbabilityTable.from_json_dict(payload)
+
     def test_wrong_length_rejected(self):
         payload = uniform_payload(2, 2)
         payload["tables"]["11"] = [1 / 3] * 3
