@@ -157,10 +157,13 @@ class PhaseConfiguration:
         return cls(scenario, np.zeros((scenario.n_parties, 2, scenario.dimension)))
 
 
+@lru_cache(maxsize=16)
 def _fourier(d: int) -> np.ndarray:
-    """d x d discrete Fourier matrix, entry (j, k) = omega^(j k)."""
+    """d x d discrete Fourier matrix, entry (j, k) = omega^(j k); read-only, built once per d."""
     j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d)
+    matrix = np.exp(2j * np.pi * np.outer(j, j) / d)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def multiport_unitary(phases) -> np.ndarray:
@@ -219,7 +222,8 @@ def joint_probabilities(
             k = (u[:, :, :, None] * u[:, :, None, :].conj()).reshape(2, 1, d, d * d)
             # (settings so far, outcomes so far, pair p, pairs below) -> (setting p, ...)
             state = np.matmul(k, state.reshape(-1, d * d, d ** (2 * p)))
-    return JointProbabilityTable(rho.scenario, np.real(state).reshape(2**n, d**n))
+    rows = np.ascontiguousarray(state.real).reshape(2**n, d**n)
+    return JointProbabilityTable._of_fresh(rho.scenario, rows)
 
 
 def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
@@ -241,7 +245,7 @@ def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     for pair in config.phases:  # (2, d): one party's setting-1 and setting-2 phases
         phi = (phi[:, None, :] + pair[None, :, :]).reshape(-1, d)
     residues = np.abs(np.exp(1j * phi) @ _fourier(d)) ** 2 / d ** (n + 1)
-    return JointProbabilityTable(scenario, residues[:, outcome_sums_mod_d(n, d)])
+    return JointProbabilityTable._of_fresh(scenario, residues[:, outcome_sums_mod_d(n, d)])
 
 
 def _branch_factors(phases: np.ndarray) -> np.ndarray:

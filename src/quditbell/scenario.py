@@ -168,13 +168,43 @@ def outcome_sums_mod_d(n_parties: int, dimension: int) -> np.ndarray:
     return sums
 
 
+def _refuse(arr: np.ndarray, n_parties: int) -> None:
+    """The row-by-row checks, for a (2^N, d^N) float array that the constructor's two
+    reductions did not accept: TableFormatError naming the first offending row.
+
+    In their order: finite entries, no entry below -1e-9, and (after clipping the
+    dust in place) rows that sum to 1 within 1e-9.  They refuse exactly the tables
+    the reductions do not accept, and they alone word the refusal.
+    """
+
+    def first(bad_rows):  # the first offending row, and its setting string
+        i = int(bad_rows.argmax())
+        return i, all_setting_strings(n_parties)[i]
+
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise TableFormatError(f"setting {first(~finite)[1]}: non-finite probability")
+    lowest = arr.min(axis=1)
+    if (lowest < -PROB_TOLERANCE).any():
+        i, s = first(lowest < -PROB_TOLERANCE)
+        raise TableFormatError(f"setting {s}: negative probability {lowest[i]:.3e}")
+    np.clip(arr, 0.0, None, out=arr)
+    totals = arr.sum(axis=1)
+    if (np.abs(totals - 1.0) > PROB_TOLERANCE).any():
+        i, s = first(np.abs(totals - 1.0) > PROB_TOLERANCE)
+        raise TableFormatError(
+            f"setting {s}: probabilities sum to {float(totals[i])!r}, expected 1"
+        )
+
+
 class JointProbabilityTable:
     """Outcome distributions for all 2^N setting strings, as one (2^N, d^N) array.
 
     Row i of `rows` belongs to the setting string that reads i in binary, with
     setting 1 as 0 and party 1 most significant; each row is in the mixed-radix
     outcome encoding (party 1 fastest).  Setting-string keys exist only in the
-    JSON format.  Construction copies the rows once, normalizes away negative
+    JSON format.  Construction copies the caller's rows once (a table the package
+    has just built is checked in place, not copied), normalizes away negative
     dust down to -1e-9 and rejects anything worse; the array is read-only.
     """
 
@@ -182,30 +212,31 @@ class JointProbabilityTable:
         arr = np.array(rows)
         if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
             raise TableFormatError(f"probabilities must be real, got dtype {arr.dtype}")
-        arr = arr.astype(float, copy=False)
-        n = scenario.n_parties
-        expected = (1 << n, scenario.n_outcome_tuples)
+        self._store(scenario, arr.astype(float, copy=False))
+
+    @classmethod
+    def _of_fresh(cls, scenario: BellScenario, rows: np.ndarray) -> "JointProbabilityTable":
+        """Table on a float array the package has just built and hands over: every
+        check, made in place, and no copy."""
+        table = cls.__new__(cls)
+        table._store(scenario, rows)
+        return table
+
+    def _store(self, scenario: BellScenario, arr: np.ndarray) -> None:
+        expected = (1 << scenario.n_parties, scenario.n_outcome_tuples)
         if arr.shape != expected:
             raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
-
-        def first(bad_rows):  # the first offending row, and its setting string
-            i = int(bad_rows.argmax())
-            return i, all_setting_strings(n)[i]
-
-        finite = np.isfinite(arr).all(axis=1)
-        if not finite.all():
-            raise TableFormatError(f"setting {first(~finite)[1]}: non-finite probability")
-        lowest = arr.min(axis=1)
-        if (lowest < -PROB_TOLERANCE).any():
-            i, s = first(lowest < -PROB_TOLERANCE)
-            raise TableFormatError(f"setting {s}: negative probability {lowest[i]:.3e}")
-        np.clip(arr, 0.0, None, out=arr)
-        totals = arr.sum(axis=1)
-        if (np.abs(totals - 1.0) > PROB_TOLERANCE).any():
-            i, s = first(np.abs(totals - 1.0) > PROB_TOLERANCE)
-            raise TableFormatError(
-                f"setting {s}: probabilities sum to {float(totals[i])!r}, expected 1"
-            )
+        # Accepting takes two reductions.  A NaN entry makes the minimum NaN, which
+        # fails its test; with nothing negative left, a finite row sum means finite
+        # entries.  A table that fails either test goes to _refuse's checks.
+        floor = arr.min()
+        deviation = np.inf
+        if floor >= -PROB_TOLERANCE:
+            if not floor > 0.0:  # clip also turns -0.0 into 0.0
+                np.clip(arr, 0.0, None, out=arr)
+            deviation = np.abs(arr.sum(axis=1) - 1.0).max()
+        if not deviation <= PROB_TOLERANCE:
+            _refuse(arr, scenario.n_parties)
         arr.flags.writeable = False
         self.scenario = scenario
         self.rows = arr
@@ -278,7 +309,7 @@ class JointProbabilityTable:
                     f"setting {s}: expected {size} probabilities, got shape {row.shape}"
                 )
             rows.append(row)
-        return cls(scenario, rows)
+        return cls._of_fresh(scenario, np.array(rows))
 
 
 def point_mass_table(
@@ -288,18 +319,34 @@ def point_mass_table(
     rows = np.zeros((1 << scenario.n_parties, scenario.n_outcome_tuples))
     for i, s in enumerate(scenario.setting_strings()):
         rows[i, outcome_index(_outcome(outcome_by_setting[s], scenario), scenario.dimension)] = 1.0
-    return JointProbabilityTable(scenario, rows)
+    return JointProbabilityTable._of_fresh(scenario, rows)
+
+
+@lru_cache(maxsize=32)
+def _numerator_operand(n_parties: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """correlation_numerators' read-only operands for one (N, d), built once.
+
+    The d^N x (N+1) numerator rows over the outcome indices, then the row and
+    t-count indices that pick each setting's own t-count from the product.
+    Each is no larger than a table, so the 32 cached sizes hold at most 32
+    tables' worth.
+    """
+    nums = _numerator_rows(n_parties, d, float)[:, outcome_sums_mod_d(n_parties, d)].T
+    operands = (nums, np.arange(1 << n_parties), t_counts(n_parties))
+    for array in operands:
+        array.flags.writeable = False
+    return operands
 
 
 def correlation_numerators(table: JointProbabilityTable) -> np.ndarray:
     """d - 1 times every setting's correlation value, in setting order.
 
     One product meets every row with the N+1 integer numerator rows over the outcome
-    indices, (N+1) d^N floats beside the table, and each row keeps its t-count's.
+    indices, and each row keeps its t-count's.  That operand, (N+1) d^N floats, and
+    the indices are built once per (N, d) by _numerator_operand.
     """
-    n, d = table.scenario.n_parties, table.scenario.dimension
-    nums = _numerator_rows(n, d, float)
-    return (table.rows @ nums[:, outcome_sums_mod_d(n, d)].T)[np.arange(1 << n), t_counts(n)]
+    nums, rows, ts = _numerator_operand(table.scenario.n_parties, table.scenario.dimension)
+    return (table.rows @ nums)[rows, ts]
 
 
 def functional_value(numerators: np.ndarray, dimension: int) -> float:

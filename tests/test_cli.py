@@ -833,16 +833,27 @@ class TestProcess:
         return cls.python_process("-m", "quditbell.cli", *argv)
 
     def test_import_computes_nothing(self):
-        # every CLI process, and every benchmark set-up, pays for work done at import
+        # every CLI process, and every benchmark set-up, pays for work done at import;
+        # each functools cache in the package's modules is found by its cache_info
         proc = self.python_process("-c", (
-            "import quditbell, quditbell.cli\n"
-            "from quditbell import quantum, scenario\n"
-            "caches = (quantum._ghz_weights, scenario.outcome_sums_mod_d,\n"
-            "          scenario.all_setting_strings, scenario._numerator_row)\n"
-            "print(*(c.cache_info().currsize for c in caches))\n"
+            "import json, sys, quditbell, quditbell.cli\n"
+            "caches = {f'{f.__module__}.{f.__qualname__}': f.cache_info().currsize\n"
+            "          for name, module in list(sys.modules.items())\n"
+            "          if name == 'quditbell' or name.startswith('quditbell.')\n"
+            "          for f in vars(module).values() if hasattr(f, 'cache_info')}\n"
+            "print(json.dumps(caches))\n"
         ))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0", "0"]
+        caches = json.loads(proc.stdout)
+        assert {
+            "quditbell.quantum._fourier",
+            "quditbell.quantum._ghz_weights",
+            "quditbell.scenario._numerator_operand",
+            "quditbell.scenario._numerator_row",
+            "quditbell.scenario.all_setting_strings",
+            "quditbell.scenario.outcome_sums_mod_d",
+        } <= caches.keys()
+        assert set(caches.values()) == {0}, caches
 
     @pytest.mark.parametrize("argv,code", [
         (("visibility", "--n", "2", "--d", "2"), 0),

@@ -1,6 +1,7 @@
 """States, multiport unitaries, and the two probability paths."""
 
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -306,6 +307,23 @@ class TestClosedForm:
         row = table.probs_for("111")
         assert row[outcome_index((0, 0, 0), 3)] == pytest.approx(1 / 9, abs=1e-14)
         assert row[outcome_index((0, 0, 1), 3)] == pytest.approx(0.0, abs=1e-14)
+
+    def test_builds_one_table(self):
+        # the gathered rows are checked in place and become the table: no copy
+        config = optimal_angles(BellScenario(8, 3))
+        tracemalloc.start()
+        try:
+            table = ghz_table(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * table.rows.nbytes
+
+    def test_fourier_matrix_built_once_read_only(self):
+        first, again = quantum._fourier(5), quantum._fourier(5)
+        assert first is again
+        assert not first.flags.writeable
+        assert quantum._fourier.cache_parameters()["maxsize"] is not None
 
     def test_table_matches_setting_loop(self, rng):
         # every (N, d) with 2^N d^N <= 10^5 table entries and d <= 158, the

@@ -16,6 +16,7 @@ from quditbell.scenario import (
     all_setting_strings,
     bell_value,
     coefficient,
+    correlation_numerators,
     correlations,
     outcome_index,
     outcome_sums_mod_d,
@@ -23,6 +24,7 @@ from quditbell.scenario import (
     setting_index,
     shift,
     t_counts,
+    _numerator_operand,
 )
 from conftest import (
     cglmp_value,
@@ -372,6 +374,16 @@ class TestCorrelation:
             expected = loop_correlations(table)
             np.testing.assert_allclose(correlations(table), expected, rtol=0, atol=1e-12)
             assert bell_value(table) == pytest.approx(-sum(expected), rel=0, abs=1e-12)
+
+    def test_operands_built_once_read_only(self, rng):
+        table = random_table(BellScenario(3, 4), rng)
+        _numerator_operand.cache_clear()
+        correlation_numerators(table)
+        correlation_numerators(table)
+        info = _numerator_operand.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize is not None
+        assert not any(array.flags.writeable for array in _numerator_operand(3, 4))
 
     def test_large_dimension_needs_no_more_than_the_table(self, rng):
         # N+1 coefficient vectors over the d^N outcomes, not a d^N-by-d
