@@ -16,6 +16,7 @@ import time
 from typing import Optional
 
 import click
+import numpy as np
 
 from .bounds import (
     DEFAULT_BUDGET,
@@ -356,7 +357,9 @@ def eval_table(table_file, out_path):
     except json.JSONDecodeError as exc:
         raise InputError(f"{table_file} is not valid JSON: {exc}") from exc
     try:
-        table = JointProbabilityTable.from_json_dict(payload)
+        # a row summing past the float range is refused by the error line alone
+        with np.errstate(over="ignore"):
+            table = JointProbabilityTable.from_json_dict(payload)
     except TableFormatError as exc:
         raise InputError(f"{table_file}: {exc}") from exc
     n, d = table.scenario.n_parties, table.scenario.dimension

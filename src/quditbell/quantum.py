@@ -29,9 +29,10 @@ TRACE_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 
 # Dense-path guardrail: the state alone is a D x D complex matrix (268 MB at
-# D = 4096), validation diagonalizes it and the contraction spends of order
-# d D^2 multiply-adds on it; past this Hilbert dimension that stops being
-# desk-scale, and GHZ users should take ghz_table instead.
+# D = 4096), a user's state is diagonalized to validate it (the package's own
+# states are positive by construction and are not), and the contraction
+# spends of order d D^2 multiply-adds on it; past this Hilbert dimension that
+# stops being desk-scale, and GHZ users should take ghz_table instead.
 DENSE_DIMENSION_LIMIT = 4096
 
 __all__ = [
@@ -61,7 +62,7 @@ class DensityMatrix:
     """
 
     def __init__(self, scenario: BellScenario, matrix: np.ndarray):
-        self._store(scenario, matrix)
+        self._store(scenario, np.array(matrix, dtype=complex))
         smallest = float(np.linalg.eigvalsh(self.matrix)[0])
         if smallest < PSD_EIGENVALUE_FLOOR:
             raise ValueError(
@@ -70,24 +71,26 @@ class DensityMatrix:
 
     @classmethod
     def _positive_by_construction(cls, scenario: BellScenario, matrix: np.ndarray):
-        """State the package built positive semidefinite: every check but eigvalsh.
+        """State on a complex array the package has just built and hands over:
+        every check but eigvalsh, made in place, and no copy.
 
         For projectors onto unit vectors, convex mixtures and products of
         validated states, whose diagonalization would cost more than the build.
+        The array becomes the state's read-only matrix, so the caller keeps no
+        other reference to it.
         """
         rho = cls.__new__(cls)
         rho._store(scenario, matrix)
         return rho
 
-    def _store(self, scenario: BellScenario, matrix: np.ndarray) -> None:
+    def _store(self, scenario: BellScenario, mat: np.ndarray) -> None:
         dim = scenario.n_outcome_tuples
-        mat = np.array(matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         # every comparison against NaN is False: reject it before the checks below
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        herm = _hermiticity_deviation(mat)
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
         trace = complex(np.trace(mat))
@@ -102,13 +105,40 @@ class DensityMatrix:
         return self.scenario.n_outcome_tuples
 
 
+# rows per band of the Hermiticity check: a band reads its transposed block in
+# runs of 32 entries, where the whole transpose reads one entry per row
+_BAND_ROWS = 32
+
+
+def _hermiticity_deviation(mat: np.ndarray) -> float:
+    """max |M_ij - conj(M_ji)| over the upper triangle, one band of rows at a time.
+
+    Equal bit for bit to the maximum over the whole matrix, because the entry
+    for (j, i) is the exact negation of the one for (i, j).  Each band reads
+    its transposed block a short row at a time into a row-major temporary, so
+    the subtraction and the modulus run over contiguous rows; its temporaries
+    are a band's size, not the matrix's.
+    """
+    dim = len(mat)
+    worst = 0.0
+    for lo in range(0, dim, _BAND_ROWS):
+        hi = lo + _BAND_ROWS
+        # rows lo:hi from the diagonal on, against columns lo:hi from the diagonal down
+        diff = np.conjugate(mat[lo:, lo:hi].T, order="C")
+        diff -= mat[lo:hi, lo:]
+        worst = max(worst, float(np.abs(diff).max()))
+    return worst
+
+
 def ghz_state(scenario: BellScenario) -> DensityMatrix:
     """Rank-1 projector onto (1/sqrt(d)) sum_j |jj...j>."""
-    d = scenario.dimension
-    vec = np.zeros(scenario.n_outcome_tuples, dtype=complex)
-    step = (scenario.n_outcome_tuples - 1) // (d - 1)  # index of |jj...j> is j*step
-    vec[np.arange(d) * step] = 1.0 / math.sqrt(d)
-    return DensityMatrix._positive_by_construction(scenario, np.outer(vec, vec.conj()))
+    d, dim = scenario.dimension, scenario.n_outcome_tuples
+    support = np.arange(d) * ((dim - 1) // (d - 1))  # |jj...j> has index j (d^N - 1)/(d - 1)
+    amplitude = 1.0 / math.sqrt(d)
+    mat = np.zeros((dim, dim), dtype=complex)
+    # the outer product's entry: the rounded amplitude squared, not always 1/d
+    mat[np.ix_(support, support)] = amplitude * amplitude
+    return DensityMatrix._positive_by_construction(scenario, mat)
 
 
 def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
@@ -116,7 +146,9 @@ def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     dim = rho.dim
-    mixed = visibility * rho.matrix + (1.0 - visibility) * np.eye(dim) / dim
+    mixed = visibility * rho.matrix
+    diagonal = mixed.reshape(-1)[:: dim + 1]
+    diagonal += (1.0 - visibility) / dim
     return DensityMatrix._positive_by_construction(rho.scenario, mixed)
 
 
@@ -186,17 +218,22 @@ def joint_probabilities(
 
     P(x|s) = <x| U_s rho U_s^dag |x> with U_s the tensor product of the
     parties' multiport unitaries.  Each party's measurement acts on its
-    (ket, bra) index pair through K_pc[x, (a, b)] = U_pc[x, a] conj(U_pc[x, b]),
-    a d x d^2 matrix per setting c.  So rho is read as N pair axes of size
-    d^2 and contracted one party at a time with both settings at once: each
-    step doubles a leading setting axis and turns one pair axis into an
-    outcome axis, and setting strings that share a prefix share its work.
+    (ket, bra) index pair through K_p[(c, x), (a, b)] = U_pc[x, a] conj(U_pc[x, b]),
+    one 2d x d^2 matrix for both settings c.  So rho is read as N pair axes
+    of size d^2, party N's leading, and contracted one party at a time from
+    party N down: each step is one matrix product, state.reshape(d^2, -1).T
+    @ K_p.T, whose left operand is a transposed view that BLAS reads as it
+    is.  It turns the leading pair axis into a (setting, outcome) axis at the
+    end, so setting strings that share a prefix share its work and the next
+    party's pair axis leads.  One transpose at the end puts the (setting,
+    outcome) axes in the table's order.
 
     With D = d^N, step k costs 2^k d^(2N-k+2) complex multiply-adds: 4 N D^2
     in all for d = 2 and under 2 d D^2 * d/(d-2) for d >= 3, against
-    2^N * 2 D^3 for rotating rho once per setting string.  Step k leaves
-    2^k d^(2N-k) entries, so no intermediate holds more than 2 D^2 / d,
-    which is no more than rho.  A single party is read as diag(U rho U^dag)
+    2^N * 2 D^3 for rotating rho once per setting string.  The pair-ordered
+    copy of rho is the one full-size allocation; step k leaves 2^k d^(2N-k)
+    entries, so the call peaks at (1 + 2/d) times rho's bytes, the copy and
+    the first step's result.  A single party is read as diag(U rho U^dag)
     directly, because there its K would be 2d times the size of rho.
     """
     if rho.scenario != config.scenario:
@@ -217,13 +254,13 @@ def joint_probabilities(
         # party 1 is the fastest basis digit, so the pair axes run from party N down
         pairs = [axis for p in range(n) for axis in (p, n + p)]
         state = rho.matrix.reshape((d,) * (2 * n)).transpose(pairs)
-        for p in reversed(range(n)):
-            u = units[p]
-            k = (u[:, :, :, None] * u[:, :, None, :].conj()).reshape(2, 1, d, d * d)
-            # (settings so far, outcomes so far, pair p, pairs below) -> (setting p, ...)
-            state = np.matmul(k, state.reshape(-1, d * d, d ** (2 * p)))
-    rows = np.ascontiguousarray(state.real).reshape(2**n, d**n)
-    return JointProbabilityTable._of_fresh(rho.scenario, rows)
+        for u in units[::-1]:
+            k = (u[:, :, :, None] * u[:, :, None, :].conj()).reshape(2 * d, d * d)
+            state = state.reshape(d * d, -1).T @ k.T
+    # (setting, outcome) of party N down to party 1 -> settings from party 1, outcomes from party N
+    order = [*range(2 * n - 2, -1, -2), *range(1, 2 * n, 2)]
+    rows = np.ascontiguousarray(state.real.reshape((2, d) * n).transpose(order))
+    return JointProbabilityTable._of_fresh(rho.scenario, rows.reshape(2**n, d**n))
 
 
 def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:

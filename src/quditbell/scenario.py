@@ -71,7 +71,7 @@ class BellScenario:
         return all_setting_strings(self.n_parties)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def all_setting_strings(n_parties: int) -> tuple[str, ...]:
     return tuple("".join(s) for s in itertools.product("12", repeat=n_parties))
 
@@ -155,7 +155,7 @@ def outcome_index(outcome: Sequence[int], dimension: int) -> int:
     return idx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def outcome_sums_mod_d(n_parties: int, dimension: int) -> np.ndarray:
     """Outcome-sum residue for every mixed-radix outcome index."""
     idx = np.arange(dimension**n_parties)

@@ -480,6 +480,15 @@ class TestEvalCommand:
         assert out == ""
         assert err.endswith("setting 12: probabilities must be numbers\n")
 
+    def test_overflowing_row_sum_is_one_error_line(self, capsys, tmp_path):
+        # numpy's overflow warning would print two lines above the error line
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "d": 2, "tables": {"1": [1.7e308, 1.7e308], "2": [0.5, 0.5]}}))
+        code, out, err = invoke(capsys, "eval", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: setting 1: probabilities sum to inf, expected 1\n"
+
     def test_single_party_table_is_refused(self, capsys, tmp_path):
         # a classical point mass would otherwise "witness" one-party entanglement
         path = tmp_path / "one.json"

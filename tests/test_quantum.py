@@ -63,6 +63,29 @@ def kron_joint_probabilities(rho, config):
     return JointProbabilityTable(rho.scenario, rows)
 
 
+def broadcast_joint_probabilities(rho, config):
+    """Oracle: the contraction as one broadcast matmul per party, settings leading.
+
+    From party N down, each party's K_pc[x, (a, b)] = U_pc[x, a] conj(U_pc[x, b]),
+    shaped (2, 1, d, d^2), meets the state read as (settings and outcomes so
+    far, pair p, pairs below): every step prepends the party's setting axis
+    and puts its outcome axis after the earlier parties', so the result is
+    already in the table's row order.
+    """
+    n, d = rho.scenario.n_parties, rho.scenario.dimension
+    units = multiport_unitary(config.phases)
+    if n == 1:
+        state = np.sum((units[0] @ rho.matrix) * units[0].conj(), axis=-1)
+    else:
+        pairs = [axis for p in range(n) for axis in (p, n + p)]
+        state = rho.matrix.reshape((d,) * (2 * n)).transpose(pairs)
+        for p in reversed(range(n)):
+            u = units[p]
+            k = (u[:, :, :, None] * u[:, :, None, :].conj()).reshape(2, 1, d, d * d)
+            state = np.matmul(k, state.reshape(-1, d * d, d ** (2 * p)))
+    return JointProbabilityTable(rho.scenario, np.real(state).reshape(2**n, d**n))
+
+
 def worst_entry_difference(table, reference):
     return max(
         float(np.max(np.abs(table.probs_for(s) - reference.probs_for(s))))
@@ -140,7 +163,88 @@ class TestGhzState:
             assert np.trace(rho @ rho).real == pytest.approx(1.0)
 
 
+class TestStateBytes:
+    """The builders write the bytes of the formulas they replace."""
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 2), (2, 7), (3, 4), (5, 3)])
+    def test_ghz_state_and_mixtures(self, n, d, rng):
+        scen, dim = BellScenario(n, d), d**n
+        vec = np.zeros(dim, dtype=complex)
+        vec[np.arange(d) * ((dim - 1) // (d - 1))] = 1.0 / math.sqrt(d)
+        ghz = ghz_state(scen)
+        assert ghz.matrix.tobytes() == np.outer(vec, vec.conj()).tobytes()
+        user = random_density(scen, rng)
+        for rho in (ghz, user):
+            for v in (0.0, 0.3, 0.7, 1.0):
+                expected = v * rho.matrix + (1.0 - v) * np.eye(dim) / dim
+                mixed = mix_with_noise(rho, v).matrix
+                if rho is user and v == 0.0:
+                    # 0 times a negative entry is -0.0, which adding the identity's
+                    # +0.0 made +0.0: equal values, not equal bytes
+                    np.testing.assert_array_equal(mixed, expected)
+                else:
+                    assert mixed.tobytes() == expected.tobytes(), (v, rho is user)
+
+
 class TestDensityMatrixInvariants:
+    def test_refusals_keep_their_text_and_order(self):
+        # each matrix has its refusal's fault and every fault checked after it
+        scen = BellScenario(2, 2)
+        bad_trace = np.eye(4, dtype=complex) / 2
+        non_hermitian = bad_trace.copy()
+        non_hermitian[0, 1] = 0.1
+        cases = [(np.full((4, 2), np.nan), "expected a 4x4 matrix, got shape (4, 2)")]
+        for bad in (np.nan, np.inf, -np.inf):
+            non_finite = non_hermitian.copy()
+            non_finite[3, 2] = bad
+            cases.append((non_finite, "matrix entries must be finite"))
+        cases += [
+            (non_hermitian, "matrix is not Hermitian (deviation 1.000e-01)"),
+            (bad_trace, "trace is (2+0j), expected 1"),
+        ]
+        for mat, message in cases:
+            for build in (DensityMatrix, DensityMatrix._positive_by_construction):
+                with pytest.raises(ValueError) as info:
+                    build(scen, mat.copy())
+                assert str(info.value) == message
+
+    def test_built_states_are_checked_in_place(self):
+        # a package-built state keeps the array it was handed: no copy
+        scen = BellScenario(2, 3)
+        mat = np.eye(9, dtype=complex) / 9
+        rho = DensityMatrix._positive_by_construction(scen, mat)
+        assert rho.matrix is mat and not mat.flags.writeable
+        user = np.eye(9, dtype=complex) / 9
+        assert DensityMatrix(scen, user).matrix is not user and user.flags.writeable
+
+    def test_build_peak(self):
+        # the GHZ projector, its mixture and band-sized check temporaries; the
+        # full-matrix checks peaked at 5.1 times the matrix
+        tracemalloc.start()
+        try:
+            rho = mix_with_noise(ghz_state(BellScenario(5, 3)), 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rho.matrix.nbytes
+
+    def test_hermiticity_deviation_is_the_full_maximum_bit_for_bit(self, rng):
+        # every size up to 300, so every last band, partial or whole, is met
+        for dim in range(1, 301):
+            last, near = dim - 1, max(dim - 2, 0)
+            square = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            hermitian = square + square.conj().T
+            # above and below the diagonal, in the last band and across the bands
+            spots = [(near, last), (last, near), (last, last), (0, last), (last, 0), (0, 1 % dim)]
+            matrices = [square, hermitian]
+            for i, j in spots:
+                bad = hermitian.copy()
+                bad[i, j] += 0.001 + 0.002j
+                matrices.append(bad)
+            for mat in matrices:
+                full = float(np.max(np.abs(mat - mat.conj().T)))
+                assert quantum._hermiticity_deviation(mat).hex() == full.hex(), dim
+
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.1
@@ -226,6 +330,38 @@ class TestJointProbabilities:
                 joint_probabilities(rho, config), kron_joint_probabilities(rho, config)
             )
             assert worst <= 1e-12, (n, d, worst)
+
+    def test_matches_broadcast_oracle(self, rng):
+        # every d^N <= 1024 with N >= 2; a single party reads the diagonal of
+        # U rho U^dag at 2 d^3 multiply-adds per setting, so there d <= 64
+        cases = [
+            (n, d) for n in range(1, 11) for d in range(2, 65) if d**n <= 1024
+        ]
+        assert len(cases) == 116
+        for n, d in cases:
+            scen = BellScenario(n, d)
+            config = random_config(scen, rng)
+            ghz = ghz_state(scen)
+            states = [ghz, mix_with_noise(ghz, 0.6), mix_with_noise(ghz, 0.0)]
+            if n > 1:
+                rest = mix_with_noise(ghz_state(BellScenario(n - 1, d)), 0.5)
+                states.append(product_state(random_density(BellScenario(1, d), rng), rest))
+            for rho in states:
+                table = joint_probabilities(rho, config)
+                worst = float(np.max(np.abs(table.rows - broadcast_joint_probabilities(rho, config).rows)))
+                assert worst <= 1e-14, (n, d, worst)
+
+    def test_peak_is_the_pair_copy_and_the_first_step(self, rng):
+        # (1 + 2/d) times rho: 1.67 at d = 3, as the broadcast contraction peaked
+        scen = BellScenario(5, 3)
+        rho, config = mix_with_noise(ghz_state(scen), 0.9), random_config(scen, rng)
+        tracemalloc.start()
+        try:
+            joint_probabilities(rho, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.68 * rho.matrix.nbytes
 
     def test_product_state_matches_kron_oracle(self, rng):
         d = 3

@@ -385,6 +385,16 @@ class TestCorrelation:
         assert info.maxsize is not None
         assert not any(array.flags.writeable for array in _numerator_operand(3, 4))
 
+    def test_index_caches_keep_the_latest_32(self):
+        # d = 2..300 once held 69 MiB of residue vectors for the whole session;
+        # all_setting_strings(33) alone would hold 2^33 strings, so only its bound is read
+        for n in (1, 2):
+            for d in range(2, 152):
+                outcome_sums_mod_d(n, d)
+        assert outcome_sums_mod_d.cache_info().currsize <= 32
+        for cached in (outcome_sums_mod_d, all_setting_strings):
+            assert cached.cache_parameters()["maxsize"] == 32
+
     def test_large_dimension_needs_no_more_than_the_table(self, rng):
         # N+1 coefficient vectors over the d^N outcomes, not a d^N-by-d
         # residue indicator: the working memory stays near the table's size
