@@ -62,7 +62,8 @@ class DensityMatrix:
     """
 
     def __init__(self, scenario: BellScenario, matrix: np.ndarray):
-        self._store(scenario, np.array(matrix, dtype=complex))
+        # row-major, so the pair-axis reshape in joint_probabilities is a view
+        self._store(scenario, np.array(matrix, dtype=complex, order="C"))
         smallest = float(np.linalg.eigvalsh(self.matrix)[0])
         if smallest < PSD_EIGENVALUE_FLOOR:
             raise ValueError(
@@ -147,8 +148,7 @@ def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     dim = rho.dim
     mixed = visibility * rho.matrix
-    diagonal = mixed.reshape(-1)[:: dim + 1]
-    diagonal += (1.0 - visibility) / dim
+    mixed.flat[:: dim + 1] += (1.0 - visibility) / dim  # the diagonal, in any memory layout
     return DensityMatrix._positive_by_construction(rho.scenario, mixed)
 
 

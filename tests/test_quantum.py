@@ -185,6 +185,30 @@ class TestStateBytes:
                 else:
                     assert mixed.tobytes() == expected.tobytes(), (v, rho is user)
 
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 3)])
+    def test_column_major_user_states_mix_and_contract(self, n, d, rng):
+        # a transpose or np.asfortranarray hands over a column-major matrix
+        scen, dim = BellScenario(n, d), d**n
+        row_major = random_density(scen, rng).matrix
+        user = DensityMatrix(scen, np.asfortranarray(row_major))
+        assert user.matrix.flags.c_contiguous
+        assert user.matrix.tobytes() == row_major.tobytes()
+        for v in (0.0, 0.5, 1.0):
+            expected = v * row_major + (1.0 - v) * np.eye(dim) / dim
+            np.testing.assert_array_equal(mix_with_noise(user, v).matrix, expected)
+        config = random_config(scen, rng)
+        reference = joint_probabilities(DensityMatrix(scen, row_major), config)
+        assert joint_probabilities(user, config).rows.tobytes() == reference.rows.tobytes()
+
+    def test_mixing_writes_the_diagonal_of_any_layout(self):
+        # the package's own states are row-major; a column-major one still mixes
+        scen = BellScenario(2, 2)
+        column_major = np.asfortranarray(np.eye(4, dtype=complex) / 4)
+        column_major[0, 1] = column_major[1, 0] = 0.1
+        rho = DensityMatrix._positive_by_construction(scen, column_major)
+        expected = 0.5 * column_major + 0.5 * np.eye(4) / 4
+        np.testing.assert_array_equal(mix_with_noise(rho, 0.5).matrix, expected)
+
 
 class TestDensityMatrixInvariants:
     def test_refusals_keep_their_text_and_order(self):
@@ -353,15 +377,17 @@ class TestJointProbabilities:
 
     def test_peak_is_the_pair_copy_and_the_first_step(self, rng):
         # (1 + 2/d) times rho: 1.67 at d = 3, as the broadcast contraction peaked
+        # for a user's column-major matrix too, which the state stores row-major
         scen = BellScenario(5, 3)
-        rho, config = mix_with_noise(ghz_state(scen), 0.9), random_config(scen, rng)
-        tracemalloc.start()
-        try:
-            joint_probabilities(rho, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.68 * rho.matrix.nbytes
+        built, config = mix_with_noise(ghz_state(scen), 0.9), random_config(scen, rng)
+        for rho in (built, DensityMatrix(scen, np.asfortranarray(built.matrix))):
+            tracemalloc.start()
+            try:
+                joint_probabilities(rho, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.68 * rho.matrix.nbytes
 
     def test_product_state_matches_kron_oracle(self, rng):
         d = 3
