@@ -141,6 +141,10 @@ class Bipartition:
     block_b: tuple[int, ...]
 
     def __post_init__(self):
+        # int() would truncate 1.5 to party 1 and read True as party 1
+        for p in (*self.block_a, *self.block_b):
+            if not _is_int(p):
+                raise ValueError(f"parties must be integers, got {reprlib.repr(p)}")
         a = tuple(sorted(int(p) for p in self.block_a))
         b = tuple(sorted(int(p) for p in self.block_b))
         if not a or not b:
@@ -159,9 +163,9 @@ class Bipartition:
 
     @classmethod
     def from_block(cls, n_parties: int, block_a) -> "Bipartition":
-        block_a = tuple(sorted(int(p) for p in block_a))
-        block_b = tuple(p for p in range(1, n_parties + 1) if p not in block_a)
-        return cls(block_a, block_b)
+        """Block A and the rest of 1..N; the constructor checks and sorts the parties."""
+        block_a = tuple(block_a)
+        return cls(block_a, tuple(p for p in range(1, n_parties + 1) if p not in block_a))
 
     @classmethod
     def parse(cls, text: str, n_parties: int) -> "Bipartition":
@@ -394,6 +398,7 @@ def group_deterministic_max(
     exhaustive over the full strategy space.  The search uses the HLNHV
     gauge (xa = 0) and decoupling (zb and zb' are independent given xa').
     """
+    _check_partition(scenario, partition)
     n, d = scenario.n_parties, scenario.dimension
     base, flip_b, flip_a, both = (setting_index(s, n) for s in group)
     bit_a, bit_b = flip_a ^ base, flip_b ^ base

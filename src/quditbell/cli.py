@@ -384,8 +384,9 @@ def run(argv=None) -> int:
     """Invoke the CLI and map exceptions onto the exit-code contract."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+    except click.Abort:  # Ctrl-C: click's own report, with no traceback
+        click.echo("Aborted!", err=True)
+        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -149,7 +149,8 @@ def _peak(a: np.ndarray, x0: float, up: np.ndarray, down: np.ndarray, buffers):
     numpy.roots itself.  up and down are the ramps i(1..M) and -i(1..M).
     buffers, a (2M+1)-term polynomial whose middle term stays 0 and a 2M x 2M
     companion matrix whose sub-diagonal of ones stays set, are written in
-    place: only the outer terms and the first row change.
+    place: only the outer terms and the first row change, so one pair serves
+    every row and phase of a search.
     """
     poly, companion = buffers
     # u^(M+m) carries i m a_m and u^(M-m) carries -i m conj(a_m); highest power first
@@ -236,11 +237,11 @@ def _symmetric_sweep(weights: np.ndarray):
 
     The stack is the climb's (R, N, 2, d) phases, whose rows keep every
     party's block equal to party 1's (2, d) one, and moves are as in
-    _free_sweep: a stack of one row is solved by _peak, a larger one by
-    _peaks.  With every party alike the
-    product is binomial, by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so
-    phi_sj enters the pair (j, k) as e^(i e phi) with e = N - t (setting 1) or
-    t (setting 2), and the pair (k, j) as its conjugate.  So the value is
+    _free_sweep.  The rows' polynomials are built together, and _peak solves
+    each row's on its own.  With every party alike the product is binomial,
+    by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so phi_sj enters the pair
+    (j, k) as e^(i e phi) with e = N - t (setting 1) or t (setting 2), and the
+    pair (k, j) as its conjugate.  So the value is
     const + 2^N Re sum_m a_m e^(i m phi), where a_m sums
     2 W[t, j, k] by_t[j, k] (phi_sj set to 0) over k != j and the t with
     e = m.  O(N d) per phase and row; the exponents, the weights times
@@ -265,46 +266,14 @@ def _symmetric_sweep(weights: np.ndarray):
                 row = shared[:, :, j, None] - at_k  # phi_j - phi_k, k != j
                 row[:, s] = -at_k[:, s]
                 by_power = (w * np.exp(1j * (powers @ row))).sum(axis=2)
-                if len(phases) == 1:
-                    x0 = shared[0, s, j]
-                    move = _peak(by_power[0, terms[s]], x0, up, down, buffers)
-                    yield s * d + j, [] if move is None else [(0, x0, *move)]
-                else:
-                    yield s * d + j, _peaks(by_power, terms[s], shared[:, s, j], up, down, buffers)
+                moves = []
+                for i, x0 in enumerate(shared[:, s, j].tolist()):
+                    move = _peak(by_power[i, terms[s]], x0, up, down, buffers)
+                    if move is not None:
+                        moves.append((i, x0, *move))
+                yield s * d + j, moves
 
     return sweep
-
-
-def _peaks(by_power, terms, x0, up, down, buffers) -> list:
-    """(row, x0, theta, rise) for each row of a stack that has a polynomial to climb.
-
-    Row i's coefficients are by_power[i, terms] and its phase is x0[i].  A row
-    whose top coefficient is exactly 0 goes through _peak, with its buffers.
-    The other rows are solved together, with one eigvals over their companion
-    matrices: the same arithmetic as _peak's on operands of the same memory
-    layout, so each row's move is _peak's bit for bit.
-    """
-    moves = []
-    full = by_power[:, terms][:, -1] != 0
-    for i in np.flatnonzero(~full).tolist():
-        move = _peak(by_power[i, terms], x0[i], up, down, buffers)
-        if move is not None:
-            moves.append((i, x0[i], *move))
-    rows = np.flatnonzero(full)
-    if rows.size:
-        a, x0 = by_power[rows][:, terms], x0[rows]
-        size = a.shape[1]
-        poly = np.zeros((rows.size, 2 * size + 1), dtype=complex)
-        poly[:, :size] = (up * a)[:, ::-1]
-        poly[:, size + 1 :] = down * a.conj()
-        companion = np.repeat(np.eye(2 * size, k=-1, dtype=complex)[None], rows.size, axis=0)
-        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
-        roots = np.angle(np.linalg.eigvals(companion))
-        best = (np.exp(roots[:, :, None] * up) @ a[:, :, None]).real.argmax(axis=1)
-        theta = np.take_along_axis(roots, best, axis=1)
-        rise = ((np.exp(theta * up) - np.exp(x0[:, None] * up))[:, None] @ a[:, :, None]).real
-        moves += zip(rows.tolist(), x0.tolist(), theta.ravel().tolist(), rise.ravel().tolist())
-    return moves
 
 
 def _objective(scenario: BellScenario, phases: np.ndarray) -> float:
@@ -326,10 +295,10 @@ def _climb(
     """optimize_phases from every (N, 2, d) start of an (R, N, 2, d) stack at once.
 
     Returns the phases reached, (R, N, 2, d), and their values.  A sweep
-    reads a coordinate's moves for every row of the stack in one set of numpy
-    calls (for shared phases, one eigvals over the rows' companion matrices),
-    and each row keeps or drops its own moves by optimize_phases' rules, with
-    its own running value, budget and stop rule.  A row whose budget is spent
+    builds a coordinate's polynomials for every row of the stack in one set
+    of numpy calls (a shared phase's peak is then solved row by row), and
+    each row keeps or drops its own moves by optimize_phases' rules, with its
+    own running value, budget and stop rule.  A row whose budget is spent
     takes no further move.  At the end of each sweep the rows that stop get
     their end evaluation and are written back, and the stack keeps the rest.
     A value past the closed form warns at the caller of the public function

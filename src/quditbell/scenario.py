@@ -316,8 +316,12 @@ def point_mass_table(
     scenario: BellScenario, outcome_by_setting: Mapping[str, Sequence[int]]
 ) -> JointProbabilityTable:
     """Deterministic table putting probability 1 on one outcome per setting."""
+    strings = scenario.setting_strings()
+    missing = [s for s in strings if s not in outcome_by_setting]
+    if missing:
+        raise ValueError(f"no outcome for {len(missing)} setting strings: {reprlib.repr(missing)}")
     rows = np.zeros((1 << scenario.n_parties, scenario.n_outcome_tuples))
-    for i, s in enumerate(scenario.setting_strings()):
+    for i, s in enumerate(strings):
         rows[i, outcome_index(_outcome(outcome_by_setting[s], scenario), scenario.dimension)] = 1.0
     return JointProbabilityTable._of_fresh(scenario, rows)
 

@@ -333,6 +333,22 @@ class TestBipartition:
         with pytest.raises(ValueError, match="do not partition"):
             Bipartition(block_a, block_b)
 
+    @pytest.mark.parametrize("party", [1.5, 1.0, True, np.True_, "1", None], ids=repr)
+    def test_rejects_a_party_that_is_not_an_integer(self, party):
+        # int() would read 1.5 and True as party 1
+        with pytest.raises(ValueError, match="parties must be integers"):
+            Bipartition((party,), (2,))
+        with pytest.raises(ValueError, match="parties must be integers"):
+            Bipartition((1,), (party,))
+        with pytest.raises(ValueError, match="parties must be integers"):
+            Bipartition.from_block(2, (party,))
+
+    def test_accepts_numpy_integer_parties(self):
+        part = Bipartition(np.array([3, 1]), (np.int64(2),))
+        assert part.block_a == (1, 3) and part.block_b == (2,)
+        assert all(type(p) is int for p in part.block_a + part.block_b)
+        assert Bipartition.from_block(3, np.array([1, 3])) == part
+
     def test_canonical_puts_party_one_first(self):
         part = Bipartition((2, 3), (1,)).canonical()
         assert part.block_a == (1,)
@@ -734,6 +750,13 @@ class TestGrouping:
         part = Bipartition.from_block(n, tuple(range(1, n // 2 + 1)))
         for group in build_grouping(scen, part).groups:
             assert group_deterministic_max(group, scen, part) == fraction_group_max(group, d)
+
+    @pytest.mark.parametrize("part", [Bipartition((1, 4), (2, 3)), Bipartition((1,), (2, 3, 4))],
+                             ids=Bipartition.describe)
+    def test_partition_for_another_n_refused(self, part):
+        # a 4-party split read against 3 parties: the party bits would run past the index
+        with pytest.raises(ValueError, match="partition covers 4 parties, scenario has 3"):
+            group_deterministic_max(("111", "112", "211", "212"), BellScenario(3, 2), part)
 
     def test_malformed_quadruple_rejected(self, rng):
         # parties 1,2 against 3: the well-formed quadruple of base 111 is

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -755,6 +757,24 @@ class TestOutputHandling:
         assert written == stdout_report
         assert [p for p in os.listdir(tmp_path) if p.startswith(".quditbell-")] == []
 
+    @pytest.mark.parametrize("argv", [
+        ("violation", "--n", "3", "--d", "3", "--angles", "optimized-free"),
+        ("violation", "--n", "3", "--d", "3", "--emit-table", "table.json"),
+    ], ids=["search", "table"])
+    def test_interrupt_is_one_line_and_writes_nothing(self, capsys, monkeypatch, tmp_path, argv):
+        # Ctrl-C reaches run() as click's Abort, whichever library call it stopped
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("quditbell.cli.optimize_with_restarts", interrupted)
+        monkeypatch.setattr("quditbell.cli.ghz_table", interrupted)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *argv, "--out", "report.json")
+        assert code == 1
+        assert out == ""
+        assert err.split() == ["Aborted!"] and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_flag_is_input_error(self, capsys):
         code, _, _ = invoke(capsys, "bound", "--frobnicate")
         assert code == 1
@@ -901,3 +921,17 @@ class TestProcess:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "budget allows 10" in proc.stderr
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # the commands under the README's CLI heading, in order: eval reads the table the
+    # line before it writes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("quditbell ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = invoke(capsys, *shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line

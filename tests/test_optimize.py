@@ -11,7 +11,6 @@ from quditbell.optimize import (
     _climb,
     _free_sweep,
     _peak,
-    _peaks,
     _symmetric_sweep,
     cglmp_max_closed_form,
     critical_visibility,
@@ -893,26 +892,6 @@ class TestPeak:
             x0 = rng.uniform(-np.pi, np.pi)
             assert _peak(trimmed, x0, up, down, buffers)[0] == roots_peak(trimmed)
             assert _peak(full, x0, up, down, buffers) == _peak(full, x0, up, down, _buffers(degree))
-
-    @pytest.mark.parametrize("degree", range(1, 9))
-    def test_a_stack_solves_each_row_as_peak_does(self, rng, degree):
-        # full rows are solved together; a trimmed row goes through _peak, a flat one moves not
-        m = np.arange(1, degree + 1)
-        up, down = 1j * m, -1j * m
-        buffers = _buffers(degree)
-        for terms in (slice(-2, None, -1), slice(1, None)):  # setting 1's and setting 2's terms
-            by_power = rng.normal(size=(6, degree + 1)) + 1j * rng.normal(size=(6, degree + 1))
-            a = by_power[:, terms]  # a view: rows 1 and 2 are trimmed and flat through it
-            a[1, -1] = 0.0
-            a[2] = 0.0
-            x0 = rng.uniform(-np.pi, np.pi, 6)
-            expected = []
-            for i in range(6):
-                move = _peak(by_power[i, terms], x0[i], up, down, _buffers(degree))
-                if move is not None:
-                    expected.append((i, x0[i], *move))
-            assert sorted(_peaks(by_power, terms, x0, up, down, buffers)) == expected
-            assert len(expected) == (4 if degree == 1 else 5)
 
 
 @pytest.mark.parametrize("mode", ["free", "symmetric"])

@@ -196,6 +196,15 @@ class TestOutcomeCheck:
         with pytest.raises(ValueError, match="invalid outcome"):
             point_mass_table(scen, outcomes)
 
+    def test_missing_setting_named(self):
+        with pytest.raises(ValueError, match=r"no outcome for 1 setting strings: \['2'\]"):
+            point_mass_table(BellScenario(1, 2), {"1": (0,)})
+
+    def test_many_missing_settings_stay_short(self):
+        with pytest.raises(ValueError, match="no outcome for 4096 setting strings") as err:
+            point_mass_table(BellScenario(12, 2), {})
+        assert len(str(err.value)) < 200
+
     def test_numpy_ints_accepted(self):
         scen = BellScenario(2, 3)
         outcome = np.array([2, 1])
