@@ -161,11 +161,19 @@ class Bipartition:
     def n_parties(self) -> int:
         return len(self.block_a) + len(self.block_b)
 
+    def _covering(self, n_parties: int) -> "Bipartition":
+        """This partition if it covers n_parties parties, else ValueError naming it."""
+        if self.n_parties != n_parties:
+            described = f"partition {self.describe()!r} covers {self.n_parties} parties"
+            raise ValueError(f"{described}, expected {n_parties}")
+        return self
+
     @classmethod
     def from_block(cls, n_parties: int, block_a) -> "Bipartition":
         """Block A and the rest of 1..N; the constructor checks and sorts the parties."""
         block_a = tuple(block_a)
-        return cls(block_a, tuple(p for p in range(1, n_parties + 1) if p not in block_a))
+        block_b = tuple(p for p in range(1, n_parties + 1) if p not in block_a)
+        return cls(block_a, block_b)._covering(n_parties)
 
     @classmethod
     def parse(cls, text: str, n_parties: int) -> "Bipartition":
@@ -178,12 +186,7 @@ class Bipartition:
             blocks = [tuple(int(x) for x in part.split(",")) if part else () for part in parts]
         except ValueError as exc:
             raise ValueError(f"partition has non-integer parties: {text!r}") from exc
-        partition = cls(blocks[0], blocks[1])
-        if partition.n_parties != n_parties:
-            raise ValueError(
-                f"partition {text!r} covers {partition.n_parties} parties, expected {n_parties}"
-            )
-        return partition
+        return cls(blocks[0], blocks[1])._covering(n_parties)
 
     def canonical(self) -> "Bipartition":
         """Equivalent partition with party 1 in block A."""

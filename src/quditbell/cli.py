@@ -8,7 +8,6 @@ budget error.  Reports are JSON on stdout (CSV only from `scan --format csv`);
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,7 +28,7 @@ from .bounds import (
 from .optimize import (
     SVETLICHNY_VISIBILITY,
     ViolationReport,
-    cglmp_max_closed_form,
+    critical_visibility,
     optimal_angles,
     optimize_with_restarts,
 )
@@ -37,6 +36,7 @@ from .quantum import (
     DENSE_DIMENSION_LIMIT,
     DenseLimitError,
     PhaseConfiguration,
+    _check_table_size,
     ghz_bell_value,
     ghz_state,
     ghz_table,
@@ -66,18 +66,10 @@ def _scenario(n: int, d: int) -> BellScenario:
     return BellScenario(n, d)
 
 
-def _ghz_report(n: int, d: int, two_qudit: dict[int, float]) -> ViolationReport:
-    """The GHZ commands' closed form, refused before any work where the
-    maximal violation (and so every report value) leaves the float range.
-
-    two_qudit maps each d the command has met to its two-qudit closed form,
-    which max_violation scales by 2^(n-2): a d is computed once per command.
-    """
-    scenario = _scenario(n, d)
-    if d not in two_qudit:
-        two_qudit[d] = cglmp_max_closed_form(d)
+def _ghz_report(n: int, d: int) -> ViolationReport:
+    """critical_visibility's report, refused before any work past the float range."""
     try:
-        return ViolationReport(scenario, math.ldexp(two_qudit[d], n - 2))
+        return critical_visibility(_scenario(n, d))
     except OverflowError as exc:
         raise InputError(
             f"n={n}, d={d}: the maximal violation 2^(n-2) times the two-qudit "
@@ -100,11 +92,8 @@ def _csv_lines(rows: list[dict]):
         header = list(rows[0])
         yield ",".join(header) + "\n"
         for row in rows:
-            cells = []
-            for key in header:
-                value = row[key]
-                cells.append(f"{value:.10g}" if isinstance(value, float) else str(value))
-            yield ",".join(cells) + "\n"
+            cells = (row[key] for key in header)
+            yield ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in cells) + "\n"
 
 
 def _writable(ctx, param, path: Optional[str]) -> Optional[str]:
@@ -146,11 +135,9 @@ def _emit(payload, out_path: Optional[str], fmt: str = "json") -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     """Inclusive integer range 'a:b' (or a single value)."""
+    lo, colon, hi = text.partition(":")
     try:
-        if ":" in text:
-            lo_s, hi_s = text.split(":", 1)
-            return int(lo_s), int(hi_s)
-        return int(text), int(text)
+        return int(lo), int(hi if colon else lo)
     except ValueError as exc:
         raise InputError(f"range must look like '2:4', got {text!r}") from exc
 
@@ -240,7 +227,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
     # the report would silently replace the table
     if out_path and emit_table and os.path.realpath(out_path) == os.path.realpath(emit_table):
         raise InputError(f"--out and --emit-table name the same file: {emit_table}")
-    report = _ghz_report(n, d, {})
+    report = _ghz_report(n, d)
     scenario = report.scenario
     # size refusals come first: they must not wait for the phase search
     if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
@@ -248,12 +235,8 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
             f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, "
             f"got {d}^{n}; use --method closed-form"
         )
-    # the table holds (2d)^N entries: no more than the N=12/d=2 one the dense path emits
-    if emit_table and (2 * d) ** n > DENSE_DIMENSION_LIMIT**2:
-        raise DenseLimitError(
-            f"--emit-table needs 2^{n}*{d}^{n} table entries, more than the "
-            f"{DENSE_DIMENSION_LIMIT**2} allowed"
-        )
+    if emit_table:
+        _check_table_size(scenario)
     search = None
     if angles_mode == "optimal":
         phases = optimal_angles(scenario)
@@ -296,7 +279,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
 @out_option
 def visibility(n, d, out_path):
     """Critical visibility of the white-noise GHZ mixture."""
-    report = _ghz_report(n, d, {})
+    report = _ghz_report(n, d)
     _emit(
         {
             "n": n,
@@ -327,10 +310,10 @@ def scan(n_range, d_range, out_path, fmt):
     lo_d, hi_d = _parse_range(d_range)
     if (lo_n <= hi_n and lo_n < 2) or (lo_d <= hi_d and lo_d < 2):
         raise InputError("scan requires n >= 2 and d >= 2")
-    rows, two_qudit = [], {}
+    rows = []
     for n in range(lo_n, hi_n + 1):
         for d in range(lo_d, hi_d + 1):
-            report = _ghz_report(n, d, two_qudit)
+            report = _ghz_report(n, d)
             rows.append(
                 {
                     "n": n,

@@ -73,23 +73,22 @@ def cglmp_max_closed_form(dimension: int) -> float:
     """Two-qudit GHZ value under the multiport measurements at the optimal ramps.
 
     4d * sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}) with
-    q_c = 1/(2 d^3 sin^2(pi (c + 1/4)/d)).  Strictly increasing in d; the
-    d=2 value is 2*sqrt(2).  For d >= 3 it is not the maximal quantum value
-    of the functional: a state that is not maximally entangled does better
-    (2.914854 against 2.872934 at d=3; Acin, Durt, Gisin & Latorre,
-    PRA 65, 052325 (2002)).
+    q_c = 1/(2 d^3 sin^2(pi (c + 1/4)/d)): one numpy expression for the d/2
+    terms, and math.fsum sums them exactly rounded, within 1e-15 relative of
+    a 40-digit sum.  Strictly increasing in d; the d=2 value is 2*sqrt(2).
+    For d >= 3 it is not the maximal quantum value of the functional: a state
+    that is not maximally entangled does better (2.914854 against 2.872934 at
+    d=3; Acin, Durt, Gisin & Latorre, PRA 65, 052325 (2002)).
     """
     if dimension < 2:
         raise ValueError(f"need outcome dimension >= 2, got {dimension}")
     d = dimension
+    k = np.arange(d // 2)
 
     def q(c):
-        return 1.0 / (2.0 * d**3 * math.sin(math.pi * (c + 0.25) / d) ** 2)
+        return 1.0 / (2.0 * d**3 * np.sin(np.pi * (c + 0.25) / d) ** 2)
 
-    total = sum(
-        (1.0 - 2.0 * k / (d - 1)) * (q(k) - q(-(k + 1))) for k in range(d // 2)
-    )
-    return 4.0 * d * total
+    return 4.0 * d * math.fsum((1.0 - 2.0 * k / (d - 1)) * (q(k) - q(-(k + 1))))
 
 
 def max_violation(scenario: BellScenario) -> float:

@@ -263,6 +263,13 @@ def joint_probabilities(
     return JointProbabilityTable._of_fresh(rho.scenario, rows.reshape(2**n, d**n))
 
 
+def _check_table_size(scenario: BellScenario) -> None:
+    """Refuse a table past 2^N d^N = DENSE_DIMENSION_LIMIT**2 entries (N = 12 at d = 2)."""
+    n, d, limit = scenario.n_parties, scenario.dimension, DENSE_DIMENSION_LIMIT**2
+    if (2 * d) ** n > limit:
+        raise DenseLimitError(f"the table needs 2^{n}*{d}^{n} entries, over the {limit} allowed")
+
+
 def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     """Full probability table for the GHZ state via the closed form.
 
@@ -274,9 +281,11 @@ def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     so every outcome tuple with the same sum mod d is equally likely.  Phi is
     summed party by party for all 2^N strings at once, party 1 varying
     slowest as in the table's rows, and one product with the Fourier matrix
-    gives every string's d residue-class probabilities.
+    gives every string's d residue-class probabilities.  A table past
+    2^N d^N = DENSE_DIMENSION_LIMIT**2 entries raises DenseLimitError.
     """
     scenario = config.scenario
+    _check_table_size(scenario)
     n, d = scenario.n_parties, scenario.dimension
     phi = np.zeros((1, d))
     for pair in config.phases:  # (2, d): one party's setting-1 and setting-2 phases

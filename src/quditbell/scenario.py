@@ -57,6 +57,10 @@ class BellScenario:
     dimension: int
 
     def __post_init__(self):
+        for name, value in (("n_parties", self.n_parties), ("dimension", self.dimension)):
+            if not _is_int(value):  # a float, bool or str would fail later, far from here
+                raise ValueError(f"sizes must be integers, got {name}={reprlib.repr(value)}")
+            object.__setattr__(self, name, int(value))  # numpy ints would overflow d^N
         if self.n_parties < 1:
             raise ValueError(f"need at least 1 party, got {self.n_parties}")
         if self.dimension < 2:
@@ -266,13 +270,11 @@ class JointProbabilityTable:
         for key in ("n", "d", "tables"):
             if key not in payload:
                 raise TableFormatError(f"table payload missing field {key!r}")
-        n, d = payload["n"], payload["d"]
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, d)):
-            raise TableFormatError("fields 'n' and 'd' must be integers")
         try:
-            scenario = BellScenario(n, d)
+            scenario = BellScenario(payload["n"], payload["d"])
         except ValueError as exc:
             raise TableFormatError(str(exc)) from exc
+        n = scenario.n_parties
         tables = payload["tables"]
         if not isinstance(tables, dict):
             raise TableFormatError("field 'tables' must be an object")
@@ -320,6 +322,9 @@ def point_mass_table(
     missing = [s for s in strings if s not in outcome_by_setting]
     if missing:
         raise ValueError(f"no outcome for {len(missing)} setting strings: {reprlib.repr(missing)}")
+    extra = outcome_by_setting.keys() - set(strings)
+    if extra:
+        raise ValueError(f"{len(extra)} keys are not setting strings: {reprlib.repr(extra)}")
     rows = np.zeros((1 << scenario.n_parties, scenario.n_outcome_tuples))
     for i, s in enumerate(strings):
         rows[i, outcome_index(_outcome(outcome_by_setting[s], scenario), scenario.dimension)] = 1.0

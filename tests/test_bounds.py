@@ -324,6 +324,12 @@ class TestBipartition:
         with pytest.raises(ValueError, match="expected 4"):
             Bipartition.parse("1,2/3", 4)
 
+    @pytest.mark.parametrize("block_a, covered", [((3,), 3), ((1, 3, 4), 4)], ids=["3", "1,3,4"])
+    def test_from_block_rejects_wrong_party_count(self, block_a, covered):
+        # the rest of 1..2 plus block A would partition 1..covered
+        with pytest.raises(ValueError, match=f"covers {covered} parties, expected 2"):
+            Bipartition.from_block(2, block_a)
+
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             Bipartition((1, 2), ())

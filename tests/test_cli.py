@@ -388,8 +388,9 @@ class TestRoundTrip:
         assert os.listdir(tmp_path) == []
 
     def test_table_size_boundary(self, capsys, monkeypatch, tmp_path):
-        # a limit of 8 admits (2d)^N <= 64 entries: N=3/d=2 and N=2/d=4 but not N=2/d=5
-        monkeypatch.setattr("quditbell.cli.DENSE_DIMENSION_LIMIT", 8)
+        # a limit of 8 admits (2d)^N <= 64 entries: N=3/d=2 and N=2/d=4 but not N=2/d=5;
+        # the refusal is ghz_table's own size check
+        monkeypatch.setattr("quditbell.quantum.DENSE_DIMENSION_LIMIT", 8)
         for n, d, expected in ((3, 2, 0), (2, 4, 0), (2, 5, 2)):
             table_path = tmp_path / f"table-{n}-{d}.json"
             code, _, _ = invoke(
@@ -557,19 +558,6 @@ class TestScanCommand:
         else:
             assert len(out.encode()) < 1024
 
-    def test_one_closed_form_per_distinct_dimension(self, capsys, monkeypatch):
-        calls = []
-
-        def counted(dimension):
-            calls.append(dimension)
-            return cglmp_max_closed_form(dimension)
-
-        monkeypatch.setattr("quditbell.cli.cglmp_max_closed_form", counted)
-        code, out, _ = invoke(capsys, "scan", "--n-range", "2:6", "--d-range", "2:9")
-        assert code == 0
-        assert len(json.loads(out)) == 5 * 8
-        assert sorted(calls) == list(range(2, 10))
-
     @pytest.mark.parametrize(
         "fmt, digest",
         [
@@ -584,6 +572,15 @@ class TestScanCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_v_cr_is_the_exact_sum_rounded(self, capsys):
+        # a 40-digit sum gives v_cr = 0.67350500635000006 at d = 1103, where a
+        # term-by-term float sum rounds to ...063
+        code, out, _ = invoke(
+            capsys, "scan", "--n-range", "2:3", "--d-range", "1103:1103", "--format", "csv"
+        )
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["0.6735050064"] * 2
 
     def test_json_scaling_column(self, capsys):
         code, out, _ = invoke(
@@ -798,26 +795,21 @@ class TestVisibilityCommand:
 
 
 @pytest.mark.parametrize(
-    "argv, evaluations",
-    [
-        (("violation", "--n", "3", "--d", "3"), 1),
-        (("visibility", "--n", "3", "--d", "3"), 1),
-        (("scan", "--n-range", "2:3", "--d-range", "2:3"), 2),
-    ],
-    ids=["violation", "visibility", "scan"],
+    "argv",
+    [("violation", "--n", "3", "--d", "3"), ("visibility", "--n", "3", "--d", "3")],
+    ids=["violation", "visibility"],
 )
-def test_one_closed_form_per_scenario(capsys, monkeypatch, argv, evaluations):
-    # scan's cells share the closed form of their d
+def test_one_closed_form_per_scenario(capsys, monkeypatch, argv):
     calls = []
 
     def counted(dimension):
         calls.append(dimension)
         return cglmp_max_closed_form(dimension)
 
-    monkeypatch.setattr("quditbell.cli.cglmp_max_closed_form", counted)
+    monkeypatch.setattr("quditbell.optimize.cglmp_max_closed_form", counted)
     code, _, _ = invoke(capsys, *argv)
     assert code == 0
-    assert len(calls) == evaluations
+    assert calls == [3]
 
 
 class TestFloatRangeRefusal:

@@ -30,7 +30,33 @@ from quditbell.scenario import BellScenario, bell_value
 from conftest import random_config
 
 
+def cglmp_loop(d):
+    """The oracle: the closed form's d/2 terms summed one by one in Python floats."""
+
+    def q(c):
+        return 1.0 / (2.0 * d**3 * math.sin(math.pi * (c + 0.25) / d) ** 2)
+
+    return 4.0 * d * sum((1.0 - 2.0 * k / (d - 1)) * (q(k) - q(-(k + 1))) for k in range(d // 2))
+
+
 class TestClosedFormMax:
+    def test_matches_the_term_by_term_loop(self):
+        errors = {d: abs(cglmp_max_closed_form(d) / cglmp_loop(d) - 1) for d in range(2, 4001)}
+        assert max(errors.values()) <= 1e-14, max(errors, key=errors.get)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 17, 64, 256, 500, 1103, 1500, 3000, 4000])
+    def test_matches_a_40_digit_sum(self, d):
+        import mpmath
+
+        def q(c):
+            return 1 / (2 * mpmath.mpf(d) ** 3 * mpmath.sin(mpmath.pi * (c + 0.25) / d) ** 2)
+
+        with mpmath.workdps(40):
+            exact = 4 * d * mpmath.fsum(
+                (1 - mpmath.mpf(2 * k) / (d - 1)) * (q(k) - q(-(k + 1))) for k in range(d // 2)
+            )
+            assert abs(cglmp_max_closed_form(d) - exact) <= 1e-15 * exact
+
     def test_qubit_value(self):
         assert cglmp_max_closed_form(2) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 

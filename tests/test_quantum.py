@@ -481,6 +481,18 @@ class TestClosedForm:
             tracemalloc.stop()
         assert peak <= 1.2 * table.rows.nbytes
 
+    def test_refuses_a_table_past_the_limit_before_allocating(self):
+        # 2^12 * 7^12 entries would take 103 GiB
+        config = optimal_angles(BellScenario(12, 7))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match=r"2\^12\*7\^12 entries"):
+                ghz_table(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_fourier_matrix_built_once_read_only(self):
         first, again = quantum._fourier(5), quantum._fourier(5)
         assert first is again

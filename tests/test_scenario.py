@@ -200,6 +200,18 @@ class TestOutcomeCheck:
         with pytest.raises(ValueError, match=r"no outcome for 1 setting strings: \['2'\]"):
             point_mass_table(BellScenario(1, 2), {"1": (0,)})
 
+    def test_extra_keys_named(self):
+        outcomes = {"1": (0,), "2": (1,), "3": (0,), "x": 5}
+        with pytest.raises(ValueError, match=r"2 keys are not setting strings: \{'3', 'x'\}"):
+            point_mass_table(BellScenario(1, 2), outcomes)
+
+    def test_many_extra_keys_stay_short(self):
+        outcomes = {s: (0,) * 10 for s in all_setting_strings(10)}
+        outcomes.update({s + "1": (0,) for s in all_setting_strings(10)})
+        with pytest.raises(ValueError, match="1024 keys are not setting strings") as err:
+            point_mass_table(BellScenario(10, 2), outcomes)
+        assert len(str(err.value)) < 200
+
     def test_many_missing_settings_stay_short(self):
         with pytest.raises(ValueError, match="no outcome for 4096 setting strings") as err:
             point_mass_table(BellScenario(12, 2), {})
@@ -479,6 +491,19 @@ class TestScenarioType:
             BellScenario(2, 1)
         with pytest.raises(ValueError):
             BellScenario(0, 3)
+
+    @pytest.mark.parametrize("value", [2.0, True, np.True_, "3", None], ids=repr)
+    @pytest.mark.parametrize("field", ["n_parties", "dimension"])
+    def test_rejects_a_size_that_is_not_an_integer(self, field, value):
+        sizes = {"n_parties": 2, "dimension": 3, field: value}
+        with pytest.raises(ValueError, match=f"must be integers, got {field}="):
+            BellScenario(**sizes)
+
+    def test_stores_numpy_integers_as_python_ints(self):
+        scen = BellScenario(np.int64(40), np.int64(3))
+        assert type(scen.n_parties) is int and type(scen.dimension) is int
+        assert scen == BellScenario(40, 3)
+        assert scen.n_outcome_tuples == 3**40
 
     def test_coefficient_residue_table_matches_exact(self):
         # bit for bit: coefficient divides the integer row by d - 1, which
