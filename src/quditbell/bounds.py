@@ -67,6 +67,7 @@ import numpy as np
 
 from .scenario import (
     BellScenario,
+    _by_setting,
     _is_int,
     _numerator_row,
     _numerator_rows,
@@ -124,13 +125,6 @@ def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
     d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
     if e > budget.bit_length() or d**e > budget:
         raise BudgetExceededError(d, e, budget)
-
-
-def _check_partition(scenario: BellScenario, partition) -> None:
-    if partition.n_parties != scenario.n_parties:
-        raise ValueError(
-            f"partition covers {partition.n_parties} parties, scenario has {scenario.n_parties}"
-        )
 
 
 @dataclass(frozen=True)
@@ -225,20 +219,15 @@ class DeterministicStrategy:
     def validate_for(self, scenario: BellScenario) -> tuple[np.ndarray, np.ndarray]:
         """Check the maps against the scenario; return xi and zeta as int arrays by block
         index, which reads a block combination in binary with setting 1 as 0, as a row's does."""
-        _check_partition(scenario, self.partition)
+        part = self.partition._covering(scenario.n_parties)
         d, arrays = scenario.dimension, []
-        for name, mapping, block in (
-            ("xi", self.xi, self.partition.block_a),
-            ("zeta", self.zeta, self.partition.block_b),
-        ):
-            expected = all_setting_strings(len(block))
-            if set(mapping) != set(expected):
-                listed = f"the {len(expected)} combinations {reprlib.repr(expected)}"
-                raise ValueError(f"{name} must cover exactly {listed}")
-            for combo, v in mapping.items():
+        for name, mapping, block in (("xi", self.xi, part.block_a),
+                                     ("zeta", self.zeta, part.block_b)):
+            values = _by_setting(mapping, len(block), name)
+            for combo, v in zip(all_setting_strings(len(block)), values):
                 if not (_is_int(v) and 0 <= v < d):
                     raise ValueError(f"{name}[{combo}] = {v!r} outside the integers 0..{d - 1}")
-            arrays.append(np.array([mapping[c] for c in expected], dtype=np.int64))
+            arrays.append(np.array(values, dtype=np.int64))
         return arrays[0], arrays[1]
 
 
@@ -293,8 +282,7 @@ def hlnhv_bound(
     it certifies, d^(2^|A|) * d^(2^|B|), and a larger one raises
     BudgetExceededError.
     """
-    _check_partition(scenario, partition)
-    partition = partition.canonical()
+    partition = partition._covering(scenario.n_parties).canonical()
     n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, partition, budget)
 
@@ -380,7 +368,7 @@ def build_grouping(scenario: BellScenario, partition: Bipartition) -> Grouping:
     cover every setting once.  The bases are free in the other N - 2 parties,
     so C(N-2, k) of them have t-count k.
     """
-    _check_partition(scenario, partition)
+    partition._covering(scenario.n_parties)
     n, strings = scenario.n_parties, all_setting_strings(scenario.n_parties)
     a, b = 1 << (n - partition.block_a[0]), 1 << (n - partition.block_b[0])
     groups = tuple(
@@ -401,7 +389,7 @@ def group_deterministic_max(
     exhaustive over the full strategy space.  The search uses the HLNHV
     gauge (xa = 0) and decoupling (zb and zb' are independent given xa').
     """
-    _check_partition(scenario, partition)
+    partition._covering(scenario.n_parties)
     n, d = scenario.n_parties, scenario.dimension
     base, flip_b, flip_a, both = (setting_index(s, n) for s in group)
     bit_a, bit_b = flip_a ^ base, flip_b ^ base

@@ -36,6 +36,7 @@ from .quantum import (
     DENSE_DIMENSION_LIMIT,
     DenseLimitError,
     PhaseConfiguration,
+    _check_dense_size,
     _check_table_size,
     ghz_bell_value,
     ghz_state,
@@ -230,11 +231,8 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
     report = _ghz_report(n, d)
     scenario = report.scenario
     # size refusals come first: they must not wait for the phase search
-    if method == "dense" and scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
-        raise DenseLimitError(
-            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, "
-            f"got {d}^{n}; use --method closed-form"
-        )
+    if method == "dense":
+        _check_dense_size(scenario)
     if emit_table:
         _check_table_size(scenario)
     search = None

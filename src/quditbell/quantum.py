@@ -240,11 +240,7 @@ def joint_probabilities(
         raise ValueError(
             f"state is for {rho.scenario}, phases are for {config.scenario}"
         )
-    if rho.dim > DENSE_DIMENSION_LIMIT:
-        raise DenseLimitError(
-            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, got {rho.dim}; "
-            "for GHZ states use the closed-form path (ghz_table)"
-        )
+    _check_dense_size(rho.scenario)
     n, d = rho.scenario.n_parties, rho.scenario.dimension
     units = multiport_unitary(config.phases)  # (N, 2, d, d)
     if n == 1:
@@ -261,6 +257,16 @@ def joint_probabilities(
     order = [*range(2 * n - 2, -1, -2), *range(1, 2 * n, 2)]
     rows = np.ascontiguousarray(state.real.reshape((2, d) * n).transpose(order))
     return JointProbabilityTable._of_fresh(rho.scenario, rows.reshape(2**n, d**n))
+
+
+def _check_dense_size(scenario: BellScenario) -> None:
+    """Refuse the dense path past d^N = DENSE_DIMENSION_LIMIT."""
+    if scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
+        raise DenseLimitError(
+            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, got "
+            f"{scenario.dimension}^{scenario.n_parties}; for GHZ "
+            "states use the closed form (ghz_table, violation --method closed-form)"
+        )
 
 
 def _check_table_size(scenario: BellScenario) -> None:

@@ -132,6 +132,30 @@ def _numerator_rows(n_parties: int, d: int, dtype) -> np.ndarray:
     return np.array([_numerator_row(t, d) for t in range(n_parties + 1)], dtype=dtype)
 
 
+def _by_setting(mapping: Mapping, n_parties: int, name: str, error=ValueError) -> list:
+    """mapping's values in setting-index order if its keys are exactly the 2^N setting
+    strings, else error naming the missing and unexpected keys.
+
+    A count under 2^(N-1) is refused by its bit length alone, so however large N
+    is, no more than twice as many strings as keys are built.
+    """
+    count, mismatch = len(mapping), f"setting strings mismatch in {name}:"
+    if count.bit_length() < n_parties:
+        raise error(f"{mismatch} {count} given, 2^{n_parties} expected (some missing)")
+    expected = all_setting_strings(n_parties)
+    try:
+        values = [mapping[s] for s in expected]
+    except KeyError:
+        values = []
+    if len(values) != count:  # a key missing, or more keys than settings
+        missing = [s for s in expected if s not in mapping]
+        expected_set = set(expected)
+        extra = [k for k in mapping if k not in expected_set]
+        raise error(f"{mismatch} {len(missing)} missing {reprlib.repr(missing)}, "
+                    f"{len(extra)} unexpected {reprlib.repr(extra)}")
+    return values
+
+
 def _outcome(outcome, scenario: BellScenario) -> tuple[int, ...]:
     """An outcome's N entries, each an int (not a bool or float) in 0..d-1, else ValueError."""
     n, d = scenario.n_parties, scenario.dimension
@@ -278,26 +302,10 @@ class JointProbabilityTable:
         tables = payload["tables"]
         if not isinstance(tables, dict):
             raise TableFormatError("field 'tables' must be an object")
-        count = len(tables)
-        # compare with 2^n by bit length first: a huge n must not build 2^n strings
-        if count.bit_length() != n + 1 or count != 1 << n:
-            problem = "some missing" if count.bit_length() <= n else "some unexpected"
-            raise TableFormatError(
-                f"setting strings mismatch: {count} given, 2^{n} expected ({problem})"
-            )
-        expected = all_setting_strings(n)
-        missing = [s for s in expected if s not in tables]
-        if missing:
-            expected_set = set(expected)
-            extra = [s for s in tables if s not in expected_set]
-            raise TableFormatError(
-                f"setting strings mismatch: {len(missing)} missing {reprlib.repr(missing)}, "
-                f"{len(extra)} unexpected {reprlib.repr(extra)}"
-            )
+        by_setting = _by_setting(tables, n, "'tables'", TableFormatError)
         size = scenario.n_outcome_tuples
         rows = []
-        for s in expected:
-            values = tables[s]
+        for s, values in zip(all_setting_strings(n), by_setting):
             # numpy would read "0.5", true and null as floats
             if isinstance(values, list) and {str, bool, type(None)} & set(map(type, values)):
                 raise TableFormatError(f"setting {s}: probabilities must be numbers")
@@ -318,16 +326,10 @@ def point_mass_table(
     scenario: BellScenario, outcome_by_setting: Mapping[str, Sequence[int]]
 ) -> JointProbabilityTable:
     """Deterministic table putting probability 1 on one outcome per setting."""
-    strings = scenario.setting_strings()
-    missing = [s for s in strings if s not in outcome_by_setting]
-    if missing:
-        raise ValueError(f"no outcome for {len(missing)} setting strings: {reprlib.repr(missing)}")
-    extra = outcome_by_setting.keys() - set(strings)
-    if extra:
-        raise ValueError(f"{len(extra)} keys are not setting strings: {reprlib.repr(extra)}")
+    outcomes = _by_setting(outcome_by_setting, scenario.n_parties, "outcome_by_setting")
     rows = np.zeros((1 << scenario.n_parties, scenario.n_outcome_tuples))
-    for i, s in enumerate(strings):
-        rows[i, outcome_index(_outcome(outcome_by_setting[s], scenario), scenario.dimension)] = 1.0
+    for i, outcome in enumerate(outcomes):
+        rows[i, outcome_index(_outcome(outcome, scenario), scenario.dimension)] = 1.0
     return JointProbabilityTable._of_fresh(scenario, rows)
 
 

@@ -440,14 +440,14 @@ class TestStrategyValue:
         scen = BellScenario(3, 2)
         part = Bipartition.from_block(3, (1,))
         bad = DeterministicStrategy(part, {"1": 0}, {c: 0 for c in all_setting_strings(2)})
-        with pytest.raises(ValueError, match="combinations"):
+        with pytest.raises(ValueError, match=r"mismatch in xi: 1 missing \['2'\], 0 unexpected"):
             strategy_bell_value(bad, scen)
 
     def test_domain_refusal_stays_short(self):
-        # 2^17 expected block-B combinations are counted, not listed
+        # the 2^17 block-B combinations are counted, not listed
         part = Bipartition.from_block(18, (1,))
         bad = DeterministicStrategy(part, {"1": 0, "2": 0}, {"1" * 17: 0})
-        with pytest.raises(ValueError, match="the 131072 combinations") as err:
+        with pytest.raises(ValueError, match=r"mismatch in zeta: 1 given, 2\^17 expected") as err:
             bad.validate_for(BellScenario(18, 3))
         assert len(str(err.value)) < 200
 
@@ -467,7 +467,7 @@ class TestHlnhvBound:
     @pytest.mark.parametrize("n", [2, 4])
     def test_partition_for_another_n_refused(self, n):
         part = Bipartition.from_block(n, (1,))
-        with pytest.raises(ValueError, match=f"partition covers {n} parties, scenario has 3"):
+        with pytest.raises(ValueError, match=f"covers {n} parties, expected 3"):
             hlnhv_bound(BellScenario(3, 2), part)
 
     def test_partition_invariance(self):
@@ -761,7 +761,7 @@ class TestGrouping:
                              ids=Bipartition.describe)
     def test_partition_for_another_n_refused(self, part):
         # a 4-party split read against 3 parties: the party bits would run past the index
-        with pytest.raises(ValueError, match="partition covers 4 parties, scenario has 3"):
+        with pytest.raises(ValueError, match="covers 4 parties, expected 3"):
             group_deterministic_max(("111", "112", "211", "212"), BellScenario(3, 2), part)
 
     def test_malformed_quadruple_rejected(self, rng):
