@@ -67,10 +67,12 @@ import numpy as np
 
 from .scenario import (
     BellScenario,
+    _brief,
     _by_setting,
     _is_int,
     _numerator_row,
     _numerator_rows,
+    _power,
     all_setting_strings,
     setting_index,
     t_counts,
@@ -98,13 +100,10 @@ class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured strategy budget."""
 
     def __init__(self, dimension: int, exponent: int, budget: int):
-        # d^exponent stays unexpanded and a huge budget is written as a power of
-        # two: in full either can run to millions of digits, and str() of an
-        # int past 4,300 digits raises
-        allows = budget if budget < 10**18 else f"about 2^{round(math.log2(budget))}"
-        super().__init__(
-            f"enumeration needs {dimension}^{exponent} strategies, budget allows {allows}"
-        )
+        # d^exponent stays unexpanded and each number past 18 digits is written as
+        # a power of two: in full one can run to millions of digits
+        super().__init__(f"enumeration needs {_power(dimension, exponent)} strategies, "
+                         f"budget allows {_brief(budget)}")
         self.dimension, self.exponent, self.budget = dimension, exponent, budget
 
 
@@ -159,7 +158,7 @@ class Bipartition:
         """This partition if it covers n_parties parties, else ValueError naming it."""
         if self.n_parties != n_parties:
             described = f"partition {self.describe()!r} covers {self.n_parties} parties"
-            raise ValueError(f"{described}, expected {n_parties}")
+            raise ValueError(f"{described}, expected {_brief(n_parties)}")
         return self
 
     @classmethod

@@ -47,6 +47,7 @@ from .scenario import (
     BellScenario,
     JointProbabilityTable,
     TableFormatError,
+    _brief,
     bell_value,
     correlation_numerators,
     functional_value,
@@ -63,7 +64,7 @@ class InputError(ValueError):
 
 def _scenario(n: int, d: int) -> BellScenario:
     if n < 2:
-        raise InputError(f"need at least 2 parties, got {n}")
+        raise InputError(f"need at least 2 parties, got {_brief(n)}")
     return BellScenario(n, d)
 
 
@@ -73,7 +74,7 @@ def _ghz_report(n: int, d: int) -> ViolationReport:
         return critical_visibility(_scenario(n, d))
     except OverflowError as exc:
         raise InputError(
-            f"n={n}, d={d}: the maximal violation 2^(n-2) times the two-qudit "
+            f"n={_brief(n)}, d={_brief(d)}: the maximal violation 2^(n-2) times the two-qudit "
             "maximum exceeds the float range"
         ) from exc
 
@@ -335,7 +336,7 @@ def eval_table(table_file, out_path):
             payload = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {table_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past 4,300 digits
         raise InputError(f"{table_file} is not valid JSON: {exc}") from exc
     try:
         # a row summing past the float range is refused by the error line alone

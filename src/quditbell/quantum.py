@@ -20,7 +20,9 @@ import numpy as np
 from .scenario import (
     BellScenario,
     JointProbabilityTable,
+    _brief,
     _numerator_rows,
+    _power,
     outcome_sums_mod_d,
 )
 
@@ -87,7 +89,8 @@ class DensityMatrix:
     def _store(self, scenario: BellScenario, mat: np.ndarray) -> None:
         dim = scenario.n_outcome_tuples
         if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+            side = _power(scenario.dimension, scenario.n_parties)
+            raise ValueError(f"expected a {side} x {side} matrix, got shape {mat.shape}")
         # every comparison against NaN is False: reject it before the checks below
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
@@ -175,8 +178,9 @@ class PhaseConfiguration:
         if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
             raise ValueError(f"phases must be real, got dtype {arr.dtype}")
         arr = arr.astype(float, copy=False)
-        expected = (scenario.n_parties, 2, scenario.dimension)
-        if arr.shape != expected:
+        n, d = scenario.n_parties, scenario.dimension
+        if arr.shape != (n, 2, d):
+            expected = f"({_brief(n)}, 2, {_brief(d)})"
             raise ValueError(f"expected phases of shape {expected}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("phases must be finite")
@@ -264,7 +268,7 @@ def _check_dense_size(scenario: BellScenario) -> None:
     if scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
         raise DenseLimitError(
             f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, got "
-            f"{scenario.dimension}^{scenario.n_parties}; for GHZ "
+            f"{_power(scenario.dimension, scenario.n_parties)}; for GHZ "
             "states use the closed form (ghz_table, violation --method closed-form)"
         )
 

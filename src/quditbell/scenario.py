@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,9 +63,9 @@ class BellScenario:
                 raise ValueError(f"sizes must be integers, got {name}={reprlib.repr(value)}")
             object.__setattr__(self, name, int(value))  # numpy ints would overflow d^N
         if self.n_parties < 1:
-            raise ValueError(f"need at least 1 party, got {self.n_parties}")
+            raise ValueError(f"need at least 1 party, got {_brief(self.n_parties)}")
         if self.dimension < 2:
-            raise ValueError(f"need outcome dimension >= 2, got {self.dimension}")
+            raise ValueError(f"need outcome dimension >= 2, got {_brief(self.dimension)}")
 
     @property
     def n_outcome_tuples(self) -> int:
@@ -83,6 +84,25 @@ def all_setting_strings(n_parties: int) -> tuple[str, ...]:
 def _is_int(value) -> bool:
     """An integer that is not a bool: bool subclasses int, and True would read as 1."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _brief(value) -> str:
+    """A value's repr in under 100 characters; an int past 18 digits as 'about 2^k'.
+
+    str() of an int past 4,300 digits raises, and reprlib.repr calls it.
+    """
+    if not _is_int(value):
+        return reprlib.repr(value)
+    value = int(value)
+    if abs(value) < 10**18:
+        return str(value)
+    return f"about {'-' if value < 0 else ''}2^{round(math.log2(abs(value)))}"
+
+
+def _power(base: int, exponent: int) -> str:
+    """base^exponent written unexpanded, each side by _brief."""
+    sides = (_brief(base), _brief(exponent))
+    return "^".join(side if side.isdigit() else f"({side})" for side in sides)
 
 
 def setting_index(setting, n_parties: int) -> int:
@@ -141,7 +161,7 @@ def _by_setting(mapping: Mapping, n_parties: int, name: str, error=ValueError) -
     """
     count, mismatch = len(mapping), f"setting strings mismatch in {name}:"
     if count.bit_length() < n_parties:
-        raise error(f"{mismatch} {count} given, 2^{n_parties} expected (some missing)")
+        raise error(f"{mismatch} {count} given, {_power(2, n_parties)} expected (some missing)")
     expected = all_setting_strings(n_parties)
     try:
         values = [mapping[s] for s in expected]
@@ -251,8 +271,9 @@ class JointProbabilityTable:
         return table
 
     def _store(self, scenario: BellScenario, arr: np.ndarray) -> None:
-        expected = (1 << scenario.n_parties, scenario.n_outcome_tuples)
-        if arr.shape != expected:
+        n, d = scenario.n_parties, scenario.dimension
+        if arr.shape != (1 << n, scenario.n_outcome_tuples):
+            expected = f"({_power(2, n)}, {_power(d, n)})"
             raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
         # Accepting takes two reductions.  A NaN entry makes the minimum NaN, which
         # fails its test; with nothing negative left, a finite row sum means finite
@@ -316,7 +337,8 @@ class JointProbabilityTable:
             # checked row by row, so a huge declared d^n allocates nothing
             if row.shape != (size,):
                 raise TableFormatError(
-                    f"setting {s}: expected {size} probabilities, got shape {row.shape}"
+                    f"setting {s}: expected {_power(scenario.dimension, n)} probabilities, "
+                    f"got shape {row.shape}"
                 )
             rows.append(row)
         return cls._of_fresh(scenario, np.array(rows))

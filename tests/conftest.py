@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quditbell.bounds import Bipartition, DeterministicStrategy
+from quditbell.cli import run
 from quditbell.quantum import DensityMatrix, PhaseConfiguration
 from quditbell.scenario import (
     BellScenario,
@@ -17,6 +18,13 @@ from quditbell.scenario import (
     outcome_sums_mod_d,
     shift,
 )
+
+
+def invoke(capsys, *argv):
+    """Run the CLI in-process: its exit code, stdout and stderr."""
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def random_table(scenario: BellScenario, rng) -> JointProbabilityTable:

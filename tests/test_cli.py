@@ -17,13 +17,7 @@ from quditbell.bounds import Bipartition, BudgetExceededError, bipartitions, hln
 from quditbell.cli import _witness_fired, main, run
 from quditbell.optimize import cglmp_max_closed_form, optimal_angles, optimize_with_restarts
 from quditbell.scenario import BellScenario, bell_value
-from conftest import strategy_delta_table
-
-
-def invoke(capsys, *argv):
-    code = run(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import invoke, strategy_delta_table
 
 
 class TestBoundCommand:

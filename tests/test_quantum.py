@@ -217,7 +217,7 @@ class TestDensityMatrixInvariants:
         bad_trace = np.eye(4, dtype=complex) / 2
         non_hermitian = bad_trace.copy()
         non_hermitian[0, 1] = 0.1
-        cases = [(np.full((4, 2), np.nan), "expected a 4x4 matrix, got shape (4, 2)")]
+        cases = [(np.full((4, 2), np.nan), "expected a 2^2 x 2^2 matrix, got shape (4, 2)")]
         for bad in (np.nan, np.inf, -np.inf):
             non_finite = non_hermitian.copy()
             non_finite[3, 2] = bad
@@ -277,7 +277,7 @@ class TestDensityMatrixInvariants:
 
     @pytest.mark.parametrize("shape", [(4, 2), (2, 2), (16, 16), (4,)])
     def test_rejects_wrong_shape(self, shape):
-        with pytest.raises(ValueError, match=r"expected a 4x4 matrix"):
+        with pytest.raises(ValueError, match=r"expected a 2\^2 x 2\^2 matrix"):
             DensityMatrix(BellScenario(2, 2), np.zeros(shape))
 
     def test_rejects_bad_trace(self):

@@ -27,10 +27,9 @@ def oracle_rows(scenario: BellScenario, rows) -> np.ndarray:
     if arr.dtype.kind == "c":
         raise TableFormatError(f"probabilities must be real, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)
-    n = scenario.n_parties
-    expected = (1 << n, scenario.n_outcome_tuples)
-    if arr.shape != expected:
-        raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
+    n, d = scenario.n_parties, scenario.dimension
+    if arr.shape != (1 << n, scenario.n_outcome_tuples):
+        raise TableFormatError(f"expected probabilities of shape (2^{n}, {d}^{n}), got {arr.shape}")
 
     def first(bad_rows):
         i = int(bad_rows.argmax())
