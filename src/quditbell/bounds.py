@@ -225,7 +225,9 @@ class DeterministicStrategy:
             values = _by_setting(mapping, len(block), name)
             for combo, v in zip(all_setting_strings(len(block)), values):
                 if not (_is_int(v) and 0 <= v < d):
-                    raise ValueError(f"{name}[{combo}] = {v!r} outside the integers 0..{d - 1}")
+                    raise ValueError(
+                        f"{name}[{combo}] = {_brief(v)} outside the integers 0..{d - 1}"
+                    )
             arrays.append(np.array(values, dtype=np.int64))
         return arrays[0], arrays[1]
 

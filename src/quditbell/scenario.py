@@ -87,7 +87,7 @@ def _is_int(value) -> bool:
 
 
 def _brief(value) -> str:
-    """A value's repr in under 100 characters; an int past 18 digits as 'about 2^k'.
+    """A value's repr, kept short: reprlib's, and an int past 18 digits as 'about 2^k'.
 
     str() of an int past 4,300 digits raises, and reprlib.repr calls it.
     """
@@ -271,9 +271,9 @@ class JointProbabilityTable:
         return table
 
     def _store(self, scenario: BellScenario, arr: np.ndarray) -> None:
-        n, d = scenario.n_parties, scenario.dimension
+        n = scenario.n_parties
         if arr.shape != (1 << n, scenario.n_outcome_tuples):
-            expected = f"({_power(2, n)}, {_power(d, n)})"
+            expected = f"({_power(2, n)}, {_power(scenario.dimension, n)})"
             raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
         # Accepting takes two reductions.  A NaN entry makes the minimum NaN, which
         # fails its test; with nothing negative left, a finite row sum means finite

@@ -42,9 +42,9 @@ def read_outcomes(keys):
     return point_mass_table(BellScenario(2, 2), {k: (0, 0) for k in keys})
 
 
-def read_strategy(keys):
+def read_strategy(keys, value=0):
     # block A holds two parties, so xi is keyed by the 2-party setting strings
-    xi = {k: 0 for k in keys}
+    xi = {k: value for k in keys}
     return DeterministicStrategy(Bipartition((1, 2), (3,)), xi, {"1": 0, "2": 0}).validate_for(
         BellScenario(3, 2)
     )
@@ -167,7 +167,8 @@ class TestBoundedSizes:
         (lambda: DensityMatrix(BellScenario(5000, 2), [[1.0]]), ValueError,
          "a 2^5000 x 2^5000 matrix"),
         (lambda: BellScenario(-(10**5000), 2), ValueError, "got about -2^16610"),
-    ], ids=["table", "phases", "density-matrix", "scenario"])
+        (lambda: read_strategy(SETTINGS, 10**5000), ValueError, "xi[11] = about 2^16610 outside"),
+    ], ids=["table", "phases", "density-matrix", "scenario", "strategy-value"])
     def test_library_refusal(self, build, error, size):
         with pytest.raises(ValueError) as err:
             build()
