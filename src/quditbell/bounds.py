@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -69,6 +68,8 @@ from .scenario import (
     BellScenario,
     _brief,
     _by_setting,
+    _count,
+    _exceeds,
     _is_int,
     _numerator_row,
     _numerator_rows,
@@ -115,14 +116,9 @@ def strategy_space_exponent(scenario: BellScenario, partition=None) -> int:
 
 
 def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
-    if not _is_int(budget):
-        raise ValueError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    budget = int(budget)  # numpy integers have no bit_length
-    # d^e >= 2^e exceeds every budget of fewer than e bits: refuse without forming d^e
+    budget = _count(budget, "budget", 1)
     d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
-    if e > budget.bit_length() or d**e > budget:
+    if _exceeds(d, e, budget):
         raise BudgetExceededError(d, e, budget)
 
 
@@ -137,16 +133,15 @@ class Bipartition:
         # int() would truncate 1.5 to party 1 and read True as party 1
         for p in (*self.block_a, *self.block_b):
             if not _is_int(p):
-                raise ValueError(f"parties must be integers, got {reprlib.repr(p)}")
-        a = tuple(sorted(int(p) for p in self.block_a))
-        b = tuple(sorted(int(p) for p in self.block_b))
+                raise ValueError(f"parties must be integers, got {_brief(p)}")
+        a, b = (tuple(sorted(map(int, block))) for block in (self.block_a, self.block_b))
         if not a or not b:
             raise ValueError("both blocks must be non-empty")
         n = len(a) + len(b)
         if set(a) & set(b):
-            raise ValueError(f"blocks overlap: {set(a) & set(b)}")
+            raise ValueError(f"blocks overlap: {_brief(set(a) & set(b))}")
         if set(a) | set(b) != set(range(1, n + 1)):
-            raise ValueError(f"blocks {a} and {b} do not partition 1..{n}")
+            raise ValueError(f"blocks {_brief(a)} and {_brief(b)} do not partition 1..{n}")
         object.__setattr__(self, "block_a", a)
         object.__setattr__(self, "block_b", b)
 
@@ -157,15 +152,16 @@ class Bipartition:
     def _covering(self, n_parties: int) -> "Bipartition":
         """This partition if it covers n_parties parties, else ValueError naming it."""
         if self.n_parties != n_parties:
-            described = f"partition {self.describe()!r} covers {self.n_parties} parties"
-            raise ValueError(f"{described}, expected {_brief(n_parties)}")
+            raise ValueError(f"partition {_brief(self.describe())} covers {self.n_parties} "
+                             f"parties, expected {_brief(n_parties)}")
         return self
 
     @classmethod
     def from_block(cls, n_parties: int, block_a) -> "Bipartition":
         """Block A and the rest of 1..N; the constructor checks and sorts the parties."""
         block_a = tuple(block_a)
-        block_b = tuple(p for p in range(1, n_parties + 1) if p not in block_a)
+        taken = {p for p in block_a if _is_int(p)}  # the constructor refuses the rest
+        block_b = tuple(p for p in range(1, n_parties + 1) if p not in taken)
         return cls(block_a, block_b)._covering(n_parties)
 
     @classmethod
@@ -173,12 +169,12 @@ class Bipartition:
         """Parse the CLI syntax '1,2/3' (1-indexed parties)."""
         parts = text.split("/")
         if len(parts) != 2:
-            raise ValueError(f"partition must look like '1,2/3', got {text!r}")
+            raise ValueError(f"partition must look like '1,2/3', got {_brief(text)}")
         try:
             # int() refuses an empty entry ('1,,2/3'), the constructor an empty block ('1,2/')
             blocks = [tuple(int(x) for x in part.split(",")) if part else () for part in parts]
         except ValueError as exc:
-            raise ValueError(f"partition has non-integer parties: {text!r}") from exc
+            raise ValueError(f"partition has non-integer parties: {_brief(text)}") from exc
         return cls(blocks[0], blocks[1])._covering(n_parties)
 
     def canonical(self) -> "Bipartition":
@@ -225,9 +221,8 @@ class DeterministicStrategy:
             values = _by_setting(mapping, len(block), name)
             for combo, v in zip(all_setting_strings(len(block)), values):
                 if not (_is_int(v) and 0 <= v < d):
-                    raise ValueError(
-                        f"{name}[{combo}] = {_brief(v)} outside the integers 0..{d - 1}"
-                    )
+                    raise ValueError(f"{name}[{combo}] = {_brief(v)} outside the integers "
+                                     f"0..{_brief(d - 1)}")
             arrays.append(np.array(values, dtype=np.int64))
         return arrays[0], arrays[1]
 
@@ -398,7 +393,7 @@ def group_deterministic_max(
     # each flip moves one party of its block from setting 1 to 2, the fourth member both
     if not (bit_a.bit_count() == bit_b.bit_count() == 1 and bit_a & mask_a and not bit_b & mask_a
             and not base & (bit_a | bit_b) and both == base | bit_a | bit_b):
-        raise ValueError(f"malformed quadruple {group}")
+        raise ValueError(f"malformed quadruple {_brief(group)}")
     # the quadruple's t-counts are (k, k+1, k+1, k+2)
     low, mid, high = (_numerator_row(base.bit_count() + i, d) for i in range(3))
     best = min(

@@ -141,7 +141,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         return int(lo), int(hi if colon else lo)
     except ValueError as exc:
-        raise InputError(f"range must look like '2:4', got {text!r}") from exc
+        raise InputError(f"range must look like '2:4', got {_brief(text)}") from exc
 
 
 @click.group()
@@ -370,14 +370,13 @@ def run(argv=None) -> int:
         click.echo("Aborted!", err=True)
         return 1
     except click.ClickException as exc:
+        if len(exc.message) > 200:  # click writes a typed value in full: keep head and tail
+            exc.message = f"{exc.message[:100]}...{exc.message[-100:]}"
         exc.show()
         return 1
-    except ValueError as exc:
+    except (ValueError, BudgetExceededError, DenseLimitError) as exc:
         click.echo(f"error: {exc}", err=True)
-        return 1
-    except (BudgetExceededError, DenseLimitError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2
     except MemoryError as exc:
         click.echo(f"error: out of memory: {str(exc) or 'allocation failed'}", err=True)
         return 2

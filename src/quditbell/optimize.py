@@ -29,7 +29,7 @@ from .quantum import (
     _times_party,
     ghz_bell_value,
 )
-from .scenario import BellScenario, _is_int
+from .scenario import BellScenario, _brief, _count
 
 SVETLICHNY_VISIBILITY = 1.0 / math.sqrt(2.0)
 
@@ -282,10 +282,9 @@ def _objective(scenario: BellScenario, phases: np.ndarray) -> float:
 
 def _check(budget, mode: str) -> None:
     """Refuse a budget that is not a positive int (a bool included) and an unknown mode."""
-    if not _is_int(budget) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    _count(budget, "budget", 1)
     if mode not in ("free", "symmetric"):
-        raise ValueError(f"mode must be 'free' or 'symmetric', got {mode!r}")
+        raise ValueError(f"mode must be 'free' or 'symmetric', got {_brief(mode)}")
 
 
 def _climb(
@@ -442,10 +441,8 @@ def optimize_with_restarts(
     neither); the budget and mode are checked as optimize_phases checks them,
     before any start is drawn.
     """
-    if not _is_int(restarts) or restarts < 1:
-        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _count(restarts, "restarts", 1)
+    _count(seed, "seed", 0)
     _check(budget, mode)
     rng = np.random.default_rng(seed)
     n, d = scenario.n_parties, scenario.dimension

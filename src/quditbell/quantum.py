@@ -21,6 +21,7 @@ from .scenario import (
     BellScenario,
     JointProbabilityTable,
     _brief,
+    _exceeds,
     _numerator_rows,
     _power,
     outcome_sums_mod_d,
@@ -87,9 +88,10 @@ class DensityMatrix:
         return rho
 
     def _store(self, scenario: BellScenario, mat: np.ndarray) -> None:
-        dim = scenario.n_outcome_tuples
-        if mat.shape != (dim, dim):
-            side = _power(scenario.dimension, scenario.n_parties)
+        n, d = scenario.n_parties, scenario.dimension
+        # d^(2N) > mat.size refuses a huge N before d^N is formed
+        if _exceeds(d, 2 * n, mat.size) or mat.shape != (d**n, d**n):
+            side = _power(d, n)
             raise ValueError(f"expected a {side} x {side} matrix, got shape {mat.shape}")
         # every comparison against NaN is False: reject it before the checks below
         if not np.all(np.isfinite(mat)):
@@ -135,7 +137,8 @@ def _hermiticity_deviation(mat: np.ndarray) -> float:
 
 
 def ghz_state(scenario: BellScenario) -> DensityMatrix:
-    """Rank-1 projector onto (1/sqrt(d)) sum_j |jj...j>."""
+    """Rank-1 projector onto (1/sqrt(d)) sum_j |jj...j>, refused past the dense limit."""
+    _check_dense_size(scenario)
     d, dim = scenario.dimension, scenario.n_outcome_tuples
     support = np.arange(d) * ((dim - 1) // (d - 1))  # |jj...j> has index j (d^N - 1)/(d - 1)
     amplitude = 1.0 / math.sqrt(d)
@@ -265,19 +268,18 @@ def joint_probabilities(
 
 def _check_dense_size(scenario: BellScenario) -> None:
     """Refuse the dense path past d^N = DENSE_DIMENSION_LIMIT."""
-    if scenario.n_outcome_tuples > DENSE_DIMENSION_LIMIT:
-        raise DenseLimitError(
-            f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, got "
-            f"{_power(scenario.dimension, scenario.n_parties)}; for GHZ "
-            "states use the closed form (ghz_table, violation --method closed-form)"
-        )
+    if _exceeds(scenario.dimension, scenario.n_parties, DENSE_DIMENSION_LIMIT):
+        raise DenseLimitError(f"dense path supports d^N <= {DENSE_DIMENSION_LIMIT}, got "
+                              f"{_power(scenario.dimension, scenario.n_parties)}; for GHZ states "
+                              "use the closed form (ghz_table, violation --method closed-form)")
 
 
 def _check_table_size(scenario: BellScenario) -> None:
     """Refuse a table past 2^N d^N = DENSE_DIMENSION_LIMIT**2 entries (N = 12 at d = 2)."""
     n, d, limit = scenario.n_parties, scenario.dimension, DENSE_DIMENSION_LIMIT**2
-    if (2 * d) ** n > limit:
-        raise DenseLimitError(f"the table needs 2^{n}*{d}^{n} entries, over the {limit} allowed")
+    if _exceeds(2 * d, n, limit):
+        entries = f"{_power(2, n)}*{_power(d, n)}"
+        raise DenseLimitError(f"the table needs {entries} entries, over the {limit} allowed")
 
 
 def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:

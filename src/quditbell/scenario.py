@@ -60,7 +60,7 @@ class BellScenario:
     def __post_init__(self):
         for name, value in (("n_parties", self.n_parties), ("dimension", self.dimension)):
             if not _is_int(value):  # a float, bool or str would fail later, far from here
-                raise ValueError(f"sizes must be integers, got {name}={reprlib.repr(value)}")
+                raise ValueError(f"sizes must be integers, got {name}={_brief(value)}")
             object.__setattr__(self, name, int(value))  # numpy ints would overflow d^N
         if self.n_parties < 1:
             raise ValueError(f"need at least 1 party, got {_brief(self.n_parties)}")
@@ -86,23 +86,42 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _brief(value) -> str:
-    """A value's repr, kept short: reprlib's, and an int past 18 digits as 'about 2^k'.
+class _Brief(reprlib.Repr):
+    """The one writer of a refused value, as _brief: reprlib's repr, which shortens a
+    string past 30 characters and a container past 6 items with '...', and an integer,
+    numpy's too, written plainly up to 18 digits and as 'about 2^k' past them, at any
+    depth."""
 
-    str() of an int past 4,300 digits raises, and reprlib.repr calls it.
-    """
-    if not _is_int(value):
-        return reprlib.repr(value)
-    value = int(value)
-    if abs(value) < 10**18:
-        return str(value)
-    return f"about {'-' if value < 0 else ''}2^{round(math.log2(abs(value)))}"
+    def repr1(self, x, level):
+        return self.repr_int(int(x), level) if _is_int(x) else super().repr1(x, level)
+
+    def repr_int(self, x, level):  # reprlib's own calls str(), which raises past 4,300 digits
+        return str(x) if abs(x) < 10**18 else f"about {'-' * (x < 0)}2^{round(math.log2(abs(x)))}"
+
+
+_brief = _Brief().repr
+_brief.__self__.maxstring = 32  # a string of up to 30 characters stays whole, with its quotes
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int if it is an integer (not a bool) no smaller than least, 0 or 1;
+    else ValueError naming name.  The one check of a count."""
+    if not _is_int(value) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {_brief(value)}")
+    return int(value)
+
+
+def _exceeds(base: int, exponent: int, limit: int) -> bool:
+    """base**exponent > limit, for base >= 2 and exponent, limit >= 0, decided from bit
+    lengths first: base**exponent is at least 2^(exponent (bits(base) - 1)), and it is
+    formed only below 2^bits(limit), so with under twice limit's bits."""
+    return exponent * (base.bit_length() - 1) >= limit.bit_length() or base**exponent > limit
 
 
 def _power(base: int, exponent: int) -> str:
     """base^exponent written unexpanded, each side by _brief."""
-    sides = (_brief(base), _brief(exponent))
-    return "^".join(side if side.isdigit() else f"({side})" for side in sides)
+    return "^".join(s if s.isdigit() else f"({s})" for s in map(_brief, (base, exponent)))
 
 
 def setting_index(setting, n_parties: int) -> int:
@@ -118,7 +137,7 @@ def setting_index(setting, n_parties: int) -> int:
         except TypeError:  # not iterable
             text = "?"
     if len(text) != n_parties or not set(text) <= {"1", "2"}:
-        raise ValueError(f"invalid setting {reprlib.repr(setting)} for {n_parties} parties")
+        raise ValueError(f"invalid setting {_brief(setting)} for {_brief(n_parties)} parties")
     return int(text.replace("1", "0").replace("2", "1"), 2)
 
 
@@ -130,7 +149,7 @@ def t_counts(n_parties: int) -> np.ndarray:
 def shift(t: int) -> int:
     """Argument shift 3*(1 - floor(t/2)) attached to a setting with t twos."""
     if t < 0:
-        raise ValueError(f"negative setting-two count: {t}")
+        raise ValueError(f"negative setting-two count: {_brief(t)}")
     return 3 * (1 - t // 2)
 
 
@@ -156,11 +175,11 @@ def _by_setting(mapping: Mapping, n_parties: int, name: str, error=ValueError) -
     """mapping's values in setting-index order if its keys are exactly the 2^N setting
     strings, else error naming the missing and unexpected keys.
 
-    A count under 2^(N-1) is refused by its bit length alone, so however large N
-    is, no more than twice as many strings as keys are built.
+    A count under 2^(N-1) is refused by _exceeds before 2^(N-1) is formed, so however
+    large N is, no more than twice as many strings as keys are built.
     """
     count, mismatch = len(mapping), f"setting strings mismatch in {name}:"
-    if count.bit_length() < n_parties:
+    if _exceeds(2, n_parties - 1, count):
         raise error(f"{mismatch} {count} given, {_power(2, n_parties)} expected (some missing)")
     expected = all_setting_strings(n_parties)
     try:
@@ -171,8 +190,8 @@ def _by_setting(mapping: Mapping, n_parties: int, name: str, error=ValueError) -
         missing = [s for s in expected if s not in mapping]
         expected_set = set(expected)
         extra = [k for k in mapping if k not in expected_set]
-        raise error(f"{mismatch} {len(missing)} missing {reprlib.repr(missing)}, "
-                    f"{len(extra)} unexpected {reprlib.repr(extra)}")
+        raise error(f"{mismatch} {len(missing)} missing {_brief(missing)}, "
+                    f"{len(extra)} unexpected {_brief(extra)}")
     return values
 
 
@@ -184,7 +203,7 @@ def _outcome(outcome, scenario: BellScenario) -> tuple[int, ...]:
     except TypeError:  # not iterable
         entries = ()
     if len(entries) != n or not all(_is_int(x) and 0 <= x < d for x in entries):
-        raise ValueError(f"invalid outcome {reprlib.repr(outcome)} for {n} parties and d={d}")
+        raise ValueError(f"invalid outcome {_brief(outcome)} for {n} parties and d={_brief(d)}")
     return entries
 
 
@@ -241,7 +260,7 @@ def _refuse(arr: np.ndarray, n_parties: int) -> None:
     if (np.abs(totals - 1.0) > PROB_TOLERANCE).any():
         i, s = first(np.abs(totals - 1.0) > PROB_TOLERANCE)
         raise TableFormatError(
-            f"setting {s}: probabilities sum to {float(totals[i])!r}, expected 1"
+            f"setting {s}: probabilities sum to {_brief(float(totals[i]))}, expected 1"
         )
 
 
@@ -271,9 +290,10 @@ class JointProbabilityTable:
         return table
 
     def _store(self, scenario: BellScenario, arr: np.ndarray) -> None:
-        n = scenario.n_parties
-        if arr.shape != (1 << n, scenario.n_outcome_tuples):
-            expected = f"({_power(2, n)}, {_power(scenario.dimension, n)})"
+        n, d = scenario.n_parties, scenario.dimension
+        # (2d)^N > arr.size refuses a huge N before 2^N or d^N is formed
+        if _exceeds(2 * d, n, arr.size) or arr.shape != (1 << n, d**n):
+            expected = f"({_power(2, n)}, {_power(d, n)})"
             raise TableFormatError(f"expected probabilities of shape {expected}, got {arr.shape}")
         # Accepting takes two reductions.  A NaN entry makes the minimum NaN, which
         # fails its test; with nothing negative left, a finite row sum means finite
@@ -314,7 +334,7 @@ class JointProbabilityTable:
             raise TableFormatError("table payload must be a JSON object")
         for key in ("n", "d", "tables"):
             if key not in payload:
-                raise TableFormatError(f"table payload missing field {key!r}")
+                raise TableFormatError(f"table payload missing field {_brief(key)}")
         try:
             scenario = BellScenario(payload["n"], payload["d"])
         except ValueError as exc:

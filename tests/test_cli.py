@@ -113,7 +113,7 @@ class TestBoundCommand:
             )
             assert code == 1
             assert out == ""
-            assert err == f"error: budget must be at least 1, got {budget}\n"
+            assert err == f"error: budget must be a positive integer, got {budget}\n"
 
     def test_invalid_partition_exit_code(self, capsys):
         code, _, err = invoke(

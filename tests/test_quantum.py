@@ -441,10 +441,11 @@ class TestJointProbabilities:
             )
 
     def test_dense_limit_guard(self, monkeypatch):
-        # shrink the guardrail rather than paying for a >4096-dim state
-        monkeypatch.setattr("quditbell.quantum.DENSE_DIMENSION_LIMIT", 8)
+        # shrink the guardrail rather than paying for a >4096-dim state; ghz_state checks
+        # it too, so the state is built first
         scen = BellScenario(2, 3)
         rho = ghz_state(scen)
+        monkeypatch.setattr("quditbell.quantum.DENSE_DIMENSION_LIMIT", 8)
         with pytest.raises(DenseLimitError, match="ghz_table"):
             joint_probabilities(rho, PhaseConfiguration.zero(scen))
         assert DENSE_DIMENSION_LIMIT == 4096

@@ -1,11 +1,15 @@
 """Each input rule has one check, so every caller refuses with the same words, and
 every refusal writes its sizes in bounded form (d^N, never expanded)."""
 
+import ast
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import quditbell
 from quditbell.bounds import (
     Bipartition,
     DeterministicStrategy,
@@ -13,18 +17,23 @@ from quditbell.bounds import (
     group_deterministic_max,
     hlnhv_bound,
 )
+from quditbell.optimize import optimize_phases, optimize_with_restarts
 from quditbell.quantum import (
     DenseLimitError,
     DensityMatrix,
     PhaseConfiguration,
+    ghz_state,
     joint_probabilities,
 )
 from quditbell.scenario import (
     BellScenario,
     JointProbabilityTable,
     TableFormatError,
+    _brief,
+    _exceeds,
     all_setting_strings,
     point_mass_table,
+    setting_index,
 )
 from conftest import invoke
 
@@ -175,3 +184,147 @@ class TestBoundedSizes:
         assert type(err.value) is error
         assert size in str(err.value)
         assert len(str(err.value)) < 100
+
+
+SOURCES = sorted(Path(quditbell.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_refusal_writes_its_values_through_brief(path):
+    # scenario._brief is the one writer of a refused value: a raw repr can run to any
+    # length, and an int's repr raises past 4,300 digits
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "scenario.py":
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+            assert "reprlib" not in names, f"{path.name}:{node.lineno} imports reprlib"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                assert not (isinstance(part, ast.FormattedValue) and part.conversion == ord("r")), (
+                    f"{path.name}:{part.lineno} writes a refused value with !r"
+                )
+                assert not (isinstance(part, ast.Attribute) and part.attr == "repr"
+                            and isinstance(part.value, ast.Name) and part.value.id == "reprlib"), (
+                    f"{path.name}:{part.lineno} writes a refused value with reprlib.repr"
+                )
+
+
+class TestBrief:
+    @pytest.mark.parametrize("value", [
+        0, -5, 10**18 - 1, -(10**18 - 1), 2.5, None, True, "", "x" * 30,
+        "1,2,3,4,5,6,7,8,9/10,11,12,13", (1,), [1, 2, 3, 4, 5, 6], {1, 2}, {"n": 2}, ("11", "12"),
+    ], ids=repr)
+    def test_a_short_value_is_its_repr(self, value):
+        assert _brief(value) == repr(value)
+
+    def test_a_long_value_is_shortened_at_any_depth(self):
+        assert _brief(10**18) == "about 2^60"
+        assert _brief([-(10**5000)]) == "[about -2^16610]"
+        assert _brief("x" * 31) == "'xxxxxxxxxxxxx...xxxxxxxxxxxxxx'"
+        assert _brief(list(range(7))) == "[0, 1, 2, 3, 4, 5, ...]"
+
+
+@pytest.mark.parametrize("base, exponent, limit", [
+    (2, 0, 0), (2, 0, 1), (2, 12, 4095), (2, 12, 4096), (4, 6, 4096), (4, 7, 4096),
+    (3, 40, 3**40), (3, 40, 3**40 - 1), (10**20, 1, 10**20), (10**20, 2, 10**39), (7, 0, 5),
+])
+def test_exceeds_is_the_comparison(base, exponent, limit):
+    assert _exceeds(base, exponent, limit) is (base**exponent > limit)
+
+
+def test_exceeds_forms_no_huge_power():
+    started = time.perf_counter()
+    assert _exceeds(2, 10**5000, 10**8) and _exceeds(10**5000, 10**5000, 1)
+    assert not _exceeds(10**5000, 0, 1)
+    assert time.perf_counter() - started < 1
+
+
+S2 = BellScenario(2, 2)
+START = PhaseConfiguration.zero(S2)
+PART = Bipartition((1,), (2,))
+NEG = -(10**5000)  # past the 4,300 digits that str() of an int accepts
+
+
+class TestHugeValues:
+    """Each refusal of a huge value is one short message naming the argument, of the
+    class a short bad value of the same kind gets."""
+
+    @pytest.mark.parametrize("call, short, named", [
+        (lambda v: optimize_phases(S2, START, v), 0, "budget must be"),
+        (lambda v: optimize_with_restarts(S2, restarts=v), 0, "restarts must be"),
+        (lambda v: optimize_with_restarts(S2, seed=v), -1, "seed must be"),
+        (lambda v: hlnhv_bound(S2, PART, budget=v), 0, "budget must be"),
+        (lambda v: Bipartition((v,), (1,)), 3, "do not partition"),
+        (lambda v: point_mass_table(S2, {k: (0, 0) for k in SETTINGS}).probs_for((v,)), 3,
+         "invalid setting"),
+    ], ids=["optimize_phases", "restarts", "seed", "hlnhv_bound", "Bipartition", "probs_for"])
+    def test_an_int_past_4300_digits(self, call, short, named):
+        with pytest.raises(ValueError) as err:
+            call(short)
+        error = type(err.value)
+        with pytest.raises(error) as err:
+            call(NEG)
+        message = str(err.value)
+        assert named in message and "about -2^16610" in message
+        assert len(message) < 200
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: optimize_phases(S2, START, 5, mode="x" * 100_000), "mode must be"),
+        (lambda: hlnhv_bound(S2, PART, budget="9" * 100_000), "budget must be"),
+        (lambda: Bipartition.parse("1," * 50_000 + "1/2", 2), "do not partition 1..50002"),
+        (lambda: Bipartition(tuple(range(1, 30001)), tuple(range(1, 30001))), "blocks overlap"),
+        (lambda: hlnhv_bound(BellScenario(3, 2), Bipartition.from_block(30000, range(1, 15000))),
+         "covers 30000 parties, expected 3"),
+    ], ids=["mode", "budget", "parse", "overlap", "covering"])
+    def test_a_long_value(self, call, named):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        assert named in str(err.value) and "..." in str(err.value)
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda scen: DensityMatrix(scen, [[1.0]]), ValueError),
+        (lambda scen: ghz_state(scen), DenseLimitError),
+        (lambda scen: JointProbabilityTable(scen, [[1.0]]), TableFormatError),
+    ], ids=["DensityMatrix", "ghz_state", "JointProbabilityTable"])
+    def test_a_huge_n_is_refused_at_once(self, build, error):
+        scen = BellScenario(10**5000, 2)
+        started = time.perf_counter()
+        with pytest.raises(Exception) as err:
+            build(scen)
+        assert time.perf_counter() - started < 2
+        assert type(err.value) is error
+        assert "2^(about 2^16610)" in str(err.value) and len(str(err.value)) < 200
+
+    def test_a_numpy_int_is_written_plainly(self):
+        with pytest.raises(ValueError, match=r"^budget must be a positive integer, got 0$"):
+            optimize_phases(S2, START, np.int64(0))
+        with pytest.raises(ValueError, match=r"^invalid setting \(5,\) for 2 parties$"):
+            setting_index((np.int64(5),), 2)
+
+
+class TestLongArguments:
+    @pytest.mark.parametrize("argv, named", [
+        (("bound", "--n", "3", "--d", "2", "--partition", "1," * 50_000 + "1/2"),
+         "do not partition"),
+        (("scan", "--n-range", "x" * 50_000), "range must look like"),
+    ], ids=["partition", "n-range"])
+    def test_one_short_error_line(self, capsys, argv, named):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("argv, option", [
+        (("bound", "--n", "2", "--d", "2", "--partition", "1/2", "--budget", "9" * 5000),
+         "'--budget'"),
+        (("violation", "--n", "2", "--d", "2", "--restarts", "9" * 5000), "'--restarts'"),
+        (("violation", "--n", "2", "--d", "2", "--seed", "9" * 5000), "'--seed'"),
+        (("violation", "--n", "2", "--d", "2", "--angles", "x" * 50_000), "'--angles'"),
+        (("violation", "--n", "2", "--d", "2", "--" + "x" * 50_000), "No such option '--xxx"),
+    ], ids=["budget", "restarts", "seed", "angles", "unknown-option"])
+    def test_click_usage_error_is_clipped(self, capsys, argv, option):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert option in err and "..." in err
+        assert len(err.encode()) < 400
