@@ -152,14 +152,14 @@ class Bipartition:
     def _covering(self, n_parties: int) -> "Bipartition":
         """This partition if it covers n_parties parties, else ValueError naming it."""
         if self.n_parties != n_parties:
-            raise ValueError(f"partition {_brief(self.describe())} covers {self.n_parties} "
-                             f"parties, expected {_brief(n_parties)}")
+            raise ValueError(f"partition {_brief(self.describe())} covers "
+                             f"{_brief(self.n_parties)} parties, expected {_brief(n_parties)}")
         return self
 
     @classmethod
     def from_block(cls, n_parties: int, block_a) -> "Bipartition":
         """Block A and the rest of 1..N; the constructor checks and sorts the parties."""
-        block_a = tuple(block_a)
+        n_parties, block_a = _count(n_parties, "n_parties", 2), tuple(block_a)
         taken = {p for p in block_a if _is_int(p)}  # the constructor refuses the rest
         block_b = tuple(p for p in range(1, n_parties + 1) if p not in taken)
         return cls(block_a, block_b)._covering(n_parties)

@@ -48,6 +48,7 @@ from .scenario import (
     JointProbabilityTable,
     TableFormatError,
     _brief,
+    _count,
     bell_value,
     correlation_numerators,
     functional_value,
@@ -58,14 +59,8 @@ ANGLES_MODES = ("optimal", "zero", "optimized-symmetric", "optimized-free")
 __all__ = ["cli", "main", "run"]
 
 
-class InputError(ValueError):
-    """User-supplied arguments or files are invalid (exit code 1)."""
-
-
 def _scenario(n: int, d: int) -> BellScenario:
-    if n < 2:
-        raise InputError(f"need at least 2 parties, got {_brief(n)}")
-    return BellScenario(n, d)
+    return BellScenario(_count(n, "n", 2), d)
 
 
 def _ghz_report(n: int, d: int) -> ViolationReport:
@@ -73,7 +68,7 @@ def _ghz_report(n: int, d: int) -> ViolationReport:
     try:
         return critical_visibility(_scenario(n, d))
     except OverflowError as exc:
-        raise InputError(
+        raise ValueError(
             f"n={_brief(n)}, d={_brief(d)}: the maximal violation 2^(n-2) times the two-qudit "
             "maximum exceeds the float range"
         ) from exc
@@ -102,11 +97,11 @@ def _writable(ctx, param, path: Optional[str]) -> Optional[str]:
     """Option callback: refuse, before any work, a directory or a path in an unwritable one."""
     if path is not None:
         if os.path.isdir(path):
-            raise InputError(f"cannot write {path}: Is a directory")
+            raise ValueError(f"cannot write {path}: Is a directory")
         try:
             tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
         except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -124,7 +119,7 @@ def _atomic_write(path: str, chunks) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload, out_path: Optional[str], fmt: str = "json") -> None:
@@ -141,7 +136,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         return int(lo), int(hi if colon else lo)
     except ValueError as exc:
-        raise InputError(f"range must look like '2:4', got {_brief(text)}") from exc
+        raise ValueError(f"range must look like '2:4', got {_brief(text)}") from exc
 
 
 @click.group()
@@ -168,13 +163,13 @@ out_option = click.option("--out", "out_path", type=click.Path(), default=None, 
 def bound(n, d, out_path, model, partition, budget):
     """Certify the HLNHV (or LHV) bound by an exact search of all strategies."""
     if model == "lhv" and partition is not None:
-        raise InputError("--partition applies to --model hlnhv only")
+        raise ValueError("--partition applies to --model hlnhv only")
     parsed = None if partition is None else Bipartition.parse(partition, n)
     scenario = _scenario(n, d)
     started = time.perf_counter()
     if model == "hlnhv":
         if parsed is None:
-            raise InputError("hlnhv bound needs --partition, e.g. '1,2/3'")
+            raise ValueError("hlnhv bound needs --partition, e.g. '1,2/3'")
         value, witness = hlnhv_bound(scenario, parsed, budget=budget)
         part = witness.partition
         witness_json = {"xi": dict(witness.xi), "zeta": dict(witness.zeta)}
@@ -228,7 +223,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
     """Quantum Bell value of the GHZ state at the requested angles."""
     # the report would silently replace the table
     if out_path and emit_table and os.path.realpath(out_path) == os.path.realpath(emit_table):
-        raise InputError(f"--out and --emit-table name the same file: {emit_table}")
+        raise ValueError(f"--out and --emit-table name the same file: {emit_table}")
     report = _ghz_report(n, d)
     scenario = report.scenario
     # size refusals come first: they must not wait for the phase search
@@ -307,8 +302,9 @@ def scan(n_range, d_range, out_path, fmt):
     """Tabulate bound, maximal violation, ratio, and v_cr over a grid."""
     lo_n, hi_n = _parse_range(n_range)
     lo_d, hi_d = _parse_range(d_range)
-    if (lo_n <= hi_n and lo_n < 2) or (lo_d <= hi_d and lo_d < 2):
-        raise InputError("scan requires n >= 2 and d >= 2")
+    for lo, hi, name in ((lo_n, hi_n, "n"), (lo_d, hi_d, "d")):
+        if lo <= hi:  # an empty range is an empty scan
+            _count(lo, name, 2)
     rows = []
     for n in range(lo_n, hi_n + 1):
         for d in range(lo_d, hi_d + 1):
@@ -335,15 +331,15 @@ def eval_table(table_file, out_path):
         with open(table_file) as handle:
             payload = json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {table_file}: {exc}") from exc
+        raise ValueError(f"cannot read {table_file}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or a number past 4,300 digits
-        raise InputError(f"{table_file} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{table_file} is not valid JSON: {exc}") from exc
     try:
         # a row summing past the float range is refused by the error line alone
         with np.errstate(over="ignore"):
             table = JointProbabilityTable.from_json_dict(payload)
     except TableFormatError as exc:
-        raise InputError(f"{table_file}: {exc}") from exc
+        raise ValueError(f"{table_file}: {exc}") from exc
     n, d = table.scenario.n_parties, table.scenario.dimension
     _scenario(n, d)  # refuses N < 2, as elsewhere
     numerators = correlation_numerators(table)

@@ -80,9 +80,7 @@ def cglmp_max_closed_form(dimension: int) -> float:
     that is not maximally entangled does better (2.914854 against 2.872934 at
     d=3; Acin, Durt, Gisin & Latorre, PRA 65, 052325 (2002)).
     """
-    if dimension < 2:
-        raise ValueError(f"need outcome dimension >= 2, got {dimension}")
-    d = dimension
+    d = _count(dimension, "dimension", 2)
     k = np.arange(d // 2)
 
     def q(c):
@@ -100,9 +98,8 @@ def max_violation(scenario: BellScenario) -> float:
     is not the maximum, and OverflowError where it leaves the float range
     (N > 1024).
     """
-    if scenario.n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {scenario.n_parties}")
-    return math.ldexp(cglmp_max_closed_form(scenario.dimension), scenario.n_parties - 2)
+    n = _count(scenario.n_parties, "n_parties", 2)
+    return math.ldexp(cglmp_max_closed_form(scenario.dimension), n - 2)
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,8 @@ def optimize_phases(
     """
     _check(budget, mode)
     if start.scenario != scenario:
-        raise ValueError(f"start is for {start.scenario}, the search is for {scenario}")
+        raise ValueError(f"start is for {_brief(start.scenario)}, "
+                         f"the search is for {_brief(scenario)}")
     phases, values = _climb(scenario, start.phases[None], budget, mode)
     return PhaseConfiguration(scenario, phases[0]), values[0]
 

@@ -151,7 +151,7 @@ def ghz_state(scenario: BellScenario) -> DensityMatrix:
 def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
     """White-noise mixture V*rho + (1-V)*identity/d^N."""
     if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+        raise ValueError(f"visibility must lie in [0, 1], got {_brief(visibility)}")
     dim = rho.dim
     mixed = visibility * rho.matrix
     mixed.flat[:: dim + 1] += (1.0 - visibility) / dim  # the diagonal, in any memory layout
@@ -160,15 +160,11 @@ def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
 
 def product_state(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
     """Tensor product with rho_a on parties 1..m and rho_b on the rest."""
-    if rho_a.scenario.dimension != rho_b.scenario.dimension:
-        raise ValueError(
-            "factors must share the outcome dimension, got "
-            f"{rho_a.scenario.dimension} and {rho_b.scenario.dimension}"
-        )
-    scenario = BellScenario(
-        rho_a.scenario.n_parties + rho_b.scenario.n_parties,
-        rho_a.scenario.dimension,
-    )
+    a, b = rho_a.scenario, rho_b.scenario
+    if a.dimension != b.dimension:
+        raise ValueError(f"factors must share the outcome dimension, got {_brief(a.dimension)} "
+                         f"and {_brief(b.dimension)}")
+    scenario = BellScenario(a.n_parties + b.n_parties, a.dimension)
     # kron puts its first factor in the slow digits; block A must stay fast.
     return DensityMatrix._positive_by_construction(scenario, np.kron(rho_b.matrix, rho_a.matrix))
 
@@ -244,9 +240,8 @@ def joint_probabilities(
     directly, because there its K would be 2d times the size of rho.
     """
     if rho.scenario != config.scenario:
-        raise ValueError(
-            f"state is for {rho.scenario}, phases are for {config.scenario}"
-        )
+        raise ValueError(f"state is for {_brief(rho.scenario)}, "
+                         f"phases are for {_brief(config.scenario)}")
     _check_dense_size(rho.scenario)
     n, d = rho.scenario.n_parties, rho.scenario.dimension
     units = multiport_unitary(config.phases)  # (N, 2, d, d)

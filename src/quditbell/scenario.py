@@ -58,14 +58,9 @@ class BellScenario:
     dimension: int
 
     def __post_init__(self):
-        for name, value in (("n_parties", self.n_parties), ("dimension", self.dimension)):
-            if not _is_int(value):  # a float, bool or str would fail later, far from here
-                raise ValueError(f"sizes must be integers, got {name}={_brief(value)}")
-            object.__setattr__(self, name, int(value))  # numpy ints would overflow d^N
-        if self.n_parties < 1:
-            raise ValueError(f"need at least 1 party, got {_brief(self.n_parties)}")
-        if self.dimension < 2:
-            raise ValueError(f"need outcome dimension >= 2, got {_brief(self.dimension)}")
+        # stored as Python ints: numpy ints would overflow d^N
+        object.__setattr__(self, "n_parties", _count(self.n_parties, "n_parties", 1))
+        object.__setattr__(self, "dimension", _count(self.dimension, "dimension", 2))
 
     @property
     def n_outcome_tuples(self) -> int:
@@ -88,15 +83,24 @@ def _is_int(value) -> bool:
 
 class _Brief(reprlib.Repr):
     """The one writer of a refused value, as _brief: reprlib's repr, which shortens a
-    string past 30 characters and a container past 6 items with '...', and an integer,
-    numpy's too, written plainly up to 18 digits and as 'about 2^k' past them, at any
-    depth."""
+    string past 30 characters and a container past 6 items with '...'; an integer,
+    numpy's too, written plainly up to 18 digits and as 'about 2^k' past them, a float,
+    numpy's too, as str(float(x)), and a BellScenario as its dataclass repr with each
+    size written as an integer, at any depth."""
 
     def repr1(self, x, level):
-        return self.repr_int(int(x), level) if _is_int(x) else super().repr1(x, level)
+        if _is_int(x):
+            return self.repr_int(int(x), level)
+        if isinstance(x, (float, np.floating)):
+            return str(float(x))
+        return super().repr1(x, level)
 
     def repr_int(self, x, level):  # reprlib's own calls str(), which raises past 4,300 digits
         return str(x) if abs(x) < 10**18 else f"about {'-' * (x < 0)}2^{round(math.log2(abs(x)))}"
+
+    def repr_BellScenario(self, x, level):  # a repr1 hook, by type name
+        n, d = (self.repr_int(size, level) for size in (x.n_parties, x.dimension))
+        return f"BellScenario(n_parties={n}, dimension={d})"
 
 
 _brief = _Brief().repr
@@ -104,11 +108,12 @@ _brief.__self__.maxstring = 32  # a string of up to 30 characters stays whole, w
 
 
 def _count(value, name: str, least: int) -> int:
-    """value as an int if it is an integer (not a bool) no smaller than least, 0 or 1;
-    else ValueError naming name.  The one check of a count."""
+    """value as an int if it is an integer (not a bool) no smaller than least, else
+    ValueError naming name.  The one check of a count and of any integer floor."""
     if not _is_int(value) or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {_brief(value)}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {_brief(value)}")
     return int(value)
 
 
@@ -148,9 +153,7 @@ def t_counts(n_parties: int) -> np.ndarray:
 
 def shift(t: int) -> int:
     """Argument shift 3*(1 - floor(t/2)) attached to a setting with t twos."""
-    if t < 0:
-        raise ValueError(f"negative setting-two count: {_brief(t)}")
-    return 3 * (1 - t // 2)
+    return 3 * (1 - _count(t, "t", 0) // 2)
 
 
 @lru_cache(maxsize=None)

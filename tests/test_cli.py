@@ -493,7 +493,7 @@ class TestEvalCommand:
         code, out, err = invoke(capsys, "eval", str(path))
         assert code == 1
         assert out == ""
-        assert "need at least 2 parties" in err
+        assert err == "error: n must be an integer >= 2, got 1\n"
 
 
 def test_hybrid_witness_tables_never_fire():

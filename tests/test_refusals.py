@@ -3,6 +3,7 @@ every refusal writes its sizes in bounded form (d^N, never expanded)."""
 
 import ast
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,14 +17,23 @@ from quditbell.bounds import (
     build_grouping,
     group_deterministic_max,
     hlnhv_bound,
+    lhv_bound,
 )
-from quditbell.optimize import optimize_phases, optimize_with_restarts
+from quditbell.cli import _scenario
+from quditbell.optimize import (
+    cglmp_max_closed_form,
+    max_violation,
+    optimize_phases,
+    optimize_with_restarts,
+)
 from quditbell.quantum import (
     DenseLimitError,
     DensityMatrix,
     PhaseConfiguration,
     ghz_state,
     joint_probabilities,
+    mix_with_noise,
+    product_state,
 )
 from quditbell.scenario import (
     BellScenario,
@@ -34,6 +44,7 @@ from quditbell.scenario import (
     all_setting_strings,
     point_mass_table,
     setting_index,
+    shift,
 )
 from conftest import invoke
 
@@ -208,10 +219,45 @@ def test_every_refusal_writes_its_values_through_brief(path):
                 )
 
 
+# written as they are: a file path as typed, a function's own label, and a shape or dtype
+AS_IS = {"path", "table_file", "emit_table", "name", "shape", "dtype"}
+
+
+def _unwritten_arguments(tree):
+    """'function:line expression' for each f-string field of a raise that substitutes a
+    parameter of its function, or an attribute or item chain rooted at one, with no call."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            for part in ast.walk(node.exc):
+                if not isinstance(part, ast.FormattedValue):
+                    continue
+                root, last = part.value, None
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    last = last or getattr(root, "attr", None)
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in params and not {root.id, last} & AS_IS:
+                    found.add(f"{func.name}:{part.lineno} {ast.unparse(part.value)}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_refused_argument_is_written_through_a_call(path):
+    # an argument substituted as it is writes str() of whatever the caller passed:
+    # an int past 4,300 digits raises there, and a long value is written in full
+    assert _unwritten_arguments(ast.parse(path.read_text())) == []
+
+
 class TestBrief:
     @pytest.mark.parametrize("value", [
         0, -5, 10**18 - 1, -(10**18 - 1), 2.5, None, True, "", "x" * 30,
         "1,2,3,4,5,6,7,8,9/10,11,12,13", (1,), [1, 2, 3, 4, 5, 6], {1, 2}, {"n": 2}, ("11", "12"),
+        -1e300, float("nan"), BellScenario(12, 3), [BellScenario(2, 2), 0.5],
     ], ids=repr)
     def test_a_short_value_is_its_repr(self, value):
         assert _brief(value) == repr(value)
@@ -221,6 +267,14 @@ class TestBrief:
         assert _brief([-(10**5000)]) == "[about -2^16610]"
         assert _brief("x" * 31) == "'xxxxxxxxxxxxx...xxxxxxxxxxxxxx'"
         assert _brief(list(range(7))) == "[0, 1, 2, 3, 4, 5, ...]"
+        assert _brief(BellScenario(10**5000, 10**20)) == (
+            "BellScenario(n_parties=about 2^16610, dimension=about 2^66)"
+        )
+
+    def test_a_numpy_float_is_written_as_a_float(self):
+        assert [_brief(x) for x in (np.float64(1.5), np.float32(0.25), (np.float16(-2),))] == [
+            "1.5", "0.25", "(-2.0,)"
+        ]
 
 
 @pytest.mark.parametrize("base, exponent, limit", [
@@ -301,6 +355,100 @@ class TestHugeValues:
             optimize_phases(S2, START, np.int64(0))
         with pytest.raises(ValueError, match=r"^invalid setting \(5,\) for 2 parties$"):
             setting_index((np.int64(5),), 2)
+
+
+# every check of "an integer of at least k", as (call on the value, argument named, k)
+FLOORS = {
+    "BellScenario-n_parties": (lambda v: BellScenario(v, 2), "n_parties", 1),
+    "BellScenario-dimension": (lambda v: BellScenario(2, v), "dimension", 2),
+    "shift": (shift, "t", 0),
+    "cglmp_max_closed_form": (cglmp_max_closed_form, "dimension", 2),
+    "max_violation": (lambda v: max_violation(SimpleNamespace(n_parties=v, dimension=3)),
+                      "n_parties", 2),
+    "cli._scenario": (lambda v: _scenario(v, 3), "n", 2),
+    "from_block": (lambda v: Bipartition.from_block(v, (1,)), "n_parties", 2),
+    "optimize_phases": (lambda v: optimize_phases(S2, START, v), "budget", 1),
+    "restarts": (lambda v: optimize_with_restarts(S2, restarts=v), "restarts", 1),
+    "seed": (lambda v: optimize_with_restarts(S2, seed=v), "seed", 0),
+    "hlnhv_bound": (lambda v: hlnhv_bound(S2, PART, budget=v), "budget", 1),
+    "lhv_bound": (lambda v: lhv_bound(S2, budget=v), "budget", 1),
+}
+FLOOR_TEXTS = {0: "a non-negative integer", 1: "a positive integer", 2: "an integer >= 2"}
+BELOW = object()  # the floor less one
+
+
+class TestCountRule:
+    """Every integer floor is scenario._count: one check and one text per floor."""
+
+    @pytest.mark.parametrize("value", [1.5, True, "3", None, BELOW, NEG],
+                             ids=["1.5", "True", "'3'", "None", "below", "huge-negative"])
+    @pytest.mark.parametrize("site", FLOORS)
+    def test_every_floor_refuses_alike(self, site, value):
+        call, name, least = FLOORS[site]
+        value = least - 1 if value is BELOW else value
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{name} must be {FLOOR_TEXTS[least]}, got {_brief(value)}"
+
+    @pytest.mark.parametrize("option, name", [("--n-range", "n"), ("--d-range", "d")])
+    def test_scan_floors(self, capsys, option, name):
+        # the ranges are read with int(), so only a value below the floor reaches _count
+        code, out, err = invoke(capsys, "scan", option, "1:3")
+        assert (code, out, err) == (1, "", f"error: {name} must be an integer >= 2, got 1\n")
+
+    def test_cglmp_max_closed_form_reads_a_numpy_int_as_an_int(self):
+        value = cglmp_max_closed_form(np.int64(3))
+        assert type(value) is float and value == cglmp_max_closed_form(3)
+
+
+H2 = ghz_state(S2)
+HUGE_SCEN = BellScenario(10**5000, 2)
+# every refusal that writes an argument of its caller, on a huge value, and what it writes
+WRITERS = {
+    "optimize_phases": (lambda: optimize_phases(HUGE_SCEN, START, 5),
+                        "start is for BellScenario(n_parties=2, dimension=2), the search is for "
+                        "BellScenario(n_parties=about 2^16610, dimension=2)"),
+    "joint_probabilities": (lambda: joint_probabilities(H2, SimpleNamespace(scenario=HUGE_SCEN)),
+                            "state is for BellScenario(n_parties=2, dimension=2), phases are for "
+                            "BellScenario(n_parties=about 2^16610, dimension=2)"),
+    "mix_with_noise": (lambda: mix_with_noise(H2, -NEG),
+                       "visibility must lie in [0, 1], got about 2^16610"),
+    "product_state": (lambda: product_state(H2, SimpleNamespace(scenario=BellScenario(1, -NEG))),
+                      "factors must share the outcome dimension, got 2 and about 2^16610"),
+    "_covering": (lambda: PART._covering(-NEG),
+                  "partition '1/2' covers 2 parties, expected about 2^16610"),
+}
+
+
+class TestWriterRule:
+    """Every refusal writes its caller's arguments through scenario._brief."""
+
+    @pytest.mark.parametrize("site", WRITERS)
+    def test_a_huge_argument_is_written_briefly(self, site):
+        call, text = WRITERS[site]
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            call()
+        assert time.perf_counter() - started < 1
+        assert type(err.value) is ValueError and str(err.value) == text
+
+    @pytest.mark.parametrize("visibility, written", [
+        (1.5, "1.5"), (np.float64(1.5), "1.5"), (float("inf"), "inf"),
+        (Fraction(3, 2), "Fraction(3, 2)"),
+    ], ids=repr)
+    def test_mix_with_noise_writes_a_visibility(self, visibility, written):
+        with pytest.raises(ValueError) as err:
+            mix_with_noise(H2, visibility)
+        assert str(err.value) == f"visibility must lie in [0, 1], got {written}"
+
+    def test_short_scenarios_keep_their_repr(self):
+        with pytest.raises(ValueError) as err:
+            optimize_phases(BellScenario(3, 2), START, 5)
+        assert str(err.value) == (
+            "start is for BellScenario(n_parties=2, dimension=2), "
+            "the search is for BellScenario(n_parties=3, dimension=2)"
+        )
 
 
 class TestLongArguments:

@@ -303,7 +303,9 @@ class TestTableInvariants:
     def test_boolean_dimensions_rejected(self, field):
         payload = uniform_table(BellScenario(1, 2)).to_json_dict()
         payload[field] = True
-        with pytest.raises(TableFormatError, match="integers"):
+        text = {"n": "n_parties must be a positive integer",
+                "d": "dimension must be an integer >= 2"}[field]
+        with pytest.raises(TableFormatError, match=f"^{text}, got True$"):
             JointProbabilityTable.from_json_dict(payload)
 
     def test_non_numeric_row_names_its_setting(self):
@@ -496,7 +498,8 @@ class TestScenarioType:
     @pytest.mark.parametrize("field", ["n_parties", "dimension"])
     def test_rejects_a_size_that_is_not_an_integer(self, field, value):
         sizes = {"n_parties": 2, "dimension": 3, field: value}
-        with pytest.raises(ValueError, match=f"must be integers, got {field}="):
+        floor = {"n_parties": "a positive integer", "dimension": "an integer >= 2"}[field]
+        with pytest.raises(ValueError, match=f"^{field} must be {floor}, got "):
             BellScenario(**sizes)
 
     def test_stores_numpy_integers_as_python_ints(self):
