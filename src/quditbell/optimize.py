@@ -7,9 +7,9 @@ confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
 the branch-pair factors that ghz_bell_value multiplies.  A sweep yields each
 phase as a finished move, its peak and the rise to it read off that
-polynomial: -arg of its one coefficient for a free phase, the best eigenvalue
-of one 2N x 2N companion matrix for a shared one.  optimize_phases states the
-search's rules.
+polynomial: -arg of its one coefficient for a free phase, and for a shared
+one the best of the grid's local maxima, polished by Newton steps in Halley's
+form (no LAPACK call).  optimize_phases states the search's rules.
 """
 
 from __future__ import annotations
@@ -133,34 +133,79 @@ def critical_visibility(scenario: BellScenario) -> ViolationReport:
     return ViolationReport(scenario, max_violation(scenario))
 
 
-def _peak(a: np.ndarray, x0: float, up: np.ndarray, down: np.ndarray, buffers):
-    """(theta, rise): the angle maximizing Re sum_m a[m-1] e^(i m theta) and the rise to it.
+def _grid(m: int):
+    """_peak's table for degree-m polynomials, built once per climb: rows e^(i k theta), k = 1..m.
 
-    None where the polynomial is flat.  The rise is Re sum_m a[m-1]
-    (e^(i m theta) - e^(i m x0)), the move from x0 to theta over 2^N.  The
-    stationary points are the roots of e^(iM theta) times the derivative, a
-    degree-2M polynomial in e^(i theta), and the best of them is taken.  They
-    are numpy.roots' bit for bit, from its companion matrix; a polynomial
-    whose top term is 0, which that matrix would divide by, goes to
-    numpy.roots itself.  up and down are the ramps i(1..M) and -i(1..M).
-    buffers, a (2M+1)-term polynomial whose middle term stays 0 and a 2M x 2M
-    companion matrix whose sub-diagonal of ones stays set, are written in
-    place: only the outer terms and the first row change, so one pair serves
-    every row and phase of a search.
+    The 8m - 2 angles theta = h (j - 4m + 1), h = 2 pi/(8m - 2), one of them
+    0, in order, with a copy of the last before the first and of the first
+    after the last, so that each angle's neighbours are the rows beside it:
+    8m rows of m entries.  With them come h, the ramp i k and the curvature
+    slack h^2/8 k^2 per |a_k|.
     """
-    poly, companion = buffers
-    # u^(M+m) carries i m a_m and u^(M-m) carries -i m conj(a_m); highest power first
-    poly[: a.size] = (up * a)[::-1]
-    poly[a.size + 1 :] = down * a.conj()
-    if a[-1]:
-        companion[0] = -poly[1:] / poly[0]
-        roots = np.angle(np.linalg.eigvals(companion))
-    elif a.any():
-        roots = np.angle(np.roots(poly))
-    else:
+    step = 2.0 * math.pi / (8 * m - 2)
+    ramp = np.arange(1, m + 1)
+    up = 1j * ramp
+    table = np.multiply.outer(step * np.arange(-4 * m, 4 * m), up)
+    np.exp(table, out=table)  # in place: at m = 1024 the table alone is 134 MB
+    return table, step, up, step**2 / 8.0 * ramp**2.0
+
+
+def _peak(terms: np.ndarray, grid):
+    """(theta, rise): the angle maximizing f = Re sum_m a_m e^(i m theta) and the rise to it from 0.
+
+    terms[m-1, p] is a_m (i m)^p, p = 0..3, so f and its first three
+    derivatives are Re sum_m terms[m-1] e^(i m theta).  The rise is
+    f(theta) - f(0), and grid is _grid(len(terms)).  One product with the
+    grid's table reads f at its angles, h apart, and None is returned where
+    no angle reads above its neighbours: f is flat, a = 0.  Between two
+    neighbouring angles f exceeds the larger of their values by at most
+    h^2/8 sum_m m^2 |a_m|, since that bounds its curvature.  So the angles
+    that top both neighbours are polished highest first, each while its
+    value plus that slack could beat the best end so far.  From the vertex of
+    the parabola through the angle and its neighbours, Newton steps on f'
+    climb to the maximum between the neighbours, in Halley's form, which
+    reads f''' too.  A step is taken only where f bends down (Newton's
+    where f'' read halfway along the step would not), it is cut at the
+    neighbours, and the climb ends once a step is below 1e-4 h, the value
+    read off the step's cubic model: Halley's error shrinks as its cube, so
+    that step leaves theta within rounding of the peak.  At a top flat to
+    fourth order the steps only halve, so a climb may take up to 64.  An end
+    below the angle it started from gives way to that angle, and the best
+    end is returned.
+    """
+    table, h, up, slack = grid
+    a = terms[:, 0]
+    values = (table @ a).real
+    mid = values[1:-1]
+    tops = ((mid >= values[:-2]) & (mid > values[2:])).nonzero()[0]
+    if not tops.size:
         return None
-    theta = roots[(np.exp(roots[:, None] * up) @ a).real.argmax()]
-    return theta, ((np.exp(theta * up) - np.exp(x0 * up)) @ a).real
+    bound = float(np.abs(a) @ slack) if tops.size > 1 else 0.0
+    centre = len(mid) // 2  # angle 0
+    best = -math.inf
+    for middle, k in sorted(zip(mid[tops].tolist(), tops.tolist()), reverse=True):
+        if middle + bound < best:
+            break  # this top and every lower one: nothing between their neighbours beats best
+        left, _, right = values[k : k + 3].tolist()
+        x = h * (k - centre)
+        lo, hi = x - h, x + h
+        theta = x + 0.5 * h * (left - right) / (left - 2.0 * middle + right)
+        for _ in range(64):
+            f, slope, bend, twist = (np.exp(theta * up) @ terms).real.tolist()
+            if bend >= 0.0:
+                break
+            # Halley's step: Newton's with f'' read halfway along Newton's step
+            curve = bend - 0.5 * slope * twist / bend
+            step = min(max(theta - slope / (curve if curve < 0.0 else bend), lo), hi) - theta
+            theta += step
+            f += step * (slope + step * (0.5 * bend + step * twist / 6.0))
+            if abs(step) <= 1e-4 * h:
+                break
+        if middle > f:
+            theta, f = x, middle
+        if f > best:
+            peak, best = theta, f
+    return peak, best - float(mid[centre])
 
 
 def _others(d: int) -> np.ndarray:
@@ -238,36 +283,41 @@ def _symmetric_sweep(weights: np.ndarray):
     by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so phi_sj enters the pair
     (j, k) as e^(i e phi) with e = N - t (setting 1) or t (setting 2), and the
     pair (k, j) as its conjugate.  So the value is
-    const + 2^N Re sum_m a_m e^(i m phi), where a_m sums
-    2 W[t, j, k] by_t[j, k] (phi_sj set to 0) over k != j and the t with
-    e = m.  O(N d) per phase and row; the exponents, the weights times
-    2 C(N, t) 2^-N, the ramps and _peak's buffers are built once.
+    const + 2^N Re sum_m b_m e^(i m (phi - x0)), centred on the current phase
+    x0: b_m sums 2 W[t, j, k] by_t[j, k] over k != j and the t with e = m.
+    Each t's term is its row of weights, 0 at k = j, against
+    e^(i p (phi_j - phi_k)) for the two settings' exponents p at t, and the
+    weights also carry the (i e)^p of _peak's terms.  So a coordinate costs a
+    difference, three products and an exponential for all rows at once:
+    O(N d) per row, and _peak's O(N^2).  The exponents and the weights,
+    both in order of e, O(N d^2) entries, and _peak's grid are built once.
     """
     n, d = weights.shape[0] - 1, weights.shape[1]
-    t = np.arange(n + 1)
-    powers = np.stack([n - t, t], axis=1)  # (N+1, 2): exponent of each setting's factor
-    scaled = 2.0 * _binomials(n)[:, None, None] * weights
-    reads = [(j, k, scaled[:, j, k]) for j, k in enumerate(_others(d))]
-    ramp = np.arange(1, n + 1)
-    up, down = 1j * ramp, -1j * ramp
-    buffers = np.zeros(2 * n + 1, dtype=complex), np.eye(2 * n, k=-1, dtype=complex)
-    # a_m is by_power[N - m] for setting 1 and by_power[m] for setting 2, m = 1..N
-    terms = (slice(-2, None, -1), slice(1, None))
+    t = np.arange(n + 1.0)
+    powers = (t[:, None] * [-1.0, 1.0] + [n, 0.0])[:, None]  # (N+1, 1, 2): N - t and t
+    pairs = 2.0 * _binomials(n)[:, None, None] * weights + 0j  # (N+1, j, k)
+    pairs[:, range(d), range(d)] = 0.0  # the pair (j, j) holds no phase
+    ramps = (1j * t[:, None, None]) ** np.arange(4)  # (i e)^p for row e: _peak's terms
+    orders = (slice(None, None, -1), slice(None))  # setting 1's and 2's rows in order of e
+    moving = len(_others(d))
+    reads = [
+        (s, j, powers[e], pairs[e, j, :, None] * ramps)
+        for s, e in enumerate(orders)
+        for j in range(moving)
+    ]
+    grid = _grid(n)
 
     def sweep(phases):
-        shared = phases[:, 0]  # (R, 2, d): each row's party-1 block
-        for s in (0, 1):
-            for j, k, w in reads:
-                at_k = shared.take(k, axis=2)
-                row = shared[:, :, j, None] - at_k  # phi_j - phi_k, k != j
-                row[:, s] = -at_k[:, s]
-                by_power = (w * np.exp(1j * (powers @ row))).sum(axis=2)
-                moves = []
-                for i, x0 in enumerate(shared[:, s, j].tolist()):
-                    move = _peak(by_power[i, terms[s]], x0, up, down, buffers)
-                    if move is not None:
-                        moves.append((i, x0, *move))
-                yield s * d + j, moves
+        shared = phases[:, :1]  # (R, 1, 2, d): each row's party-1 block
+        for s, j, p, w in reads:
+            row = shared[..., j, None] - shared  # phi_j - phi_k, 0 at k = j
+            terms = np.exp(1j * (p @ row)) @ w  # (R, N+1, 1, 4)
+            moves = []
+            for i, x0 in enumerate(shared[:, 0, s, j].tolist()):
+                move = _peak(terms[i, 1:, 0], grid)
+                if move is not None:
+                    moves.append((i, x0, x0 + move[0], move[1]))
+            yield s * d + j, moves
 
     return sweep
 

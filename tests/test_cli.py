@@ -274,6 +274,16 @@ class TestViolationCommand:
         assert report["bell_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-5)
         assert report["angles_mode"] == "optimized-symmetric"
 
+    def test_optimized_symmetric_mode_reaches_the_maximum_at_n_100(self, capsys):
+        # the shared-phase polynomial's coefficients span 30 decades here
+        code, out, _ = invoke(
+            capsys, "violation", "--n", "100", "--d", "2",
+            "--angles", "optimized-symmetric", "--restarts", "1",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["difference"]) <= 1e-7 * report["closed_form_max"]
+
     def test_optimized_mode_reports_its_restarts(self, capsys):
         # the report's value is the best restart's, taken from the search itself
         code, out, _ = invoke(
@@ -915,7 +925,7 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("quditbell ")]
-    assert len(lines) == 8
+    assert len(lines) == 9
     monkeypatch.chdir(tmp_path)
     for line in lines:
         code, out, err = invoke(capsys, *shlex.split(line)[1:])

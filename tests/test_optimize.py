@@ -10,6 +10,7 @@ from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
     _climb,
     _free_sweep,
+    _grid,
     _peak,
     _symmetric_sweep,
     cglmp_max_closed_form,
@@ -866,7 +867,7 @@ class TestStack:
 
 
 def roots_peak(a):
-    """The peak by np.roots, the solver _peak replaces; the bit-for-bit oracle."""
+    """The peak by np.roots, the companion-matrix solver _peak replaces; the oracle."""
     if not a.any():
         return None
     m = np.arange(1, a.size + 1)
@@ -874,50 +875,99 @@ def roots_peak(a):
     return roots[np.argmax((np.exp(1j * np.outer(roots, m)) @ a).real)]
 
 
-def _buffers(degree):
-    """Fresh _peak buffers: a (2M+1)-term polynomial and a 2M x 2M companion matrix."""
-    return np.zeros(2 * degree + 1, dtype=complex), np.eye(2 * degree, k=-1, dtype=complex)
+def peak_terms(a):
+    """_peak's terms of a: a_m (i m)^p, p = 0..3, the coefficients of f and its derivatives."""
+    return a[:, None] * (1j * np.arange(1, a.size + 1)[:, None]) ** np.arange(4)
+
+
+def trig_value(a, theta):
+    """Re sum_m a[m-1] e^(i m theta)."""
+    return (np.exp(1j * np.arange(1, a.size + 1) * theta) @ a).real
+
+
+def peak_cases(rng, degree):
+    """One polynomial of each family _peak must solve, by name."""
+    m = np.arange(1, degree + 1)
+
+    def normal():
+        return rng.normal(size=degree) + 1j * rng.normal(size=degree)
+
+    yield "random", normal()
+    yield "decaying", normal() * 10.0 ** (-rng.uniform(0.5, 3.0) * m)
+    dominant = 1e-3 * normal()
+    dominant[-1] = 10.0 * normal()[0]
+    yield "dominant top term", dominant
+    # degree maxima equal to within 1e-9
+    single = np.zeros(degree, dtype=complex)
+    single[-1] = np.exp(1j * rng.uniform(-np.pi, np.pi))
+    single[0] += 1e-9 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    yield "single top term", single
+    zeroed = normal()
+    zeroed[rng.integers(1, degree + 1) :] = 0.0
+    yield "zeroed top terms", zeroed
+    # a large-N symmetric row: C(N, t)/2^N spans 30 decades at N = 100
+    binomial = np.array([math.comb(degree, t) for t in m]) / 2.0**degree
+    yield "binomial", binomial * np.exp(1j * m * rng.uniform(-np.pi, np.pi))
+    if degree > 1:
+        # cos(k x) - cos(2k x)/4: k equal maxima, each flat to fourth order
+        k, shift = degree // 2, rng.uniform(-np.pi, np.pi)
+        flat = np.zeros(degree, dtype=complex)
+        flat[k - 1], flat[2 * k - 1] = np.exp(1j * k * shift), -0.25 * np.exp(2j * k * shift)
+        yield "flat tops", flat
 
 
 class TestPeak:
-    @pytest.mark.parametrize("degree", range(1, 9))
-    def test_equals_the_np_roots_peak_bit_for_bit(self, rng, degree):
+    @pytest.mark.parametrize("degree", range(1, 65))
+    def test_reaches_the_np_roots_peak(self, rng, degree):
+        # _peak reads the polynomial centred on x0, as a sweep builds it: its peak and rise
+        # are a move from x0, and the peak is worth at least the oracle's.  The oracle's
+        # eigenvalues cost degree^3: 20 trials up to degree 16, then fewer, down to 2
+        grid = _grid(degree)
         m = np.arange(1, degree + 1)
-        up, down = 1j * m, -1j * m
-        buffers = np.zeros(2 * degree + 1, dtype=complex), np.eye(2 * degree, k=-1, dtype=complex)
-        for trial in range(200):
-            a = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-            # zero first or last terms; vanishing top terms trim the polynomial at both ends
-            a[: trial % 3] = 0.0
-            a[degree - (trial // 3) % 3 :] = 0.0
-            x0 = rng.uniform(-np.pi, np.pi)
-            move = _peak(a, x0, up, down, buffers)
-            expected = roots_peak(a)
-            if expected is None:  # the all-zero vector
-                assert move is None
-                continue
-            assert move[0] == expected
-            # the buffers are rewritten in place: a second call agrees
-            assert _peak(a, x0, up, down, buffers) == move
-            assert move[1] == pytest.approx(
-                ((np.exp(1j * m * expected) - np.exp(1j * m * x0)) @ a).real, abs=1e-12
-            )
-        assert _peak(np.zeros(degree, dtype=complex), 0.0, up, down, buffers) is None
+        for _ in range(min(20, max(2, 5120 // degree**2))):
+            for family, a in peak_cases(rng, degree):
+                x0 = rng.uniform(-np.pi, np.pi)
+                psi, rise = _peak(peak_terms(a * np.exp(1j * m * x0)), grid)
+                theta = x0 + psi
+                size = np.abs(a).sum()
+                assert trig_value(a, theta) >= trig_value(a, roots_peak(a)) - 1e-14 * size, family
+                expected = ((np.exp(1j * m * theta) - np.exp(1j * m * x0)) @ a).real
+                assert rise == pytest.approx(expected, rel=0, abs=1e-12), family
+        assert _peak(np.zeros((degree, 4), dtype=complex), grid) is None
 
-    @pytest.mark.parametrize("degree", range(2, 9))
-    def test_a_trimmed_row_leaves_the_buffers_fit_for_a_full_one(self, rng, degree):
-        # a trimmed row goes to np.roots and writes only the polynomial: the next full row
-        # solved with the same buffers is solved bit for bit as with fresh ones
-        m = np.arange(1, degree + 1)
-        up, down = 1j * m, -1j * m
-        buffers = _buffers(degree)
-        for top in range(1, degree):
-            trimmed = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-            trimmed[top:] = 0.0
-            full = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-            x0 = rng.uniform(-np.pi, np.pi)
-            assert _peak(trimmed, x0, up, down, buffers)[0] == roots_peak(trimmed)
-            assert _peak(full, x0, up, down, buffers) == _peak(full, x0, up, down, _buffers(degree))
+    @pytest.mark.parametrize("degree", [1, 2, 3, 8, 64])
+    def test_the_table_holds_8_degree_squared_entries(self, degree):
+        assert _grid(degree)[0].size == 8 * degree**2  # twice a 2m x 2m matrix
+
+
+def refuse_lapack(monkeypatch):
+    """Make every numpy eigenvalue and polynomial-root solver raise."""
+
+    def refused(*args, **kwargs):
+        pytest.fail("the search called a LAPACK eigenvalue solver")
+
+    for name in ("numpy.linalg.eigvals", "numpy.linalg.eig", "numpy.roots"):
+        monkeypatch.setattr(name, refused)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (4, 3), (3, 5)])
+def test_the_symmetric_search_needs_no_lapack(rng, monkeypatch, n, d):
+    refuse_lapack(monkeypatch)
+    scen = BellScenario(n, d)
+    top, tol = max_violation(scen), 1e-6 * 2.0 ** (n - 2)
+    _, value = optimize_phases(scen, random_config(scen, rng), budget=20_000, mode="symmetric")
+    assert value == pytest.approx(top, rel=0, abs=tol)
+    result = optimize_with_restarts(scen, restarts=3, seed=0, mode="symmetric")
+    assert result.value == pytest.approx(top, rel=0, abs=tol)
+
+
+@pytest.mark.parametrize("n,d", [(70, 2), (100, 2), (80, 3)])
+def test_symmetric_restarts_reach_the_maximum_at_large_n(n, d):
+    # the coefficients span 30 decades at (100, 2); every restart ends on the maximum
+    scen = BellScenario(n, d)
+    result = optimize_with_restarts(scen, restarts=3, seed=0, mode="symmetric")
+    for value in result.restart_values:
+        assert value == pytest.approx(max_violation(scen), rel=1e-7, abs=0)
 
 
 @pytest.mark.parametrize("mode", ["free", "symmetric"])
