@@ -129,6 +129,9 @@ def _power(base: int, exponent: int) -> str:
     return "^".join(s if s.isdigit() else f"({s})" for s in map(_brief, (base, exponent)))
 
 
+_BITS = str.maketrans("12", "01")  # a setting character to its bit
+
+
 def setting_index(setting, n_parties: int) -> int:
     """Row index of a setting given as a '12...' string or a sequence of the ints 1 and 2.
 
@@ -141,9 +144,9 @@ def setting_index(setting, n_parties: int) -> int:
             text = "".join(str(e) if _is_int(e) and e in (1, 2) else "?" for e in setting)
         except TypeError:  # not iterable
             text = "?"
-    if len(text) != n_parties or not set(text) <= {"1", "2"}:
+    if len(text) != n_parties or text.strip("12"):
         raise ValueError(f"invalid setting {_brief(setting)} for {_brief(n_parties)} parties")
-    return int(text.replace("1", "0").replace("2", "1"), 2)
+    return int(text.translate(_BITS), 2)
 
 
 def t_counts(n_parties: int) -> np.ndarray:

@@ -13,6 +13,8 @@ from quditbell.quantum import DensityMatrix, PhaseConfiguration
 from quditbell.scenario import (
     BellScenario,
     JointProbabilityTable,
+    _brief,
+    _is_int,
     all_setting_strings,
     outcome_index,
     outcome_sums_mod_d,
@@ -148,6 +150,23 @@ def t_coefficient(n_parties: int, k: int) -> int:
     return sum(
         (-1) ** (k - i) * (k + 1 - i) * math.comb(n_parties, i) for i in range(k + 1)
     )
+
+
+def setting_index_reference(setting, n_parties: int) -> int:
+    """Oracle: scenario.setting_index as first written, by a set test and two replaces.
+
+    The string or the joined sequence must be n_parties characters, each '1' or '2';
+    anything else raises the reader's own ValueError.
+    """
+    text = setting
+    if not isinstance(setting, str):
+        try:
+            text = "".join(str(e) if _is_int(e) and e in (1, 2) else "?" for e in setting)
+        except TypeError:  # not iterable
+            text = "?"
+    if len(text) != n_parties or not set(text) <= {"1", "2"}:
+        raise ValueError(f"invalid setting {_brief(setting)} for {_brief(n_parties)} parties")
+    return int(text.replace("1", "0").replace("2", "1"), 2)
 
 
 def substring(setting: str, parties: tuple[int, ...]) -> str:

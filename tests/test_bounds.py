@@ -2,11 +2,13 @@
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import quditbell.bounds
 from quditbell.bounds import (
     Bipartition,
     BudgetExceededError,
@@ -307,6 +309,17 @@ def fraction_group_max(group, dimension):
         _group_value(group, (xa, xa2), (zb, zb2), dimension)
         for xa, xa2, zb, zb2 in itertools.product(range(dimension), repeat=4)
     )
+
+
+# the brute-force oracle reads a quadruple only through its t-counts, so a string of
+# t twos stands for each member
+@functools.lru_cache(maxsize=None)
+def fraction_group_max_by_t_counts(t_counts, dimension):
+    return fraction_group_max(tuple("2" * t for t in t_counts), dimension)
+
+
+# N = 3..5 at d = 2..6 and N = 6 at d <= 4, with every split
+GROUP_SIZES = [(n, d) for n in (3, 4, 5) for d in range(2, 7)] + [(6, d) for d in (2, 3, 4)]
 
 
 class TestBipartition:
@@ -749,13 +762,31 @@ class TestGrouping:
         for group in grouping.groups:
             assert group_deterministic_max(group, scen, part) == 2
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n,d", GROUP_SIZES, ids=[f"{d}-{n}" for n, d in GROUP_SIZES])
     def test_integer_group_max_matches_fraction_brute_force(self, n, d):
+        # every split, party 1 on either side
         scen = BellScenario(n, d)
-        part = Bipartition.from_block(n, tuple(range(1, n // 2 + 1)))
-        for group in build_grouping(scen, part).groups:
-            assert group_deterministic_max(group, scen, part) == fraction_group_max(group, d)
+        for canonical in bipartitions(n):
+            for part in (canonical, Bipartition(canonical.block_b, canonical.block_a)):
+                for group in build_grouping(scen, part).groups:
+                    expected = fraction_group_max_by_t_counts(tuple(map(t_count, group)), d)
+                    assert group_deterministic_max(group, scen, part) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_search_covers_every_point_on_any_rows(self, d, rng, monkeypatch):
+        # the functional's rows peak at xa' = 0 for every quadruple, so a search that
+        # skipped the other d - 1 values would still read 2 above; random rows need them all
+        scen = BellScenario(4, d)
+        part = Bipartition.from_block(4, (1, 3))
+        for _ in range(5):
+            rows = {t: tuple(int(v) for v in rng.integers(-9, 10, d)) for t in range(5)}
+            monkeypatch.setattr(quditbell.bounds, "_numerator_row", lambda t, dim: rows[t])
+            for group in build_grouping(scen, part).groups:
+                low, mid, high = (rows[t_count(group[0]) + i] for i in range(3))
+                best = min(low[(xa + zb) % d] + mid[(xa + zb2) % d] + mid[(xa2 + zb) % d]
+                           + high[(xa2 + zb2) % d]
+                           for xa, xa2, zb, zb2 in itertools.product(range(d), repeat=4))
+                assert group_deterministic_max(group, scen, part) == Fraction(-best, d - 1)
 
     @pytest.mark.parametrize("part", [Bipartition((1, 4), (2, 3)), Bipartition((1,), (2, 3, 4))],
                              ids=Bipartition.describe)
@@ -780,6 +811,21 @@ class TestGrouping:
                 group_deterministic_max(group, scen, part)
         with pytest.raises(ValueError, match="invalid setting"):
             group_deterministic_max(("111", "112", "211", "2122"), scen, part)
+        # not four settings: too few, too many, or no sequence at all
+        for group, written in [
+            (("111", "112", "211"), "('111', '112', '211')"),
+            (("111", "112", "211", "212", "212"), "('111', '112', '211', '212', '212')"),
+            (None, "None"),
+            (7, "7"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"malformed quadruple {written}")):
+                group_deterministic_max(group, scen, part)
+        # an endless group is refused after its fifth entry
+        read = []
+        endless = (read.append(s) or s for s in itertools.cycle(("111", "112", "211", "212")))
+        with pytest.raises(ValueError, match="malformed quadruple <generator"):
+            group_deterministic_max(endless, scen, part)
+        assert len(read) == 5
         strategy = random_strategy(scen, part, rng)
         with pytest.raises(ValueError, match="malformed"):
             verify_group_cglmp(("111", "112", "121", "211"), strategy, scen)

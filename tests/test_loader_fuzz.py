@@ -3,6 +3,7 @@
 import pytest
 
 pytest.importorskip("hypothesis")
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quditbell.scenario import (
@@ -11,6 +12,7 @@ from quditbell.scenario import (
     all_setting_strings,
     setting_index,
 )
+from conftest import setting_index_reference
 
 # a fixed alphabet, near the setting strings and field names, spares
 # hypothesis its Unicode tables
@@ -94,3 +96,48 @@ def test_setting_index_round_trip(row):
     setting = all_setting_strings(n)[i]
     assert setting_index(setting, n) == i
     assert setting_index([int(c) for c in setting], n) == i
+
+
+# the setting characters, with a space, a zero, an underscore and a tab, which int()
+# would read or skip, and an Arabic-Indic one, which int() reads as a digit; the
+# setting characters are drawn four times as often, so most strings are nearly valid
+SETTING_TEXT = st.lists(st.sampled_from("1111" "2222" " 0_\t\u0661"), max_size=8).map("".join)
+SETTING_ENTRIES = (
+    st.integers(-1, 3)
+    | st.booleans()
+    | st.floats(allow_nan=True)
+    | st.integers(-1, 3).map(np.int64)
+    | st.integers(0, 3).map(np.uint8)
+)
+SETTINGS = (
+    st.text("12", max_size=8)
+    | SETTING_TEXT
+    | st.lists(st.sampled_from([1, 2]), max_size=8)
+    | st.lists(SETTING_ENTRIES, max_size=8)
+    | st.lists(SETTING_ENTRIES, max_size=8).map(tuple)
+    | st.integers()
+    | st.none()
+)
+
+
+@st.composite
+def settings_and_sizes(draw):
+    # the party count is mostly the setting's length, so most draws reach the index
+    setting = draw(SETTINGS)
+    length = len(setting) if isinstance(setting, (str, list, tuple)) else 0
+    return setting, draw(st.just(length) | st.integers(0, 8))
+
+
+def _read(reader, setting, n):
+    try:
+        return reader(setting, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(settings_and_sizes())
+def test_setting_index_matches_the_reference_reader(case):
+    # the same index, or the same refusal text
+    setting, n = case
+    assert _read(setting_index, setting, n) == _read(setting_index_reference, setting, n)
