@@ -28,8 +28,7 @@ strategy keeps:
   differ in the least class where their class vectors differ: their order
   is the lexicographic order of (x, z).
 - The least optimal (x, z) has x_0 = 0, as (x - x_0, z + x_0) is also
-  optimal.  The rows are walked in lexicographic order, so the first strict
-  row minimum is its x, and its z takes the first minimiser of each z_b.
+  optimal.  The rows x are walked in lexicographic order.
 
 lhv_bound does the same for fully local models, where party p fixes one
 outcome per setting, a_p and b_p: d^(2N) strategies.  Shifting party p's two
@@ -47,11 +46,17 @@ costs.  It returns the least optimum in the order (a_1, b_1, ..., a_N, b_N):
   optimum is the least canonical one.
 - A row's value depends only on its multiset, whose least arrangement is the
   sorted one, so the least optimal row is sorted.  The sorted rows come in
-  lexicographic order, so it is the first strict row minimum, followed by
-  the first minimisers of a_N and b_N.
+  lexicographic order.
 
-Every partial sum is at most 2^N * (d - 1) in magnitude; past int64 the
-searches run on Python integers.
+Both searches build their terms with _table, as costs[row, class, value]
+with each class's value free given the row (z_b; a_N and b_N), and _least
+reads the least optimum off them: the first strict row minimum of the summed
+per-class minima, then each class's first minimiser.
+
+The searches read the functional only through _numerator_row.  Every
+partial sum is at most 2^N * (d - 1) in magnitude; past int64 they run on
+Python integers.  Before allocating, each refuses arrays past
+DENSE_DIMENSION_LIMIT**2 entries, the limit of a probability table.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .quantum import DENSE_DIMENSION_LIMIT, DenseLimitError
 from .scenario import (
     BellScenario,
     _brief,
@@ -118,9 +124,18 @@ def strategy_space_exponent(scenario: BellScenario, partition=None) -> int:
 
 def _check_budget(scenario: BellScenario, partition, budget: int) -> None:
     budget = _count(budget, "budget", 1)
-    d, e = scenario.dimension, strategy_space_exponent(scenario, partition)
+    n, d, e = scenario.n_parties, scenario.dimension, strategy_space_exponent(scenario, partition)
     if _exceeds(d, e, budget):
         raise BudgetExceededError(d, e, budget)
+    # the largest array a search builds: its rows x (N-k+1) x d partial sums or subset
+    # counts, or its (k+1) x d x (N-k+1) x d table; HLNHV has k = |A| and d^k rows, LHV
+    # k = 1 and C(N+d-2, d-1) rows, both fewer than the d^e strategies the budget admits
+    k = 1 if partition is None else len(partition.block_a)
+    rows = math.comb(n + d - 2, d - 1) if partition is None else d**k
+    entries = max(rows, (k + 1) * d) * (n - k + 1) * d
+    if entries > DENSE_DIMENSION_LIMIT**2:
+        raise DenseLimitError(f"the search needs {_brief(entries)} entries, "
+                              f"over the {DENSE_DIMENSION_LIMIT**2} allowed")
 
 
 @dataclass(frozen=True)
@@ -245,38 +260,33 @@ def _exact_dtype(n_parties: int, d: int):
     return np.int64 if (d - 1) << n_parties < 1 << 63 else object
 
 
-def _min_class_sum(weights: np.ndarray) -> tuple[int, list[int], list[int]]:
-    """Least sum_ab weights[a, b, (x_a + z_b) mod d] over x with x_0 = 0 and z.
+def _table(n: int, d: int, first, last: int) -> np.ndarray:
+    """table[t, s, a, z] = first[t] * C(last, a) * num[t + a][(s + z) mod d], contiguous.
 
-    Returns the minimum and the lexicographically least (x, z) attaining it:
-    the rows x go in lexicographic order, the first strict minimum is kept,
-    and each z_b is its own first minimiser.
+    Each (t, s) block is contiguous, so the sums that add blocks run on
+    contiguous memory: on a fancy index's strided result they ran 2.3 times
+    slower at shape (6, 2, 5).
     """
-    ka, kb, d = weights.shape
-    # shifted[a, v, b, z]: the (a, b) term when x_a = v and z_b = z, taken at index
-    # v + z wrapped mod d.  It is laid out in that order, so each block the sums add
-    # is contiguous: on a fancy index's strided result they ran 2.3 times slower at
-    # shape (6, 2, 5)
-    r = np.arange(d)
-    shifted = np.ascontiguousarray(
-        np.take(weights, r[:, None] + r, axis=2, mode="wrap").transpose(0, 2, 1, 3))
-    # sums[row, b, z]: the row's terms of class b summed, at z_b = z
-    sums = shifted[0, :1]
-    for block in shifted[1:]:
-        sums = (sums[:, None] + block).reshape(-1, kb, d)
-    costs = sums.min(axis=2).sum(axis=1)
-    row = int(costs.argmin())
-    x, rest = [], row
-    for _ in range(ka - 1):  # the row's base-d digits x_1 .. x_k, last first
-        rest, v = divmod(rest, d)
-        x.append(v)
-    return int(costs[row]), [0, *x[::-1]], sums[row].argmin(axis=1).tolist()
+    rows = np.array([c * v for t, f in enumerate(first) for a in range(last + 1)
+                     for c in [f * math.comb(last, a)] for v in _numerator_row(t + a, d)],
+                    dtype=_exact_dtype(n, d)).reshape(len(first), last + 1, d)
+    r = np.arange(d)  # the take reads index s + z mod d
+    return np.ascontiguousarray(np.take(rows, r[:, None] + r, axis=2, mode="wrap").swapaxes(1, 2))
+
+
+def _least(costs: np.ndarray) -> tuple[int, int, list[int]]:
+    """The least optimum of costs[row, class, value], each class's value free given the row.
+
+    Returns the least sum of per-class minima, the first row attaining it and each
+    class's first minimiser in that row.
+    """
+    totals = costs.min(axis=2).sum(axis=1)
+    row = int(totals.argmin())
+    return int(totals[row]), row, costs[row].argmin(axis=1).tolist()
 
 
 def hlnhv_bound(
-    scenario: BellScenario,
-    partition: Bipartition,
-    budget: int = DEFAULT_BUDGET,
+    scenario: BellScenario, partition: Bipartition, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, DeterministicStrategy]:
     """Exact maximum of the Bell functional over one partition's strategies.
 
@@ -285,26 +295,25 @@ def hlnhv_bound(
     d^|A| t-count class rows rather than every strategy and keeps the same
     witness (see the module docstring); the budget still counts the space
     it certifies, d^(2^|A|) * d^(2^|B|), and a larger one raises
-    BudgetExceededError.
+    BudgetExceededError.  A search whose arrays would hold more than
+    DENSE_DIMENSION_LIMIT**2 entries raises DenseLimitError before any is built.
     """
     partition = partition._covering(scenario.n_parties).canonical()
     n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, partition, budget)
-
     ka, kb = len(partition.block_a), len(partition.block_b)
-    # weights[a, b]: the numerator row of t-count a + b, once per pair of
-    # block combinations with t-counts a and b
-    weights = np.array(
-        [pairs * v for a in range(ka + 1) for b in range(kb + 1)
-         for pairs in [math.comb(ka, a) * math.comb(kb, b)] for v in _numerator_row(a + b, d)],
-        dtype=_exact_dtype(n, d),
-    ).reshape(ka + 1, kb + 1, d)
-    total, x, z = _min_class_sum(weights)
-    return Fraction(-total, d - 1), DeterministicStrategy(
-        partition,
-        {c: x[c.count("2")] for c in all_setting_strings(ka)},
-        {c: z[c.count("2")] for c in all_setting_strings(kb)},
-    )
+    # table[a, v, b, z]: the (a, b) term when x_a = v and z_b = z, once per pair of
+    # block combinations with t-counts a and b; sums[row, b, z]: the row's class-b
+    # terms summed, at z_b = z
+    table = _table(n, d, [math.comb(ka, a) for a in range(ka + 1)], kb)
+    sums = table[0, :1]
+    for block in table[1:]:
+        sums = (sums[:, None] + block).reshape(-1, kb + 1, d)
+    total, row, z = _least(sums)
+    x = [row // d**k % d for k in range(ka, -1, -1)]  # x_0 = 0, then the row's base-d digits
+    xi = {c: x[c.count("2")] for c in all_setting_strings(ka)}
+    zeta = {c: z[c.count("2")] for c in all_setting_strings(kb)}
+    return Fraction(-total, d - 1), DeterministicStrategy(partition, xi, zeta)
 
 
 def lhv_bound(
@@ -318,33 +327,26 @@ def lhv_bound(
     a_1 = ... = a_(N-1) = 0, visits the C(N+d-2, d-1) sorted rows
     b_1 <= ... <= b_(N-1) and minimises a_N and b_N independently per row
     (see the module docstring); the budget still counts the d^(2N)
-    strategies it certifies.
+    strategies it certifies.  Arrays past DENSE_DIMENSION_LIMIT**2 entries
+    raise DenseLimitError before any is built.
     """
     n, d = scenario.n_parties, scenario.dimension
     _check_budget(scenario, None, budget)
-    dtype = _exact_dtype(n, d)
     rows = np.array(list(itertools.combinations_with_replacement(range(d), n - 1)))
     m = len(rows)
     # counts[row, t, s]: subsets of parties 1..N-1 with t members whose b's
     # sum to s mod d; party p joins each subset of t - 1 members and b-sum
     # s - b_p
-    counts = np.zeros((m, n, d), dtype=dtype)
+    counts = np.zeros((m, n, d), dtype=_exact_dtype(n, d))
     counts[:, 0, 0] = 1
     each_row, each_size = np.arange(m)[:, None, None], np.arange(n - 1)[:, None]
     for before in (np.arange(d) - rows.T[:, :, None, None]) % d:
         counts[:, 1:] += counts[each_row, each_size, before]
-    # table[t, s, i * d + w]: the term of a t-subset on setting 2 with b-sum s
-    # and party N on setting i + 1 with outcome w
-    nums = _numerator_rows(n, d, dtype)
-    cyclic = (np.arange(d)[:, None] + np.arange(d)) % d
-    table = np.concatenate([nums[:-1, cyclic], nums[1:, cyclic]], axis=2)
-    costs = counts.reshape(m, n * d) @ table.reshape(n * d, 2 * d)
-    setting_1, setting_2 = costs[:, :d], costs[:, d:]
-    totals = setting_1.min(axis=1) + setting_2.min(axis=1)
-    row = int(totals.argmin())
-    a_n, b_n = int(setting_1[row].argmin()), int(setting_2[row].argmin())
-    witness = tuple((0, int(b)) for b in rows[row]) + ((a_n, b_n),)
-    return Fraction(-int(totals[row]), d - 1), witness
+    # costs[row, i, w]: party N on setting i + 1 with outcome w; the table's [t, s, i, w]
+    # is the term of a t-subset on setting 2 with b-sum s and party N so placed
+    costs = counts.reshape(m, n * d) @ _table(n, d, [1] * n, 1).reshape(n * d, 2 * d)
+    total, row, (a_n, b_n) = _least(costs.reshape(m, 2, d))
+    return Fraction(-total, d - 1), tuple((0, int(b)) for b in rows[row]) + ((a_n, b_n),)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ __all__ = [
 
 
 class DenseLimitError(RuntimeError):
-    """Hilbert space, or probability table, too large to build densely."""
+    """Hilbert space, probability table or bound search too large to build densely."""
 
 
 class DensityMatrix:

@@ -19,8 +19,8 @@ from quditbell.bounds import (
     hlnhv_bound,
     lhv_bound,
     strategy_bell_value,
-    _min_class_sum,
 )
+from quditbell.quantum import DenseLimitError
 from quditbell.scenario import (
     BellScenario,
     _numerator_row,
@@ -40,11 +40,11 @@ from conftest import (
 )
 
 
-def loop_strategy_bell_value(strategy, scenario) -> Fraction:
+def loop_strategy_bell_value(strategy, scenario, row=_numerator_row) -> Fraction:
     """Oracle: the strategy's exact value, setting string by setting string.
 
     Each of the 2^N strings reads its block combinations' values and adds
-    the integer numerator of its t-count at their sum.
+    the integer numerator row(t, d) of its t-count at their sum.
     """
     strategy.validate_for(scenario)
     part, d = strategy.partition, scenario.dimension
@@ -52,29 +52,29 @@ def loop_strategy_bell_value(strategy, scenario) -> Fraction:
     for s in all_setting_strings(scenario.n_parties):
         xi = strategy.xi[substring(s, part.block_a)]
         zeta = strategy.zeta[substring(s, part.block_b)]
-        total += _numerator_row(t_count(s), d)[(xi + zeta) % d]
+        total += row(t_count(s), d)[(xi + zeta) % d]
     return Fraction(-total, d - 1)
 
 
-def odometer_hlnhv(scenario, partition):
+def exact_row(t, d):
+    """Oracle: the integer numerator row of t-count t, straight from coefficient_exact."""
+    return [int((d - 1) * coefficient_exact(t, r, d)) for r in range(d)]
+
+
+def odometer_hlnhv(scenario, partition, row=exact_row):
     """Brute-force oracle: scan every strategy in lexicographic digit order.
 
     Digits are the xi values in block-A combination order, then the zeta
     values; the first strict maximum is kept, so the witness is the
-    lexicographically least one.  Coefficients come straight from
-    coefficient_exact, the t-count of a setting being the sum of its blocks'.
+    lexicographically least one.  Coefficients come from row(t, d), by
+    default straight from coefficient_exact, the t-count of a setting being
+    the sum of its blocks'.
     """
     partition = partition.canonical()
     d = scenario.dimension
     combos_a = all_setting_strings(len(partition.block_a))
     combos_b = all_setting_strings(len(partition.block_b))
-    num = [
-        [
-            [int((d - 1) * coefficient_exact(t_count(ca) + t_count(cb), r, d)) for r in range(d)]
-            for cb in combos_b
-        ]
-        for ca in combos_a
-    ]
+    num = [[row(t_count(ca) + t_count(cb), d) for cb in combos_b] for ca in combos_a]
     ka, kb = len(combos_a), len(combos_b)
     best_sum, best_digits = None, None
     for digits in itertools.product(range(d), repeat=ka + kb):
@@ -105,20 +105,17 @@ ODOMETER_CASES = [
 
 
 @functools.lru_cache(maxsize=None)
-def brute_force_lhv(scenario):
+def brute_force_lhv(scenario, row=exact_row):
     """Brute-force oracle: scan every local assignment in lexicographic order.
 
     The digits are (a_1, b_1, ..., a_N, b_N), party p's setting-1 and
     setting-2 outcomes; the first strict maximum is kept, so the witness is
-    the lexicographically least one.  Coefficients come straight from
-    coefficient_exact.
+    the lexicographically least one.  Coefficients come from row(t, d), by
+    default straight from coefficient_exact.
     """
     n, d = scenario.n_parties, scenario.dimension
     settings = all_setting_strings(n)
-    nums = {
-        s: [int((d - 1) * coefficient_exact(t_count(s), r, d)) for r in range(d)]
-        for s in settings
-    }
+    nums = {s: row(t_count(s), d) for s in settings}
     # the digit of party p at setting s[p] sits at 2p + (s[p] == "2")
     slots = {s: [2 * p + (c == "2") for p, c in enumerate(s)] for s in settings}
     best_sum, best_digits = None, None
@@ -673,27 +670,95 @@ class TestLhvBound:
         )
 
 
-class TestClassSearch:
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (2, 4, 3), (4, 3, 2)])
-    def test_least_optimum_of_the_whole_space(self, shape, rng):
-        # weights from {-1, 0, 1} tie often, so the tie-break decides
-        ka, kb, d = shape
-        for _ in range(5):
-            weights = rng.integers(-1, 2, size=shape)
-            best = None
-            for digits in itertools.product(range(d), repeat=ka + kb):
-                x, z = digits[:ka], digits[ka:]
-                total = sum(
-                    weights[a, b, (x[a] + z[b]) % d] for a in range(ka) for b in range(kb)
-                )
-                if best is None or total < best[0]:
-                    best = (int(total), list(x), list(z))
-            assert _min_class_sum(weights) == best
+def patch_any_rows(monkeypatch, rng, n, d):
+    """Seeded integer rows from {-1, 0, 1} in place of the functional's, as row(t, d)."""
+    rows = [tuple(int(v) for v in rng.integers(-1, 2, d)) for _ in range(n + 1)]
+    row = lambda t, dim: rows[t]  # noqa: E731
+    monkeypatch.setattr(quditbell.bounds, "_numerator_row", row)
+    return row
 
-    def test_python_ints_match_int64(self, rng):
-        for shape in [(2, 2, 2), (4, 3, 3), (3, 5, 4)]:
-            weights = rng.integers(-20, 21, size=shape)
-            assert _min_class_sum(weights.astype(object)) == _min_class_sum(weights)
+
+class TestSearchesOnAnyRows:
+    """Both searches keep the brute force's least optimum on rows that tie often, so
+    the tie-break decides, and on Python ints as on int64."""
+
+    @staticmethod
+    def same_on_python_ints(monkeypatch, search, expected):
+        assert search() == expected
+        with monkeypatch.context() as patched:
+            patched.setattr(quditbell.bounds, "_exact_dtype", lambda n, d: object)
+            assert search() == expected
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
+    def test_hlnhv_on_every_bipartition(self, n, d, rng, monkeypatch):
+        scen = BellScenario(n, d)
+        for _ in range(10):
+            row = patch_any_rows(monkeypatch, rng, n, d)
+            for part in bipartitions(n):
+                expected = odometer_hlnhv(scen, part, row)
+                self.same_on_python_ints(monkeypatch, lambda: hlnhv_bound(scen, part), expected)
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_lhv(self, n, d, rng, monkeypatch):
+        scen = BellScenario(n, d)
+        for _ in range(10):
+            expected = brute_force_lhv(scen, patch_any_rows(monkeypatch, rng, n, d))
+            self.same_on_python_ints(monkeypatch, lambda: lhv_bound(scen), expected)
+
+
+@pytest.mark.parametrize("search", [
+    # at N = 2 each search's table holds 4 d^2 entries: d = 2048 is the largest
+    # allowed; at d = 2 the LHV subset counts hold 2 N^2: N = 2896 is
+    lambda: hlnhv_bound(BellScenario(2, 2049), Bipartition((1,), (2,)), budget=2049**4),
+    lambda: lhv_bound(BellScenario(2, 2049), budget=2049**4),
+    lambda: lhv_bound(BellScenario(2897, 2), budget=4**2897),
+], ids=["hlnhv", "lhv-d", "lhv-n"])
+def test_arrays_past_the_table_limit_refused(search):
+    with pytest.raises(DenseLimitError,
+                       match=r"^the search needs \d+ entries, over the 16777216 allowed$"):
+        search()
+
+
+def svetlichny_row(t, d):
+    """The Svetlichny functional's numerator row at d = 2: a setting with t twos has
+    coefficient (-1)^(t(t-1)/2) (-1)^r (Svetlichny, PRD 35, 3066 (1987))."""
+    sign = (-1) ** (t * (t - 1) // 2)
+    return (sign, -sign)
+
+
+class TestSvetlichnyRows:
+    """A second functional through the searches' one reader of the rows, checked
+    against its published bounds rather than the package's own."""
+
+    @pytest.fixture(autouse=True)
+    def svetlichny(self, monkeypatch):
+        monkeypatch.setattr(quditbell.bounds, "_numerator_row", svetlichny_row)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_hlnhv_bound_is_the_published_one(self, n):
+        # 2^(N-1) on every bipartition: Collins, Gisin, Popescu, Roberts & Scarani,
+        # PRL 88, 170405 (2002)
+        scen = BellScenario(n, 2)
+        for part in bipartitions(n):
+            bound, witness = hlnhv_bound(scen, part, budget=2 ** (2**n + 2))
+            assert bound == 2 ** (n - 1)
+            assert loop_strategy_bell_value(witness, scen, svetlichny_row) == bound
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_lhv_bound_at_most_hlnhv(self, n):
+        # no published LHV value is checked here, only the order of the models
+        scen = BellScenario(n, 2)
+        bound, witness = lhv_bound(scen)
+        assert bound <= 2 ** (n - 1)
+        folded = fold_local_witness(scen, witness)
+        assert loop_strategy_bell_value(folded, scen, svetlichny_row) == bound
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_quadruple_reads_two(self, n):
+        scen = BellScenario(n, 2)
+        for part in bipartitions(n):
+            for group in build_grouping(scen, part).groups:
+                assert group_deterministic_max(group, scen, part) == 2
 
 
 class TestNumeratorRow:

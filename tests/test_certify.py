@@ -1,10 +1,12 @@
-"""The certified bounds pinned bit for bit, and the benchmark's certify deck run with
-its own oracles, so a change to the bound surface fails here before any timing."""
+"""The certified bounds pinned bit for bit, and each of the benchmark's decks run with
+its own oracles, so a change to the surface a deck calls fails here before any timing."""
 
 import hashlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from quditbell.bounds import bipartitions, hlnhv_bound, lhv_bound
 from quditbell.scenario import BellScenario
@@ -55,6 +57,20 @@ def test_certify_deck_passes_its_own_checks(tmp_path):
     ctx = wl.Context(root=str(tmp_path), tmp=str(tmp_path), python=sys.executable, child_env={})
     tasks = wl.deck("certify", 7)
     assert {task.family for task in tasks} == {"hlnhv", "lhv", "grouping"}
+    for task in tasks:
+        verdict = wl.check_task(task, wl.run_task(task, ctx), ctx)
+        assert verdict.ok and verdict.solved, f"{task.key()}: {verdict.note}"
+
+
+@pytest.mark.parametrize("workload,size", [("violate", 171), ("search", 12), ("cli", 21)])
+def test_every_other_deck_passes_its_own_checks(tmp_path, workload, size):
+    # the cli deck calls cli.run in process, as its own in_process mode does: the
+    # parsing, reports and exit codes it checks, without a subprocess per step
+    wl = _load_workloads()
+    ctx = wl.Context(root=str(tmp_path), tmp=str(tmp_path), python=sys.executable,
+                     child_env={}, in_process=True)
+    tasks = wl.deck(workload, 7)
+    assert len(tasks) == size
     for task in tasks:
         verdict = wl.check_task(task, wl.run_task(task, ctx), ctx)
         assert verdict.ok and verdict.solved, f"{task.key()}: {verdict.note}"

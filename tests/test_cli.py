@@ -846,11 +846,11 @@ class TestProcess:
     """`python -m quditbell.cli` as a real process: main() passes run()'s code to exit."""
 
     @staticmethod
-    def python_process(*argv):
+    def python_process(*argv, timeout=120):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         return subprocess.run(
-            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
         )
 
     @classmethod
@@ -908,6 +908,26 @@ class TestProcess:
         # click prints its usage lines above the one error line
         errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and "--format" in errors[0]
+
+    @pytest.mark.parametrize("argv,entries", [
+        (("--n", "2", "--d", str(10**8), "--partition", "1/2", "--budget", str(10**33)),
+         "40000000000000000"),  # 2 x 10^8 x 2 x 10^8, the class table
+        (("--n", "1024", "--d", "3", "--model", "lhv", "--budget", str(3**2048)),
+         "1612185600"),  # C(1025, 2) x 1024 x 3, the subset counts
+    ], ids=["hlnhv", "lhv"])
+    def test_oversized_search_refused_before_allocating(self, argv, entries):
+        # under a 2 GiB address-space cap, so that a search which allocates first runs out
+        # of memory or of time here instead of taking the machine's memory
+        proc = self.python_process("-c", (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from quditbell.cli import main\n"
+            "main()\n"
+        ), "bound", *argv, timeout=2)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: the search needs {entries} entries, "
+                               "over the 16777216 allowed\n")
 
     def test_resource_error_exit_code(self):
         proc = self.cli_process(

@@ -935,6 +935,11 @@ class TestPeak:
                 assert rise == pytest.approx(expected, rel=0, abs=1e-12), family
         assert _peak(np.zeros((degree, 4), dtype=complex), grid) is None
 
+    def test_a_top_flat_to_fourth_order_keeps_its_grid_angle(self):
+        # f = cos t - cos 2t / 4 = 3/4 - t^4/8 + ...: f'' is 0 at the grid angle 0, where
+        # the parabola's vertex falls, so the climb takes no step and 0 is the peak
+        assert _peak(peak_terms(np.array([1.0, -0.25], dtype=complex)), _grid(2)) == (0.0, 0.0)
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 8, 64])
     def test_the_table_holds_8_degree_squared_entries(self, degree):
         assert _grid(degree)[0].size == 8 * degree**2  # twice a 2m x 2m matrix
