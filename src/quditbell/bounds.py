@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -176,6 +177,8 @@ class Bipartition:
     def from_block(cls, n_parties: int, block_a) -> "Bipartition":
         """Block A and the rest of 1..N; the constructor checks and sorts the parties."""
         n_parties, block_a = _count(n_parties, "n_parties", 2), tuple(block_a)
+        if n_parties > sys.maxsize:  # the most items a tuple can hold: refused before the walk
+            raise ValueError(f"n_parties must be at most {sys.maxsize}, got {_brief(n_parties)}")
         taken = {p for p in block_a if _is_int(p)}  # the constructor refuses the rest
         block_b = tuple(p for p in range(1, n_parties + 1) if p not in taken)
         return cls(block_a, block_b)._covering(n_parties)

@@ -61,12 +61,13 @@ def optimal_angles(scenario: BellScenario) -> PhaseConfiguration:
     Every party uses the same two vectors: entry l is l*m*pi/(2d) with slope
     m1 = 15/N for the first setting and m2 = m1 - 6 for the second.
     """
-    d = scenario.dimension
-    m1 = 15.0 / scenario.n_parties
-    m2 = m1 - 6.0
+    n, d = scenario.n_parties, scenario.dimension
+    m1 = 15.0 / n
     ramp = np.arange(d) * math.pi / (2.0 * d)
-    pair = [m1 * ramp, m2 * ramp]
-    return PhaseConfiguration(scenario, np.tile(pair, (scenario.n_parties, 1, 1)))
+    phases = np.empty((n, 2, d))
+    phases[:, 0] = m1 * ramp
+    phases[:, 1] = (m1 - 6.0) * ramp
+    return PhaseConfiguration(scenario, phases)
 
 
 def cglmp_max_closed_form(dimension: int) -> float:

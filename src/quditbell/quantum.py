@@ -5,9 +5,9 @@ summed for all 2^N setting strings at once, with no d^N density matrix.  A
 dense path contracts any density matrix with the parties' measurements one
 party at a time, sharing the work of common setting prefixes; for GHZ states
 it is the independent oracle the closed form is checked against.  The GHZ
-Bell value never forms the 2^N setting strings: it is read off a generating
-function in the number of parties using setting 2, which is a binomial power
-when every party uses the same phases.
+Bell value never forms the 2^N setting strings: it is summed over the number
+t of parties using setting 2, from the N + 1 residue rows of the t-counts when
+every party uses the same phases, and otherwise from a generating function in t.
 """
 
 from __future__ import annotations
@@ -297,8 +297,17 @@ def ghz_table(config: PhaseConfiguration) -> JointProbabilityTable:
     phi = np.zeros((1, d))
     for pair in config.phases:  # (2, d): one party's setting-1 and setting-2 phases
         phi = (phi[:, None, :] + pair[None, :, :]).reshape(-1, d)
-    residues = np.abs(np.exp(1j * phi) @ _fourier(d)) ** 2 / d ** (n + 1)
+    residues = _residues(phi) / d ** (n + 1)
     return JointProbabilityTable._of_fresh(scenario, residues[:, outcome_sums_mod_d(n, d)])
+
+
+def _residues(phi: np.ndarray) -> np.ndarray:
+    """|sum_j e^{i (Phi_j + 2 pi j r/d)}|^2 for each row Phi of branch phases, (..., d) -> (..., d).
+
+    d^(N+1) times the probability of each outcome-sum residue r; by Parseval a
+    row's d entries sum to d^2.
+    """
+    return np.abs(np.exp(1j * phi) @ _fourier(phi.shape[-1])) ** 2
 
 
 def _branch_factors(phases: np.ndarray) -> np.ndarray:
@@ -307,7 +316,7 @@ def _branch_factors(phases: np.ndarray) -> np.ndarray:
     return 0.5 * branch[..., :, None] * branch[..., None, :].conj()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     """Branch-pair weights W[t, j, k] = -d^-2 sum_r coeff(t, r) omega^(r (j - k)).
 
@@ -358,54 +367,43 @@ def _product_by_t(phases: np.ndarray) -> np.ndarray:
     return by_t
 
 
-def _binomial_by_t(pair: np.ndarray, n_parties: int) -> np.ndarray:
-    """The same coefficients when every party uses the (2, d) phases pair, in one step.
-
-    The product is then the binomial power (f_1 + z f_2)^N of halved factors:
-    by_t = C(N, t) 2^-N e^{i[(N-t) Delta_1 + t Delta_2]}, Delta_s[j, k] = phi_sj - phi_sk.
-    O(N d^2).
-    """
-    t = np.arange(n_parties + 1)[:, None, None]
-    delta = pair[:, :, None] - pair[:, None, :]
-    angle = (n_parties - t) * delta[0]
-    angle += t * delta[1]
-    by_t = np.empty(angle.shape, dtype=complex)  # filled in place: no complex temporary
-    np.cos(angle, out=by_t.real)
-    np.sin(angle, out=by_t.imag)
-    by_t *= _binomials(n_parties)[:, None, None]
-    return by_t
-
-
 def ghz_bell_value(config: PhaseConfiguration) -> float:
     """Bell functional on the GHZ state, summed by t-count instead of by setting.
 
-    Equals bell_value(ghz_table(config)).  Expanding the squared branch sum,
-    d^(N+1) P_s(r) = sum_{j,k} e^{i(Phi_j - Phi_k)} omega^{(j-k) r}, and the
-    phase factor e^{i(Phi_j - Phi_k)} is a product over the parties.  So for
-    every branch pair (j, k) the sum over all setting strings with t twos is
-    the z^t coefficient by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with
-    f_ps[j,k] = e^{i(phi_psj - phi_psk)}.  The residue-class weights that the
-    t-count's coefficients give each branch pair are the table W of
-    _ghz_weights, built once per (N, d).  No 2^N loop; this is the
+    Equals bell_value(ghz_table(config)), the negated sum of the correlation
+    values.  Every outcome tuple of residue class r has probability
+    R_s(r)/d^(N+1), R_s the string's _residues, and a string's coefficients
+    depend on it only through its t-count.  No 2^N loop; this is the
     optimizer's objective.
 
     When every party's (2, d) block is equal, bit for bit, as at optimal_angles
-    and throughout a symmetric search, the product is a binomial power and
-    by_t is written down at once, in O(N d^2).  Otherwise the product is
-    multiplied out party by party, in O(N^2 d^2); a block that differs only in
-    a -0.0 against a 0.0 takes that path too, at no cost to the value.
+    and throughout a symmetric search, a string's branch phases depend on its
+    t-count alone, Phi_t = (N - t) phi_1 + t phi_2, so the value is read off
+    the N + 1 rows R_t, each weighted by C(N, t): O(N d^2), and no d x d array
+    but the cached Fourier matrix.  Otherwise, expanding the squared branch
+    sum, d^(N+1) P_s(r) = sum_{j,k} e^{i(Phi_j - Phi_k)} omega^{(j-k) r}, and
+    the phase factor is a product over the parties.  So for every branch pair
+    (j, k) the sum over all setting strings with t twos is the z^t coefficient
+    by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with f_ps[j,k] = e^{i(phi_psj -
+    phi_psk)}, multiplied out party by party in O(N^2 d^2) and weighted by the
+    table W of _ghz_weights.  A block that differs only in a -0.0 against a
+    0.0 takes that path too, at no cost to the value.
 
-    Every factor is halved and the 2^N put back by math.ldexp, so no
-    intermediate exceeds 1 in modulus: the value is returned wherever it fits
-    a float (at optimal_angles, N <= 1024 for every d), and OverflowError is
-    raised, as by max_violation, where it does not.
+    The 2^N is put back by math.ldexp at the end, after C(N, t)/2^N weights or
+    halved factors, so no intermediate exceeds (d - 1) d^2 in modulus: the
+    value is returned wherever it fits a float (at optimal_angles, N <= 1024
+    for every d), and OverflowError is raised, as by max_violation, where it
+    does not.
     """
     n, d = config.scenario.n_parties, config.scenario.dimension
     phases = config.phases
     raw = phases.tobytes()  # comparing bytes is far cheaper than an elementwise test
     if raw == raw[: len(raw) // n] * n:
-        by_t = _binomial_by_t(phases[0], n)
+        t = np.arange(n + 1)[:, None]
+        rows = _residues((n - t) * phases[0, 0] + t * phases[0, 1])  # (N+1, d)
+        weighted = np.einsum("t,tr,tr", _binomials(n), _numerator_rows(n, d, float), rows)
+        scaled = -float(weighted) / ((d - 1) * d**2)
     else:
         by_t = _product_by_t(phases)
-    scaled = float((_ghz_weights(n, d).reshape(-1) @ by_t.reshape(-1)).real)
+        scaled = float((_ghz_weights(n, d).reshape(-1) @ by_t.reshape(-1)).real)
     return math.ldexp(scaled, n)

@@ -929,6 +929,18 @@ class TestProcess:
         assert proc.stderr == (f"error: the search needs {entries} entries, "
                                "over the 16777216 allowed\n")
 
+    def test_large_d_violation_fits_in_one_gib(self):
+        # the optimal angles are shared by every party, so no (N+1, d, d) array is built
+        proc = self.python_process("-c", (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quditbell.cli import main\n"
+            "main()\n"
+        ), "violation", "--n", "30", "--d", "1000", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["bell_value"] == pytest.approx(report["closed_form_max"], rel=1e-9)
+
     def test_resource_error_exit_code(self):
         proc = self.cli_process(
             "bound", "--n", "2", "--d", "2", "--partition", "1/2", "--budget", "10"

@@ -110,6 +110,15 @@ class TestOptimalAngles:
         for p in (2, 3, 4):
             np.testing.assert_array_equal(config.phases[p - 1], config.phases[0])
 
+    def test_bytes_match_the_tiled_pair(self):
+        # one (N, 2, d) array filled per setting, against np.tile of the two ramps
+        for n in range(1, 40):
+            for d in range(2, 30):
+                m1 = 15.0 / n
+                ramp = np.arange(d) * math.pi / (2.0 * d)
+                tiled = np.tile([m1 * ramp, (m1 - 6.0) * ramp], (n, 1, 1))
+                assert optimal_angles(BellScenario(n, d)).phases.tobytes() == tiled.tobytes()
+
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_attains_closed_form_max(self, n, d):
         scen = BellScenario(n, d)

@@ -500,6 +500,13 @@ class TestClosedForm:
         assert not first.flags.writeable
         assert quantum._fourier.cache_parameters()["maxsize"] is not None
 
+    def test_ghz_weights_built_once_read_only(self):
+        first, again = quantum._ghz_weights(4, 3), quantum._ghz_weights(4, 3)
+        assert first is again
+        assert not first.flags.writeable
+        maxsize = quantum._ghz_weights.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize == quantum._fourier.cache_parameters()["maxsize"]
+
     def test_table_matches_setting_loop(self, rng):
         # every (N, d) with 2^N d^N <= 10^5 table entries and d <= 158, the
         # largest d that N = 2 admits; N = 1 alone would admit d up to 50,000,
@@ -566,7 +573,7 @@ class TestClosedForm:
 
 
 class TestSharedPhases:
-    """ghz_bell_value's binomial path, for phases every party shares, against the product loop."""
+    """ghz_bell_value's residue rows, for phases every party shares, against the product loop."""
 
     @staticmethod
     def assert_matches_twin(config):
@@ -616,6 +623,27 @@ class TestSharedPhases:
     def test_closed_form_at_optimal_angles(self, n, d):
         scen = BellScenario(n, d)
         assert ghz_bell_value(optimal_angles(scen)) == pytest.approx(max_violation(scen), rel=1e-13)
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (60, 300), (1024, 7)])
+    def test_shared_phases_never_build_the_weights(self, monkeypatch, n, d):
+        # the value comes from the N+1 residue rows, not the (N+1, d, d) weight tensor
+        def weights(n_parties, dimension):
+            pytest.fail("shared phases built the branch-pair weights")
+
+        monkeypatch.setattr(quantum, "_ghz_weights", weights)
+        scen = BellScenario(n, d)
+        assert ghz_bell_value(optimal_angles(scen)) == pytest.approx(max_violation(scen), rel=1e-13)
+
+    def test_shared_phases_at_large_d_stay_small(self):
+        # (61, 300, 300) complex entries would take 88 MB; 61 rows of 300 take 0.3 MB
+        config = optimal_angles(BellScenario(60, 300))
+        tracemalloc.start()
+        try:
+            ghz_bell_value(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_past_the_float_range_both_paths_overflow(self):
         config = optimal_angles(BellScenario(1025, 2))

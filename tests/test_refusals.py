@@ -350,6 +350,15 @@ class TestHugeValues:
         assert type(err.value) is error
         assert "2^(about 2^16610)" in str(err.value) and len(str(err.value)) < 200
 
+    def test_a_party_count_past_a_tuple_is_refused_at_once(self):
+        # from_block walks 1..N for block B: a count no tuple can hold is refused first
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            Bipartition.from_block(10**5000, (1,))
+        assert time.perf_counter() - started < 1
+        assert "n_parties" in str(err.value) and "about 2^16610" in str(err.value)
+        assert len(str(err.value)) < 200
+
     def test_a_numpy_int_is_written_plainly(self):
         with pytest.raises(ValueError, match=r"^budget must be a positive integer, got 0$"):
             optimize_phases(S2, START, np.int64(0))
