@@ -25,6 +25,7 @@ from .quantum import (
     PhaseConfiguration,
     _binomials,
     _branch_factors,
+    _ghz_lags,
     _ghz_weights,
     _times_party,
     ghz_bell_value,
@@ -274,7 +275,7 @@ def _free_sweep(weights: np.ndarray):
     return sweep
 
 
-def _symmetric_sweep(weights: np.ndarray):
+def _symmetric_sweep(lags: np.ndarray):
     """A sweep: a generator function of a stack, yielding (coordinate, moves) for each shared phase.
 
     The stack is the climb's (R, N, 2, d) phases, whose rows keep every
@@ -285,25 +286,31 @@ def _symmetric_sweep(weights: np.ndarray):
     (j, k) as e^(i e phi) with e = N - t (setting 1) or t (setting 2), and the
     pair (k, j) as its conjugate.  So the value is
     const + 2^N Re sum_m b_m e^(i m (phi - x0)), centred on the current phase
-    x0: b_m sums 2 W[t, j, k] by_t[j, k] over k != j and the t with e = m.
-    Each t's term is its row of weights, 0 at k = j, against
+    x0: b_m sums 2 W[t, j, k] by_t[j, k] over k != j and the t with e = m,
+    where W[t, j, k] = L[t, (j - k) mod d], L the lag table of _ghz_lags.
+    Each t's term is its lags L[t, (j - k) mod d], 0 at k = j, against
     e^(i p (phi_j - phi_k)) for the two settings' exponents p at t, and the
     weights also carry the (i e)^p of _peak's terms.  So a coordinate costs a
     difference, three products and an exponential for all rows at once:
-    O(N d) per row, and _peak's O(N^2).  The exponents and the weights,
-    both in order of e, O(N d^2) entries, and _peak's grid are built once.
+    O(N d) per row, and _peak's O(N^2).  The exponents, each setting's
+    weights and _peak's grid are built once: a setting's weights are its
+    rows of lags, in order of e, doubled in reversed order, O(N d) entries,
+    and each phase reads d of them as a view.
     """
-    n, d = weights.shape[0] - 1, weights.shape[1]
+    n, d = lags.shape[0] - 1, lags.shape[1]
     t = np.arange(n + 1.0)
     powers = (t[:, None] * [-1.0, 1.0] + [n, 0.0])[:, None]  # (N+1, 1, 2): N - t and t
-    pairs = 2.0 * _binomials(n)[:, None, None] * weights + 0j  # (N+1, j, k)
-    pairs[:, range(d), range(d)] = 0.0  # the pair (j, j) holds no phase
+    pairs = 2.0 * _binomials(n)[:, None] * lags + 0j  # (N+1, lag)
+    pairs[:, 0] = 0.0  # the pair (j, j), lag 0, holds no phase
     ramps = (1j * t[:, None, None]) ** np.arange(4)  # (i e)^p for row e: _peak's terms
     orders = (slice(None, None, -1), slice(None))  # setting 1's and 2's rows in order of e
     moving = len(_others(d))
+    # entry m of a setting's (N+1, 2d, 4) weights holds lag -m mod d, so phase j's
+    # pairs[t, (j - k) mod d], k = 0..d-1, are its entries d - j .. 2d - j - 1
     reads = [
-        (s, j, powers[e], pairs[e, j, :, None] * ramps)
+        (s, j, powers[e], w[:, d - j : 2 * d - j])
         for s, e in enumerate(orders)
+        for w in [pairs[e, -np.arange(2 * d) % d, None] * ramps]
         for j in range(moving)
     ]
     grid = _grid(n)
@@ -350,13 +357,12 @@ def _climb(
     A value past the closed form warns at the caller of the public function
     that called this one.
     """
-    n = scenario.n_parties
+    n, d = scenario.n_parties, scenario.dimension
     ceiling = max_violation(scenario)
     scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30
     tol = _GAIN_TOL * scale
     free = mode == "free"
-    weights = _ghz_weights(n, scenario.dimension)
-    sweep = _free_sweep(weights) if free else _symmetric_sweep(weights)
+    sweep = _free_sweep(_ghz_weights(n, d)) if free else _symmetric_sweep(_ghz_lags(n, d))
     # symmetric mode: party 1's vectors parameterize all parties, and stay equal in every block
     phases = starts.copy() if free else np.repeat(starts[:, :1], n, axis=1)
     values = [_objective(scenario, start) for start in phases]  # a row's start value until it ends

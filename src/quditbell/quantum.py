@@ -317,18 +317,29 @@ def _branch_factors(phases: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _ghz_lags(n_parties: int, d: int) -> np.ndarray:
+    """Branch-pair weights by lag, (N+1, d): L[t, l] = -d^-2 sum_r coeff(t, r) omega^(r l).
+
+    The weight of the branch pair (j, k) depends on j - k mod d alone, so this
+    table holds every weight of _ghz_weights; read-only, built once per (N, d).
+    L[t, -l] is the conjugate of L[t, l], because the coefficients are real.
+    """
+    lags = -(_numerator_rows(n_parties, d, int) / (d - 1) @ _fourier(d)) / d**2
+    lags.flags.writeable = False
+    return lags
+
+
+@lru_cache(maxsize=16)
 def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
-    """Branch-pair weights W[t, j, k] = -d^-2 sum_r coeff(t, r) omega^(r (j - k)).
+    """Branch-pair weights W[t, j, k] = L[t, (j - k) mod d], L the table of _ghz_lags.
 
     The GHZ Bell value is 2^N Re sum_{t,j,k} W[t,j,k] by_t[j,k], with by_t the
-    z^t coefficient of the halved factor product (see ghz_bell_value).  Each
-    W[t] is circulant and Hermitian, because the coefficients are real.
+    z^t coefficient of the halved factor product (see ghz_bell_value): the
+    path for phases that differ between parties.  Each W[t] is circulant and
+    Hermitian, because the coefficients are real.
     """
-    d = dimension
-    coeffs = _numerator_rows(n_parties, d, int) / (d - 1)
-    j = np.arange(d)
-    lag = (j[:, None] - j[None, :]) % d
-    weights = -(coeffs @ _fourier(d))[:, lag] / d**2
+    j = np.arange(dimension)
+    weights = _ghz_lags(n_parties, dimension)[:, (j[:, None] - j) % dimension]
     weights.flags.writeable = False
     return weights
 

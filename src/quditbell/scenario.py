@@ -159,7 +159,9 @@ def shift(t: int) -> int:
     return 3 * (1 - _count(t, "t", 0) // 2)
 
 
-@lru_cache(maxsize=None)
+# the rows of two d at the CLI's largest N, 1024: one _numerator_rows call never evicts its
+# own rows, and a sweep over d cannot grow the cache without bound
+@lru_cache(maxsize=2048)
 def _numerator_row(t: int, d: int) -> tuple[int, ...]:
     """(d-1) times the coefficient of a t-count-t setting at each outcome-sum residue r.
 

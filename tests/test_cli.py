@@ -872,6 +872,7 @@ class TestProcess:
         caches = json.loads(proc.stdout)
         assert {
             "quditbell.quantum._fourier",
+            "quditbell.quantum._ghz_lags",
             "quditbell.quantum._ghz_weights",
             "quditbell.scenario._numerator_operand",
             "quditbell.scenario._numerator_row",
@@ -941,6 +942,19 @@ class TestProcess:
         report = json.loads(proc.stdout)
         assert report["bell_value"] == pytest.approx(report["closed_form_max"], rel=1e-9)
 
+    def test_large_d_symmetric_search_fits_in_one_gib(self):
+        # the search holds (N+1)-row tables: the (N+1, d, d) weights alone would be 496 MB
+        proc = self.python_process("-c", (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quditbell.cli import main\n"
+            "main()\n"
+        ), "violation", "--n", "30", "--d", "1000", "--angles", "optimized-symmetric",
+            "--restarts", "1", "--budget", "200", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["restart_values"] == [report["bell_value"]]
+
     def test_resource_error_exit_code(self):
         proc = self.cli_process(
             "bound", "--n", "2", "--d", "2", "--partition", "1/2", "--budget", "10"
@@ -957,7 +971,7 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("quditbell ")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     monkeypatch.chdir(tmp_path)
     for line in lines:
         code, out, err = invoke(capsys, *shlex.split(line)[1:])

@@ -1,16 +1,19 @@
 """Closed-form maxima, critical visibilities, and the phase search."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import quditbell.optimize
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
     _climb,
     _free_sweep,
     _grid,
+    _others,
     _peak,
     _symmetric_sweep,
     cglmp_max_closed_form,
@@ -22,6 +25,8 @@ from quditbell.optimize import (
 )
 from quditbell.quantum import (
     PhaseConfiguration,
+    _binomials,
+    _ghz_lags,
     _ghz_weights,
     ghz_bell_value,
     ghz_state,
@@ -338,12 +343,14 @@ def _stack(scen, mode, params):
     return np.tile(params.reshape(2, d), (1, n, 1, 1))
 
 
-def _read_moves(scen, mode, params, weights=None):
-    """Every coordinate's (peak, rise) as the search reads it, params held still."""
+def _read_moves(scen, mode, params, sweep=None):
+    """Every coordinate's (peak, rise) as the search reads it, params held still: by the
+    search's own sweep, or by the given one."""
     n, d = scen.n_parties, scen.dimension
-    sweep = (_free_sweep if mode == "free" else _symmetric_sweep)(
-        _ghz_weights(n, d) if weights is None else weights
-    )
+    if sweep is None and mode == "free":
+        sweep = _free_sweep(_ghz_weights(n, d))
+    elif sweep is None:
+        sweep = _symmetric_sweep(_ghz_lags(n, d))
     return {
         coord: (theta, rise)
         for coord, moves in sweep(_stack(scen, mode, params))
@@ -446,6 +453,29 @@ def patch_moves(monkeypatch, change=lambda move: move):
     return received
 
 
+def flat_phase_zero(build, dropped):
+    """build, a sweep builder, with phase 0 of every setting made flat: its sweeps yield no
+    move there, and each coordinate whose moves they drop is appended to dropped.
+
+    In symmetric mode no table makes one phase flat alone: every phase reads
+    every nonzero lag.
+    """
+
+    def built(table):
+        sweep = build(table)
+
+        def flat(phases):
+            for coord, moves in sweep(phases):
+                if coord % phases.shape[-1] == 0 and moves:
+                    dropped.append(coord)
+                    moves = []
+                yield coord, moves
+
+        return flat
+
+    return built
+
+
 class TestTrigStep:
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 2), (5, 2)])
@@ -542,14 +572,21 @@ class TestTrigStep:
         scen = BellScenario(2, 3)
         start = random_config(scen, rng)
         weights = _ghz_weights(2, 3).copy()
-        weights[:, 0] = 0.0  # phase 0 of every setting drops out of the search's objective
+        weights[:, 0] = 0.0  # phase 0 of every setting drops out of the free search's objective
+        dropped = []
+        sweeps = {
+            "free": _free_sweep(weights),
+            "symmetric": flat_phase_zero(_symmetric_sweep, dropped)(_ghz_lags(2, 3)),
+        }
         for mode in ("free", "symmetric"):
             params = _start_params(scen, mode, rng)
-            coords = list(_read_moves(scen, mode, params, weights))
+            coords = list(_read_moves(scen, mode, params, sweeps[mode]))
             assert coords == [c for c in range(params.size) if c % 3]
+        assert dropped == [0, 3]  # the symmetric sweep itself moves phase 0 of both settings
         calls = count_objective_calls(monkeypatch)
         yielded = patch_moves(monkeypatch)
         monkeypatch.setattr("quditbell.optimize._ghz_weights", lambda n, d: 0.0 * weights)
+        monkeypatch.setattr("quditbell.optimize._ghz_lags", lambda n, d: 0.0 * _ghz_lags(n, d))
         for mode in ("free", "symmetric"):
             calls.clear()
             config, value = optimize_phases(scen, start, budget=100, mode=mode)
@@ -733,6 +770,87 @@ def test_symmetric_search_stays_on_the_binomial_path(rng, monkeypatch, n, d):
     assert value == pytest.approx(max_violation(scen), abs=1e-6)
 
 
+def symmetric_sweep_on_weights(weights):
+    """The oracle: the symmetric sweep as it was built on the (N+1, d, d) weights of
+    _ghz_weights, each phase's weights a copy of its row of pairs (j, k)."""
+    n, d = weights.shape[0] - 1, weights.shape[1]
+    t = np.arange(n + 1.0)
+    powers = (t[:, None] * [-1.0, 1.0] + [n, 0.0])[:, None]  # (N+1, 1, 2): N - t and t
+    pairs = 2.0 * _binomials(n)[:, None, None] * weights + 0j  # (N+1, j, k)
+    pairs[:, range(d), range(d)] = 0.0  # the pair (j, j) holds no phase
+    ramps = (1j * t[:, None, None]) ** np.arange(4)  # (i e)^p for row e: _peak's terms
+    orders = (slice(None, None, -1), slice(None))  # setting 1's and 2's rows in order of e
+    reads = [
+        (s, j, powers[e], pairs[e, j, :, None] * ramps)
+        for s, e in enumerate(orders)
+        for j in range(len(_others(d)))
+    ]
+    grid = _grid(n)
+
+    def sweep(phases):
+        shared = phases[:, :1]  # (R, 1, 2, d): each row's party-1 block
+        for s, j, p, w in reads:
+            row = shared[..., j, None] - shared  # phi_j - phi_k, 0 at k = j
+            terms = np.exp(1j * (p @ row)) @ w  # (R, N+1, 1, 4)
+            moves = []
+            for i, x0 in enumerate(shared[:, 0, s, j].tolist()):
+                move = _peak(terms[i, 1:, 0], grid)
+                if move is not None:
+                    moves.append((i, x0, x0 + move[0], move[1]))
+            yield s * d + j, moves
+
+    return sweep
+
+
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in range(2, 9) for d in range(2, 8)] + [(12, 6), (3, 11)]
+)
+def test_symmetric_sweep_on_lags_is_the_weights_one_bit_for_bit(rng, n, d):
+    # both sweeps read stacks of 1-3 rows, each move written into every party's block of
+    # its own copy between yields, as the search writes a kept one
+    for count in (1, 2, 3):
+        starts = rng.uniform(0.0, 2.0 * np.pi, (count, 1, 2, d))
+        stacks = [np.repeat(starts, n, axis=1) for _ in range(2)]
+        sweeps = _symmetric_sweep(_ghz_lags(n, d)), symmetric_sweep_on_weights(_ghz_weights(n, d))
+        coords = []
+        for (coord, moves), oracle in zip(*(sweep(stack) for sweep, stack in zip(sweeps, stacks))):
+            assert repr((coord, moves)) == repr(oracle)
+            coords.append(coord)
+            for stack in stacks:
+                for i, _, theta, _ in moves:
+                    stack[i, :, coord // d, coord % d] = theta
+        assert coords == [s * d + j for s in (0, 1) for j in range(len(_others(d)))]
+        assert stacks[0].tobytes() == stacks[1].tobytes()
+
+
+@pytest.mark.parametrize("n,d", sorted((n, d) for m, n, d in PINNED_RESTART_VALUES if m != "free"))
+def test_symmetric_search_reads_no_branch_pair_weights(monkeypatch, n, d):
+    # the search's sweep reads the (N+1, d) lags and its objective the N+1 residue rows
+    def weights(n, d):
+        pytest.fail("a symmetric search read the (N+1, d, d) weights")
+
+    monkeypatch.setattr("quditbell.quantum._ghz_weights", weights)
+    monkeypatch.setattr("quditbell.optimize._ghz_weights", weights)
+    result = optimize_with_restarts(BellScenario(n, d), restarts=3, seed=0, mode="symmetric")
+    np.testing.assert_allclose(
+        result.restart_values, PINNED_RESTART_VALUES["symmetric", n, d], rtol=1e-12, atol=0
+    )
+
+
+def test_symmetric_search_memory_grows_with_n_d_not_n_d_squared(rng):
+    # the (N+1, d, d) weights alone are 19.8 MB at (30, 200), and a copy per phase adds more
+    scen = BellScenario(30, 200)
+    start = random_config(scen, rng)
+    _ghz_lags.cache_clear()  # the table's build is part of the search's peak
+    tracemalloc.start()
+    try:
+        optimize_phases(scen, start, budget=2 * 200 + 5, mode="symmetric")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def _stack_starts(scen, rng, count=4):
     """Random (N, 2, d) starts as one (R, N, 2, d) stack, with row 1 at optimal_angles, where
     every move is within rounding and so decided by an evaluation."""
@@ -785,12 +903,20 @@ class TestStack:
     def test_flat_coordinates_cost_no_row_any_budget(self, rng, monkeypatch, mode):
         # phase 0 of every setting is flat: no row moves it or pays for it
         scen = BellScenario(3, 3)
-        weights = _ghz_weights(3, 3).copy()
-        weights[:, 0] = 0.0
-        monkeypatch.setattr("quditbell.optimize._ghz_weights", lambda n, d: weights)
         sizes = patch_stack_sizes(monkeypatch)
+        dropped = []
+        if mode == "free":
+            weights = _ghz_weights(3, 3).copy()
+            weights[:, 0] = 0.0
+            monkeypatch.setattr("quditbell.optimize._ghz_weights", lambda n, d: weights)
+        else:
+            flat = flat_phase_zero(quditbell.optimize._symmetric_sweep, dropped)
+            monkeypatch.setattr("quditbell.optimize._symmetric_sweep", flat)
         assert_rows_are_single_searches(scen, _stack_starts(scen, rng), mode)
         assert 4 in sizes
+        # the search read the flattened sweep: phase 0 had moves, and they were dropped
+        assert (mode == "symmetric") == bool(dropped)
+        assert all(coord % 3 == 0 for coord in dropped)
 
     @pytest.mark.parametrize("mode", ["free", "symmetric"])
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3)])

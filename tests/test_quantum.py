@@ -507,6 +507,13 @@ class TestClosedForm:
         maxsize = quantum._ghz_weights.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize == quantum._fourier.cache_parameters()["maxsize"]
 
+    def test_ghz_lags_built_once_read_only(self):
+        first, again = quantum._ghz_lags(4, 3), quantum._ghz_lags(4, 3)
+        assert first is again
+        assert not first.flags.writeable
+        maxsize = quantum._ghz_lags.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize == quantum._fourier.cache_parameters()["maxsize"]
+
     def test_table_matches_setting_loop(self, rng):
         # every (N, d) with 2^N d^N <= 10^5 table entries and d <= 158, the
         # largest d that N = 2 admits; N = 1 alone would admit d up to 50,000,
