@@ -5,11 +5,11 @@ The maximal GHZ violation has a closed form: the two-party value scales by
 visibility, and a linear phase ramp attains it.  An exact coordinate search
 confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
-the branch-pair factors that ghz_bell_value multiplies.  A sweep yields each
-phase as a finished move, its peak and the rise to it read off that
-polynomial: -arg of its one coefficient for a free phase, and for a shared
-one the best of the grid's local maxima, polished by Newton steps in Halley's
-form (no LAPACK call).  optimize_phases states the search's rules.
+the branch-pair factors that ghz_bell_value folds its weights through.  A
+sweep yields each phase as a finished move, its peak and the rise to it read
+off that polynomial: -arg of its one coefficient for a free phase, and for a
+shared one the best of the grid's local maxima, polished by Newton steps in
+Halley's form (no LAPACK call).  optimize_phases states the search's rules.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .quantum import (
     _branch_factors,
     _ghz_lags,
     _ghz_weights,
-    _times_party,
     ghz_bell_value,
 )
 from .scenario import BellScenario, _brief, _count
@@ -218,6 +217,17 @@ def _others(d: int) -> np.ndarray:
     return np.array([[k for k in range(d) if k != j] for j in range(1 if d == 2 else d)])
 
 
+def _times_party(by_t: np.ndarray, f1: np.ndarray, f2: np.ndarray, p: int) -> None:
+    """Multiply (f1 + z f2) into the z^0..z^p coefficients by_t[:p + 1], in place.
+
+    by_t[:p + 2] then holds the product's z^0..z^(p+1) coefficients.  t is the
+    leading axis, so a stack's coefficients, (T, R, d, d), take (R, d, d) factors.
+    """
+    by_t[p + 1] = by_t[p] * f2
+    by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
+    by_t[0] *= f1
+
+
 def _free_sweep(weights: np.ndarray):
     """A sweep: a generator function of a stack, yielding (coordinate, moves) party by party.
 
@@ -229,8 +239,10 @@ def _free_sweep(weights: np.ndarray):
     2^N Re sum (G_1 f_p1 + G_2 f_p2) entrywise, where
     G_s contracts W with the leave-one-out product of the other parties.
     That product is a prefix (parties before p, already moved this sweep)
-    times a suffix (the parties after p), and the suffix is folded into W
-    backwards once per sweep: rest[p][a] = sum_b W[a + b] suffix[b].  G is
+    times a suffix (the parties after p).  The suffix is W folded through
+    the parties after p, party N first, as ghz_bell_value folds it through
+    all of them, once per sweep: rest[p][a] = sum_b W[a + b] suffix[b], each
+    entry within max|W| <= 1/d, and the prefix's by_t within 1.  G is
     Hermitian like every factor, so along phi_psj the value is
     const + 2^N Re(a e^(i phi)) with a = sum_{k != j} G_s[j, k] e^(-i phi_psk).
     It peaks at -arg a, and a coordinate with a = 0 is flat.  O(N d^2) per

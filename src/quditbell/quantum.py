@@ -7,7 +7,8 @@ party at a time, sharing the work of common setting prefixes; for GHZ states
 it is the independent oracle the closed form is checked against.  The GHZ
 Bell value never forms the 2^N setting strings: it is summed over the number
 t of parties using setting 2, from the N + 1 residue rows of the t-counts when
-every party uses the same phases, and otherwise from a generating function in t.
+every party uses the same phases, and otherwise by a fold of the branch-pair
+weights through the parties, one party's factors at a time.
 """
 
 from __future__ import annotations
@@ -353,31 +354,6 @@ def _binomials(n_parties: int) -> np.ndarray:
     return np.array(row)
 
 
-def _times_party(by_t: np.ndarray, f1: np.ndarray, f2: np.ndarray, p: int) -> None:
-    """Multiply (f1 + z f2) into the z^0..z^p coefficients by_t[:p + 1], in place.
-
-    by_t[:p + 2] then holds the product's z^0..z^(p+1) coefficients.  t is the
-    leading axis, so a stack's coefficients, (T, R, d, d), take (R, d, d) factors.
-    """
-    by_t[p + 1] = by_t[p] * f2
-    by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
-    by_t[0] *= f1
-
-
-def _product_by_t(phases: np.ndarray) -> np.ndarray:
-    """z^t coefficients of prod_p (f_p1 + z f_p2), halved factors: (N, 2, d) -> (N+1, d, d).
-
-    One party at a time, O(N^2 d^2): the path for phases that differ between parties.
-    """
-    n, d = phases.shape[0], phases.shape[2]
-    factors = _branch_factors(phases)  # (N, 2, d, d)
-    by_t = np.empty((n + 1, d, d), dtype=complex)
-    by_t[:2] = factors[0]  # party 1 alone: f_11 + z f_12
-    for p, (f1, f2) in enumerate(factors[1:], start=1):
-        _times_party(by_t, f1, f2, p)
-    return by_t
-
-
 def ghz_bell_value(config: PhaseConfiguration) -> float:
     """Bell functional on the GHZ state, summed by t-count instead of by setting.
 
@@ -395,16 +371,21 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
     sum, d^(N+1) P_s(r) = sum_{j,k} e^{i(Phi_j - Phi_k)} omega^{(j-k) r}, and
     the phase factor is a product over the parties.  So for every branch pair
     (j, k) the sum over all setting strings with t twos is the z^t coefficient
-    by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with f_ps[j,k] = e^{i(phi_psj -
-    phi_psk)}, multiplied out party by party in O(N^2 d^2) and weighted by the
-    table W of _ghz_weights.  A block that differs only in a -0.0 against a
-    0.0 takes that path too, at no cost to the value.
+    by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with the halved factors f_ps[j,k]
+    = e^{i(phi_psj - phi_psk)}/2, and the value is 2^N Re sum_t <W[t], by_t>,
+    W the table of _ghz_weights.  No by_t is formed: W is folded through the
+    parties, w[t] <- f_p1 w[t] + f_p2 w[t + 1] for each party in turn, one t
+    fewer each time, and the one (d, d) entry left, sum_t W[t] by_t
+    entrywise, sums to the value: O(N^2 d^2).  The parties' factors commute,
+    so the fold may take them in any order.  A block that differs only in a -0.0 against a 0.0
+    takes the fold too, at no cost to the value.
 
     The 2^N is put back by math.ldexp at the end, after C(N, t)/2^N weights or
-    halved factors, so no intermediate exceeds (d - 1) d^2 in modulus: the
-    value is returned wherever it fits a float (at optimal_angles, N <= 1024
-    for every d), and OverflowError is raised, as by max_violation, where it
-    does not.
+    halved factors.  So the shared path's sum stays within (d - 1) d^2 in
+    modulus, and every entry of the fold within max|W| <= 1/d, because |f_p1|
+    + |f_p2| = 1: the value is returned wherever it fits a float (at
+    optimal_angles, N <= 1024 for every d), and OverflowError is raised, as
+    by max_violation, where it does not.
     """
     n, d = config.scenario.n_parties, config.scenario.dimension
     phases = config.phases
@@ -415,6 +396,8 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
         weighted = np.einsum("t,tr,tr", _binomials(n), _numerator_rows(n, d, float), rows)
         scaled = -float(weighted) / ((d - 1) * d**2)
     else:
-        by_t = _product_by_t(phases)
-        scaled = float((_ghz_weights(n, d).reshape(-1) @ by_t.reshape(-1)).real)
+        w = _ghz_weights(n, d)
+        for f1, f2 in _branch_factors(phases):
+            w = f1 * w[:-1] + f2 * w[1:]
+        scaled = float(w.real.sum())
     return math.ldexp(scaled, n)

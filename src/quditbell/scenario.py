@@ -171,7 +171,8 @@ def _numerator_row(t: int, d: int) -> tuple[int, ...]:
     through their sum modulo d, and d-1 times it is an integer.
     """
     sign = 1 if t % 2 == 0 else -1
-    return tuple(d - 1 - 2 * (sign * (r + shift(t)) % d) for r in range(d))
+    offset = shift(t)  # once per row, not once per residue
+    return tuple(d - 1 - 2 * (sign * (r + offset) % d) for r in range(d))
 
 
 def _numerator_rows(n_parties: int, d: int, dtype) -> np.ndarray:

@@ -971,7 +971,7 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("quditbell ")]
-    assert len(lines) == 10
+    assert len(lines) == 11
     monkeypatch.chdir(tmp_path)
     for line in lines:
         code, out, err = invoke(capsys, *shlex.split(line)[1:])

@@ -16,6 +16,7 @@ from quditbell.optimize import (
     _others,
     _peak,
     _symmetric_sweep,
+    _times_party,
     cglmp_max_closed_form,
     critical_visibility,
     max_violation,
@@ -734,7 +735,9 @@ class TestTrigStep:
 # restart_values of optimize_with_restarts(BellScenario(n, d), restarts=3, seed=0,
 # mode=mode) at the default budget, recorded from the search when it still
 # rebuilt its index sets, exponents and companion matrices on every move; the
-# (6, 3) and (8, 3) ones when it still evaluated the objective after every move
+# (6, 3) and (8, 3) ones when it still evaluated the objective after every move,
+# and the (3, 5), (4, 4) and (5, 6) ones when the free value still multiplied out
+# the product's N + 1 coefficients
 PINNED_RESTART_VALUES = {
     ("free", 2, 2): (2.8284271247461907, 2.8284271247461907, 2.82842712474619),
     ("free", 2, 3): (2.872934051172121, 2.872934051168908, 2.8729340511721118),
@@ -742,6 +745,9 @@ PINNED_RESTART_VALUES = {
     ("free", 4, 2): (11.31370849898476, 11.31370849898476, 11.31370849898476),
     ("free", 6, 3): (45.96694481873246, 45.96694481869381, 31.999999999995634),
     ("free", 8, 3): (127.99999999963276, 183.8677792750169, 127.99999999951422),
+    ("free", 3, 5): (5.821089616141924, 5.821089616141267, 5.821089616131865),
+    ("free", 4, 4): (11.5849728738289, 11.584972873832072, 11.584972873828216),
+    ("free", 5, 6): (19.97645019850081, 17.96311447182127, 17.50990301089644),
     ("symmetric", 2, 2): (2.828427124745411, 2.828427124740303, 2.828427124736314),
     ("symmetric", 2, 3): (2.8729340511722645, 2.8729340511720913, 2.8729340511720256),
     ("symmetric", 3, 3): (5.745868102331418, 5.745868102214159, 5.745868102224306),
@@ -760,10 +766,10 @@ def test_restart_values_are_pinned(mode, n, d):
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3)])
 def test_symmetric_search_stays_on_the_binomial_path(rng, monkeypatch, n, d):
     # each move is written into every party's block, so the blocks stay byte-equal
-    def product_path(phases):
+    def free_path(phases):
         pytest.fail("a symmetric search evaluated party-dependent phases")
 
-    monkeypatch.setattr("quditbell.quantum._product_by_t", product_path)
+    monkeypatch.setattr("quditbell.quantum._branch_factors", free_path)
     scen = BellScenario(n, d)
     start = random_config(scen, rng)
     _, value = optimize_phases(scen, start, budget=20_000, mode="symmetric")
@@ -999,6 +1005,21 @@ class TestStack:
                 search()
             caller = (__file__, search.__code__.co_firstlineno)
             assert [(w.filename, w.lineno) for w in record] == [caller] * len(record)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_stacked_party_step_is_each_rows_step_bit_for_bit(rng, p, d):
+    # the free sweep multiplies a party into a (T, R, d, d) stack, a single search into one row
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stack, factors = complex_normal(p + 2, 4, d, d), complex_normal(4, 2, d, d)
+    rows = [stack[:, r].copy() for r in range(4)]
+    _times_party(stack, factors[:, 0], factors[:, 1], p)
+    for r, by_t in enumerate(rows):
+        _times_party(by_t, factors[r, 0], factors[r, 1], p)
+        assert by_t.tobytes() == stack[:, r].tobytes()
 
 
 def roots_peak(a):

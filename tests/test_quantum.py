@@ -127,6 +127,28 @@ def loop_ghz_bell_value(config):
     return value
 
 
+def product_by_t(phases):
+    """Oracle: the z^t coefficients of prod_p (f_p1 + z f_p2), halved factors, multiplied
+    out party by party: (N, 2, d) -> (N+1, d, d), O(N^2 d^2)."""
+    n, d = phases.shape[0], phases.shape[2]
+    factors = quantum._branch_factors(phases)  # (N, 2, d, d)
+    by_t = np.empty((n + 1, d, d), dtype=complex)
+    by_t[:2] = factors[0]  # party 1 alone: f_11 + z f_12
+    for p, (f1, f2) in enumerate(factors[1:], start=1):
+        by_t[p + 1] = by_t[p] * f2
+        by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
+        by_t[0] *= f1
+    return by_t
+
+
+def product_ghz_bell_value(config):
+    """Oracle: the free GHZ value as 2^N Re sum_t <W[t], by_t>, W the branch-pair weights
+    and by_t the multiplied-out product, for any phases."""
+    n, d = config.scenario.n_parties, config.scenario.dimension
+    by_t = product_by_t(config.phases)
+    return math.ldexp(float((quantum._ghz_weights(n, d).reshape(-1) @ by_t.reshape(-1)).real), n)
+
+
 def shared_config(n, d, rng):
     """Random phases that every party shares."""
     pair = rng.uniform(0.0, 2.0 * np.pi, (2, d))
@@ -134,7 +156,7 @@ def shared_config(n, d, rng):
 
 
 def gauge_twin(config):
-    """The same value through the party-by-party product: a constant added to one
+    """The same value through the fold over the parties: a constant added to one
     setting vector changes no factor e^(i(phi_j - phi_k)), but makes party 1 differ."""
     phases = config.phases.copy()
     phases[0, 0] += 0.7
@@ -579,8 +601,45 @@ class TestClosedForm:
                     ), (n, d)
 
 
+class TestFreeFold:
+    """ghz_bell_value's fold of the weights through the parties, against the product
+    multiplied out to its N + 1 coefficients, at sizes the setting loop cannot reach."""
+
+    @staticmethod
+    def assert_matches_product(config):
+        # as against the setting loop: the floor is relative to 2^N
+        n = config.scenario.n_parties
+        assert ghz_bell_value(config) == pytest.approx(
+            product_ghz_bell_value(config), rel=1e-12, abs=math.ldexp(1e-12, n)
+        ), config.scenario
+
+    def test_matches_the_product(self, rng):
+        # at N = 1 every block is party 1's, and the residue rows answer
+        for n in range(1, 13):
+            for d in range(2, 8):
+                self.assert_matches_product(random_config(BellScenario(n, d), rng))
+
+    @pytest.mark.parametrize("n,d", [(30, 8), (100, 4), (12, 100), (1024, 2)])
+    def test_matches_the_product_at_large_sizes(self, n, d, rng):
+        # a random value cancels to near the floor; near the optimum the relative tolerance binds
+        scen = BellScenario(n, d)
+        self.assert_matches_product(random_config(scen, rng))
+        near = optimal_angles(scen).phases + rng.uniform(-1e-3, 1e-3, (n, 2, d))
+        config = PhaseConfiguration(scen, near)
+        assert ghz_bell_value(config) > 0.9 * max_violation(scen)
+        self.assert_matches_product(config)
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_one_ulp_off_the_optimum_at_n_1024(self, d):
+        scen = BellScenario(1024, d)
+        phases = optimal_angles(scen).phases.copy()
+        phases[-1, 1, 1] = np.nextafter(phases[-1, 1, 1], np.inf)
+        value = ghz_bell_value(PhaseConfiguration(scen, phases))
+        assert value == pytest.approx(max_violation(scen), rel=1e-13)
+
+
 class TestSharedPhases:
-    """ghz_bell_value's residue rows, for phases every party shares, against the product loop."""
+    """ghz_bell_value's residue rows, for phases every party shares, against the fold."""
 
     @staticmethod
     def assert_matches_twin(config):
@@ -657,21 +716,6 @@ class TestSharedPhases:
         for c in (config, gauge_twin(config)):
             with pytest.raises(OverflowError):
                 ghz_bell_value(c)
-
-
-@pytest.mark.parametrize("p", [0, 1, 4])
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_a_stacked_party_step_is_each_rows_step_bit_for_bit(rng, p, d):
-    # the free sweep multiplies a party into a (T, R, d, d) stack, ghz_bell_value into one row
-    def complex_normal(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    stack, factors = complex_normal(p + 2, 4, d, d), complex_normal(4, 2, d, d)
-    rows = [stack[:, r].copy() for r in range(4)]
-    quantum._times_party(stack, factors[:, 0], factors[:, 1], p)
-    for r, by_t in enumerate(rows):
-        quantum._times_party(by_t, factors[r, 0], factors[r, 1], p)
-        assert by_t.tobytes() == stack[:, r].tobytes()
 
 
 class TestNoiseMixing:

@@ -160,6 +160,21 @@ class TestCoefficient:
         after = _numerator_row.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1025, 0)
 
+    def test_a_row_shifts_once(self, monkeypatch):
+        # shift once per residue made 1,025 d calls for these rows: 307,500 at d = 300
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return shift(t)
+
+        monkeypatch.setattr("quditbell.scenario.shift", counted)
+        _numerator_row.cache_clear()
+        _numerator_rows(1024, 300, float)
+        assert calls == list(range(1025))
+        with pytest.raises(ValueError):
+            _numerator_row(-1, 300)
+
 
 # A setting is a '12...' string or a sequence of the ints 1 and 2: a
 # multi-digit int, a float, a bool, a character or a non-sequence is no
