@@ -5,7 +5,7 @@ The maximal GHZ violation has a closed form: the two-party value scales by
 visibility, and a linear phase ramp attains it.  An exact coordinate search
 confirms the optimum numerically and probes asymmetric settings: along each
 phase the value is a trigonometric polynomial, whose coefficients are read off
-the branch-pair factors that ghz_bell_value folds its weights through.  A
+the branch-pair factors that _fold folds ghz_bell_value's weights through.  A
 sweep yields each phase as a finished move, its peak and the rise to it read
 off that polynomial: -arg of its one coefficient for a free phase, and for a
 shared one the best of the grid's local maxima, polished by Newton steps in
@@ -25,6 +25,7 @@ from .quantum import (
     PhaseConfiguration,
     _binomials,
     _branch_factors,
+    _fold,
     _ghz_lags,
     _ghz_weights,
     ghz_bell_value,
@@ -39,7 +40,8 @@ _SWEEP_TOL = 1e-9
 _GAIN_TOL = 1e-13
 # restarts climb in stacks of at most this many entries, (N+1)^2 d^2 per restart: 8 at
 # N = 30, d = 8, where 8 stacked free restarts ran 2.3x faster than 8 single ones on a
-# 2-core VM, and one at N = d = 30, where a second would add 7.5 MB of peak RSS
+# 2-core VM, and one at N = d = 30.  A free restart holds O(N d^2) entries since its
+# sweep folds by halving, so the divisor over-counts it; it stays, so stacks keep their size
 _STACK_ENTRIES = 2**19
 
 __all__ = [
@@ -217,15 +219,22 @@ def _others(d: int) -> np.ndarray:
     return np.array([[k for k in range(d) if k != j] for j in range(1 if d == 2 else d)])
 
 
-def _times_party(by_t: np.ndarray, f1: np.ndarray, f2: np.ndarray, p: int) -> None:
-    """Multiply (f1 + z f2) into the z^0..z^p coefficients by_t[:p + 1], in place.
+def _halves(w: np.ndarray, factors: np.ndarray, lo: int, hi: int):
+    """Yield (p, w folded through every party of lo..hi-1 but p) for p = lo..hi-1, in order.
 
-    by_t[:p + 2] then holds the product's z^0..z^(p+1) coefficients.  t is the
-    leading axis, so a stack's coefficients, (T, R, d, d), take (R, d, d) factors.
+    w folded through the right half serves the left half, and once the left
+    half has been yielded, w folded through it serves the right half: so the
+    caller may replace party p's factors after its yield, and every later
+    party's w holds them.  O(log N) partial folds are held at once.  A module
+    function, not a closure of the sweep: a recursive closure is a reference
+    cycle, and would keep a finished sweep's factors until the next collection.
     """
-    by_t[p + 1] = by_t[p] * f2
-    by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
-    by_t[0] *= f1
+    if hi - lo == 1:
+        yield lo, w
+        return
+    mid = (lo + hi) // 2
+    yield from _halves(_fold(w, factors[mid:hi]), factors, lo, mid)
+    yield from _halves(_fold(w, factors[lo:mid]), factors, mid, hi)
 
 
 def _free_sweep(weights: np.ndarray):
@@ -234,20 +243,20 @@ def _free_sweep(weights: np.ndarray):
     The stack is the climb's (R, N, 2, d) phases, read again as the caller
     moves them between yields, and moves lists (row, x0, peak, rise) for
     each row whose coordinate is not flat, x0 being the phase's current
-    value.  For one row the value is 2^N Re sum_t <W[t], by_t>, and by_t is
-    affine in party p's halved factors: the value is
-    2^N Re sum (G_1 f_p1 + G_2 f_p2) entrywise, where
-    G_s contracts W with the leave-one-out product of the other parties.
-    That product is a prefix (parties before p, already moved this sweep)
-    times a suffix (the parties after p).  The suffix is W folded through
-    the parties after p, party N first, as ghz_bell_value folds it through
-    all of them, once per sweep: rest[p][a] = sum_b W[a + b] suffix[b], each
-    entry within max|W| <= 1/d, and the prefix's by_t within 1.  G is
-    Hermitian like every factor, so along phi_psj the value is
-    const + 2^N Re(a e^(i phi)) with a = sum_{k != j} G_s[j, k] e^(-i phi_psk).
-    It peaks at -arg a, and a coordinate with a = 0 is flat.  O(N d^2) per
-    party and row; every array step runs once for all rows, and only each
-    row's rise is a scalar.
+    value.  For one row the value is 2^N Re sum_{j,k} of W folded through
+    every party (see ghz_bell_value), and a party's fold is affine in its
+    halved factors: folded through every party but p, W has two entries
+    left, G_1 and G_2, and the value is 2^N Re sum (G_1 f_p1 + G_2 f_p2)
+    entrywise.  _halves yields each party's G by halving the parties, and a
+    party's factors are rebuilt after its last move, so a party after it
+    reads its moved ones.  Every intermediate is a partial fold of W, each
+    entry within max|W| <= 1/d, and a restart holds O(N d^2) entries: the
+    parties' factors and the partial folds.  G is Hermitian like every
+    factor, so along phi_psj the value is const + 2^N Re(a e^(i phi)) with
+    a = sum_{k != j} G_s[j, k] e^(-i phi_psk).  It peaks at -arg a, and a
+    coordinate with a = 0 is flat.  O(N^2 d^2) per sweep and row in
+    O(N log N) fold steps; every array step runs once for all rows, and only
+    each row's rise is a scalar.
     """
     d = weights.shape[1]
     # a is one batched dot per coordinate: for each phase j, the gradient's flat (j, k != j)
@@ -257,16 +266,10 @@ def _free_sweep(weights: np.ndarray):
     def sweep(phases):
         count = len(phases)
         settings = phases.reshape(count, -1, d)  # a view: setting s of party p is row 2p + s
-        rest = [weights[:, None]]  # (T, R, d, d): t leads, as _times_party takes it
-        for f in _branch_factors(phases[:, :0:-1]).swapaxes(0, 1):  # (R, 2, d, d), party N first
-            rest.append(f[:, 0] * rest[-1][:-1] + f[:, 1] * rest[-1][1:])
-        rest.reverse()
-        by_t = np.empty((len(rest), count, d, d), dtype=complex)
-        by_t[0] = 1.0
-        for p, r in enumerate(rest):
-            prefix = by_t[: p + 1]
-            gradient = (prefix * r[:-1]).sum(axis=0), (prefix * r[1:]).sum(axis=0)
-            for s, g in enumerate(gradient):
+        # (N, 2, R, d, d): a party's (f1, f2), each (R, d, d), as _fold takes a stack's
+        factors = _branch_factors(np.ascontiguousarray(phases.transpose(1, 2, 0, 3)))
+        for p, w in _halves(weights[:, None], factors, 0, len(factors)):
+            for s, g in enumerate(w):  # G_1 and G_2, each (R, d, d)
                 g = g.reshape(count, d * d)
                 setting = settings[:, 2 * p + s]
                 for j, pair, cols in reads:
@@ -280,9 +283,7 @@ def _free_sweep(weights: np.ndarray):
                             rise = ai * (cmath.exp(1j * theta) - cmath.exp(1j * x0))
                             moves.append((i, x0, theta, rise.real))
                     yield (2 * p + s) * d + j, moves
-            if p + 1 < len(rest):  # the last party's prefix is never read
-                f = _branch_factors(phases[:, p])
-                _times_party(by_t, f[:, 0], f[:, 1], p)
+            factors[p] = _branch_factors(phases[:, p].swapaxes(0, 1))
 
     return sweep
 

@@ -7,8 +7,8 @@ party at a time, sharing the work of common setting prefixes; for GHZ states
 it is the independent oracle the closed form is checked against.  The GHZ
 Bell value never forms the 2^N setting strings: it is summed over the number
 t of parties using setting 2, from the N + 1 residue rows of the t-counts when
-every party uses the same phases, and otherwise by a fold of the branch-pair
-weights through the parties, one party's factors at a time.
+every party uses the same phases, and otherwise by _fold, the fold of the
+branch-pair weights through the parties, one party's factors at a time.
 """
 
 from __future__ import annotations
@@ -340,9 +340,22 @@ def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     Hermitian, because the coefficients are real.
     """
     j = np.arange(dimension)
-    weights = _ghz_lags(n_parties, dimension)[:, (j[:, None] - j) % dimension]
+    # take, not a fancy index, which would put t fastest: the fold reads contiguous (d, d) slices
+    weights = _ghz_lags(n_parties, dimension).take((j[:, None] - j) % dimension, axis=1)
     weights.flags.writeable = False
     return weights
+
+
+def _fold(w: np.ndarray, factors) -> np.ndarray:
+    """Fold weights w through each party's halved factors (f1, f2): w[t] <- f1 w[t] + f2 w[t + 1].
+
+    Each party leaves one t fewer; the parties commute, so any order folds to
+    the same polynomial.  t leads, so a stack's weights, (T, R, d, d), take
+    (R, d, d) factors, and every row folds as it would alone, bit for bit.
+    """
+    for f1, f2 in factors:
+        w = f1 * w[:-1] + f2 * w[1:]
+    return w
 
 
 def _binomials(n_parties: int) -> np.ndarray:
@@ -373,7 +386,7 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
     (j, k) the sum over all setting strings with t twos is the z^t coefficient
     by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with the halved factors f_ps[j,k]
     = e^{i(phi_psj - phi_psk)}/2, and the value is 2^N Re sum_t <W[t], by_t>,
-    W the table of _ghz_weights.  No by_t is formed: W is folded through the
+    W the table of _ghz_weights.  No by_t is formed: _fold folds W through the
     parties, w[t] <- f_p1 w[t] + f_p2 w[t + 1] for each party in turn, one t
     fewer each time, and the one (d, d) entry left, sum_t W[t] by_t
     entrywise, sums to the value: O(N^2 d^2).  The parties' factors commute,
@@ -396,8 +409,5 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
         weighted = np.einsum("t,tr,tr", _binomials(n), _numerator_rows(n, d, float), rows)
         scaled = -float(weighted) / ((d - 1) * d**2)
     else:
-        w = _ghz_weights(n, d)
-        for f1, f2 in _branch_factors(phases):
-            w = f1 * w[:-1] + f2 * w[1:]
-        scaled = float(w.real.sum())
+        scaled = float(_fold(_ghz_weights(n, d), _branch_factors(phases)).real.sum())
     return math.ldexp(scaled, n)

@@ -955,6 +955,20 @@ class TestProcess:
         report = json.loads(proc.stdout)
         assert report["restart_values"] == [report["bell_value"]]
 
+    def test_large_free_search_fits_in_one_gib(self):
+        # a sweep holds the parties' factors and one partial fold per level: suffix folds
+        # for every party, (N+1)^2 d^2 / 2 entries, would be about 800 MB here
+        proc = self.python_process("-c", (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quditbell.cli import main\n"
+            "main()\n"
+        ), "violation", "--n", "100", "--d", "100", "--angles", "optimized-free",
+            "--restarts", "1", "--budget", "5", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["restart_values"] == [report["bell_value"]]
+
     def test_resource_error_exit_code(self):
         proc = self.cli_process(
             "bound", "--n", "2", "--d", "2", "--partition", "1/2", "--budget", "10"

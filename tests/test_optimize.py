@@ -1,5 +1,7 @@
 """Closed-form maxima, critical visibilities, and the phase search."""
 
+import cmath
+import gc
 import math
 import tracemalloc
 import warnings
@@ -16,7 +18,6 @@ from quditbell.optimize import (
     _others,
     _peak,
     _symmetric_sweep,
-    _times_party,
     cglmp_max_closed_form,
     critical_visibility,
     max_violation,
@@ -27,6 +28,8 @@ from quditbell.optimize import (
 from quditbell.quantum import (
     PhaseConfiguration,
     _binomials,
+    _branch_factors,
+    _fold,
     _ghz_lags,
     _ghz_weights,
     ghz_bell_value,
@@ -737,7 +740,8 @@ class TestTrigStep:
 # rebuilt its index sets, exponents and companion matrices on every move; the
 # (6, 3) and (8, 3) ones when it still evaluated the objective after every move,
 # and the (3, 5), (4, 4) and (5, 6) ones when the free value still multiplied out
-# the product's N + 1 coefficients
+# the product's N + 1 coefficients; the (13, 3) and (20, 3) ones when the free sweep
+# still contracted a prefix product with suffix folds
 PINNED_RESTART_VALUES = {
     ("free", 2, 2): (2.8284271247461907, 2.8284271247461907, 2.82842712474619),
     ("free", 2, 3): (2.872934051172121, 2.872934051168908, 2.8729340511721118),
@@ -748,6 +752,8 @@ PINNED_RESTART_VALUES = {
     ("free", 3, 5): (5.821089616141924, 5.821089616141267, 5.821089616131865),
     ("free", 4, 4): (11.5849728738289, 11.584972873832072, 11.584972873828216),
     ("free", 5, 6): (19.97645019850081, 17.96311447182127, 17.50990301089644),
+    ("free", 13, 3): (5883.768936781913, 4095.999999990428, 4095.9999999936417),
+    ("free", 20, 3): (524287.9999993073, 524287.9999989816, 524287.9999992143),
     ("symmetric", 2, 2): (2.828427124745411, 2.828427124740303, 2.828427124736314),
     ("symmetric", 2, 3): (2.8729340511722645, 2.8729340511720913, 2.8729340511720256),
     ("symmetric", 3, 3): (5.745868102331418, 5.745868102214159, 5.745868102224306),
@@ -1010,16 +1016,125 @@ class TestStack:
 @pytest.mark.parametrize("p", [0, 1, 4])
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_a_stacked_party_step_is_each_rows_step_bit_for_bit(rng, p, d):
-    # the free sweep multiplies a party into a (T, R, d, d) stack, a single search into one row
+    # the free sweep folds a (T, R, d, d) stack through p + 1 parties, a single search one row
     def complex_normal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    stack, factors = complex_normal(p + 2, 4, d, d), complex_normal(4, 2, d, d)
-    rows = [stack[:, r].copy() for r in range(4)]
-    _times_party(stack, factors[:, 0], factors[:, 1], p)
-    for r, by_t in enumerate(rows):
-        _times_party(by_t, factors[r, 0], factors[r, 1], p)
-        assert by_t.tobytes() == stack[:, r].tobytes()
+    stack, factors = complex_normal(p + 2, 4, d, d), complex_normal(p + 1, 2, 4, d, d)
+    folded = _fold(stack, factors)
+    assert folded.shape == (1, 4, d, d)
+    for r in range(4):
+        row = _fold(stack[:, r].copy(), factors[:, :, r].copy())
+        assert row.tobytes() == folded[:, r].tobytes()
+
+
+def _times_party(by_t, f1, f2, p):
+    """Multiply (f1 + z f2) into the z^0..z^p coefficients by_t[:p + 1], in place."""
+    by_t[p + 1] = by_t[p] * f2
+    by_t[1 : p + 1] = by_t[1 : p + 1] * f1 + by_t[:p] * f2
+    by_t[0] *= f1
+
+
+def free_sweep_by_prefix_and_suffix(weights):
+    """The oracle: the free sweep as it was built from prefix products and suffix folds.
+
+    Party p's gradient contracts the product of the parties before it, multiplied
+    out into its z^t coefficients, with W folded through the parties after it."""
+    d = weights.shape[1]
+    reads = [(j, (j * d + k)[None], k[:, None]) for j, k in enumerate(_others(d))]
+
+    def sweep(phases):
+        count = len(phases)
+        settings = phases.reshape(count, -1, d)
+        rest = [weights[:, None]]
+        for f in _branch_factors(phases[:, :0:-1]).swapaxes(0, 1):  # party N first
+            rest.append(f[:, 0] * rest[-1][:-1] + f[:, 1] * rest[-1][1:])
+        rest.reverse()
+        by_t = np.empty((len(rest), count, d, d), dtype=complex)
+        by_t[0] = 1.0
+        for p, r in enumerate(rest):
+            prefix = by_t[: p + 1]
+            gradient = (prefix * r[:-1]).sum(axis=0), (prefix * r[1:]).sum(axis=0)
+            for s, g in enumerate(gradient):
+                g = g.reshape(count, d * d)
+                setting = settings[:, 2 * p + s]
+                for j, pair, cols in reads:
+                    a = (g.take(pair, axis=1) @ np.exp(-1j * setting.take(cols, axis=1))).ravel()
+                    moves = []
+                    for i, (ai, arg, x0) in enumerate(
+                        zip(a.tolist(), np.arctan2(a.imag, a.real).tolist(), setting[:, j].tolist())
+                    ):
+                        if ai:
+                            theta = -arg
+                            rise = ai * (cmath.exp(1j * theta) - cmath.exp(1j * x0))
+                            moves.append((i, x0, theta, rise.real))
+                    yield (2 * p + s) * d + j, moves
+            if p + 1 < len(rest):
+                f = _branch_factors(phases[:, p])
+                _times_party(by_t, f[:, 0], f[:, 1], p)
+
+    return sweep
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (5, 4), (7, 2), (8, 3), (13, 5), (30, 8)])
+def test_free_sweep_by_halving_is_the_prefix_suffix_one(rng, n, d, count):
+    # both sweeps read their own copy of the stack, each move written into both between
+    # yields: the same coordinates and rows, the peaks and rises within rounding
+    starts = rng.uniform(0.0, 2.0 * np.pi, (count, n, 2, d))
+    stacks = [starts.copy() for _ in range(2)]
+    weights = _ghz_weights(n, d)
+    sweeps = _free_sweep(weights)(stacks[0]), free_sweep_by_prefix_and_suffix(weights)(stacks[1])
+    coords = []
+    for (coord, moves), (oracle_coord, oracle) in zip(*sweeps):
+        assert coord == oracle_coord
+        assert [(i, x0) for i, x0, _, _ in moves] == [(i, x0) for i, x0, _, _ in oracle]
+        for (_, _, theta, rise), (_, _, want, oracle_rise) in zip(moves, oracle):
+            assert abs(np.angle(np.exp(1j * (theta - want)))) <= 1e-9
+            assert rise == pytest.approx(oracle_rise, rel=0, abs=1e-13 / 4)
+        coords.append(coord)
+        for stack in stacks:
+            for i, _, theta, _ in moves:
+                stack.reshape(count, -1)[i, coord] = theta
+    moving = len(_others(d))
+    assert coords == [c * d + j for c in range(2 * n) for j in range(moving)]
+    assert stacks[0].tobytes() == stacks[1].tobytes()
+
+
+def test_free_search_memory_grows_with_n_d_squared_not_n_squared_d_squared():
+    # the suffix folds of a sweep held (N+1)^2 d^2 / 2 entries: 88.5 MiB at (60, 50)
+    scen = BellScenario(60, 50)
+    start = PhaseConfiguration(scen, np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, (60, 2, 50)))
+    _ghz_weights(60, 50)  # the cached weights are not the search's to hold
+    tracemalloc.start()
+    try:
+        optimize_phases(scen, start, budget=2 * 60 * 50 + 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_a_finished_free_sweep_holds_nothing(rng):
+    # its (N, 2, R, d, d) factors, 0.8 MB here, go when it ends, not at a later collection
+    weights, phases = _ghz_weights(8, 40), rng.uniform(0.0, 2.0 * np.pi, (2, 8, 2, 40))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in _free_sweep(weights)(phases):
+            pass
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 2**16
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_the_closed_form_is_the_two_party_free_searchs_ceiling(d):
+    ceiling = cglmp_max_closed_form(d) * (1 + 1e-14)
+    result = optimize_with_restarts(BellScenario(2, d), restarts=20, seed=0)
+    assert max(result.restart_values) <= ceiling
 
 
 def roots_peak(a):
