@@ -106,13 +106,21 @@ def _writable(ctx, param, path: Optional[str]) -> Optional[str]:
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write chunks to a temp file beside path and rename it; OSError names path."""
+    """Write chunks to a temp file beside path and rename it; OSError names path.
+
+    mkstemp makes the temp file owner-only, so before the rename it takes path's
+    mode, or a new file's, 0o666 under the umask, when path does not exist.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quditbell-")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.writelines(chunks)
+            umask = os.umask(0o077)  # read by setting it back: the CLI is single-threaded
+            os.umask(umask)
+            mode = os.stat(path).st_mode if os.path.exists(path) else 0o666 & ~umask
+            os.chmod(tmp, mode & 0o7777)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

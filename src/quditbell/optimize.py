@@ -24,7 +24,6 @@ import numpy as np
 from .quantum import (
     PhaseConfiguration,
     _binomials,
-    _branch_factors,
     _fold,
     _ghz_lags,
     _ghz_weights,
@@ -219,22 +218,24 @@ def _others(d: int) -> np.ndarray:
     return np.array([[k for k in range(d) if k != j] for j in range(1 if d == 2 else d)])
 
 
-def _halves(w: np.ndarray, factors: np.ndarray, lo: int, hi: int):
+def _halves(w: np.ndarray, parties: np.ndarray, lo: int, hi: int):
     """Yield (p, w folded through every party of lo..hi-1 but p) for p = lo..hi-1, in order.
 
+    parties is the stack's phases by party, (N, 2, R, d), a view of the stack.
     w folded through the right half serves the left half, and once the left
-    half has been yielded, w folded through it serves the right half: so the
-    caller may replace party p's factors after its yield, and every later
-    party's w holds them.  O(log N) partial folds are held at once.  A module
+    half has been yielded, w folded through it serves the right half: each
+    fold builds its parties' factors from the phases as they are then, so the
+    caller may move party p's phases after its yield, and every later party's
+    w holds the move.  O(log N) partial folds are held at once.  A module
     function, not a closure of the sweep: a recursive closure is a reference
-    cycle, and would keep a finished sweep's factors until the next collection.
+    cycle, and would keep a finished sweep's folds until the next collection.
     """
     if hi - lo == 1:
         yield lo, w
         return
     mid = (lo + hi) // 2
-    yield from _halves(_fold(w, factors[mid:hi]), factors, lo, mid)
-    yield from _halves(_fold(w, factors[lo:mid]), factors, mid, hi)
+    yield from _halves(_fold(w, parties[mid:hi]), parties, lo, mid)
+    yield from _halves(_fold(w, parties[lo:mid]), parties, mid, hi)
 
 
 def _free_sweep(weights: np.ndarray):
@@ -247,11 +248,11 @@ def _free_sweep(weights: np.ndarray):
     every party (see ghz_bell_value), and a party's fold is affine in its
     halved factors: folded through every party but p, W has two entries
     left, G_1 and G_2, and the value is 2^N Re sum (G_1 f_p1 + G_2 f_p2)
-    entrywise.  _halves yields each party's G by halving the parties, and a
-    party's factors are rebuilt after its last move, so a party after it
-    reads its moved ones.  Every intermediate is a partial fold of W, each
-    entry within max|W| <= 1/d, and a restart holds O(N d^2) entries: the
-    parties' factors and the partial folds.  G is Hermitian like every
+    entrywise.  _halves yields each party's G by halving the parties, and each
+    fold builds its parties' factors from the stack as it is then, so a party
+    after p reads p's moved phases.  Every intermediate is a partial fold of
+    W, each entry within max|W| <= 1/d, and a restart holds O(N d^2) entries:
+    the partial folds and one fold's factors.  G is Hermitian like every
     factor, so along phi_psj the value is const + 2^N Re(a e^(i phi)) with
     a = sum_{k != j} G_s[j, k] e^(-i phi_psk).  It peaks at -arg a, and a
     coordinate with a = 0 is flat.  O(N^2 d^2) per sweep and row in
@@ -266,9 +267,9 @@ def _free_sweep(weights: np.ndarray):
     def sweep(phases):
         count = len(phases)
         settings = phases.reshape(count, -1, d)  # a view: setting s of party p is row 2p + s
-        # (N, 2, R, d, d): a party's (f1, f2), each (R, d, d), as _fold takes a stack's
-        factors = _branch_factors(np.ascontiguousarray(phases.transpose(1, 2, 0, 3)))
-        for p, w in _halves(weights[:, None], factors, 0, len(factors)):
+        # (N, 2, R, d): a party's two settings, each (R, d), as _fold takes a stack's
+        parties = phases.transpose(1, 2, 0, 3)
+        for p, w in _halves(weights[:, None], parties, 0, len(parties)):
             for s, g in enumerate(w):  # G_1 and G_2, each (R, d, d)
                 g = g.reshape(count, d * d)
                 setting = settings[:, 2 * p + s]
@@ -283,7 +284,6 @@ def _free_sweep(weights: np.ndarray):
                             rise = ai * (cmath.exp(1j * theta) - cmath.exp(1j * x0))
                             moves.append((i, x0, theta, rise.real))
                     yield (2 * p + s) * d + j, moves
-            factors[p] = _branch_factors(phases[:, p].swapaxes(0, 1))
 
     return sweep
 

@@ -330,14 +330,16 @@ def _ghz_lags(n_parties: int, d: int) -> np.ndarray:
     return lags
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     """Branch-pair weights W[t, j, k] = L[t, (j - k) mod d], L the table of _ghz_lags.
 
     The GHZ Bell value is 2^N Re sum_{t,j,k} W[t,j,k] by_t[j,k], with by_t the
     z^t coefficient of the halved factor product (see ghz_bell_value): the
     path for phases that differ between parties.  Each W[t] is circulant and
-    Hermitian, because the coefficients are real.
+    Hermitian, because the coefficients are real.  Only the last (N, d) is
+    kept: a search reads one table, and (N+1) d^2 entries per size would add
+    up to gigabytes at d in the hundreds.
     """
     j = np.arange(dimension)
     # take, not a fancy index, which would put t fastest: the fold reads contiguous (d, d) slices
@@ -346,14 +348,16 @@ def _ghz_weights(n_parties: int, dimension: int) -> np.ndarray:
     return weights
 
 
-def _fold(w: np.ndarray, factors) -> np.ndarray:
-    """Fold weights w through each party's halved factors (f1, f2): w[t] <- f1 w[t] + f2 w[t + 1].
+def _fold(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Fold weights w through parties' halved factors (f1, f2): w[t] <- f1 w[t] + f2 w[t + 1].
 
-    Each party leaves one t fewer; the parties commute, so any order folds to
-    the same polynomial.  t leads, so a stack's weights, (T, R, d, d), take
-    (R, d, d) factors, and every row folds as it would alone, bit for bit.
+    phases holds the parties folded through, (P, 2, ..., d), and their factors
+    are built from it here, at the call, so a fold reads the phases as they are
+    now.  Each party leaves one t fewer; the parties commute, so any order
+    folds to the same polynomial.  t leads, so a stack's weights, (T, R, d, d),
+    take (P, 2, R, d) phases, and every row folds as it would alone, bit for bit.
     """
-    for f1, f2 in factors:
+    for f1, f2 in _branch_factors(phases):
         w = f1 * w[:-1] + f2 * w[1:]
     return w
 
@@ -387,9 +391,9 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
     by_t of prod_p (f_p1[j,k] + z f_p2[j,k]), with the halved factors f_ps[j,k]
     = e^{i(phi_psj - phi_psk)}/2, and the value is 2^N Re sum_t <W[t], by_t>,
     W the table of _ghz_weights.  No by_t is formed: _fold folds W through the
-    parties, w[t] <- f_p1 w[t] + f_p2 w[t + 1] for each party in turn, one t
-    fewer each time, and the one (d, d) entry left, sum_t W[t] by_t
-    entrywise, sums to the value: O(N^2 d^2).  The parties' factors commute,
+    parties, given their phases, w[t] <- f_p1 w[t] + f_p2 w[t + 1] for each
+    party in turn, one t fewer each time, and the one (d, d) entry left,
+    sum_t W[t] by_t entrywise, sums to the value: O(N^2 d^2).  The parties' factors commute,
     so the fold may take them in any order.  A block that differs only in a -0.0 against a 0.0
     takes the fold too, at no cost to the value.
 
@@ -409,5 +413,5 @@ def ghz_bell_value(config: PhaseConfiguration) -> float:
         weighted = np.einsum("t,tr,tr", _binomials(n), _numerator_rows(n, d, float), rows)
         scaled = -float(weighted) / ((d - 1) * d**2)
     else:
-        scaled = float(_fold(_ghz_weights(n, d), _branch_factors(phases)).real.sum())
+        scaled = float(_fold(_ghz_weights(n, d), phases).real.sum())
     return math.ldexp(scaled, n)

@@ -637,6 +637,29 @@ class TestOutputHandling:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".quditbell-")]
         assert leftovers == []
 
+    @pytest.fixture
+    def umask_022(self):
+        umask = os.umask(0o022)
+        yield
+        os.umask(umask)
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-table"])
+    def test_a_new_file_gets_the_umasks_mode(self, capsys, tmp_path, umask_022, flag):
+        # as touch or open would make it, not mkstemp's owner-only 0o600
+        target = tmp_path / "new.json"
+        code, _, _ = invoke(capsys, "violation", "--n", "2", "--d", "2", flag, str(target))
+        assert code == 0
+        assert os.stat(target).st_mode & 0o7777 == 0o644
+
+    def test_an_existing_file_keeps_its_mode(self, capsys, tmp_path, umask_022):
+        target = tmp_path / "report.json"
+        target.write_text("earlier report\n")
+        target.chmod(0o640)
+        code, _, _ = invoke(capsys, "visibility", "--n", "3", "--d", "3", "--out", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["critical_visibility"] > 0
+        assert os.stat(target).st_mode & 0o7777 == 0o640
+
     @pytest.mark.parametrize("flag", ["--out", "--emit-table"])
     def test_unwritable_path_is_one_line_input_error(self, capsys, tmp_path, flag):
         target = str(tmp_path / "missing-dir" / "x.json")
@@ -710,6 +733,7 @@ class TestOutputHandling:
 
         target = tmp_path / "report.json"
         target.write_text("earlier report\n")
+        target.chmod(0o640)
         monkeypatch.setattr("quditbell.cli.os.replace", refuse)
         code, out, err = invoke(
             capsys, "visibility", "--n", "2", "--d", "3", "--out", str(target)
@@ -719,6 +743,7 @@ class TestOutputHandling:
         assert err == f"error: cannot write {target}: Permission denied\n"
         assert os.listdir(tmp_path) == ["report.json"]
         assert target.read_text() == "earlier report\n"
+        assert os.stat(target).st_mode & 0o7777 == 0o640
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [

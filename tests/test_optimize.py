@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import quditbell.optimize
+from quditbell.bounds import Bipartition, build_grouping
 from quditbell.optimize import (
     SVETLICHNY_VISIBILITY,
     _climb,
@@ -34,9 +35,10 @@ from quditbell.quantum import (
     _ghz_weights,
     ghz_bell_value,
     ghz_state,
+    ghz_table,
     joint_probabilities,
 )
-from quditbell.scenario import BellScenario, bell_value
+from quditbell.scenario import BellScenario, all_setting_strings, bell_value, correlations
 from conftest import random_config
 
 
@@ -1017,14 +1019,12 @@ class TestStack:
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_a_stacked_party_step_is_each_rows_step_bit_for_bit(rng, p, d):
     # the free sweep folds a (T, R, d, d) stack through p + 1 parties, a single search one row
-    def complex_normal(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    stack, factors = complex_normal(p + 2, 4, d, d), complex_normal(p + 1, 2, 4, d, d)
-    folded = _fold(stack, factors)
+    stack = rng.normal(size=(p + 2, 4, d, d)) + 1j * rng.normal(size=(p + 2, 4, d, d))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (p + 1, 2, 4, d))
+    folded = _fold(stack, phases)
     assert folded.shape == (1, 4, d, d)
     for r in range(4):
-        row = _fold(stack[:, r].copy(), factors[:, :, r].copy())
+        row = _fold(stack[:, r].copy(), phases[:, :, r].copy())
         assert row.tobytes() == folded[:, r].tobytes()
 
 
@@ -1116,7 +1116,8 @@ def test_free_search_memory_grows_with_n_d_squared_not_n_squared_d_squared():
 
 
 def test_a_finished_free_sweep_holds_nothing(rng):
-    # its (N, 2, R, d, d) factors, 0.8 MB here, go when it ends, not at a later collection
+    # its partial folds and the factors each fold builds, up to 0.4 MB here, go when it
+    # ends, not at a later collection
     weights, phases = _ghz_weights(8, 40), rng.uniform(0.0, 2.0 * np.pi, (2, 8, 2, 40))
     gc.disable()
     tracemalloc.start()
@@ -1130,11 +1131,54 @@ def test_a_finished_free_sweep_holds_nothing(rng):
     assert held < 2**16
 
 
+def test_a_free_sweep_builds_no_more_than_half_the_parties_factors_at_once(rng, monkeypatch):
+    # each fold builds the factors of the parties it folds through, from the phases as
+    # they are then: the largest covers one half of the parties, not all of them
+    n, d, count = 8, 3, 2
+    covered = []
+    real = _branch_factors
+
+    def counted(phases):
+        covered.append(phases.size // (2 * count * d))  # parties, for any batch shape
+        return real(phases)
+
+    monkeypatch.setattr("quditbell.quantum._branch_factors", counted)
+    # and a build the sweep would make through a binding of its own
+    monkeypatch.setattr("quditbell.optimize._branch_factors", counted, raising=False)
+    phases = rng.uniform(0.0, 2.0 * np.pi, (count, n, 2, d))
+    for coord, moves in _free_sweep(_ghz_weights(n, d))(phases):
+        for i, _, theta, _ in moves:
+            phases.reshape(count, -1)[i, coord] = theta
+    assert covered and max(covered) <= n // 2
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_the_closed_form_is_the_two_party_free_searchs_ceiling(d):
     ceiling = cglmp_max_closed_form(d) * (1 + 1e-14)
     result = optimize_with_restarts(BellScenario(2, d), restarts=20, seed=0)
     assert max(result.restart_values) <= ceiling
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 3), (4, 5), (5, 4)])
+def test_each_quadruple_of_the_ghz_value_is_at_most_the_two_qudit_maximum(rng, n, d):
+    # the quadruples that flip parties 1 and 2 leave the other N - 2 parties measured:
+    # each is the N = 2 functional on a maximally entangled pair under multiport phases
+    scen = BellScenario(n, d)
+    index = {s: i for i, s in enumerate(all_setting_strings(n))}
+    grouping = build_grouping(scen, Bipartition.from_block(n, (1,)))
+    groups = [[index[s] for s in group] for group in grouping.groups]
+    top = cglmp_max_closed_form(d)
+
+    def quadruples(config):
+        values = -correlations(ghz_table(config))[groups].sum(axis=1)
+        assert values.sum() == pytest.approx(ghz_bell_value(config), rel=1e-12, abs=0)
+        assert values.max() <= top * (1 + 1e-12)
+        return values
+
+    for _ in range(5):
+        quadruples(random_config(scen, rng))
+    quadruples(optimize_with_restarts(scen, restarts=3, seed=1).config)
+    np.testing.assert_allclose(quadruples(optimal_angles(scen)), top, rtol=1e-12, atol=0)
 
 
 def roots_peak(a):

@@ -526,8 +526,14 @@ class TestClosedForm:
         first, again = quantum._ghz_weights(4, 3), quantum._ghz_weights(4, 3)
         assert first is again
         assert not first.flags.writeable
-        maxsize = quantum._ghz_weights.cache_parameters()["maxsize"]
-        assert maxsize is not None and maxsize == quantum._fourier.cache_parameters()["maxsize"]
+        # a search reads one table: (N+1) d^2 entries per size kept would add up
+        assert quantum._ghz_weights.cache_parameters()["maxsize"] == 1
+
+    def test_free_values_at_several_sizes_hold_one_weights_table(self, rng):
+        quantum._ghz_weights.cache_clear()
+        for n, d in [(3, 3), (4, 5), (6, 2), (5, 40)]:
+            ghz_bell_value(random_config(BellScenario(n, d), rng))
+        assert quantum._ghz_weights.cache_info().currsize == 1
 
     def test_ghz_lags_built_once_read_only(self):
         first, again = quantum._ghz_lags(4, 3), quantum._ghz_lags(4, 3)
