@@ -311,6 +311,11 @@ def _residues(phi: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(1j * phi) @ _fourier(phi.shape[-1])) ** 2
 
 
+# _fold builds the factors of at most this many entries at once: all 8 parties' at
+# (8, 250), and one at a time from d = 513, where one party's alone are 2 d^2 entries
+_FACTOR_ENTRIES = 2**20
+
+
 def _branch_factors(phases: np.ndarray) -> np.ndarray:
     """Halved branch-pair factors 0.5 e^{i(phi_j - phi_k)}: shape (..., d) -> (..., d, d)."""
     branch = np.exp(1j * phases)
@@ -353,12 +358,15 @@ def _fold(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
     phases holds the parties folded through, (P, 2, ..., d), and their factors
     are built from it here, at the call, so a fold reads the phases as they are
-    now.  Each party leaves one t fewer; the parties commute, so any order
+    now, in blocks of parties of at most _FACTOR_ENTRIES entries (one party at
+    least).  Each party leaves one t fewer; the parties commute, so any order
     folds to the same polynomial.  t leads, so a stack's weights, (T, R, d, d),
     take (P, 2, R, d) phases, and every row folds as it would alone, bit for bit.
     """
-    for f1, f2 in _branch_factors(phases):
-        w = f1 * w[:-1] + f2 * w[1:]
+    parties = max(1, _FACTOR_ENTRIES // (phases[0].size * phases.shape[-1]))
+    for lo in range(0, len(phases), parties):
+        for f1, f2 in _branch_factors(phases[lo : lo + parties]):
+            w = f1 * w[:-1] + f2 * w[1:]
     return w
 
 

@@ -284,6 +284,18 @@ class TestViolationCommand:
         report = json.loads(out)
         assert abs(report["difference"]) <= 1e-7 * report["closed_form_max"]
 
+    def test_optimized_symmetric_mode_reaches_the_maximum_at_n_1024(self, capsys):
+        # coordinate sweeps alone stopped 4.5e-8 short here; Newton steps end on the maximum
+        code, out, _ = invoke(
+            capsys, "violation", "--n", "1024", "--d", "2",
+            "--angles", "optimized-symmetric", "--restarts", "1",
+        )
+        assert code == 0
+        report = json.loads(out)
+        top = report["closed_form_max"]
+        assert report["bell_value"] == pytest.approx(top, rel=1e-12, abs=0)
+        assert abs(report["difference"]) <= 1e-12 * top
+
     def test_optimized_mode_reports_its_restarts(self, capsys):
         # the report's value is the best restart's, taken from the search itself
         code, out, _ = invoke(

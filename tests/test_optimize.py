@@ -18,6 +18,8 @@ from quditbell.optimize import (
     _grid,
     _others,
     _peak,
+    _shared_taylor,
+    _symmetric_newton,
     _symmetric_sweep,
     cglmp_max_closed_form,
     critical_visibility,
@@ -434,9 +436,20 @@ def count_objective_calls(monkeypatch):
 
 
 def patch_moves(monkeypatch, change=lambda move: move):
-    """Pass every (coordinate, peak, rise) move the search's sweeps yield through change;
-    returns the growing list of the moves the search received."""
+    """Pass every (coordinate, peak, rise) move the search's sweeps yield through change,
+    and record each Newton step the search takes as ("newton", phases, rise); returns the
+    growing list of the moves the search received."""
     received = []
+
+    def newton(n, d):
+        steps = _symmetric_newton(n, d)
+
+        def recorded(block):
+            for moved, rise in steps(block):
+                received.append(("newton", moved, rise))
+                yield moved, rise
+
+        return recorded
 
     def patched(build):
         def built(weights):
@@ -456,6 +469,7 @@ def patch_moves(monkeypatch, change=lambda move: move):
 
     for sweep in (_free_sweep, _symmetric_sweep):
         monkeypatch.setattr(f"quditbell.optimize.{sweep.__name__}", patched(sweep))
+    monkeypatch.setattr("quditbell.optimize._symmetric_newton", newton)
     return received
 
 
@@ -733,8 +747,14 @@ class TestTrigStep:
     def test_search_ends_where_the_sampling_search_does(self, rng, mode, n, d):
         scen = BellScenario(n, d)
         start = random_config(scen, rng)
-        _, value = optimize_phases(scen, start, budget=20_000, mode=mode)
-        assert value == pytest.approx(sampled_search(scen, start, mode), rel=0, abs=1e-12)
+        config, value = optimize_phases(scen, start, budget=20_000, mode=mode)
+        if mode == "free":
+            assert value == pytest.approx(sampled_search(scen, start, mode), rel=0, abs=1e-12)
+            return
+        # Newton steps carry a symmetric search past where sweeps stop at 1e-9 a sweep: it
+        # ends no lower than the sampled one, at a fixed point of the sampled ascent
+        assert value >= sampled_search(scen, start, mode) - 1e-12
+        assert sampled_search(scen, config, mode) <= value + 1e-12
 
 
 # restart_values of optimize_with_restarts(BellScenario(n, d), restarts=3, seed=0,
@@ -743,7 +763,9 @@ class TestTrigStep:
 # (6, 3) and (8, 3) ones when it still evaluated the objective after every move,
 # and the (3, 5), (4, 4) and (5, 6) ones when the free value still multiplied out
 # the product's N + 1 coefficients; the (13, 3) and (20, 3) ones when the free sweep
-# still contracted a prefix product with suffix folds
+# still contracted a prefix product with suffix folds; the symmetric ones once Newton
+# steps on the shared phases followed each sweep (the sweeps alone had stopped 2e-13 to
+# 3.5e-12 below the maximum)
 PINNED_RESTART_VALUES = {
     ("free", 2, 2): (2.8284271247461907, 2.8284271247461907, 2.82842712474619),
     ("free", 2, 3): (2.872934051172121, 2.872934051168908, 2.8729340511721118),
@@ -756,10 +778,10 @@ PINNED_RESTART_VALUES = {
     ("free", 5, 6): (19.97645019850081, 17.96311447182127, 17.50990301089644),
     ("free", 13, 3): (5883.768936781913, 4095.999999990428, 4095.9999999936417),
     ("free", 20, 3): (524287.9999993073, 524287.9999989816, 524287.9999992143),
-    ("symmetric", 2, 2): (2.828427124745411, 2.828427124740303, 2.828427124736314),
-    ("symmetric", 2, 3): (2.8729340511722645, 2.8729340511720913, 2.8729340511720256),
-    ("symmetric", 3, 3): (5.745868102331418, 5.745868102214159, 5.745868102224306),
-    ("symmetric", 4, 2): (11.31370849886191, 11.31370849857402, 11.313708498713838),
+    ("symmetric", 2, 2): (2.82842712474618, 2.82842712474619, 2.8284271247461903),
+    ("symmetric", 2, 3): (2.8729340511723, 2.8729340511723356, 2.872934051172336),
+    ("symmetric", 3, 3): (5.745868102344669, 5.745868102344671, 5.74586810234467),
+    ("symmetric", 4, 2): (11.313708498984758, 11.313708498984754, 11.313708498984766),
 }
 
 
@@ -769,6 +791,9 @@ def test_restart_values_are_pinned(mode, n, d):
     np.testing.assert_allclose(
         result.restart_values, PINNED_RESTART_VALUES[mode, n, d], rtol=1e-12, atol=0
     )
+    if mode == "symmetric":  # every symmetric restart ends on the maximum
+        top = max_violation(BellScenario(n, d))
+        np.testing.assert_allclose(PINNED_RESTART_VALUES[mode, n, d], top, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3)])
@@ -851,18 +876,50 @@ def test_symmetric_search_reads_no_branch_pair_weights(monkeypatch, n, d):
     )
 
 
-def test_symmetric_search_memory_grows_with_n_d_not_n_d_squared(rng):
-    # the (N+1, d, d) weights alone are 19.8 MB at (30, 200), and a copy per phase adds more
+def test_symmetric_search_memory_grows_with_n_d_not_n_d_squared(rng, monkeypatch):
+    # the (N+1, d, d) weights alone are 19.8 MB at (30, 200), and a copy per phase adds more.
+    # From a random start the shared block's Hessian is not definite after one sweep; from
+    # near the optimum the sweep is followed by Newton steps
     scen = BellScenario(30, 200)
-    start = random_config(scen, rng)
-    _ghz_lags.cache_clear()  # the table's build is part of the search's peak
-    tracemalloc.start()
-    try:
-        optimize_phases(scen, start, budget=2 * 200 + 5, mode="symmetric")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    near = optimal_angles(scen).phases + 1e-2 * rng.normal(size=(1, 2, 200))
+    moves = patch_moves(monkeypatch)
+    for start in (random_config(scen, rng), PhaseConfiguration(scen, near)):
+        _ghz_lags.cache_clear()  # the table's build is part of the search's peak
+        tracemalloc.start()
+        try:
+            optimize_phases(scen, start, budget=2 * 200 + 5, mode="symmetric")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+    assert any(move[0] == "newton" for move in moves)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 5), (8, 3), (100, 2)])
+def test_shared_taylor_is_the_central_difference(rng, n, d):
+    # the value's gradient and Hessian in phases 0..d-2 of each setting, against central
+    # differences of ghz_bell_value (step 1e-4, whose error grows as N^3 with the derivatives)
+    scen = BellScenario(n, d)
+    block = rng.uniform(0.0, 2.0 * np.pi, (2, d))
+    m = d - 1
+
+    def f(x):
+        moved = block.copy()
+        moved[:, :m] = x.reshape(2, m)
+        return ghz_bell_value(PhaseConfiguration(scen, np.tile(moved, (n, 1, 1))))
+
+    _, slope, curve = _shared_taylor(_ghz_lags(n, d))(block)
+    h = 1e-4
+    x, unit = block[:, :m].ravel(), h * np.eye(2 * m)
+    slope_fd = [(f(x + e) - f(x - e)) / (2 * h) for e in unit]
+    curve_fd = [
+        [(f(x + a + b) - f(x + a - b) - f(x - a + b) + f(x - a - b)) / (4 * h * h) for b in unit]
+        for a in unit
+    ]
+    scale = math.ldexp(1e-7, n)
+    np.testing.assert_allclose(math.ldexp(1.0, n) * slope, slope_fd, rtol=0, atol=scale * n)
+    np.testing.assert_allclose(math.ldexp(-1.0, n) * curve, curve_fd, rtol=0, atol=scale * n**2)
+    np.testing.assert_allclose(curve, curve.T, rtol=0, atol=1e-14 * np.abs(curve).max())
 
 
 def _stack_starts(scen, rng, count=4):
@@ -1271,7 +1328,8 @@ def refuse_lapack(monkeypatch):
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (4, 3), (3, 5)])
-def test_the_symmetric_search_needs_no_lapack(rng, monkeypatch, n, d):
+def test_the_symmetric_search_solves_no_eigenvalue_problem(rng, monkeypatch, n, d):
+    # _peak needs none; the Newton steps factor and solve one (2d - 2)^2 matrix each
     refuse_lapack(monkeypatch)
     scen = BellScenario(n, d)
     top, tol = max_violation(scen), 1e-6 * 2.0 ** (n - 2)

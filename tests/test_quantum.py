@@ -643,6 +643,28 @@ class TestFreeFold:
         value = ghz_bell_value(PhaseConfiguration(scen, phases))
         assert value == pytest.approx(max_violation(scen), rel=1e-13)
 
+    @pytest.mark.parametrize("n,d,calls", [(8, 300, 2), (3, 600, 3), (20, 3, 1)])
+    def test_the_fold_builds_factors_in_bounded_blocks(self, monkeypatch, rng, n, d, calls):
+        # all 8 parties' factors at (8, 300) would be 1.44e6 entries; the blocks fold to
+        # the value of one build bit for bit
+        config = random_config(BellScenario(n, d), rng)
+        bound = quantum._FACTOR_ENTRIES
+        monkeypatch.setattr(quantum, "_FACTOR_ENTRIES", 2**62)
+        whole = ghz_bell_value(config)
+        monkeypatch.setattr(quantum, "_FACTOR_ENTRIES", bound)
+        built = []
+        real = quantum._branch_factors
+
+        def counted(phases):
+            built.append(phases.size * phases.shape[-1])
+            return real(phases)
+
+        monkeypatch.setattr(quantum, "_branch_factors", counted)
+        assert ghz_bell_value(config) == whole
+        assert len(built) == calls
+        assert sum(built) == 2 * n * d * d
+        assert max(built) <= bound
+
 
 class TestSharedPhases:
     """ghz_bell_value's residue rows, for phases every party shares, against the fold."""
