@@ -20,7 +20,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +44,9 @@ _GAIN_TOL = 1e-13
 # 2-core VM, and one at N = d = 30.  A free restart holds O(N d^2) entries since its
 # sweep folds by halving, so the divisor over-counts it; it stays, so stacks keep their size
 _STACK_ENTRIES = 2**19
+# a Newton step on the shared block factors and solves a (2d - 2)^2 matrix, O(d^2) memory
+# and O(d^3) time: above this many entries (d > 513) a symmetric search climbs by sweeps alone
+_NEWTON_ENTRIES = 2**20
 
 __all__ = [
     "SVETLICHNY_VISIBILITY",
@@ -363,48 +365,43 @@ def _shared_taylor(lags: np.ndarray):
     """
     n, d = lags.shape[0] - 1, lags.shape[1]
     t = np.arange(n + 1.0)
-    powers = np.stack([n - t, t])  # (2, N+1): the multiples of phi_1 and phi_2 in Phi_t
+    powers = np.array([n - t, t])  # (2, N+1): the multiples of phi_1 and phi_2 in Phi_t
     # -H's setting pairs (1, 1), (1, 2), (2, 1), (2, 2), each with its -2 (N+1) products
-    first, second = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    cross = -2.0 * powers[first] * powers[second]
+    cross = -2.0 * (powers[:, None] * powers).reshape(4, n + 1)
     pairs = _binomials(n)[:, None] * lags  # P; lag 0 is never read
     phase = np.arange(d)
-    lagged = [(pairs[:, l, None], (phase - l) % d) for l in range(1, d)]
-    # -H is held flat, (2, d, 2, d) by (setting, phase) twice: pair k's (a, b) is row[k, a] + b
-    row = np.ravel_multi_index((first[:, None], phase, second[:, None], 0), (2, d, 2, d))
     m = d - 1
 
     def taylor(block):
         z = np.exp(1j * (powers.T @ block))
-        back = z.conj()
+        back = np.concatenate([z, z], axis=1).conj()  # column d + c - l: conj z[:, (c - l) mod d]
         u = 0.0
-        curve = np.empty(4 * d * d)
-        for p, lag in lagged:
-            term = p * back[:, lag]
+        curve = np.empty((4, d, d))  # -H by setting pair, then (phase, phase)
+        for l in range(1, d):
+            term = pairs[:, l, None] * back[:, d - l : 2 * d - l]
             u = u + term
-            curve[row + lag] = cross @ (z * term).real
+            curve[:, phase, phase - l] = cross @ (z * term).real  # the index wraps mod d
         zu = z * u
-        curve[row + phase] = -(cross @ zu.real)
+        curve[:, phase, phase] = -(cross @ zu.real)
         slope = powers @ (-2.0 * zu.imag)
-        curve = curve.reshape(2, d, 2, d)[:, :m, :, :m].reshape(2 * m, 2 * m)
-        return zu.real.sum(), slope[:, :m].ravel(), curve
+        curve = curve.reshape(2, 2, d, d)[:, :, :m, :m].transpose(0, 2, 1, 3)
+        return zu.real.sum(), slope[:, :m].ravel(), curve.reshape(2 * m, 2 * m)
 
     return taylor
 
 
-@lru_cache(maxsize=1)
-def _symmetric_newton(n_parties: int, d: int):
+def _symmetric_newton(lags: np.ndarray):
     """Newton steps on a row's shared block: a generator function of its (2, d) phases.
 
     Each step yields (phases, rise), the block after it and the rise of the
     value over 2^N, read off _shared_taylor.  A step is -H^-1 g in the
     variables, taken while -H is positive definite (its Cholesky factor
     exists) and while both its model rise g.step/2 and the rise it evaluates
-    beat the move tolerance.  Built for the last (N, d) only, when a search
-    first needs it: the build costs a (2, 2) search about a twentieth of its time.
+    beat the move tolerance.  A step holds O(d^2) entries and takes O(d^3)
+    time, so _climb takes none where d is large (see _NEWTON_ENTRIES).
     """
-    taylor = _shared_taylor(_ghz_lags(n_parties, d))
-    m = d - 1
+    taylor = _shared_taylor(lags)
+    m = lags.shape[1] - 1
     tol = _GAIN_TOL / 4.0  # the move tolerance _GAIN_TOL 2^(N-2), over 2^N
 
     def steps(block):
@@ -450,8 +447,9 @@ def _climb(
     of numpy calls (a shared phase's peak is then solved row by row), and
     each row keeps or drops its own moves by optimize_phases' rules, with its
     own running value, budget and stop rule.  A row whose budget is spent
-    takes no further move.  At the end of each sweep, in symmetric mode, each
-    row the stop rule keeps takes its Newton steps on its own; then the rows
+    takes no further move.  At the end of each sweep, in symmetric mode with
+    d <= 513, each row the stop rule keeps takes its Newton steps on its own
+    (built once per call, when a row first takes them); then the rows
     that stop, or spent their budget on those steps, get their end
     evaluation and are written back, and the stack keeps the rest.
     A value past the closed form warns at the caller of the public function
@@ -462,7 +460,10 @@ def _climb(
     scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30
     tol = _GAIN_TOL * scale
     free = mode == "free"
-    sweep = _free_sweep(_ghz_weights(n, d)) if free else _symmetric_sweep(_ghz_lags(n, d))
+    lags = None if free else _ghz_lags(n, d)
+    sweep = _free_sweep(_ghz_weights(n, d)) if free else _symmetric_sweep(lags)
+    stepping = not free and (2 * d - 2) ** 2 <= _NEWTON_ENTRIES
+    newton = None  # the Newton steps, built when a row first takes them
     # symmetric mode: party 1's vectors parameterize all parties, and stay equal in every block
     phases = starts.copy() if free else np.repeat(starts[:, :1], n, axis=1)
     values = [_objective(scenario, start) for start in phases]  # a row's start value until it ends
@@ -501,8 +502,10 @@ def _climb(
         keep = []
         for i, row in enumerate(rows):
             if left[i] and best[i] - sweep_start[i] > sweep_tol:
-                if not free:
-                    for block, rise in _symmetric_newton(n, d)(stack[i, 0]):
+                if stepping:
+                    if newton is None:
+                        newton = _symmetric_newton(lags)
+                    for block, rise in newton(stack[i, 0]):
                         stack[i] = block
                         best[i] += math.ldexp(rise, n)
                         exact[i] = False
@@ -556,12 +559,13 @@ def optimize_phases(
     that the running value carries the same rounding, and the move is
     dropped.  A peak equal to the current phase moves nothing.  Sweeps repeat
     until the kept gains of a full cycle sum to less than 1e-9 * 2^(N-2) or
-    the budget is spent.  In symmetric mode a sweep that does not stop the
-    search is followed by Newton steps on the shared block, phases 0..d-2 of
-    each setting (see _symmetric_newton): each is taken while the negated
-    Hessian is positive definite and both its model rise and its evaluated
-    rise beat 1e-13 * 2^(N-2); the rise is added to the running value like
-    a kept gain.  The budget counts the start, every move yielded (a flat
+    the budget is spent.  In symmetric mode with d <= 513 a sweep that does
+    not stop the search is followed by Newton steps on the shared block,
+    phases 0..d-2 of each setting (see _symmetric_newton); above, their
+    (2d - 2)^2 matrix is left out and sweeps alone climb.  Each is taken
+    while the negated Hessian is positive definite and both its model rise
+    and its evaluated rise beat 1e-13 * 2^(N-2); the rise is added to the
+    running value like a kept gain.  The budget counts the start, every move yielded (a flat
     coordinate yields none) and every Newton step taken, and the search stops
     as soon as it is spent, before the sweep reads another coordinate or
     Newton takes another step.  The objective is evaluated at the start and,

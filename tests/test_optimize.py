@@ -441,8 +441,8 @@ def patch_moves(monkeypatch, change=lambda move: move):
     growing list of the moves the search received."""
     received = []
 
-    def newton(n, d):
-        steps = _symmetric_newton(n, d)
+    def newton(lags):
+        steps = _symmetric_newton(lags)
 
         def recorded(block):
             for moved, rise in steps(block):
@@ -893,6 +893,28 @@ def test_symmetric_search_memory_grows_with_n_d_not_n_d_squared(rng, monkeypatch
             tracemalloc.stop()
         assert peak < 16 * 2**20
     assert any(move[0] == "newton" for move in moves)
+
+
+def test_a_symmetric_search_past_the_newton_cap_holds_one_evaluation(rng, monkeypatch):
+    # at d = 514 the shared block's (2d - 2)^2 matrix is past 2^20 entries: the search takes
+    # no Newton step, and its peak is 12.3 MiB, of which one evaluation's is 8.1.  A Newton
+    # attempt's (4, d, d) Hessian, its copy and its Cholesky factor hold 8 MiB each
+    d = 514
+
+    def refused(lags):
+        pytest.fail("the search built Newton steps past the cap")
+
+    monkeypatch.setattr("quditbell.optimize._symmetric_newton", refused)
+    scen = BellScenario(2, d)
+    start = PhaseConfiguration(scen, np.tile(rng.uniform(0.0, 2.0 * np.pi, (1, 2, d)), (2, 1, 1)))
+    _ghz_lags.cache_clear()
+    tracemalloc.start()
+    try:
+        optimize_phases(scen, start, budget=4 * (d - 1) + 5, mode="symmetric")  # two sweeps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 5), (8, 3), (100, 2)])
