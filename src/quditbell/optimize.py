@@ -565,10 +565,10 @@ def optimize_phases(
     (2d - 2)^2 matrix is left out and sweeps alone climb.  Each is taken
     while the negated Hessian is positive definite and both its model rise
     and its evaluated rise beat 1e-13 * 2^(N-2); the rise is added to the
-    running value like a kept gain.  The budget counts the start, every move yielded (a flat
-    coordinate yields none) and every Newton step taken, and the search stops
-    as soon as it is spent, before the sweep reads another coordinate or
-    Newton takes another step.  The objective is evaluated at the start and,
+    running value like a kept gain.  The budget counts the start, every
+    move yielded (a flat coordinate yields none) and every Newton step
+    taken, and the search stops as soon as it is spent, before the sweep
+    reads another coordinate or Newton takes another step.  The objective is evaluated at the start and,
     if a move or a Newton step was kept on its gain alone, at the end: the
     returned value is the objective at the returned phases, and if the end
     reads below the start the start's phases and value are returned.  A
