@@ -2,13 +2,15 @@
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 resource or
 budget error.  Reports are JSON on stdout (CSV only from `scan --format csv`);
---out writes them atomically to a file, and --emit-table writes compact JSON.
+--out writes them atomically to a file (a symlink's target; a FIFO or character
+device is written in place), and --emit-table writes compact JSON.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -93,35 +95,60 @@ def _csv_lines(rows: list[dict]):
             yield ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in cells) + "\n"
 
 
+def _in_place(target: str) -> bool:
+    """True for an existing FIFO or character device: written through, never replaced."""
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:
+        return False
+    return stat.S_ISFIFO(mode) or stat.S_ISCHR(mode)
+
+
 def _writable(ctx, param, path: Optional[str]) -> Optional[str]:
-    """Option callback: refuse, before any work, a directory or a path in an unwritable one."""
+    """Option callback: refuse, before any work, an empty path, a directory, a FIFO or device
+    that is not writable, or a path whose target (symlinks followed) is in an unwritable
+    directory."""
     if path is not None:
-        if os.path.isdir(path):
+        if not path:
+            raise ValueError("cannot write an empty path: it names no file")
+        target = os.path.realpath(path)
+        if os.path.isdir(target):
             raise ValueError(f"cannot write {path}: Is a directory")
+        if _in_place(target):
+            if not os.access(target, os.W_OK):
+                raise ValueError(f"cannot write {path}: Permission denied")
+            return path
         try:
-            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+            tempfile.TemporaryFile(dir=os.path.dirname(target)).close()
         except OSError as exc:
             raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write chunks to a temp file beside path and rename it; OSError names path.
+    """Write chunks to a temp file beside path's target and rename it there; OSError names path.
 
-    mkstemp makes the temp file owner-only, so before the rename it takes path's
-    mode, or a new file's, 0o666 under the umask, when path does not exist.
+    The target is path with its symlinks followed, so a link keeps pointing at
+    the file it names.  mkstemp makes the temp file owner-only, so before the
+    rename it takes the target's mode, or a new file's, 0o666 under the umask,
+    when the target does not exist.  An existing FIFO or character device is
+    written in place: a rename would replace it with a regular file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quditbell-")
+        if _in_place(target):
+            with open(target, "w") as handle:
+                handle.writelines(chunks)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".quditbell-")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.writelines(chunks)
             umask = os.umask(0o077)  # read by setting it back: the CLI is single-threaded
             os.umask(umask)
-            mode = os.stat(path).st_mode if os.path.exists(path) else 0o666 & ~umask
+            mode = os.stat(target).st_mode if os.path.exists(target) else 0o666 & ~umask
             os.chmod(tmp, mode & 0o7777)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -229,6 +256,9 @@ def bound(n, d, out_path, model, partition, budget):
               help="Seed of the optimized-* modes' random starts.")
 def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget, seed):
     """Quantum Bell value of the GHZ state at the requested angles."""
+    # refused in every angles mode, as the optimized ones' search refuses them
+    _count(restarts, "restarts", 1)
+    _count(budget, "budget", 1)
     # the report would silently replace the table
     if out_path and emit_table and os.path.realpath(out_path) == os.path.realpath(emit_table):
         raise ValueError(f"--out and --emit-table name the same file: {emit_table}")

@@ -11,12 +11,14 @@ off that polynomial: -arg of its one coefficient for a free phase, and for a
 shared one the best of the grid's local maxima, polished by Newton steps in
 Halley's form (_peak makes no LAPACK call).  Between symmetric sweeps, Newton
 steps on the whole shared block climb the value's closed-form second-order
-model.  optimize_phases states the search's rules.
+model; _symmetric builds that sweep and those steps together, and _free_sweep
+the free sweep.  optimize_phases states the search's rules.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -293,16 +295,17 @@ def _free_sweep(weights: np.ndarray):
     return sweep
 
 
-def _symmetric_sweep(lags: np.ndarray):
-    """A sweep: a generator function of a stack, yielding (coordinate, moves) for each shared phase.
+def _symmetric(lags: np.ndarray):
+    """The symmetric search's (sweep, steps): its sweep, and its Newton steps or None.
 
-    The stack is the climb's (R, N, 2, d) phases, whose rows keep every
-    party's block equal to party 1's (2, d) one, and moves are as in
-    _free_sweep.  The rows' polynomials are built together, and _peak solves
-    each row's on its own.  With every party alike the product is binomial,
-    by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so phi_sj enters the pair
-    (j, k) as e^(i e phi) with e = N - t (setting 1) or t (setting 2), and the
-    pair (k, j) as its conjugate.  So the value is
+    The sweep is a generator function of a stack, yielding (coordinate, moves)
+    for each shared phase.  The stack is the climb's (R, N, 2, d) phases,
+    whose rows keep every party's block equal to party 1's (2, d) one, and
+    moves are as in _free_sweep.  The rows' polynomials are built together,
+    and _peak solves each row's on its own.  With every party alike the
+    product is binomial, by_t = C(N, t) 2^-N f_1^(N-t) f_2^t entrywise, so
+    phi_sj enters the pair (j, k) as e^(i e phi) with e = N - t (setting 1)
+    or t (setting 2), and the pair (k, j) as its conjugate.  So the value is
     const + 2^N Re sum_m b_m e^(i m (phi - x0)), centred on the current phase
     x0: b_m sums 2 W[t, j, k] by_t[j, k] over k != j and the t with e = m,
     where W[t, j, k] = L[t, (j - k) mod d], L the lag table of _ghz_lags.
@@ -314,6 +317,14 @@ def _symmetric_sweep(lags: np.ndarray):
     weights and _peak's grid are built once: a setting's weights are its
     rows of lags, in order of e, doubled in reversed order, O(N d) entries,
     and each phase reads d of them as a view.
+
+    The steps are a generator function of a row's (2, d) shared block, each
+    step yielding (phases, rise), the block after it and the rise of the
+    value over 2^N, read off _shared_taylor.  A step is -H^-1 g in the
+    variables, taken while -H is positive definite (its Cholesky factor
+    exists) and while both its model rise g.step/2 and the rise it evaluates
+    beat the move tolerance.  A step holds O(d^2) entries and takes O(d^3)
+    time, so above _NEWTON_ENTRIES (d > 513) there are none: steps is None.
     """
     n, d = lags.shape[0] - 1, lags.shape[1]
     t = np.arange(n + 1.0)
@@ -345,7 +356,31 @@ def _symmetric_sweep(lags: np.ndarray):
                     moves.append((i, x0, x0 + move[0], move[1]))
             yield s * d + j, moves
 
-    return sweep
+    if (2 * d - 2) ** 2 > _NEWTON_ENTRIES:
+        return sweep, None
+    taylor = _shared_taylor(lags)
+    m = d - 1
+    tol = _GAIN_TOL / 4.0  # the move tolerance _GAIN_TOL 2^(N-2), over 2^N
+
+    def steps(block):
+        value, slope, curve = taylor(block)
+        while True:
+            try:
+                np.linalg.cholesky(curve)
+            except np.linalg.LinAlgError:
+                return
+            step = np.linalg.solve(curve, slope)
+            if 0.5 * (slope @ step) <= tol:
+                return
+            block = block.copy()
+            block[:, :m] += step.reshape(2, m)
+            reached, slope, curve = taylor(block)
+            rise, value = reached - value, reached
+            if rise <= tol:
+                return
+            yield block, rise
+
+    return sweep, steps
 
 
 def _shared_taylor(lags: np.ndarray):
@@ -390,41 +425,6 @@ def _shared_taylor(lags: np.ndarray):
     return taylor
 
 
-def _symmetric_newton(lags: np.ndarray):
-    """Newton steps on a row's shared block: a generator function of its (2, d) phases.
-
-    Each step yields (phases, rise), the block after it and the rise of the
-    value over 2^N, read off _shared_taylor.  A step is -H^-1 g in the
-    variables, taken while -H is positive definite (its Cholesky factor
-    exists) and while both its model rise g.step/2 and the rise it evaluates
-    beat the move tolerance.  A step holds O(d^2) entries and takes O(d^3)
-    time, so _climb takes none where d is large (see _NEWTON_ENTRIES).
-    """
-    taylor = _shared_taylor(lags)
-    m = lags.shape[1] - 1
-    tol = _GAIN_TOL / 4.0  # the move tolerance _GAIN_TOL 2^(N-2), over 2^N
-
-    def steps(block):
-        value, slope, curve = taylor(block)
-        while True:
-            try:
-                np.linalg.cholesky(curve)
-            except np.linalg.LinAlgError:
-                return
-            step = np.linalg.solve(curve, slope)
-            if 0.5 * (slope @ step) <= tol:
-                return
-            block = block.copy()
-            block[:, :m] += step.reshape(2, m)
-            reached, slope, curve = taylor(block)
-            rise, value = reached - value, reached
-            if rise <= tol:
-                return
-            yield block, rise
-
-    return steps
-
-
 def _objective(scenario: BellScenario, phases: np.ndarray) -> float:
     """The GHZ Bell value at one row's (N, 2, d) phases: every evaluation the search makes."""
     return ghz_bell_value(PhaseConfiguration(scenario, phases))
@@ -449,9 +449,11 @@ def _climb(
     own running value, budget and stop rule.  A row whose budget is spent
     takes no further move.  At the end of each sweep, in symmetric mode with
     d <= 513, each row the stop rule keeps takes its Newton steps on its own
-    (built once per call, when a row first takes them); then the rows
+    (_symmetric builds them with the sweep, once per call); then the rows
     that stop, or spent their budget on those steps, get their end
-    evaluation and are written back, and the stack keeps the rest.
+    evaluation and are written back, and the stack keeps the rest.  The
+    mode picks the sweep, the steps (none in free mode) and own, the number of
+    parties that hold their own block (N free, 1 symmetric); nothing else reads it.
     A value past the closed form warns at the caller of the public function
     that called this one.
     """
@@ -459,13 +461,12 @@ def _climb(
     ceiling = max_violation(scenario)
     scale = math.ldexp(1.0, n - 2)  # absolute tolerances would fall below an ulp at N ~ 30
     tol = _GAIN_TOL * scale
-    free = mode == "free"
-    lags = None if free else _ghz_lags(n, d)
-    sweep = _free_sweep(_ghz_weights(n, d)) if free else _symmetric_sweep(lags)
-    stepping = not free and (2 * d - 2) ** 2 <= _NEWTON_ENTRIES
-    newton = None  # the Newton steps, built when a row first takes them
+    if mode == "free":
+        sweep, newton, own = _free_sweep(_ghz_weights(n, d)), None, n
+    else:
+        (sweep, newton), own = _symmetric(_ghz_lags(n, d)), 1
     # symmetric mode: party 1's vectors parameterize all parties, and stay equal in every block
-    phases = starts.copy() if free else np.repeat(starts[:, :1], n, axis=1)
+    phases = np.repeat(starts[:, :own], n // own, axis=1)
     values = [_objective(scenario, start) for start in phases]  # a row's start value until it ends
     rows = list(range(len(phases))) if budget > 1 else []  # the stack's rows, by start
     stack = phases  # until a row leaves it
@@ -474,7 +475,7 @@ def _climb(
     exact = [True] * len(rows)  # best[i] is the objective at row i, not a sum of read-off gains
     sweep_tol = _SWEEP_TOL * scale
     while rows:
-        columns = stack.reshape(len(rows), 1 if free else n, -1)  # coordinate c is columns[i, :, c]
+        columns = stack.reshape(len(rows), n // own, -1)  # coordinate c is columns[i, :, c]
         sweep_start = best.copy()
         for coord, moves in sweep(stack):
             for i, x0, theta, rise in moves:
@@ -502,23 +503,19 @@ def _climb(
         keep = []
         for i, row in enumerate(rows):
             if left[i] and best[i] - sweep_start[i] > sweep_tol:
-                if stepping:
-                    if newton is None:
-                        newton = _symmetric_newton(lags)
-                    for block, rise in newton(stack[i, 0]):
+                if newton:
+                    for block, rise in itertools.islice(newton(stack[i, 0]), left[i]):
                         stack[i] = block
                         best[i] += math.ldexp(rise, n)
                         exact[i] = False
                         left[i] -= 1
-                        if not left[i]:
-                            break
                 if left[i]:
                     keep.append(i)
                     continue
             if not exact[i]:
                 best[i] = _objective(scenario, stack[i])
             if best[i] < values[row]:  # rounding near an optimum: the start stands
-                stack[i], best[i] = starts[row] if free else starts[row, 0], values[row]
+                stack[i], best[i] = starts[row, :own], values[row]
             phases[row], values[row] = stack[i], best[i]
         if len(keep) < len(rows):
             stack = stack[keep]
@@ -561,7 +558,7 @@ def optimize_phases(
     until the kept gains of a full cycle sum to less than 1e-9 * 2^(N-2) or
     the budget is spent.  In symmetric mode with d <= 513 a sweep that does
     not stop the search is followed by Newton steps on the shared block,
-    phases 0..d-2 of each setting (see _symmetric_newton); above, their
+    phases 0..d-2 of each setting (see _symmetric); above, their
     (2d - 2)^2 matrix is left out and sweeps alone climb.  Each is taken
     while the negated Hessian is positive definite and both its model rise
     and its evaluated rise beat 1e-13 * 2^(N-2); the rise is added to the

@@ -175,8 +175,9 @@ class PhaseConfiguration:
 
     def __init__(self, scenario: BellScenario, phases: np.ndarray):
         arr = np.array(phases)
-        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
-            raise ValueError(f"phases must be real, got dtype {arr.dtype}")
+        # a cast to float would drop imaginary parts, or read truth values and text as numbers
+        if arr.dtype.kind in "bcSU":
+            raise ValueError(f"phases must be real numbers, got dtype {arr.dtype}")
         arr = arr.astype(float, copy=False)
         n, d = scenario.n_parties, scenario.dimension
         if arr.shape != (n, 2, d):

@@ -286,8 +286,9 @@ class JointProbabilityTable:
 
     def __init__(self, scenario: BellScenario, rows):
         arr = np.array(rows)
-        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
-            raise TableFormatError(f"probabilities must be real, got dtype {arr.dtype}")
+        # a cast to float would drop imaginary parts, or read truth values and text as numbers
+        if arr.dtype.kind in "bcSU":
+            raise TableFormatError(f"probabilities must be real numbers, got dtype {arr.dtype}")
         self._store(scenario, arr.astype(float, copy=False))
 
     @classmethod

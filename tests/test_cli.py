@@ -6,8 +6,10 @@ import json
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +311,25 @@ class TestViolationCommand:
         assert max(report["restart_values"]) == report["bell_value"]
         code, out, _ = invoke(capsys, "violation", "--n", "2", "--d", "3")
         assert "restart_values" not in json.loads(out)
+
+    @pytest.mark.parametrize("angles", ["optimal", "zero", "optimized-symmetric", "optimized-free"])
+    @pytest.mark.parametrize("option,value,name", [
+        ("--budget", "0", "budget"), ("--restarts", "-3", "restarts"),
+    ])
+    def test_restarts_and_budget_are_refused_in_every_mode(
+        self, capsys, monkeypatch, angles, option, value, name
+    ):
+        # with the search library's words, before any work, whether or not the mode searches
+        def no_work(*args, **kwargs):
+            pytest.fail(f"the command worked on with {option} {value}")
+
+        monkeypatch.setattr("quditbell.cli.critical_visibility", no_work)
+        code, out, err = invoke(
+            capsys, "violation", "--n", "2", "--d", "2", "--angles", angles, option, value
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {name} must be a positive integer, got {value}\n"
 
     def test_negative_seed_is_refused_by_name(self, capsys, monkeypatch):
         def no_search(*args, **kwargs):
@@ -756,6 +777,55 @@ class TestOutputHandling:
         assert os.listdir(tmp_path) == ["report.json"]
         assert target.read_text() == "earlier report\n"
         assert os.stat(target).st_mode & 0o7777 == 0o640
+
+    def test_a_symlink_is_followed_to_its_target(self, capsys, tmp_path, umask_022):
+        # the report replaces the target, in the target's directory and with its mode: the
+        # link stays a link, and no temp file is left in either directory
+        (tmp_path / "links").mkdir()
+        (tmp_path / "files").mkdir()
+        target, link = tmp_path / "files" / "target.json", tmp_path / "links" / "link.json"
+        target.write_text("earlier report\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        code, out, _ = invoke(capsys, "visibility", "--n", "2", "--d", "2", "--out", str(link))
+        assert code == 0
+        assert out == ""
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["n"] == 2
+        assert os.stat(target).st_mode & 0o7777 == 0o640
+        assert os.listdir(tmp_path / "links") == ["link.json"]
+        assert os.listdir(tmp_path / "files") == ["target.json"]
+
+    def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        # a rename would put a regular file where the FIFO was; the reader is a daemon thread
+        # joined with a timeout, so a write that never reaches it fails the test, not hangs it
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = invoke(capsys, "visibility", "--n", "2", "--d", "2", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert code == 0
+        assert out == ""
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(read[0])["n"] == 2
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-table"])
+    def test_an_empty_path_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, flag):
+        # not read as "no file": the report would go to stdout and the table nowhere
+        def no_work(*args, **kwargs):
+            pytest.fail("the command worked on with an empty path")
+
+        monkeypatch.setattr("quditbell.cli.critical_visibility", no_work)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, "violation", "--n", "2", "--d", "2", flag, "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: cannot write an empty path: it names no file\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [

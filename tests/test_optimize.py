@@ -19,8 +19,7 @@ from quditbell.optimize import (
     _others,
     _peak,
     _shared_taylor,
-    _symmetric_newton,
-    _symmetric_sweep,
+    _symmetric,
     cglmp_max_closed_form,
     critical_visibility,
     max_violation,
@@ -358,7 +357,7 @@ def _read_moves(scen, mode, params, sweep=None):
     if sweep is None and mode == "free":
         sweep = _free_sweep(_ghz_weights(n, d))
     elif sweep is None:
-        sweep = _symmetric_sweep(_ghz_lags(n, d))
+        sweep, _ = _symmetric(_ghz_lags(n, d))
     return {
         coord: (theta, rise)
         for coord, moves in sweep(_stack(scen, mode, params))
@@ -435,54 +434,61 @@ def count_objective_calls(monkeypatch):
     return calls
 
 
+def patch_sweeps(monkeypatch, wrap, wrap_steps=lambda steps: steps):
+    """Make the search's builders, _free_sweep and _symmetric, return wrap(sweep) for each
+    sweep they build and wrap_steps(steps) for _symmetric's Newton steps (None past the cap)."""
+    monkeypatch.setattr("quditbell.optimize._free_sweep", lambda weights: wrap(_free_sweep(weights)))
+
+    def symmetric(lags):
+        sweep, steps = _symmetric(lags)
+        return wrap(sweep), wrap_steps(steps)
+
+    monkeypatch.setattr("quditbell.optimize._symmetric", symmetric)
+
+
 def patch_moves(monkeypatch, change=lambda move: move):
     """Pass every (coordinate, peak, rise) move the search's sweeps yield through change,
     and record each Newton step the search takes as ("newton", phases, rise); returns the
     growing list of the moves the search received."""
     received = []
 
-    def newton(lags):
-        steps = _symmetric_newton(lags)
+    def changed(sweep):
+        def moved(phases):
+            for coord, moves in sweep(phases):
+                changed_moves = []
+                for row, x0, *move in moves:
+                    received.append(change((coord, *move)))
+                    changed_moves.append((row, x0, *received[-1][1:]))
+                yield coord, changed_moves
 
-        def recorded(block):
+        return moved
+
+    def recorded(steps):
+        if steps is None:
+            return None
+
+        def stepped(block):
             for moved, rise in steps(block):
                 received.append(("newton", moved, rise))
                 yield moved, rise
 
-        return recorded
+        return stepped
 
-    def patched(build):
-        def built(weights):
-            sweep = build(weights)
-
-            def changed(phases):
-                for coord, moves in sweep(phases):
-                    changed_moves = []
-                    for row, x0, *move in moves:
-                        received.append(change((coord, *move)))
-                        changed_moves.append((row, x0, *received[-1][1:]))
-                    yield coord, changed_moves
-
-            return changed
-
-        return built
-
-    for sweep in (_free_sweep, _symmetric_sweep):
-        monkeypatch.setattr(f"quditbell.optimize.{sweep.__name__}", patched(sweep))
-    monkeypatch.setattr("quditbell.optimize._symmetric_newton", newton)
+    patch_sweeps(monkeypatch, changed, recorded)
     return received
 
 
 def flat_phase_zero(build, dropped):
-    """build, a sweep builder, with phase 0 of every setting made flat: its sweeps yield no
-    move there, and each coordinate whose moves they drop is appended to dropped.
+    """build, a symmetric builder like _symmetric, with phase 0 of every setting made flat:
+    its sweeps yield no move there, and each coordinate whose moves they drop is appended to
+    dropped.  Its Newton steps are kept.
 
     In symmetric mode no table makes one phase flat alone: every phase reads
     every nonzero lag.
     """
 
-    def built(table):
-        sweep = build(table)
+    def built(lags):
+        sweep, steps = build(lags)
 
         def flat(phases):
             for coord, moves in sweep(phases):
@@ -491,7 +497,7 @@ def flat_phase_zero(build, dropped):
                     moves = []
                 yield coord, moves
 
-        return flat
+        return flat, steps
 
     return built
 
@@ -596,7 +602,7 @@ class TestTrigStep:
         dropped = []
         sweeps = {
             "free": _free_sweep(weights),
-            "symmetric": flat_phase_zero(_symmetric_sweep, dropped)(_ghz_lags(2, 3)),
+            "symmetric": flat_phase_zero(_symmetric, dropped)(_ghz_lags(2, 3))[0],
         }
         for mode in ("free", "symmetric"):
             params = _start_params(scen, mode, rng)
@@ -850,7 +856,7 @@ def test_symmetric_sweep_on_lags_is_the_weights_one_bit_for_bit(rng, n, d):
     for count in (1, 2, 3):
         starts = rng.uniform(0.0, 2.0 * np.pi, (count, 1, 2, d))
         stacks = [np.repeat(starts, n, axis=1) for _ in range(2)]
-        sweeps = _symmetric_sweep(_ghz_lags(n, d)), symmetric_sweep_on_weights(_ghz_weights(n, d))
+        sweeps = _symmetric(_ghz_lags(n, d))[0], symmetric_sweep_on_weights(_ghz_weights(n, d))
         coords = []
         for (coord, moves), oracle in zip(*(sweep(stack) for sweep, stack in zip(sweeps, stacks))):
             assert repr((coord, moves)) == repr(oracle)
@@ -896,15 +902,16 @@ def test_symmetric_search_memory_grows_with_n_d_not_n_d_squared(rng, monkeypatch
 
 
 def test_a_symmetric_search_past_the_newton_cap_holds_one_evaluation(rng, monkeypatch):
-    # at d = 514 the shared block's (2d - 2)^2 matrix is past 2^20 entries: the search takes
-    # no Newton step, and its peak is 12.3 MiB, of which one evaluation's is 8.1.  A Newton
-    # attempt's (4, d, d) Hessian, its copy and its Cholesky factor hold 8 MiB each
+    # at d = 514 the shared block's (2d - 2)^2 matrix is past 2^20 entries: the builder makes
+    # no Newton steps, and the search's peak is 12.3 MiB, of which one evaluation's is 8.1.
+    # A Newton attempt's (4, d, d) Hessian, its copy and its Cholesky factor hold 8 MiB each
     d = 514
 
     def refused(lags):
         pytest.fail("the search built Newton steps past the cap")
 
-    monkeypatch.setattr("quditbell.optimize._symmetric_newton", refused)
+    monkeypatch.setattr("quditbell.optimize._shared_taylor", refused)
+    assert _symmetric(_ghz_lags(2, d))[1] is None
     scen = BellScenario(2, d)
     start = PhaseConfiguration(scen, np.tile(rng.uniform(0.0, 2.0 * np.pi, (1, 2, d)), (2, 1, 1)))
     _ghz_lags.cache_clear()
@@ -967,20 +974,14 @@ def patch_stack_sizes(monkeypatch):
     """Record the number of rows of the stack each sweep reads; returns the growing list."""
     sizes = []
 
-    def patched(build):
-        def built(weights):
-            sweep = build(weights)
+    def counted(sweep):
+        def read(phases):
+            sizes.append(len(phases))
+            yield from sweep(phases)
 
-            def counted(phases):
-                sizes.append(len(phases))
-                yield from sweep(phases)
+        return read
 
-            return counted
-
-        return built
-
-    for sweep in (_free_sweep, _symmetric_sweep):
-        monkeypatch.setattr(f"quditbell.optimize.{sweep.__name__}", patched(sweep))
+    patch_sweeps(monkeypatch, counted)
     return sizes
 
 
@@ -1003,8 +1004,8 @@ class TestStack:
             weights[:, 0] = 0.0
             monkeypatch.setattr("quditbell.optimize._ghz_weights", lambda n, d: weights)
         else:
-            flat = flat_phase_zero(quditbell.optimize._symmetric_sweep, dropped)
-            monkeypatch.setattr("quditbell.optimize._symmetric_sweep", flat)
+            flat = flat_phase_zero(quditbell.optimize._symmetric, dropped)
+            monkeypatch.setattr("quditbell.optimize._symmetric", flat)
         assert_rows_are_single_searches(scen, _stack_starts(scen, rng), mode)
         assert 4 in sizes
         # the search read the flattened sweep: phase 0 had moves, and they were dropped

@@ -1,6 +1,7 @@
 """States, multiport unitaries, and the two probability paths."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from functools import reduce
@@ -847,6 +848,25 @@ def test_complex_input_is_refused(build, error):
         build()
     assert info.type is error
     assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize(
+    "build,error,values",
+    [
+        (lambda values: PhaseConfiguration(BellScenario(2, 2), values), ValueError,
+         np.full((2, 2, 2), 0.5)),
+        (lambda values: JointProbabilityTable(BellScenario(2, 2), values), TableFormatError,
+         np.eye(4)),
+    ],
+    ids=["phases", "table"],
+)
+@pytest.mark.parametrize("kind", [str, bytes, bool])
+def test_text_and_truth_values_are_refused(build, error, values, kind):
+    # a cast to float would read '0.5' as 0.5 rad, and the identity of bools as a table whose
+    # bell_value is -2
+    values = values.astype(kind)
+    with pytest.raises(error, match=re.escape(f"must be real numbers, got dtype {values.dtype}")):
+        build(values)
 
 
 class TestPhaseConfiguration:

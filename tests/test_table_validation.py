@@ -24,8 +24,8 @@ TOL = PROB_TOLERANCE
 def oracle_rows(scenario: BellScenario, rows) -> np.ndarray:
     """Oracle: the constructor's checks before acceptance took two reductions."""
     arr = np.array(rows)
-    if arr.dtype.kind == "c":
-        raise TableFormatError(f"probabilities must be real, got dtype {arr.dtype}")
+    if arr.dtype.kind in "bcSU":
+        raise TableFormatError(f"probabilities must be real numbers, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)
     n, d = scenario.n_parties, scenario.dimension
     if arr.shape != (1 << n, scenario.n_outcome_tuples):
