@@ -323,8 +323,10 @@ def _symmetric(lags: np.ndarray):
     value over 2^N, read off _shared_taylor.  A step is -H^-1 g in the
     variables, taken while -H is positive definite (its Cholesky factor
     exists) and while both its model rise g.step/2 and the rise it evaluates
-    beat the move tolerance.  A step holds O(d^2) entries and takes O(d^3)
-    time, so above _NEWTON_ENTRIES (d > 513) there are none: steps is None.
+    beat the move tolerance.  The model is built on the first call, so a
+    climb in which no row asks for steps builds none.  A step holds O(d^2)
+    entries and takes O(d^3) time, so above _NEWTON_ENTRIES (d > 513) there
+    are none: steps is None.
     """
     n, d = lags.shape[0] - 1, lags.shape[1]
     t = np.arange(n + 1.0)
@@ -358,11 +360,13 @@ def _symmetric(lags: np.ndarray):
 
     if (2 * d - 2) ** 2 > _NEWTON_ENTRIES:
         return sweep, None
-    taylor = _shared_taylor(lags)
+    taylor = None  # _shared_taylor(lags), built when a row first asks: many climbs take no step
     m = d - 1
     tol = _GAIN_TOL / 4.0  # the move tolerance _GAIN_TOL 2^(N-2), over 2^N
 
     def steps(block):
+        nonlocal taylor
+        taylor = taylor or _shared_taylor(lags)
         value, slope, curve = taylor(block)
         while True:
             try:
@@ -449,11 +453,12 @@ def _climb(
     own running value, budget and stop rule.  A row whose budget is spent
     takes no further move.  At the end of each sweep, in symmetric mode with
     d <= 513, each row the stop rule keeps takes its Newton steps on its own
-    (_symmetric builds them with the sweep, once per call); then the rows
-    that stop, or spent their budget on those steps, get their end
-    evaluation and are written back, and the stack keeps the rest.  The
-    mode picks the sweep, the steps (none in free mode) and own, the number of
-    parties that hold their own block (N free, 1 symmetric); nothing else reads it.
+    (_symmetric builds them with the sweep, once per call, and their model
+    when a row first asks for them); then the rows that stop, or spent their
+    budget on those steps, get their end evaluation and are written back,
+    and the stack keeps the rest.  The mode picks the sweep, the steps (none
+    in free mode) and own, the number of parties that hold their own block
+    (N free, 1 symmetric); nothing else reads it.
     A value past the closed form warns at the caller of the public function
     that called this one.
     """

@@ -23,6 +23,8 @@ from .scenario import (
     JointProbabilityTable,
     _brief,
     _exceeds,
+    _is_int,
+    _numbers,
     _numerator_rows,
     _power,
     outcome_sums_mod_d,
@@ -67,7 +69,7 @@ class DensityMatrix:
 
     def __init__(self, scenario: BellScenario, matrix: np.ndarray):
         # row-major, so the pair-axis reshape in joint_probabilities is a view
-        self._store(scenario, np.array(matrix, dtype=complex, order="C"))
+        self._store(scenario, _numbers(matrix, "matrix entries", dtype=complex))
         smallest = float(np.linalg.eigvalsh(self.matrix)[0])
         if smallest < PSD_EIGENVALUE_FLOOR:
             raise ValueError(
@@ -150,8 +152,9 @@ def ghz_state(scenario: BellScenario) -> DensityMatrix:
 
 
 def mix_with_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
-    """White-noise mixture V*rho + (1-V)*identity/d^N."""
-    if not 0.0 <= visibility <= 1.0:
+    """White-noise mixture V*rho + (1-V)*identity/d^N, V an int or float (not a bool)."""
+    real = _is_int(visibility) or isinstance(visibility, (float, np.floating))
+    if not (real and 0.0 <= visibility <= 1.0):
         raise ValueError(f"visibility must lie in [0, 1], got {_brief(visibility)}")
     dim = rho.dim
     mixed = visibility * rho.matrix
@@ -174,11 +177,7 @@ class PhaseConfiguration:
     """Read-only (N, 2, d) phases in radians: phases[p, c] for party p + 1, setting c + 1."""
 
     def __init__(self, scenario: BellScenario, phases: np.ndarray):
-        arr = np.array(phases)
-        # a cast to float would drop imaginary parts, or read truth values and text as numbers
-        if arr.dtype.kind in "bcSU":
-            raise ValueError(f"phases must be real numbers, got dtype {arr.dtype}")
-        arr = arr.astype(float, copy=False)
+        arr = _numbers(phases, "phases")
         n, d = scenario.n_parties, scenario.dimension
         if arr.shape != (n, 2, d):
             expected = f"({_brief(n)}, 2, {_brief(d)})"
@@ -209,9 +208,17 @@ def multiport_unitary(phases) -> np.ndarray:
     Entry (k, l) is omega^(k l) e^(i phi_l)/sqrt(d) with omega = exp(2 pi i/d),
     so every matrix element has modulus 1/sqrt(d).
     """
-    phi = np.asarray(phases, dtype=float)
+    phi = _numbers(phases, "phases")
     if phi.ndim == 0 or phi.shape[-1] < 2:
         raise ValueError(f"phase vectors need at least 2 entries, got shape {phi.shape}")
+    if not np.isfinite(phi).all():
+        raise ValueError("phases must be finite")
+    return _multiport(phi)
+
+
+def _multiport(phi: np.ndarray) -> np.ndarray:
+    """multiport_unitary of phases already checked, as a PhaseConfiguration's are: no
+    copy and no second check on the dense path."""
     d = phi.shape[-1]
     return _fourier(d) * np.exp(1j * phi)[..., None, :] / math.sqrt(d)
 
@@ -246,7 +253,7 @@ def joint_probabilities(
                          f"phases are for {_brief(config.scenario)}")
     _check_dense_size(rho.scenario)
     n, d = rho.scenario.n_parties, rho.scenario.dimension
-    units = multiport_unitary(config.phases)  # (N, 2, d, d)
+    units = _multiport(config.phases)  # (N, 2, d, d)
     if n == 1:
         # K would hold 2 d^3 entries, 2d times rho: read diag(U rho U^dag) instead
         state = np.sum((units[0] @ rho.matrix) * units[0].conj(), axis=-1)

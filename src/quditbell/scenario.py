@@ -117,6 +117,17 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _numbers(values, name: str, error=ValueError, dtype=float) -> np.ndarray:
+    """values as one new C-ordered array of dtype, float or complex, else error naming name.
+    The one check of an array a caller hands over: a cast would read truth values and text
+    as numbers, and, to float, drop imaginary parts.  An ndarray's dtype is read uncopied."""
+    arr, real = np.asarray(values), dtype is not complex
+    if arr.dtype.kind in "bSU" + "c" * real:
+        raise error(f"{name} must be {'real ' * real}numbers, got dtype {arr.dtype}")
+    # what np.asarray made of a list or tuple is already new: copied only to change its dtype
+    return np.array(arr, dtype, order="C", copy=None if isinstance(values, (list, tuple)) else True)
+
+
 def _exceeds(base: int, exponent: int, limit: int) -> bool:
     """base**exponent > limit, for base >= 2 and exponent, limit >= 0, decided from bit
     lengths first: base**exponent is at least 2^(exponent (bits(base) - 1)), and it is
@@ -285,11 +296,7 @@ class JointProbabilityTable:
     """
 
     def __init__(self, scenario: BellScenario, rows):
-        arr = np.array(rows)
-        # a cast to float would drop imaginary parts, or read truth values and text as numbers
-        if arr.dtype.kind in "bcSU":
-            raise TableFormatError(f"probabilities must be real numbers, got dtype {arr.dtype}")
-        self._store(scenario, arr.astype(float, copy=False))
+        self._store(scenario, _numbers(rows, "probabilities", TableFormatError))
 
     @classmethod
     def _of_fresh(cls, scenario: BellScenario, rows: np.ndarray) -> "JointProbabilityTable":

@@ -924,6 +924,32 @@ def test_a_symmetric_search_past_the_newton_cap_holds_one_evaluation(rng, monkey
     assert peak < 16 * 2**20
 
 
+def test_the_newton_model_is_built_when_a_row_first_asks_for_steps(monkeypatch):
+    # _symmetric builds _shared_taylor's model inside its steps: none for a climb at budget 1
+    # or from optimal_angles, where no row asks for steps, and one for a climb that steps
+    moves = patch_moves(monkeypatch)
+    builds = []
+
+    def counted(lags):
+        builds.append(lags.shape)
+        return _shared_taylor(lags)
+
+    monkeypatch.setattr("quditbell.optimize._shared_taylor", counted)
+    for n, d in [(2, 2), (2, 3), (3, 3), (8, 3)]:
+        scen = BellScenario(n, d)
+        for budget in (1, 20_000):
+            optimize_phases(scen, optimal_angles(scen), budget, mode="symmetric")
+        optimize_with_restarts(scen, restarts=5, budget=1, mode="symmetric", seed=1)
+    assert builds == []
+    climbs = [(BellScenario(n, d), 1) for n, d in [(2, 2), (2, 3), (3, 3), (8, 3)]]
+    climbs.append((BellScenario(2, 3), 5))  # five stacked restarts climb together
+    for scen, restarts in climbs:
+        built, stepped = len(builds), len(moves)
+        optimize_with_restarts(scen, restarts=restarts, mode="symmetric", seed=2)
+        assert len(builds) - built == 1
+        assert any(move[0] == "newton" for move in moves[stepped:])
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 5), (8, 3), (100, 2)])
 def test_shared_taylor_is_the_central_difference(rng, n, d):
     # the value's gradient and Hessian in phases 0..d-2 of each setting, against central

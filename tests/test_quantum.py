@@ -356,6 +356,12 @@ class TestMultiportUnitary:
         with pytest.raises(ValueError):
             multiport_unitary([0.0])
 
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a cast to float reads None as NaN, and either would fill the unitary with NaNs
+        with pytest.raises(ValueError, match="^phases must be finite$"):
+            multiport_unitary([0.1, bad])
+
     def test_stacked_phases_match_vector_calls(self, rng):
         phases = rng.uniform(0, 2 * np.pi, (4, 2, 3))
         stacked = multiport_unitary(phases)
@@ -839,8 +845,9 @@ class TestProductState:
     [
         (lambda: PhaseConfiguration(BellScenario(2, 2), np.full((2, 2, 2), 1 + 1j)), ValueError),
         (lambda: JointProbabilityTable(BellScenario(2, 2), np.full((4, 4), 0.25 + 0.5j)), TableFormatError),
+        (lambda: multiport_unitary(np.full(3, 0.5 + 0.5j)), ValueError),
     ],
-    ids=["phases", "table"],
+    ids=["phases", "table", "multiport"],
 )
 def test_complex_input_is_refused(build, error):
     # a cast to float would keep only the real parts, with no more than a warning
@@ -851,22 +858,36 @@ def test_complex_input_is_refused(build, error):
 
 
 @pytest.mark.parametrize(
-    "build,error,values",
+    "build,error,values,text",
     [
         (lambda values: PhaseConfiguration(BellScenario(2, 2), values), ValueError,
-         np.full((2, 2, 2), 0.5)),
+         np.full((2, 2, 2), 0.5), "phases must be real numbers"),
         (lambda values: JointProbabilityTable(BellScenario(2, 2), values), TableFormatError,
-         np.eye(4)),
+         np.eye(4), "probabilities must be real numbers"),
+        (lambda values: DensityMatrix(BellScenario(1, 2), values), ValueError,
+         np.eye(2) / 2, "matrix entries must be numbers"),
+        (multiport_unitary, ValueError, np.array([0.1, 0.2]), "phases must be real numbers"),
     ],
-    ids=["phases", "table"],
+    ids=["phases", "table", "state", "multiport"],
 )
 @pytest.mark.parametrize("kind", [str, bytes, bool])
-def test_text_and_truth_values_are_refused(build, error, values, kind):
+def test_text_and_truth_values_are_refused(build, error, values, text, kind):
     # a cast to float would read '0.5' as 0.5 rad, and the identity of bools as a table whose
-    # bell_value is -2
+    # bell_value is -2; a cast to complex reads text and truth values as numbers too
     values = values.astype(kind)
-    with pytest.raises(error, match=re.escape(f"must be real numbers, got dtype {values.dtype}")):
+    with pytest.raises(error, match=re.escape(f"{text}, got dtype {values.dtype}")):
         build(values)
+
+
+def test_a_complex_hermitian_state_loads():
+    # complex is a density matrix's own dtype: the rule that refuses it for phases and tables
+    # must not refuse it here, whether it comes as an array or as nested lists
+    scen = BellScenario(1, 2)
+    matrix = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    for given in (matrix, matrix.tolist()):
+        rho = DensityMatrix(scen, given)
+        assert rho.matrix.dtype == complex and rho.matrix.tobytes() == matrix.tobytes()
+        assert rho.matrix is not given
 
 
 class TestPhaseConfiguration:

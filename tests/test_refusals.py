@@ -445,6 +445,10 @@ class TestWriterRule:
     @pytest.mark.parametrize("visibility, written", [
         (1.5, "1.5"), (np.float64(1.5), "1.5"), (float("inf"), "inf"),
         (Fraction(3, 2), "Fraction(3, 2)"),
+        # not an int or float: True read as 1.0 and left the state unmixed, and the others
+        # raised TypeError from the comparison
+        (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (0.5 + 0j, "(0.5+0j)"),
+        (None, "None"),
     ], ids=repr)
     def test_mix_with_noise_writes_a_visibility(self, visibility, written):
         with pytest.raises(ValueError) as err:

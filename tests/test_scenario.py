@@ -291,6 +291,21 @@ class TestTableInvariants:
         with pytest.raises(TableFormatError, match=r"setting 11: expected 2\^2 probabilities"):
             JointProbabilityTable.from_json_dict(payload)
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_the_caller_rows_become_one_new_array(self, as_list):
+        # an array's dtype is read in place and the array copied once; a list is converted
+        # once, not converted and then copied
+        rows = np.full((256, 256), 1 / 256)
+        given = rows.tolist() if as_list else rows
+        tracemalloc.start()
+        try:
+            table = JointProbabilityTable(BellScenario(8, 2), given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.rows is not given and rows.flags.writeable
+        assert peak < 1.5 * rows.nbytes
+
     def test_bad_normalization_rejected(self):
         rows = np.full((4, 4), 0.25)
         rows[3] = 0.125
