@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -71,8 +70,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .quantum import DENSE_DIMENSION_LIMIT, DenseLimitError
+from .quantum import DenseLimitError
 from .scenario import (
+    DENSE_DIMENSION_LIMIT,
     BellScenario,
     _brief,
     _by_setting,
@@ -175,10 +175,11 @@ class Bipartition:
 
     @classmethod
     def from_block(cls, n_parties: int, block_a) -> "Bipartition":
-        """Block A and the rest of 1..N; the constructor checks and sorts the parties."""
+        """Block A and the rest of 1..N; the constructor checks and sorts the parties.
+        Block B is walked from 1..N, so N past DENSE_DIMENSION_LIMIT**2 is refused first."""
         n_parties, block_a = _count(n_parties, "n_parties", 2), tuple(block_a)
-        if n_parties > sys.maxsize:  # the most items a tuple can hold: refused before the walk
-            raise ValueError(f"n_parties must be at most {sys.maxsize}, got {_brief(n_parties)}")
+        if n_parties > (limit := DENSE_DIMENSION_LIMIT**2):
+            raise ValueError(f"n_parties must be at most {limit}, got {_brief(n_parties)}")
         taken = {p for p in block_a if _is_int(p)}  # the constructor refuses the rest
         block_b = tuple(p for p in range(1, n_parties + 1) if p not in taken)
         return cls(block_a, block_b)._covering(n_parties)

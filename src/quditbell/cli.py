@@ -29,7 +29,6 @@ from .bounds import (
 )
 from .optimize import (
     SVETLICHNY_VISIBILITY,
-    ViolationReport,
     critical_visibility,
     optimal_angles,
     optimize_with_restarts,
@@ -62,18 +61,8 @@ __all__ = ["cli", "main", "run"]
 
 
 def _scenario(n: int, d: int) -> BellScenario:
-    return BellScenario(_count(n, "n", 2), d)
-
-
-def _ghz_report(n: int, d: int) -> ViolationReport:
-    """critical_visibility's report, refused before any work past the float range."""
-    try:
-        return critical_visibility(_scenario(n, d))
-    except OverflowError as exc:
-        raise ValueError(
-            f"n={_brief(n)}, d={_brief(d)}: the maximal violation 2^(n-2) times the two-qudit "
-            "maximum exceeds the float range"
-        ) from exc
+    """The command's scenario: --n and --d refused under their own names."""
+    return BellScenario(_count(n, "n", 2), _count(d, "d", 2))
 
 
 def _witness_fired(value: float, n: int) -> bool:
@@ -262,7 +251,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
     # the report would silently replace the table
     if out_path and emit_table and os.path.realpath(out_path) == os.path.realpath(emit_table):
         raise ValueError(f"--out and --emit-table name the same file: {emit_table}")
-    report = _ghz_report(n, d)
+    report = critical_visibility(_scenario(n, d))
     scenario = report.scenario
     # size refusals come first: they must not wait for the phase search
     if method == "dense":
@@ -311,7 +300,7 @@ def violation(n, d, out_path, angles_mode, method, emit_table, restarts, budget,
 @out_option
 def visibility(n, d, out_path):
     """Critical visibility of the white-noise GHZ mixture."""
-    report = _ghz_report(n, d)
+    report = critical_visibility(_scenario(n, d))
     _emit(
         {
             "n": n,
@@ -340,13 +329,10 @@ def scan(n_range, d_range, out_path, fmt):
     """Tabulate bound, maximal violation, ratio, and v_cr over a grid."""
     lo_n, hi_n = _parse_range(n_range)
     lo_d, hi_d = _parse_range(d_range)
-    for lo, hi, name in ((lo_n, hi_n, "n"), (lo_d, hi_d, "d")):
-        if lo <= hi:  # an empty range is an empty scan
-            _count(lo, name, 2)
-    rows = []
+    rows = []  # an empty range is an empty scan; the first cell, (lo_n, lo_d), refuses a start
     for n in range(lo_n, hi_n + 1):
         for d in range(lo_d, hi_d + 1):
-            report = _ghz_report(n, d)
+            report = critical_visibility(_scenario(n, d))
             rows.append(
                 {
                     "n": n,
@@ -408,9 +394,9 @@ def run(argv=None) -> int:
             exc.message = f"{exc.message[:100]}...{exc.message[-100:]}"
         exc.show()
         return 1
-    except (ValueError, BudgetExceededError, DenseLimitError) as exc:
+    except (ValueError, OverflowError, BudgetExceededError, DenseLimitError) as exc:
         click.echo(f"error: {exc}", err=True)
-        return 1 if isinstance(exc, ValueError) else 2
+        return 2 if isinstance(exc, (BudgetExceededError, DenseLimitError)) else 1
     except MemoryError as exc:
         click.echo(f"error: out of memory: {str(exc) or 'allocation failed'}", err=True)
         return 2

@@ -104,10 +104,14 @@ def max_violation(scenario: BellScenario) -> float:
     It is the phase search's ceiling; for d >= 3 it is the GHZ state's value
     under these measurements, not the maximal quantum value (see
     cglmp_max_closed_form).  Raises ValueError for N < 2, where that product
-    is not the maximum, and OverflowError where it leaves the float range
-    (N > 1024).
+    is not the maximum, and OverflowError where it leaves the float range:
+    the two-qudit maximum lies in (2, 3), so for every d that is N > 1024,
+    refused before the closed form is summed.
     """
     n = _count(scenario.n_parties, "n_parties", 2)
+    if n > 1024:
+        raise OverflowError(f"n={_brief(n)}: the maximal violation 2^(n-2) times the two-qudit "
+                            "maximum exceeds the float range")
     return math.ldexp(cglmp_max_closed_form(scenario.dimension), n - 2)
 
 

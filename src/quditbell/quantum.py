@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scenario import (
+    DENSE_DIMENSION_LIMIT,
     BellScenario,
     JointProbabilityTable,
     _brief,
@@ -33,13 +34,6 @@ from .scenario import (
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
-
-# Dense-path guardrail: the state alone is a D x D complex matrix (268 MB at
-# D = 4096), a user's state is diagonalized to validate it (the package's own
-# states are positive by construction and are not), and the contraction
-# spends of order d D^2 multiply-adds on it; past this Hilbert dimension that
-# stops being desk-scale, and GHZ users should take ghz_table instead.
-DENSE_DIMENSION_LIMIT = 4096
 
 __all__ = [
     "DENSE_DIMENSION_LIMIT",

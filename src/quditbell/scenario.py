@@ -21,6 +21,15 @@ import numpy as np
 
 PROB_TOLERANCE = 1e-9
 
+# Dense-path guardrail: the state alone is a D x D complex matrix (268 MB at
+# D = 4096), a user's state is diagonalized to validate it (the package's own
+# states are positive by construction and are not), and the contraction
+# spends of order d D^2 multiply-adds on it; past this Hilbert dimension that
+# stops being desk-scale, and GHZ users should take ghz_table instead.  Its
+# square, 2^24, is the most entries a table or bound search holds and the most
+# items a walk builds.
+DENSE_DIMENSION_LIMIT = 4096
+
 __all__ = [
     "PROB_TOLERANCE",
     "BellScenario",
@@ -73,6 +82,10 @@ class BellScenario:
 
 @lru_cache(maxsize=32)
 def all_setting_strings(n_parties: int) -> tuple[str, ...]:
+    """All 2^N setting strings over {1,2}, lexicographic; ValueError past
+    DENSE_DIMENSION_LIMIT**2 strings, before any is built."""
+    if _exceeds(2, n_parties, limit := DENSE_DIMENSION_LIMIT**2):
+        raise ValueError(f"{_power(2, n_parties)} setting strings are over the {limit} allowed")
     return tuple("".join(s) for s in itertools.product("12", repeat=n_parties))
 
 
@@ -120,9 +133,12 @@ def _count(value, name: str, least: int) -> int:
 def _numbers(values, name: str, error=ValueError, dtype=float) -> np.ndarray:
     """values as one new C-ordered array of dtype, float or complex, else error naming name.
     The one check of an array a caller hands over: a cast would read truth values and text
-    as numbers, and, to float, drop imaginary parts.  An ndarray's dtype is read uncopied."""
+    as numbers, and, to float, drop imaginary parts.  An ndarray's dtype is read uncopied;
+    an object array's entries are read one by one by the same rule (None stays NaN)."""
     arr, real = np.asarray(values), dtype is not complex
-    if arr.dtype.kind in "bSU" + "c" * real:
+    kind = arr.dtype.kind
+    kinds = {np.asarray(x).dtype.kind for x in arr.flat} if kind == "O" else {kind}
+    if not kinds.isdisjoint("bSU" + "c" * real):
         raise error(f"{name} must be {'real ' * real}numbers, got dtype {arr.dtype}")
     # what np.asarray made of a list or tuple is already new: copied only to change its dtype
     return np.array(arr, dtype, order="C", copy=None if isinstance(values, (list, tuple)) else True)

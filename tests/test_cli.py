@@ -646,6 +646,15 @@ class TestScanCommand:
         assert code == 0
         assert json.loads(out) == []
 
+    @pytest.mark.parametrize("n_range, d_range", [("1:1", "5:2"), ("5:2", "1:1")],
+                             ids=["empty-d", "empty-n"])
+    @pytest.mark.parametrize("fmt, empty", [("json", "[]\n"), ("csv", "")], ids=["json", "csv"])
+    def test_an_empty_range_is_an_empty_scan_whatever_the_other(
+            self, capsys, n_range, d_range, fmt, empty):
+        # no cell is built, so no start below 2 is read
+        assert invoke(capsys, "scan", "--n-range", n_range, "--d-range", d_range,
+                      "--format", fmt) == (0, empty, "")
+
     def test_bad_range_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "scan", "--n-range", "x:2")
         assert code == 1
@@ -937,7 +946,7 @@ class TestFloatRangeRefusal:
         def no_work(*args, **kwargs):
             pytest.fail("work started before the float-range refusal")
 
-        # the closed form is the refusal itself; everything after it is work
+        # max_violation's own check is the refusal; everything after it is work
         for name in ("optimize_with_restarts", "ghz_bell_value", "ghz_table",
                      "joint_probabilities", "optimal_angles"):
             monkeypatch.setattr(f"quditbell.cli.{name}", no_work)
@@ -947,6 +956,26 @@ class TestFloatRangeRefusal:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "float range" in err
         assert len(err.encode()) < 200
+
+    def test_an_overflow_inside_a_command_is_one_error_line(self, capsys, monkeypatch):
+        # run maps OverflowError onto exit 1 as it does ValueError: no traceback
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("quditbell.cli.ghz_bell_value", overflow)
+        assert invoke(capsys, "violation", "--n", "2", "--d", "2") == (
+            1, "", "error: math range error\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--n", "2", "--d", "1", "--partition", "1/2"),
+    ("bound", "--n", "2", "--d", "1", "--model", "lhv"),
+    ("violation", "--n", "2", "--d", "1"),
+    ("visibility", "--n", "2", "--d", "1"),
+], ids=["bound-hlnhv", "bound-lhv", "violation", "visibility"])
+def test_a_d_below_2_is_refused_as_d(capsys, argv):
+    # the option's own name, as --n's refusal names n
+    assert invoke(capsys, *argv) == (1, "", "error: d must be an integer >= 2, got 1\n")
 
 
 class TestProcess:

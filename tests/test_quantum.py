@@ -846,8 +846,14 @@ class TestProductState:
         (lambda: PhaseConfiguration(BellScenario(2, 2), np.full((2, 2, 2), 1 + 1j)), ValueError),
         (lambda: JointProbabilityTable(BellScenario(2, 2), np.full((4, 4), 0.25 + 0.5j)), TableFormatError),
         (lambda: multiport_unitary(np.full(3, 0.5 + 0.5j)), ValueError),
+        # from an object array the cast raised TypeError
+        (lambda: PhaseConfiguration(BellScenario(2, 2), np.full((2, 2, 2), 1 + 1j, object)),
+         ValueError),
+        (lambda: JointProbabilityTable(BellScenario(2, 2), np.full((4, 4), 0.25 + 0.5j, object)),
+         TableFormatError),
+        (lambda: multiport_unitary(np.full(3, 0.5 + 0.5j, object)), ValueError),
     ],
-    ids=["phases", "table", "multiport"],
+    ids=["phases", "table", "multiport", "phases-object", "table-object", "multiport-object"],
 )
 def test_complex_input_is_refused(build, error):
     # a cast to float would keep only the real parts, with no more than a warning
@@ -870,13 +876,31 @@ def test_complex_input_is_refused(build, error):
     ],
     ids=["phases", "table", "state", "multiport"],
 )
-@pytest.mark.parametrize("kind", [str, bytes, bool])
-def test_text_and_truth_values_are_refused(build, error, values, text, kind):
+@pytest.mark.parametrize("kind, container", [
+    (str, None), (bytes, None), (bool, None), (str, object), (bytes, object), (bool, object),
+], ids=["str", "bytes", "bool", "object-str", "object-bytes", "object-bool"])
+def test_text_and_truth_values_are_refused(build, error, values, text, kind, container):
     # a cast to float would read '0.5' as 0.5 rad, and the identity of bools as a table whose
-    # bell_value is -2; a cast to complex reads text and truth values as numbers too
+    # bell_value is -2; a cast to complex reads text and truth values as numbers too.  An
+    # object array holds Python's own str, bytes and bool, and its entries are read one by one
     values = values.astype(kind)
+    if container is object:
+        values = np.array(values.tolist(), dtype=object)
     with pytest.raises(error, match=re.escape(f"{text}, got dtype {values.dtype}")):
         build(values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda values: PhaseConfiguration(BellScenario(2, 2), np.stack([[values] * 2] * 2)),
+    multiport_unitary,
+], ids=["phases", "multiport"])
+def test_an_object_array_of_numbers_loads_and_none_reads_as_nan(build):
+    # None is no number a cast would misread: it becomes NaN, refused as not finite
+    with pytest.raises(ValueError, match="^phases must be finite$"):
+        build(np.array([0.1, None], dtype=object))
+    loaded, expected = (build(np.array([0.1, 0.2], dtype)) for dtype in (object, float))
+    np.testing.assert_array_equal(getattr(loaded, "phases", loaded),
+                                  getattr(expected, "phases", expected))
 
 
 def test_a_complex_hermitian_state_loads():

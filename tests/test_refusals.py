@@ -2,6 +2,10 @@
 every refusal writes its sizes in bounded form (d^N, never expanded)."""
 
 import ast
+import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -292,6 +296,81 @@ def test_exceeds_forms_no_huge_power():
     assert time.perf_counter() - started < 1
 
 
+# a walk past its limit, run where it ends in MemoryError instead of taking the machine's
+# memory: the child prints the seconds to the refusal and its text
+CAPPED_CHILD = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quditbell import BellScenario, Bipartition
+started = time.perf_counter()
+try:
+    {call}
+except ValueError as exc:
+    print(time.perf_counter() - started, exc)
+"""
+
+
+class TestWalkLimit:
+    """The two public walks that build one Python object per item refuse a count past
+    DENSE_DIMENSION_LIMIT**2 = 2^24 items before they start."""
+
+    @pytest.mark.parametrize("call, text", [
+        ("Bipartition.from_block(10**8, [1])",
+         "n_parties must be at most 16777216, got 100000000"),
+        ("BellScenario(40, 2).setting_strings()",
+         "2^40 setting strings are over the 16777216 allowed"),
+    ], ids=["from_block", "setting_strings"])
+    def test_refused_within_a_second_under_a_1_gib_cap(self, call, text):
+        # never run uncapped: walked, either takes GBs before any check
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD.format(call=call)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        seconds, _, message = proc.stdout.partition(" ")
+        assert (proc.returncode, message, proc.stderr) == (0, f"{text}\n", "")
+        assert float(seconds) < 1
+
+    def test_the_limit_admits_its_own_count(self, monkeypatch):
+        # a limit of 8 admits 64 items: 2^6 setting strings and 64 parties, not one more
+        monkeypatch.setattr("quditbell.scenario.DENSE_DIMENSION_LIMIT", 8)
+        monkeypatch.setattr("quditbell.bounds.DENSE_DIMENSION_LIMIT", 8)
+        walk = all_setting_strings.__wrapped__  # uncached: the cache would skip the check
+        assert len(walk(6)) == 64
+        with pytest.raises(ValueError, match=r"^2\^7 setting strings are over the 64 allowed$"):
+            walk(7)
+        assert Bipartition.from_block(64, [1]).block_b == tuple(range(2, 65))
+        with pytest.raises(ValueError, match="^n_parties must be at most 64, got 65$"):
+            Bipartition.from_block(65, [1])
+
+
+FLOAT_RANGE = ("n={}: the maximal violation 2^(n-2) times the two-qudit maximum exceeds the "
+               "float range")
+
+
+class TestFloatRange:
+    """max_violation refuses N > 1024 itself, before the closed form is summed."""
+
+    @pytest.mark.parametrize("n", [1025, 10**5000], ids=["1025", "about-2^16610"])
+    @pytest.mark.parametrize("d", [2, 3, 10**6])
+    def test_refused_before_the_closed_form(self, monkeypatch, n, d):
+        def no_sum(dimension):
+            pytest.fail("the closed form was summed before the float-range refusal")
+
+        monkeypatch.setattr("quditbell.optimize.cglmp_max_closed_form", no_sum)
+        with pytest.raises(OverflowError) as err:
+            max_violation(BellScenario(n, d))
+        assert str(err.value) == FLOAT_RANGE.format(_brief(n))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 1000, 10**5])
+    def test_the_bound_is_exact_for_every_d(self, d):
+        # the two-qudit maximum lies in (2, 3): finite at N = 1024, past the floats at 1025
+        two = cglmp_max_closed_form(d)
+        assert 2 < two < 3
+        assert math.isfinite(max_violation(BellScenario(1024, d)))
+        with pytest.raises(OverflowError):
+            math.ldexp(two, 1025 - 2)
+
+
 S2 = BellScenario(2, 2)
 START = PhaseConfiguration.zero(S2)
 PART = Bipartition((1,), (2,))
@@ -351,7 +430,7 @@ class TestHugeValues:
         assert "2^(about 2^16610)" in str(err.value) and len(str(err.value)) < 200
 
     def test_a_party_count_past_a_tuple_is_refused_at_once(self):
-        # from_block walks 1..N for block B: a count no tuple can hold is refused first
+        # from_block walks 1..N for block B: a count past the walk limit is refused first
         started = time.perf_counter()
         with pytest.raises(ValueError) as err:
             Bipartition.from_block(10**5000, (1,))
@@ -375,6 +454,7 @@ FLOORS = {
     "max_violation": (lambda v: max_violation(SimpleNamespace(n_parties=v, dimension=3)),
                       "n_parties", 2),
     "cli._scenario": (lambda v: _scenario(v, 3), "n", 2),
+    "cli._scenario-d": (lambda v: _scenario(3, v), "d", 2),
     "from_block": (lambda v: Bipartition.from_block(v, (1,)), "n_parties", 2),
     "optimize_phases": (lambda v: optimize_phases(S2, START, v), "budget", 1),
     "restarts": (lambda v: optimize_with_restarts(S2, restarts=v), "restarts", 1),
